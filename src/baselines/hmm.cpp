@@ -158,44 +158,16 @@ HmmModel HmmModel::fit_from_features(
 }
 
 HmmModel HmmModel::train(const trace::TraceSet& ts, HmmConfig cfg) {
+    // extract_features is the FeatureAccumulator fold over one chunk.
     return fit_from_features(trace::extract_features(ts), cfg);
 }
 
 HmmModel HmmModel::train_streaming(const std::filesystem::path& dir, HmmConfig cfg,
                                    std::size_t chunk_rows) {
-    if (chunk_rows == 0)
-        throw std::invalid_argument(
-            "HmmModel::train_streaming: chunk_rows must be >= 1");
     trace::ChunkedReader reader(dir);
     trace::FeatureAccumulator facc;
-    trace::TraceSet chunk;
-    const auto for_chunks = [&](trace::StreamId s, auto&& fn) {
-        const std::uint64_t total = reader.rows(s);
-        for (std::uint64_t off = 0; off < total; off += chunk_rows) {
-            chunk = trace::TraceSet{};
-            reader.read_rows(s, off,
-                             std::min<std::uint64_t>(chunk_rows, total - off), chunk);
-            fn(chunk);
-        }
-    };
-    // Same stream feed order as Trainer::train_streaming / the in-memory
-    // extract_features pass, so the finished rows are identical. Spans and
-    // failures carry nothing this model consumes.
-    for_chunks(trace::StreamId::kNetwork, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.network) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kCpu, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.cpu) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kMemory, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.memory) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kStorage, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.storage) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kRequests, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.requests) facc.observe(r);
-    });
+    reader.for_each_chunk(chunk_rows,
+                          [&](const trace::TraceSet& c) { facc.observe(c); });
     return fit_from_features(facc.finish(), cfg);
 }
 

@@ -15,15 +15,13 @@
 // marginal size distribution, at a parameter budget far under KOOZA's
 // annotated chains.
 //
-// Training has two equivalent paths:
-//   * train(ts)            — materialized TraceSet;
-//   * train_streaming(dir) — records read chunk-by-chunk through
-//     trace::ChunkedReader and folded into trace::FeatureAccumulator
-//     (O(requests) memory, never a whole TraceSet), then Baum-Welch
-//     accumulates its EM sufficient statistics one segment at a time
-//     through Echmm::Fitter.
-// Both produce byte-identical models on the same capture (the streaming
-// stress test the ROADMAP's chunked-training item calls for).
+// Training folds trace chunks into one trace::FeatureAccumulator:
+//   * train(ts)            — the materialized TraceSet is a single chunk;
+//   * train_streaming(dir) — trace::ChunkedReader::for_each_chunk hands
+//     over bounded row ranges (O(requests) memory, never a whole
+//     TraceSet).
+// Both then run the same Echmm::fit over the finished, arrival-sorted
+// feature rows, so they produce byte-identical models on one capture.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +50,8 @@ struct HmmConfig {
     /// (Echmm::fit's restart-0 byte-compat contract).
     std::uint64_t seed = 1;
     std::size_t n_restarts = 1;
-    /// Requests per Baum-Welch observation sequence. Segments are the
-    /// multi-sequence unit *and* the chunk the streaming fit accumulates
-    /// EM statistics over; inter-arrival gaps never cross a boundary.
+    /// Requests per Baum-Welch observation sequence (the multi-sequence
+    /// unit); inter-arrival gaps never cross a boundary.
     std::size_t segment_length = 256;
 };
 
@@ -77,7 +74,8 @@ public:
 
     /// Train from a kooza.trace/1 capture directory without materializing
     /// the TraceSet (see file comment). Byte-identical to train() on the
-    /// same capture. Throws std::runtime_error on a malformed capture.
+    /// same capture. Throws std::runtime_error on a malformed capture and
+    /// std::invalid_argument when `chunk_rows` is 0.
     static HmmModel train_streaming(const std::filesystem::path& dir,
                                     HmmConfig cfg = {},
                                     std::size_t chunk_rows = std::size_t(1) << 16);

@@ -5,9 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "stats/descriptive.hpp"
-#include "stats/fitting.hpp"
-#include "stats/hypothesis.hpp"
+#include "core/trainer.hpp"
 #include "trace/features.hpp"
 
 namespace kooza::baselines {
@@ -27,23 +25,8 @@ InDepthModel InDepthModel::train(const trace::TraceSet& ts, double ks_threshold)
     if (features.empty())
         throw std::invalid_argument("InDepthModel::train: no completed requests");
 
-    // Arrival process (same recipe KOOZA's network sub-model uses).
-    std::vector<double> arrivals = trace::column_arrival(features);
-    std::sort(arrivals.begin(), arrivals.end());
-    std::unique_ptr<queueing::ArrivalProcess> arrival_model;
-    if (arrivals.size() < 3) {
-        arrival_model = std::make_unique<queueing::PoissonArrivals>(1.0);
-    } else {
-        std::vector<double> gaps(arrivals.size() - 1);
-        for (std::size_t i = 1; i < arrivals.size(); ++i)
-            gaps[i - 1] = std::max(arrivals[i] - arrivals[i - 1], 1e-12);
-        auto exp_fit = stats::fit_exponential(gaps);
-        if (stats::ks_statistic(gaps, *exp_fit) <= 0.1)
-            arrival_model =
-                std::make_unique<queueing::PoissonArrivals>(exp_fit->lambda());
-        else
-            arrival_model = std::make_unique<queueing::TraceArrivals>(gaps);
-    }
+    // Arrival process: KOOZA's network sub-model recipe.
+    auto arrival_model = core::fit_arrivals(features, 0.1);
 
     std::size_t n_reads = 0;
     for (const auto& f : features)

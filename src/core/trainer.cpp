@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "par/pool.hpp"
@@ -61,112 +62,72 @@ Trainer::Trainer(TrainerConfig cfg) : cfg_(std::move(cfg)) {
         throw std::invalid_argument("Trainer: state-space sizes must be >= 1");
 }
 
+/// Every sufficient statistic train_impl needs, folded one chunk at a
+/// time. Each field is written by exactly one stream, so chunks of
+/// different streams may arrive in any order; within a stream they must
+/// arrive in record order.
 struct Trainer::TrainInputs {
-    std::vector<trace::RequestFeatures> features;
+    trace::FeatureAccumulator features;
     std::uint64_t max_lbn = 0;    ///< over every storage record
     std::uint32_t max_bank = 0;   ///< over every memory record
     double verify_sum = 0.0;      ///< cpu.verify span seconds
     double verify_total = 0.0;    ///< cpu.verify + cpu.aggregate seconds
     StructureAccumulator structure;
+
+    void observe(const trace::TraceSet& chunk) {
+        features.observe(chunk);
+        for (const auto& r : chunk.storage) max_lbn = std::max(max_lbn, r.lbn);
+        for (const auto& r : chunk.memory) max_bank = std::max(max_bank, r.bank);
+        for (const auto& s : chunk.spans) {
+            if (s.name == "cpu.verify") verify_sum += s.duration();
+            if (s.name == "cpu.verify" || s.name == "cpu.aggregate")
+                verify_total += s.duration();
+        }
+        structure.observe(chunk.spans);
+    }
 };
 
 ServerModel Trainer::train(const trace::TraceSet& ts) const {
     TrainInputs in;
-    in.features = trace::extract_features(ts);
-    for (const auto& r : ts.storage) in.max_lbn = std::max(in.max_lbn, r.lbn);
-    for (const auto& r : ts.memory) in.max_bank = std::max(in.max_bank, r.bank);
-    for (const auto& s : ts.spans) {
-        if (s.name == "cpu.verify") in.verify_sum += s.duration();
-        if (s.name == "cpu.verify" || s.name == "cpu.aggregate")
-            in.verify_total += s.duration();
-    }
-    in.structure.observe(ts.spans);
+    in.observe(ts);
     return train_impl(std::move(in));
 }
 
 ServerModel Trainer::train_streaming(const std::filesystem::path& dir,
                                      std::size_t chunk_rows) const {
-    if (chunk_rows == 0)
-        throw std::invalid_argument(
-            "Trainer::train_streaming: chunk_rows must be >= 1");
     trace::ChunkedReader reader(dir);
     TrainInputs in;
-    trace::FeatureAccumulator facc;
-    trace::TraceSet chunk;
-    const auto for_chunks = [&](trace::StreamId s, auto&& fn) {
-        const std::uint64_t total = reader.rows(s);
-        for (std::uint64_t off = 0; off < total; off += chunk_rows) {
-            chunk = trace::TraceSet{};
-            reader.read_rows(s, off,
-                             std::min<std::uint64_t>(chunk_rows, total - off), chunk);
-            fn(chunk);
-        }
-    };
-    // Stream feed order mirrors FeatureAccumulator::observe(TraceSet) —
-    // network, cpu, memory, storage, requests — so the per-request
-    // accumulation is identical to the in-memory pass. (The failures
-    // stream carries no model features.)
-    for_chunks(trace::StreamId::kNetwork, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.network) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kCpu, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.cpu) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kMemory, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.memory) {
-            facc.observe(r);
-            in.max_bank = std::max(in.max_bank, r.bank);
-        }
-    });
-    for_chunks(trace::StreamId::kStorage, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.storage) {
-            facc.observe(r);
-            in.max_lbn = std::max(in.max_lbn, r.lbn);
-        }
-    });
-    for_chunks(trace::StreamId::kRequests, [&](const trace::TraceSet& c) {
-        for (const auto& r : c.requests) facc.observe(r);
-    });
-    for_chunks(trace::StreamId::kSpans, [&](const trace::TraceSet& c) {
-        for (const auto& s : c.spans) {
-            if (s.name == "cpu.verify") in.verify_sum += s.duration();
-            if (s.name == "cpu.verify" || s.name == "cpu.aggregate")
-                in.verify_total += s.duration();
-        }
-        in.structure.observe(c.spans);
-    });
-    in.features = facc.finish();
+    reader.for_each_chunk(chunk_rows,
+                          [&](const trace::TraceSet& c) { in.observe(c); });
     return train_impl(std::move(in));
+}
+
+std::unique_ptr<queueing::ArrivalProcess> fit_arrivals(
+    const std::vector<trace::RequestFeatures>& features, double ks_threshold) {
+    std::vector<double> arrivals = trace::column_arrival(features);
+    std::sort(arrivals.begin(), arrivals.end());
+    if (arrivals.size() < 3) return std::make_unique<queueing::PoissonArrivals>(1.0);
+    std::vector<double> gaps(arrivals.size() - 1);
+    for (std::size_t i = 1; i < arrivals.size(); ++i)
+        gaps[i - 1] = std::max(arrivals[i] - arrivals[i - 1], 1e-12);
+    auto exp_fit = stats::fit_exponential(gaps);
+    if (stats::ks_statistic(gaps, *exp_fit) <= ks_threshold)
+        return std::make_unique<queueing::PoissonArrivals>(exp_fit->lambda());
+    // Divergent-from-Poisson stream: keep the empirical gaps.
+    return std::make_unique<queueing::TraceArrivals>(gaps);
 }
 
 ServerModel Trainer::train_impl(TrainInputs in) const {
     const obs::TimerScope train_timer(trainer_metrics().train_wall_ns);
-    const auto& features = in.features;
+    // The per-request accumulators are dropped here, before the fits.
+    const auto features = std::exchange(in.features, {}).finish();
     if (features.empty())
         throw std::invalid_argument("Trainer::train: no completed requests in trace");
     trainer_metrics().runs.add();
     trainer_metrics().requests.add(features.size());
 
     // ---- Network sub-model: the arrival process. -------------------------
-    std::vector<double> arrivals = trace::column_arrival(features);
-    std::sort(arrivals.begin(), arrivals.end());
-    std::unique_ptr<queueing::ArrivalProcess> arrival_model;
-    if (arrivals.size() < 3) {
-        arrival_model = std::make_unique<queueing::PoissonArrivals>(1.0);
-    } else {
-        std::vector<double> gaps(arrivals.size() - 1);
-        for (std::size_t i = 1; i < arrivals.size(); ++i)
-            gaps[i - 1] = std::max(arrivals[i] - arrivals[i - 1], 1e-12);
-        auto exp_fit = stats::fit_exponential(gaps);
-        const double ks = stats::ks_statistic(gaps, *exp_fit);
-        if (ks <= cfg_.arrival_ks_threshold) {
-            arrival_model =
-                std::make_unique<queueing::PoissonArrivals>(exp_fit->lambda());
-        } else {
-            // Divergent-from-Poisson stream: keep the empirical gaps.
-            arrival_model = std::make_unique<queueing::TraceArrivals>(gaps);
-        }
-    }
+    auto arrival_model = fit_arrivals(features, cfg_.arrival_ks_threshold);
 
     // ---- State spaces. ---------------------------------------------------
     std::uint64_t lbn_space = cfg_.lbn_space;

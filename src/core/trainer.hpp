@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
-
 #include <vector>
 
 #include "core/model.hpp"
@@ -26,6 +26,13 @@ namespace kooza::core {
 /// additionally re-enter the network/disk path through the replica
 /// fan-out (repl.forward) between the primary disk write and the ack.
 [[nodiscard]] std::vector<std::string> canonical_phases(trace::IoType t);
+
+/// The arrival-process recipe shared by KOOZA's network sub-model and the
+/// in-depth baseline: an exponential fit to the inter-arrival gaps, or the
+/// empirical gaps (trace-driven) when the fit's KS distance exceeds
+/// `ks_threshold`. Fewer than three requests yield a unit-rate Poisson.
+[[nodiscard]] std::unique_ptr<queueing::ArrivalProcess> fit_arrivals(
+    const std::vector<trace::RequestFeatures>& features, double ks_threshold);
 
 struct TrainerConfig {
     std::string workload_name = "workload";
@@ -68,15 +75,16 @@ public:
     [[nodiscard]] ServerModel train(const trace::TraceSet& ts) const;
 
     /// Fit the same model from a kooza.trace/1 capture directory without
-    /// ever materializing the TraceSet: records are read `chunk_rows` at
-    /// a time through trace::ChunkedReader and folded into merge-able
-    /// sufficient statistics (trace::FeatureAccumulator,
-    /// markov::ChainSuffStats, core::StructureAccumulator), so training
-    /// memory is O(requests + sampled spans) instead of O(records).
-    /// Produces a model byte-identical (under serialize::save_model) to
-    /// train() on the materialized trace set when max_state_samples is 0.
-    /// Throws std::runtime_error on a malformed capture and
-    /// std::invalid_argument when it holds no completed requests.
+    /// ever materializing the TraceSet: trace::ChunkedReader::
+    /// for_each_chunk hands over `chunk_rows` rows at a time, and each
+    /// chunk goes through the same fold train() applies to its whole
+    /// trace set (trace::FeatureAccumulator, core::StructureAccumulator
+    /// and a few running sums), so training memory is O(requests +
+    /// sampled spans) instead of O(records). The serialized model is
+    /// byte-identical to train() on the materialized trace set when
+    /// max_state_samples is 0. Throws std::runtime_error on a malformed
+    /// capture and std::invalid_argument when `chunk_rows` is 0 or the
+    /// capture holds no completed requests.
     [[nodiscard]] ServerModel train_streaming(
         const std::filesystem::path& dir,
         std::size_t chunk_rows = std::size_t(1) << 16) const;
@@ -84,8 +92,8 @@ public:
     [[nodiscard]] const TrainerConfig& config() const noexcept { return cfg_; }
 
 private:
-    /// Everything train_impl needs, producible from either a TraceSet
-    /// or a chunked read of the binary capture.
+    /// Everything train_impl needs, folded from one chunk or many: a
+    /// TraceSet is a single chunk.
     struct TrainInputs;
 
     [[nodiscard]] ServerModel train_impl(TrainInputs in) const;

@@ -91,8 +91,8 @@ private:
 /// from an in-memory vector or re-read chunk by chunk from disk — then
 /// end_iteration() applies the M-step and reports convergence. Feeding
 /// the same sequences in the same order every iteration makes the result
-/// byte-identical to Echmm::fit on the materialized sequence list, which
-/// is the contract baselines::HmmModel's streaming training relies on.
+/// byte-identical to Echmm::fit on the materialized sequence list
+/// (Echmm::fit is itself a Fitter driven over an in-memory list).
 ///
 /// M-step variance uses the E[x^2] - mu_new^2 form, so sigma is computed
 /// against the *updated* mean (a single stale-mean pass overestimates it

@@ -128,7 +128,7 @@ std::uint64_t f64_bits(double v) noexcept {
 
 [[noreturn]] void bad_file(const fs::path& p, const std::string& why) {
     metrics().bad_files.add();
-    throw std::runtime_error("read_binary: " + p.string() + ": " + why);
+    throw std::runtime_error("kooza.trace/1: " + p.string() + ": " + why);
 }
 
 /// Fixed-size serialized header: magic + version + stream id + schema
@@ -144,146 +144,6 @@ std::vector<std::uint8_t> make_header(const StreamSchema& s, std::uint64_t count
     put(h, count);
     put(h, crc32(h.data(), h.size()));
     return h;
-}
-
-/// Cursor over a fully-loaded stream file.
-struct FileView {
-    fs::path path;
-    std::vector<std::uint8_t> data;
-    std::size_t pos = 0;
-
-    void need(std::size_t n, const char* what) const {
-        if (pos + n > data.size())
-            bad_file(path, std::string("truncated file (") + what + ")");
-    }
-    template <typename T>
-    T take() {
-        T v;
-        std::memcpy(&v, data.data() + pos, sizeof(T));
-        pos += sizeof(T);
-        return v;
-    }
-    /// One CRC-checked section: u64 length + payload + u32 crc. Returns
-    /// the payload's offset; `pos` advances past the section.
-    std::size_t take_section(const char* what, std::size_t expected_len) {
-        need(8, what);
-        const auto len = take<std::uint64_t>();
-        if (expected_len != std::size_t(-1) && len != expected_len)
-            bad_file(path, std::string(what) + ": unexpected section length");
-        need(std::size_t(len) + 4, what);
-        const auto off = pos;
-        pos += std::size_t(len);
-        const auto stored = take<std::uint32_t>();
-        if (crc32(data.data() + off, std::size_t(len)) != stored)
-            bad_file(path, std::string(what) + ": CRC32 mismatch (corrupt section)");
-        return off;
-    }
-};
-
-FileView load_file(const fs::path& p) {
-    std::ifstream f(p, std::ios::binary);
-    if (!f) bad_file(p, "cannot open");
-    FileView v{p, {}, 0};
-    f.seekg(0, std::ios::end);
-    v.data.resize(std::size_t(f.tellg()));
-    f.seekg(0);
-    // One bulk read; columns are then loaded by pointer from the buffer.
-    f.read(reinterpret_cast<char*>(v.data.data()),
-           std::streamsize(v.data.size()));
-    if (!f) bad_file(p, "short read");
-    return v;
-}
-
-/// Validate header; returns the record count.
-std::uint64_t read_header(FileView& v, const StreamSchema& s) {
-    v.need(kHeaderBytes + 4, "header");
-    if (std::memcmp(v.data.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0)
-        bad_file(v.path, "bad magic (not a kooza.trace/1 file)");
-    const auto stored_crc = [&] {
-        std::uint32_t c;
-        std::memcpy(&c, v.data.data() + kHeaderBytes, 4);
-        return c;
-    }();
-    if (crc32(v.data.data(), kHeaderBytes) != stored_crc)
-        bad_file(v.path, "header CRC32 mismatch");
-    v.pos = sizeof(kBinaryMagic);
-    if (const auto ver = v.take<std::uint32_t>(); ver != kBinaryVersion)
-        bad_file(v.path, "unsupported version " + std::to_string(ver));
-    if (const auto id = v.take<std::uint32_t>(); id != s.id)
-        bad_file(v.path, "stream id mismatch (file renamed?)");
-    if (v.take<std::uint64_t>() != schema_hash(s.spec))
-        bad_file(v.path, "schema hash mismatch");
-    const auto count = v.take<std::uint64_t>();
-    v.pos += 4;  // header crc
-    return count;
-}
-
-/// Columns of one loaded stream: payload offsets in file order.
-struct Columns {
-    FileView view;
-    std::uint64_t count = 0;
-    std::vector<std::size_t> offsets;
-
-    template <typename T>
-    T get(std::size_t col, std::size_t row) const {
-        T v;
-        std::memcpy(&v, view.data.data() + offsets[col] + row * sizeof(T),
-                    sizeof(T));
-        return v;
-    }
-    double f64(std::size_t col, std::size_t row) const {
-        return std::bit_cast<double>(get<std::uint64_t>(col, row));
-    }
-    /// Enum columns mirror the CSV readers' strictness: a byte outside
-    /// the enum's range is corruption, not a default value.
-    std::uint8_t enum8(std::size_t col, std::size_t row, std::uint8_t max,
-                       const char* what) const {
-        const auto v = get<std::uint8_t>(col, row);
-        if (v > max)
-            bad_file(view.path, "record " + std::to_string(row) +
-                                    ": invalid " + what + " value " +
-                                    std::to_string(v));
-        return v;
-    }
-};
-
-Columns load_stream(const fs::path& dir, const StreamSchema& s) {
-    Columns c{load_file(dir / (std::string(s.stem) + ".bin")), 0, {}};
-    c.count = read_header(c.view, s);
-    c.offsets.reserve(s.cols.size());
-    for (std::size_t i = 0; i < s.cols.size(); ++i)
-        c.offsets.push_back(c.view.take_section(
-            "column", std::size_t(c.count) * width(s.cols[i])));
-    metrics().rows.add(c.count);
-    return c;
-}
-
-/// The spans string table: the final section of spans.bin.
-std::vector<std::string> load_string_table(Columns& c) {
-    const auto off = c.view.take_section("string table", std::size_t(-1));
-    const auto end = c.view.pos - 4;  // section payload ends before its crc
-    std::size_t p = off;
-    auto need = [&](std::size_t n) {
-        if (p + n > end) bad_file(c.view.path, "string table truncated");
-    };
-    need(4);
-    std::uint32_t n;
-    std::memcpy(&n, c.view.data.data() + p, 4);
-    p += 4;
-    std::vector<std::string> names;
-    names.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        need(4);
-        std::uint32_t len;
-        std::memcpy(&len, c.view.data.data() + p, 4);
-        p += 4;
-        need(len);
-        names.emplace_back(reinterpret_cast<const char*>(c.view.data.data() + p),
-                           len);
-        p += len;
-    }
-    if (p != end) bad_file(c.view.path, "string table has trailing bytes");
-    return names;
 }
 
 }  // namespace
@@ -592,113 +452,6 @@ void write_binary(const TraceSet& ts, const std::filesystem::path& dir) {
     w.finish();
 }
 
-TraceSet read_binary(const std::filesystem::path& dir) {
-    // All seven stream files are required: a capture always writes the
-    // full set, so an absent file is a partial/deleted capture, not a
-    // quiet workload.
-    for (const auto& s : schemas()) {
-        const auto p = dir / (std::string(s.stem) + ".bin");
-        if (!fs::exists(p)) {
-            metrics().missing_files.add();
-            throw std::runtime_error("read_binary: missing stream file " +
-                                     p.string() + " (partial capture?)");
-        }
-    }
-
-    TraceSet ts;
-    {
-        const auto c = load_stream(dir, schemas()[0]);
-        ts.storage.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.storage[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.lbn = c.get<std::uint64_t>(2, i);
-            r.size_bytes = c.get<std::uint64_t>(3, i);
-            r.type = IoType(c.enum8(4, i, 1, "io type"));
-            r.latency = c.f64(5, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[1]);
-        ts.cpu.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.cpu[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.busy_seconds = c.f64(2, i);
-            r.utilization = c.f64(3, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[2]);
-        ts.memory.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.memory[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.bank = c.get<std::uint32_t>(2, i);
-            r.size_bytes = c.get<std::uint64_t>(3, i);
-            r.type = IoType(c.enum8(4, i, 1, "io type"));
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[3]);
-        ts.network.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.network[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.size_bytes = c.get<std::uint64_t>(2, i);
-            r.direction = NetworkRecord::Direction(c.enum8(3, i, 1, "direction"));
-            r.latency = c.f64(4, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[4]);
-        ts.requests.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.requests[i];
-            r.request_id = c.get<std::uint64_t>(0, i);
-            r.type = IoType(c.enum8(1, i, 1, "io type"));
-            r.arrival = c.f64(2, i);
-            r.completion = c.f64(3, i);
-            r.bytes = c.get<std::uint64_t>(4, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[5]);
-        ts.failures.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.failures[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.server = c.get<std::uint32_t>(2, i);
-            r.kind = FailureRecord::Kind(c.enum8(3, i, 5, "failure kind"));
-            r.duration = c.f64(4, i);
-        }
-    }
-    {
-        auto c = load_stream(dir, schemas()[6]);
-        const auto names = load_string_table(c);
-        ts.spans.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& sp = ts.spans[i];
-            sp.trace_id = c.get<std::uint64_t>(0, i);
-            sp.span_id = c.get<std::uint64_t>(1, i);
-            sp.parent_id = c.get<std::uint64_t>(2, i);
-            const auto ix = c.get<std::uint32_t>(3, i);
-            if (ix >= names.size())
-                bad_file(c.view.path, "record " + std::to_string(i) +
-                                          ": name index out of range");
-            sp.name = names[ix];
-            sp.start = c.f64(4, i);
-            sp.end = c.f64(5, i);
-        }
-    }
-    return ts;
-}
-
 ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
     files_.resize(schemas().size());
     std::vector<char> buf(1 << 20);
@@ -707,13 +460,13 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
         sf.path = dir_ / (std::string(s.stem) + ".bin");
         if (!fs::exists(sf.path)) {
             metrics().missing_files.add();
-            throw std::runtime_error("ChunkedReader: missing stream file " +
+            throw std::runtime_error("kooza.trace/1: missing stream file " +
                                      sf.path.string() + " (partial capture?)");
         }
         sf.file.open(sf.path, std::ios::binary);
         if (!sf.file) bad_file(sf.path, "cannot open");
 
-        // Header, validated exactly as read_binary but from a small buffer.
+        // Header, from a small buffer.
         std::vector<std::uint8_t> h(kHeaderBytes + 4);
         sf.file.read(reinterpret_cast<char*>(h.data()),
                      std::streamsize(h.size()));
@@ -747,22 +500,25 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
         sf.count = take64();
 
         // Walk the sections once, CRC-checking each payload through the
-        // bounded buffer and remembering where it starts.
+        // bounded buffer and remembering where it starts. A column section
+        // must hold exactly `count` values of `col_width` bytes (0 = any
+        // length). The check divides rather than multiplying count by
+        // width, so a hostile count cannot wrap the product to a short,
+        // CRC-valid section.
         std::uint64_t off = kHeaderBytes + 4;
-        constexpr std::uint64_t kAnyLen = ~0ull;
-        auto check_section = [&](std::uint64_t expected_len, const char* what,
+        auto check_section = [&](std::uint64_t col_width, const char* what,
                                  std::vector<std::uint8_t>* capture) {
             std::uint64_t len = 0;
             sf.file.read(reinterpret_cast<char*>(&len), 8);
             if (sf.file.gcount() != 8)
                 bad_file(sf.path,
                          std::string("truncated file (") + what + ")");
-            if (expected_len != kAnyLen && len != expected_len)
+            if (col_width != 0 &&
+                (len % col_width != 0 || len / col_width != sf.count))
                 bad_file(sf.path,
                          std::string(what) + ": unexpected section length");
             off += 8;
             const std::uint64_t payload = off;
-            if (capture) capture->reserve(std::size_t(len));
             std::uint32_t crc = 0;
             std::uint64_t left = len;
             while (left > 0) {
@@ -790,13 +546,13 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             return payload;
         };
         for (std::size_t c = 0; c < s.cols.size(); ++c)
-            sf.col_offsets.push_back(check_section(
-                sf.count * width(s.cols[c]), "column", nullptr));
+            sf.col_offsets.push_back(
+                check_section(width(s.cols[c]), "column", nullptr));
         if (s.id == 6) {
             // The string table is bounded by the number of distinct span
             // names, so it is safe to hold in memory.
             std::vector<std::uint8_t> tab;
-            check_section(kAnyLen, "string table", &tab);
+            check_section(0, "string table", &tab);
             std::size_t p = 0;
             auto need = [&](std::size_t n) {
                 if (p + n > tab.size())
@@ -806,7 +562,6 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             std::uint32_t n;
             std::memcpy(&n, tab.data(), 4);
             p += 4;
-            names_.reserve(n);
             for (std::uint32_t i = 0; i < n; ++i) {
                 need(4);
                 std::uint32_t len;
@@ -878,47 +633,56 @@ void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                                   std::to_string(v));
         return v;
     };
+    // One allocation for a whole-stream read (read_binary's drain);
+    // repeated appends into the same vector still grow geometrically.
+    auto append = [n](auto& vec, auto&& decode) {
+        vec.reserve(std::max<std::size_t>(vec.size() + n, 2 * vec.size()));
+        for (std::size_t i = 0; i < n; ++i) vec.push_back(decode(i));
+    };
 
-    switch (StreamId(id)) {
+    switch (s) {
         case StreamId::kStorage:
-            for (std::size_t i = 0; i < n; ++i)
-                out.storage.push_back({f64(0, i), u64(1, i), u64(2, i),
-                                       u64(3, i),
-                                       IoType(enum8(4, i, 1, "io type")),
-                                       f64(5, i)});
+            append(out.storage, [&](std::size_t i) {
+                return StorageRecord{f64(0, i), u64(1, i), u64(2, i), u64(3, i),
+                                     IoType(enum8(4, i, 1, "io type")),
+                                     f64(5, i)};
+            });
             break;
         case StreamId::kCpu:
-            for (std::size_t i = 0; i < n; ++i)
-                out.cpu.push_back({f64(0, i), u64(1, i), f64(2, i), f64(3, i)});
+            append(out.cpu, [&](std::size_t i) {
+                return CpuRecord{f64(0, i), u64(1, i), f64(2, i), f64(3, i)};
+            });
             break;
         case StreamId::kMemory:
-            for (std::size_t i = 0; i < n; ++i)
-                out.memory.push_back({f64(0, i), u64(1, i), u32(2, i),
-                                      u64(3, i),
-                                      IoType(enum8(4, i, 1, "io type"))});
+            append(out.memory, [&](std::size_t i) {
+                return MemoryRecord{f64(0, i), u64(1, i), u32(2, i), u64(3, i),
+                                    IoType(enum8(4, i, 1, "io type"))};
+            });
             break;
         case StreamId::kNetwork:
-            for (std::size_t i = 0; i < n; ++i)
-                out.network.push_back(
-                    {f64(0, i), u64(1, i), u64(2, i),
-                     NetworkRecord::Direction(enum8(3, i, 1, "direction")),
-                     f64(4, i)});
+            append(out.network, [&](std::size_t i) {
+                return NetworkRecord{
+                    f64(0, i), u64(1, i), u64(2, i),
+                    NetworkRecord::Direction(enum8(3, i, 1, "direction")),
+                    f64(4, i)};
+            });
             break;
         case StreamId::kRequests:
-            for (std::size_t i = 0; i < n; ++i)
-                out.requests.push_back({u64(0, i),
-                                        IoType(enum8(1, i, 1, "io type")),
-                                        f64(2, i), f64(3, i), u64(4, i)});
+            append(out.requests, [&](std::size_t i) {
+                return RequestRecord{u64(0, i), IoType(enum8(1, i, 1, "io type")),
+                                     f64(2, i), f64(3, i), u64(4, i)};
+            });
             break;
         case StreamId::kFailures:
-            for (std::size_t i = 0; i < n; ++i)
-                out.failures.push_back(
-                    {f64(0, i), u64(1, i), u32(2, i),
-                     FailureRecord::Kind(enum8(3, i, 5, "failure kind")),
-                     f64(4, i)});
+            append(out.failures, [&](std::size_t i) {
+                return FailureRecord{
+                    f64(0, i), u64(1, i), u32(2, i),
+                    FailureRecord::Kind(enum8(3, i, 5, "failure kind")),
+                    f64(4, i)};
+            });
             break;
         case StreamId::kSpans:
-            for (std::size_t i = 0; i < n; ++i) {
+            append(out.spans, [&](std::size_t i) {
                 Span sp;
                 sp.trace_id = u64(0, i);
                 sp.span_id = u64(1, i);
@@ -930,11 +694,38 @@ void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                 sp.name = names_[ix];
                 sp.start = f64(4, i);
                 sp.end = f64(5, i);
-                out.spans.push_back(std::move(sp));
-            }
+                return sp;
+            });
             break;
     }
     metrics().rows.add(n);
+}
+
+void ChunkedReader::for_each_chunk(
+    std::size_t chunk_rows, const std::function<void(const TraceSet&)>& fn) {
+    if (chunk_rows == 0)
+        throw std::invalid_argument(
+            "ChunkedReader::for_each_chunk: chunk_rows must be >= 1");
+    for (std::size_t id = 0; id < files_.size(); ++id) {
+        const auto s = StreamId(id);
+        const std::uint64_t total = rows(s);
+        for (std::uint64_t off = 0; off < total; off += chunk_rows) {
+            TraceSet chunk;
+            read_rows(s, off, std::min<std::uint64_t>(chunk_rows, total - off),
+                      chunk);
+            fn(chunk);
+        }
+    }
+}
+
+TraceSet read_binary(const std::filesystem::path& dir) {
+    ChunkedReader reader(dir);
+    TraceSet ts;
+    for (std::size_t id = 0; id < kStreamCount; ++id) {
+        const auto s = StreamId(id);
+        reader.read_rows(s, 0, reader.rows(s), ts);
+    }
+    return ts;
 }
 
 }  // namespace kooza::trace

@@ -14,8 +14,9 @@
 //   [strings]  spans.bin only: a final section holding the deduplicated
 //              span-name table (u32 count, then u32 length + bytes each);
 //              the name column stores u32 indices into it
-// Every section is CRC-checked on read, enum columns are range-checked
-// (the strictness mirror of the CSV readers), and doubles round-trip
+// Every section is CRC-checked on read, every column section must hold
+// exactly the header's record count, enum columns are range-checked
+// (the strictness of the CSV readers), and doubles round-trip
 // bit-exactly — including NaN payloads — which text formats cannot
 // guarantee.
 #pragma once
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -114,22 +116,23 @@ private:
 /// One-shot convenience: write `ts` as kooza.trace/1 into `dir`.
 void write_binary(const TraceSet& ts, const std::filesystem::path& dir);
 
-/// Read a TraceSet previously written by BinaryWriter. Every stream file
-/// must be present (a partial capture fails loudly and counts
-/// trace.bin.missing_files_total); header, schema hash and per-section
-/// CRCs are validated and enum columns range-checked. Throws
-/// std::runtime_error with the offending file on any mismatch.
+/// Read a TraceSet previously written by BinaryWriter: a ChunkedReader
+/// drained one whole stream at a time, so it validates and fails exactly
+/// as ChunkedReader does.
 [[nodiscard]] TraceSet read_binary(const std::filesystem::path& dir);
 
-/// Bounded-memory reader over a kooza.trace/1 directory: validates every
-/// header and section CRC once at construction (streamed through a small
-/// buffer, never loading a whole file), then serves arbitrary row ranges
-/// per stream. This is what lets trainers consume captures far larger
-/// than RAM (core::Trainer::train_streaming).
+/// The kooza.trace/1 decoder. Validates every header and section CRC once
+/// at construction (streamed through a small buffer, never loading a
+/// whole file), then serves arbitrary row ranges per stream, so trainers
+/// can consume captures far larger than RAM (core::Trainer::
+/// train_streaming). read_binary is the whole-capture drain of it.
 class ChunkedReader {
 public:
-    /// Opens and fully validates all seven stream files. Same strictness
-    /// and error reporting as read_binary.
+    /// Opens and fully validates all seven stream files. Every file must
+    /// be present: a partial capture fails loudly and counts
+    /// trace.bin.missing_files_total. A bad magic, version, stream id,
+    /// schema hash, CRC, or a section length that disagrees with the
+    /// header's record count throws std::runtime_error naming the file.
     explicit ChunkedReader(std::filesystem::path dir);
     ChunkedReader(const ChunkedReader&) = delete;
     ChunkedReader& operator=(const ChunkedReader&) = delete;
@@ -141,11 +144,19 @@ public:
     [[nodiscard]] std::uint64_t total_rows() const noexcept;
 
     /// Decode rows [begin, begin + n) of `s`, appending them to the
-    /// matching stream of `out` (other streams untouched). Decoding and
-    /// enum range checks match read_binary exactly. Throws
-    /// std::out_of_range when the range exceeds rows(s).
+    /// matching stream of `out` (other streams untouched). Enum columns
+    /// are range-checked (std::runtime_error naming the file and record).
+    /// Throws std::out_of_range when the range exceeds rows(s).
     void read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                    TraceSet& out);
+
+    /// Visit the whole capture as chunks: streams in StreamId order, each
+    /// cut into consecutive runs of at most `chunk_rows` rows. Every call
+    /// passes a fresh TraceSet holding one run of one stream, so record
+    /// order within a stream is preserved. Throws std::invalid_argument
+    /// when `chunk_rows` is 0.
+    void for_each_chunk(std::size_t chunk_rows,
+                        const std::function<void(const TraceSet&)>& fn);
 
 private:
     struct StreamFile {

@@ -45,40 +45,12 @@ void FeatureAccumulator::observe(const StorageRecord& r) {
     }
 }
 
-void FeatureAccumulator::observe(const RequestRecord& r) { requests_.push_back(r); }
-
 void FeatureAccumulator::observe(const TraceSet& chunk) {
     for (const auto& r : chunk.network) observe(r);
     for (const auto& r : chunk.cpu) observe(r);
     for (const auto& r : chunk.memory) observe(r);
     for (const auto& r : chunk.storage) observe(r);
-    for (const auto& r : chunk.requests) observe(r);
-}
-
-void FeatureAccumulator::merge(const FeatureAccumulator& other) {
-    for (const auto& [id, b] : other.acc_) {
-        auto& a = acc_[id];
-        a.rx += b.rx;
-        a.tx += b.tx;
-        a.cpu_busy += b.cpu_busy;
-        a.mem_read += b.mem_read;
-        a.mem_write += b.mem_write;
-        a.sto_read += b.sto_read;
-        a.sto_write += b.sto_write;
-        // Strict < matches the single-pass tie-break: on an exact time tie
-        // the earlier slice (this) keeps its first-I/O sample.
-        if (b.first_mem_time >= 0.0 &&
-            (a.first_mem_time < 0.0 || b.first_mem_time < a.first_mem_time)) {
-            a.first_mem_time = b.first_mem_time;
-            a.first_bank = b.first_bank;
-        }
-        if (b.first_sto_time >= 0.0 &&
-            (a.first_sto_time < 0.0 || b.first_sto_time < a.first_sto_time)) {
-            a.first_sto_time = b.first_sto_time;
-            a.first_lbn = b.first_lbn;
-        }
-    }
-    requests_.insert(requests_.end(), other.requests_.begin(), other.requests_.end());
+    requests_.insert(requests_.end(), chunk.requests.begin(), chunk.requests.end());
 }
 
 std::vector<RequestFeatures> FeatureAccumulator::finish() const {

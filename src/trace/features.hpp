@@ -41,37 +41,30 @@ struct RequestFeatures {
 /// data for writes — matching the paper's "Request Size" column.
 [[nodiscard]] std::vector<RequestFeatures> extract_features(const TraceSet& ts);
 
-/// Streaming feature extraction: the per-request sufficient statistics
-/// behind extract_features, fed one record (or one chunk) at a time.
-/// Device records collapse into fixed-size per-request accumulators as
-/// they arrive, so consuming a capture chunk by chunk needs O(requests)
-/// memory instead of O(records) — the hook core::Trainer::train_streaming
-/// uses over trace::ChunkedReader. extract_features(ts) itself is
-/// implemented on top of this, so both paths produce identical rows.
+/// The per-request sufficient statistics behind extract_features, folded
+/// one chunk at a time. Device records collapse into fixed-size
+/// per-request accumulators as they arrive, so a capture read chunk by
+/// chunk (trace::ChunkedReader::for_each_chunk) needs O(requests) memory
+/// instead of O(records). extract_features(ts) is this fold over a single
+/// chunk. Each accumulator field is written by exactly one stream, so
+/// chunks of different streams may arrive in any order; within a stream
+/// they must arrive in record order.
 class FeatureAccumulator {
 public:
-    void observe(const NetworkRecord& r);
-    void observe(const CpuRecord& r);
-    void observe(const MemoryRecord& r);
-    void observe(const StorageRecord& r);
-    void observe(const RequestRecord& r);
-    /// All five feature-bearing streams of `chunk`, in record order.
+    /// Every feature-bearing stream of `chunk`, in record order.
     void observe(const TraceSet& chunk);
-
-    /// Fold another accumulator built from a *later* slice of the same
-    /// capture into this one (first-seen wins on first-I/O tie-breaks).
-    void merge(const FeatureAccumulator& other);
 
     /// Completed-request rows, sorted by arrival — exactly what
     /// extract_features returns for the concatenation of everything
     /// observed.
     [[nodiscard]] std::vector<RequestFeatures> finish() const;
 
-    [[nodiscard]] std::size_t requests_seen() const noexcept {
-        return requests_.size();
-    }
-
 private:
+    void observe(const NetworkRecord& r);
+    void observe(const CpuRecord& r);
+    void observe(const MemoryRecord& r);
+    void observe(const StorageRecord& r);
+
     struct PerRequest {
         std::uint64_t rx = 0, tx = 0;
         double cpu_busy = 0.0;

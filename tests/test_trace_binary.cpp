@@ -1,10 +1,12 @@
 // kooza.trace/1 binary trace format: property-style round-trips against
 // randomized TraceSets, record-for-record agreement with the CSV reader,
-// corruption rejection (truncation, bit flips vs per-section CRC32),
+// corruption rejection (truncation, bit flips vs per-section CRC32,
+// hostile record counts),
 // chunked-append byte-identity, and format auto-detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -313,6 +315,68 @@ TEST(Binary, OutOfRangeEnumRejected) {
             }
         },
         std::runtime_error);
+    fs::remove_all(dir);
+}
+
+TEST(Binary, HostileCountsRejected) {
+    // Counts and lengths in CRC-valid files are still untrusted input.
+    // Each case rewrites an empty capture, stores one hostile value into
+    // one file and refits the CRC32 that covers it, so only the reader's
+    // own bounds checks stand between the value and a bad allocation or
+    // a decode from an empty buffer.
+    const auto dir = fresh_dir("kooza_bin_hostile_count");
+    constexpr std::size_t kCountAt = 8 + 4 + 4 + 8, kHeaderBytes = kCountAt + 8;
+    // spans.bin of an empty capture: header + crc, six empty column
+    // sections (u64 length + u32 crc), then the string table section.
+    constexpr std::size_t kTableLenAt = kHeaderBytes + 4 + 6 * 12;
+    constexpr std::size_t kTableAt = kTableLenAt + 8;
+    auto patch = [&](const char* file, std::size_t at, auto value,
+                     std::size_t crc_from, std::size_t crc_at) {
+        write_binary(TraceSet{}, dir);
+        const auto p = dir / file;
+        auto bytes = slurp(p);
+        std::memcpy(bytes.data() + at, &value, sizeof value);
+        const auto crc = crc32(bytes.data() + crc_from, crc_at - crc_from);
+        std::memcpy(bytes.data() + crc_at, &crc, 4);
+        std::ofstream f(p, std::ios::binary | std::ios::trunc);
+        f.write(reinterpret_cast<const char*>(bytes.data()),
+                std::streamsize(bytes.size()));
+    };
+    auto expect_rejected = [&](const char* file) {
+        auto named = [&](auto&& open) {
+            EXPECT_THROW(
+                {
+                    try {
+                        open();
+                    } catch (const std::runtime_error& e) {
+                        EXPECT_NE(std::string(e.what()).find(file),
+                                  std::string::npos)
+                            << e.what();
+                        throw;
+                    }
+                },
+                std::runtime_error)
+                << file;
+        };
+        named([&] { (void)read_binary(dir); });
+        named([&] { ChunkedReader reader(dir); });
+    };
+    // Record counts whose column bytes wrap u64 to zero. cpu.bin has four
+    // 8-byte columns (2^61 * 8 == 2^64); spans.bin has 8- and 4-byte
+    // columns (2^62 * 8 and 2^62 * 4 both wrap).
+    patch("cpu.bin", kCountAt, std::uint64_t(1) << 61, 0, kHeaderBytes);
+    expect_rejected("cpu.bin");
+    patch("spans.bin", kCountAt, std::uint64_t(1) << 62, 0, kHeaderBytes);
+    expect_rejected("spans.bin");
+    // A string table claiming 2^32 - 1 names in a 4-byte payload.
+    patch("spans.bin", kTableAt, std::uint32_t(0xFFFFFFFF), kTableAt,
+          kTableAt + 4);
+    expect_rejected("spans.bin");
+    // A string-table section length of 1 TiB in a file of a few hundred
+    // bytes (the length is not CRC-covered; the header CRC is refit to
+    // its own value).
+    patch("spans.bin", kTableLenAt, std::uint64_t(1) << 40, 0, kHeaderBytes);
+    expect_rejected("spans.bin");
     fs::remove_all(dir);
 }
 

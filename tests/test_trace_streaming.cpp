@@ -222,6 +222,9 @@ TEST(ChunkedReader, RowRangesAgreeWithReadBinary) {
     opts.rate = 50.0;
     opts.seed = 13;
     opts.n_servers = 3;
+    opts.replication = 2;
+    opts.fault_rate = 0.3;  // so the failures stream is non-empty
+    opts.mttr = 1.5;
     opts.format = Format::kBinary;
     const auto dir = fresh_dir("kooza_chunked_reader");
     opts.out_dir = dir.string();
@@ -229,11 +232,46 @@ TEST(ChunkedReader, RowRangesAgreeWithReadBinary) {
     ASSERT_GT(res.records, 0u);
 
     const auto whole = read_binary(dir);
+    ASSERT_FALSE(whole.failures.empty());
     ChunkedReader reader(dir);
     EXPECT_EQ(reader.total_rows(), res.records);
     EXPECT_EQ(reader.rows(StreamId::kStorage), whole.storage.size());
     EXPECT_EQ(reader.rows(StreamId::kRequests), whole.requests.size());
     EXPECT_EQ(reader.rows(StreamId::kSpans), whole.spans.size());
+
+    // for_each_chunk hands over every stream in StreamId order, one stream
+    // and at most 7 rows per chunk; concatenated, the chunks are the
+    // capture read_binary returns (rewritten, they are the same bytes).
+    TraceSet joined;
+    std::size_t last_stream = 0;
+    reader.for_each_chunk(7, [&](const TraceSet& c) {
+        const std::size_t sizes[] = {c.storage.size(),  c.cpu.size(),
+                                     c.memory.size(),   c.network.size(),
+                                     c.requests.size(), c.failures.size(),
+                                     c.spans.size()};
+        std::size_t streams = 0;
+        for (std::size_t s = 0; s < kStreamCount; ++s) {
+            if (sizes[s] == 0) continue;
+            ++streams;
+            EXPECT_LE(sizes[s], 7u);
+            EXPECT_GE(s, last_stream);
+            last_stream = s;
+        }
+        EXPECT_EQ(streams, 1u);
+        joined.merge(c);
+    });
+    EXPECT_EQ(last_stream, std::size_t(StreamId::kSpans));
+    EXPECT_EQ(joined.total_records(), whole.total_records());
+    const auto rewritten = fresh_dir("kooza_chunked_reader_joined");
+    const auto from_whole = fresh_dir("kooza_chunked_reader_whole");
+    write_binary(joined, rewritten);
+    write_binary(whole, from_whole);
+    expect_dirs_byte_equal(rewritten, from_whole);
+    expect_dirs_byte_equal(rewritten, dir);
+    fs::remove_all(rewritten);
+    fs::remove_all(from_whole);
+    EXPECT_THROW(reader.for_each_chunk(0, [](const TraceSet&) {}),
+                 std::invalid_argument);
 
     // Reassemble the storage and span streams from odd-sized row ranges;
     // the concatenation must agree with the one-shot reader.
