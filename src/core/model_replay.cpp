@@ -9,8 +9,6 @@ namespace kooza::core {
 
 namespace {
 constexpr const char* kReplayFile = "model-replay.dat";
-
-std::uint64_t align4k(std::uint64_t offset) { return offset & ~std::uint64_t(4095); }
 }  // namespace
 
 struct ModelReplayGenerator::Impl {
@@ -35,10 +33,6 @@ ModelReplayGenerator::ModelReplayGenerator(const std::filesystem::path& model_fi
 
 ModelReplayGenerator::~ModelReplayGenerator() = default;
 
-std::string ModelReplayGenerator::name() const {
-    return "model:" + impl_->model.workload_name();
-}
-
 std::optional<gfs::RequestSpec> ModelReplayGenerator::poll() {
     if (impl_->emitted >= impl_->p.count) return std::nullopt;
     ++impl_->emitted;
@@ -52,8 +46,8 @@ std::optional<gfs::RequestSpec> ModelReplayGenerator::poll() {
     r.size = std::min(s.storage_bytes, file_size);
     // The model's LBN is a disk-address sample; fold it into the replay
     // file's byte range, 4 KB-aligned, and keep the request in bounds.
-    const std::uint64_t offset = align4k(s.lbn % file_size);
-    r.offset = r.size >= file_size ? 0 : std::min(offset, file_size - r.size);
+    r.offset = workloads::clamp_offset(workloads::align4k(s.lbn % file_size), r.size,
+                                       file_size);
     return r;
 }
 

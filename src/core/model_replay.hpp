@@ -16,7 +16,7 @@
 
 namespace kooza::core {
 
-class ModelReplayGenerator final : public workloads::Generator {
+class ModelReplayGenerator final : public workloads::ScheduleStream {
 public:
     struct Params {
         std::size_t count = 500;   ///< requests to emit before exhaustion
@@ -30,7 +30,6 @@ public:
     ModelReplayGenerator(const std::filesystem::path& model_file, Params p);
     ~ModelReplayGenerator() override;
 
-    [[nodiscard]] std::string name() const override;
     [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
     files() const override {
         return files_;

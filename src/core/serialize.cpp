@@ -1,5 +1,6 @@
 #include "core/serialize.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -37,13 +38,14 @@ double next_double(std::istream& is, const char* what) {
     }
 }
 
+/// A count: decimal digits only, the whole token, no wrap-around.
 std::size_t next_size(std::istream& is, const char* what) {
     const auto tok = next_token(is, what);
-    try {
-        return std::stoull(tok);
-    } catch (const std::exception&) {
+    std::size_t n = 0;
+    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), n);
+    if (ec != std::errc() || end != tok.data() + tok.size())
         bad(std::string("bad count '") + tok + "' for " + what);
-    }
+    return n;
 }
 
 void expect(std::istream& is, const char* keyword) {
@@ -68,13 +70,17 @@ markov::MarkovChain load_chain(std::istream& is) {
     expect(is, "chain");
     const std::size_t n = next_size(is, "chain size");
     expect(is, "init");
-    std::vector<double> init(n);
-    for (auto& p : init) p = next_double(is, "initial probability");
-    std::vector<std::vector<double>> rows(n, std::vector<double>(n));
+    // Counts come from the file: grow each vector as its values parse, so
+    // a hostile count fails on missing input instead of allocating.
+    std::vector<double> init;
+    for (std::size_t i = 0; i < n; ++i)
+        init.push_back(next_double(is, "initial probability"));
+    std::vector<std::vector<double>> rows;
     for (std::size_t i = 0; i < n; ++i) {
         expect(is, "row");
+        auto& row = rows.emplace_back();
         for (std::size_t j = 0; j < n; ++j)
-            rows[i][j] = next_double(is, "transition probability");
+            row.push_back(next_double(is, "transition probability"));
     }
     return markov::MarkovChain(std::move(rows), std::move(init));
 }
@@ -230,8 +236,8 @@ std::unique_ptr<queueing::ArrivalProcess> load_arrivals(std::istream& is) {
     }
     if (kind == "trace") {
         const std::size_t n = next_size(is, "trace gap count");
-        std::vector<double> gaps(n);
-        for (auto& g : gaps) g = next_double(is, "trace gap");
+        std::vector<double> gaps;
+        for (std::size_t i = 0; i < n; ++i) gaps.push_back(next_double(is, "trace gap"));
         return std::make_unique<queueing::TraceArrivals>(std::move(gaps));
     }
     bad("unknown arrival kind '" + kind + "'");
@@ -327,8 +333,9 @@ std::unique_ptr<stats::Distribution> load_distribution(std::istream& is) {
     }
     if (kind == "empirical") {
         const std::size_t n = next_size(is, "empirical size");
-        std::vector<double> xs(n);
-        for (auto& x : xs) x = next_double(is, "empirical sample");
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; ++i)
+            xs.push_back(next_double(is, "empirical sample"));
         return std::make_unique<stats::Empirical>(xs);
     }
     bad("unknown distribution family '" + kind + "'");

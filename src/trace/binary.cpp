@@ -5,11 +5,13 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
-#include "trace/columns.hpp"
 
 // The column payloads are written and bulk-loaded as native integers;
 // the on-disk spec is little-endian, so a big-endian port would need
@@ -100,30 +102,85 @@ void put(std::vector<std::uint8_t>& b, T v) {
     std::memcpy(b.data() + old, &v, sizeof(T));
 }
 
-void put_f64(std::vector<std::uint8_t>& b, double v) {
-    put(b, std::bit_cast<std::uint64_t>(v));
+/// A field's wire value: f64 as its IEEE-754 bits, enums as their u8,
+/// integers as themselves.
+template <typename T>
+auto wire(T v) noexcept {
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<std::uint64_t>(v);
+    else if constexpr (std::is_enum_v<T>)
+        return static_cast<std::underlying_type_t<T>>(v);
+    else
+        return v;
 }
 
-/// Append one column for a whole record batch: a single resize, then a
-/// tight fixed-stride store loop — the struct-of-arrays split that
-/// replaces the old per-record, per-field push_back walk. `get` projects
-/// a record to the column's wire value (u8/u32/u64 or bit-cast f64).
-template <typename Rec, typename Get>
-void pack_column(std::vector<std::uint8_t>& b, const std::vector<Rec>& rs,
-                 Get&& get) {
-    using V = decltype(get(rs.data()[0]));
-    const auto old = b.size();
-    b.resize(old + rs.size() * sizeof(V));
-    std::uint8_t* p = b.data() + old;
-    for (const auto& r : rs) {
-        const V v = get(r);
-        std::memcpy(p, &v, sizeof(V));
-        p += sizeof(V);
-    }
+/// Append a batch of records to one stream's columns, column by column:
+/// field c (a data member or a projection) of every record lands in
+/// cols[c] through a single resize and a tight fixed-stride store loop.
+template <typename Rec, typename... Field>
+void encode_columns(std::span<const Rec> rs, EncodedStream& out, Field... field) {
+    if (rs.empty()) return;
+    std::size_t c = 0;
+    auto column = [&](auto get) {
+        using V = decltype(wire(std::invoke(get, rs.front())));
+        auto& b = out.cols[c++];
+        const auto old = b.size();
+        b.resize(old + rs.size() * sizeof(V));
+        std::uint8_t* p = b.data() + old;
+        for (const Rec& r : rs) {
+            const V v = wire(std::invoke(get, r));
+            std::memcpy(p, &v, sizeof(V));
+            p += sizeof(V);
+        }
+    };
+    (column(field), ...);
+    out.count += rs.size();
 }
 
-std::uint64_t f64_bits(double v) noexcept {
-    return std::bit_cast<std::uint64_t>(v);
+EncodedStream& stream_of(EncodedStreams& streams, StreamId id) {
+    return streams[std::size_t(id)];
+}
+
+// The kooza.trace/1 encoder: one overload per numeric stream, fields in
+// schemas() order. BinaryWriter::append(TraceSet) calls it once per
+// stream, ColumnChunk::add with a batch of one record. Spans, whose name
+// column goes through the writer's string table, are encoded by
+// BinaryWriter::encode_spans below.
+
+void encode(std::span<const StorageRecord> rs, EncodedStreams& out) {
+    using R = StorageRecord;
+    encode_columns(rs, stream_of(out, StreamId::kStorage), &R::time, &R::request_id,
+                   &R::lbn, &R::size_bytes, &R::type, &R::latency);
+}
+
+void encode(std::span<const CpuRecord> rs, EncodedStreams& out) {
+    using R = CpuRecord;
+    encode_columns(rs, stream_of(out, StreamId::kCpu), &R::time, &R::request_id,
+                   &R::busy_seconds, &R::utilization);
+}
+
+void encode(std::span<const MemoryRecord> rs, EncodedStreams& out) {
+    using R = MemoryRecord;
+    encode_columns(rs, stream_of(out, StreamId::kMemory), &R::time, &R::request_id,
+                   &R::bank, &R::size_bytes, &R::type);
+}
+
+void encode(std::span<const NetworkRecord> rs, EncodedStreams& out) {
+    using R = NetworkRecord;
+    encode_columns(rs, stream_of(out, StreamId::kNetwork), &R::time, &R::request_id,
+                   &R::size_bytes, &R::direction, &R::latency);
+}
+
+void encode(std::span<const RequestRecord> rs, EncodedStreams& out) {
+    using R = RequestRecord;
+    encode_columns(rs, stream_of(out, StreamId::kRequests), &R::request_id, &R::type,
+                   &R::arrival, &R::completion, &R::bytes);
+}
+
+void encode(std::span<const FailureRecord> rs, EncodedStreams& out) {
+    using R = FailureRecord;
+    encode_columns(rs, stream_of(out, StreamId::kFailures), &R::time, &R::request_id,
+                   &R::server, &R::kind, &R::duration);
 }
 
 [[noreturn]] void bad_file(const fs::path& p, const std::string& why) {
@@ -147,6 +204,24 @@ std::vector<std::uint8_t> make_header(const StreamSchema& s, std::uint64_t count
 }
 
 }  // namespace
+
+void ColumnChunk::add(const StorageRecord& r) { encode(std::span(&r, 1), streams_); }
+void ColumnChunk::add(const CpuRecord& r) { encode(std::span(&r, 1), streams_); }
+void ColumnChunk::add(const MemoryRecord& r) { encode(std::span(&r, 1), streams_); }
+void ColumnChunk::add(const NetworkRecord& r) { encode(std::span(&r, 1), streams_); }
+void ColumnChunk::add(const RequestRecord& r) { encode(std::span(&r, 1), streams_); }
+void ColumnChunk::add(const FailureRecord& r) { encode(std::span(&r, 1), streams_); }
+
+void BinaryWriter::encode_spans(std::span<const Span> spans) {
+    auto name = [this](const Span& s) {
+        auto [it, inserted] =
+            name_ix_.try_emplace(s.name, std::uint32_t(names_.size()));
+        if (inserted) names_.push_back(s.name);
+        return it->second;
+    };
+    encode_columns(spans, stream_of(streams_, StreamId::kSpans), &Span::trace_id,
+                   &Span::span_id, &Span::parent_id, name, &Span::start, &Span::end);
+}
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexcept {
     // Slicing-by-8: table[0] is the classic byte-at-a-time table; table[s]
@@ -186,117 +261,29 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexc
 
 BinaryWriter::BinaryWriter(std::filesystem::path dir,
                            std::size_t spill_buffer_bytes)
-    : dir_(std::move(dir)), spill_buffer_bytes_(spill_buffer_bytes) {
-    streams_.resize(schemas().size());
-    for (const auto& s : schemas())
-        streams_[s.id].columns.resize(s.cols.size());
-}
+    : dir_(std::move(dir)), spill_buffer_bytes_(spill_buffer_bytes) {}
 
 BinaryWriter::~BinaryWriter() {
-    // Callers should finish() explicitly (it can throw); the destructor
-    // only covers the non-exceptional forgot-to-finish path.
-    if (!finished_) {
-        try {
-            finish();
-        } catch (...) {
+    if (finished_) return;
+    for (auto& stream : spills_)
+        for (auto& spill : stream) {
+            if (spill.path.empty()) continue;
+            spill.file.close();
+            std::error_code ec;
+            fs::remove(spill.path, ec);
         }
-    }
 }
 
 void BinaryWriter::append(const TraceSet& chunk) {
     if (finished_)
         throw std::logic_error("BinaryWriter::append: writer already finished");
-    auto& st = streams_;
-    // Column-major: each column of a stream is packed for the whole batch
-    // in one pass (single resize + tight stride loop) instead of cycling
-    // through every column per record.
-    auto col = [&](std::size_t stream, std::size_t ix) -> auto& {
-        return st[stream].columns[ix].bytes;
-    };
-    if (!chunk.storage.empty()) {
-        const auto& rs = chunk.storage;
-        pack_column(col(0, 0), rs, [](const auto& r) { return f64_bits(r.time); });
-        pack_column(col(0, 1), rs, [](const auto& r) { return r.request_id; });
-        pack_column(col(0, 2), rs, [](const auto& r) { return r.lbn; });
-        pack_column(col(0, 3), rs, [](const auto& r) { return r.size_bytes; });
-        pack_column(col(0, 4), rs,
-                    [](const auto& r) { return std::uint8_t(r.type); });
-        pack_column(col(0, 5), rs,
-                    [](const auto& r) { return f64_bits(r.latency); });
-        st[0].count += rs.size();
-    }
-    if (!chunk.cpu.empty()) {
-        const auto& rs = chunk.cpu;
-        pack_column(col(1, 0), rs, [](const auto& r) { return f64_bits(r.time); });
-        pack_column(col(1, 1), rs, [](const auto& r) { return r.request_id; });
-        pack_column(col(1, 2), rs,
-                    [](const auto& r) { return f64_bits(r.busy_seconds); });
-        pack_column(col(1, 3), rs,
-                    [](const auto& r) { return f64_bits(r.utilization); });
-        st[1].count += rs.size();
-    }
-    if (!chunk.memory.empty()) {
-        const auto& rs = chunk.memory;
-        pack_column(col(2, 0), rs, [](const auto& r) { return f64_bits(r.time); });
-        pack_column(col(2, 1), rs, [](const auto& r) { return r.request_id; });
-        pack_column(col(2, 2), rs, [](const auto& r) { return r.bank; });
-        pack_column(col(2, 3), rs, [](const auto& r) { return r.size_bytes; });
-        pack_column(col(2, 4), rs,
-                    [](const auto& r) { return std::uint8_t(r.type); });
-        st[2].count += rs.size();
-    }
-    if (!chunk.network.empty()) {
-        const auto& rs = chunk.network;
-        pack_column(col(3, 0), rs, [](const auto& r) { return f64_bits(r.time); });
-        pack_column(col(3, 1), rs, [](const auto& r) { return r.request_id; });
-        pack_column(col(3, 2), rs, [](const auto& r) { return r.size_bytes; });
-        pack_column(col(3, 3), rs,
-                    [](const auto& r) { return std::uint8_t(r.direction); });
-        pack_column(col(3, 4), rs,
-                    [](const auto& r) { return f64_bits(r.latency); });
-        st[3].count += rs.size();
-    }
-    if (!chunk.requests.empty()) {
-        const auto& rs = chunk.requests;
-        pack_column(col(4, 0), rs, [](const auto& r) { return r.request_id; });
-        pack_column(col(4, 1), rs,
-                    [](const auto& r) { return std::uint8_t(r.type); });
-        pack_column(col(4, 2), rs,
-                    [](const auto& r) { return f64_bits(r.arrival); });
-        pack_column(col(4, 3), rs,
-                    [](const auto& r) { return f64_bits(r.completion); });
-        pack_column(col(4, 4), rs, [](const auto& r) { return r.bytes; });
-        st[4].count += rs.size();
-    }
-    if (!chunk.failures.empty()) {
-        const auto& rs = chunk.failures;
-        pack_column(col(5, 0), rs, [](const auto& r) { return f64_bits(r.time); });
-        pack_column(col(5, 1), rs, [](const auto& r) { return r.request_id; });
-        pack_column(col(5, 2), rs, [](const auto& r) { return r.server; });
-        pack_column(col(5, 3), rs,
-                    [](const auto& r) { return std::uint8_t(r.kind); });
-        pack_column(col(5, 4), rs,
-                    [](const auto& r) { return f64_bits(r.duration); });
-        st[5].count += rs.size();
-    }
-    if (!chunk.spans.empty()) {
-        // Spans resolve names through the dedup table, so the name column
-        // is record-at-a-time; the numeric columns still batch.
-        const auto& rs = chunk.spans;
-        pack_column(col(6, 0), rs, [](const auto& r) { return r.trace_id; });
-        pack_column(col(6, 1), rs, [](const auto& r) { return r.span_id; });
-        pack_column(col(6, 2), rs, [](const auto& r) { return r.parent_id; });
-        for (const auto& sp : rs) {
-            auto [it, inserted] =
-                name_ix_.try_emplace(sp.name, std::uint32_t(names_.size()));
-            if (inserted) names_.push_back(sp.name);
-            put(col(6, 3), it->second);
-        }
-        pack_column(col(6, 4), rs,
-                    [](const auto& r) { return f64_bits(r.start); });
-        pack_column(col(6, 5), rs, [](const auto& r) { return f64_bits(r.end); });
-        st[6].count += rs.size();
-    }
+    encode(chunk.storage, streams_);
+    encode(chunk.cpu, streams_);
+    encode(chunk.memory, streams_);
+    encode(chunk.network, streams_);
+    encode(chunk.requests, streams_);
+    encode(chunk.failures, streams_);
+    encode_spans(chunk.spans);
     records_ += chunk.total_records();
     maybe_spill();
 }
@@ -304,63 +291,49 @@ void BinaryWriter::append(const TraceSet& chunk) {
 void BinaryWriter::append(const ColumnChunk& chunk) {
     if (finished_)
         throw std::logic_error("BinaryWriter::append: writer already finished");
-    // Numeric streams arrive pre-encoded: splice whole columns.
     for (std::size_t id = 0; id < kStreamCount; ++id) {
         const auto& src = chunk.streams_[id];
         if (src.count == 0) continue;
         auto& dst = streams_[id];
-        for (std::size_t c = 0; c < dst.columns.size(); ++c) {
-            auto& b = dst.columns[c].bytes;
-            b.insert(b.end(), src.cols[c].begin(), src.cols[c].end());
-        }
+        for (std::size_t c = 0; c < kMaxColumns; ++c)
+            dst.cols[c].insert(dst.cols[c].end(), src.cols[c].begin(),
+                               src.cols[c].end());
         dst.count += src.count;
     }
-    // Spans re-encode through the string table, same as the TraceSet path.
-    auto& sp_stream = streams_[6];
-    for (const auto& sp : chunk.spans_) {
-        put(sp_stream.columns[0].bytes, sp.trace_id);
-        put(sp_stream.columns[1].bytes, sp.span_id);
-        put(sp_stream.columns[2].bytes, sp.parent_id);
-        auto [it, inserted] =
-            name_ix_.try_emplace(sp.name, std::uint32_t(names_.size()));
-        if (inserted) names_.push_back(sp.name);
-        put(sp_stream.columns[3].bytes, it->second);
-        put_f64(sp_stream.columns[4].bytes, sp.start);
-        put_f64(sp_stream.columns[5].bytes, sp.end);
-        ++sp_stream.count;
-    }
+    encode_spans(chunk.spans_);
     records_ += chunk.records();
     maybe_spill();
 }
 
 void BinaryWriter::maybe_spill() {
     if (spill_buffer_bytes_ == 0) return;
-    for (std::size_t id = 0; id < streams_.size(); ++id)
-        for (std::size_t c = 0; c < streams_[id].columns.size(); ++c)
-            if (streams_[id].columns[c].bytes.size() >= spill_buffer_bytes_)
+    for (std::size_t id = 0; id < kStreamCount; ++id)
+        for (std::size_t c = 0; c < kMaxColumns; ++c)
+            if (streams_[id].cols[c].size() >= spill_buffer_bytes_)
                 spill_column(id, c);
 }
 
 void BinaryWriter::spill_column(std::size_t stream_id, std::size_t col_ix) {
-    auto& col = streams_[stream_id].columns[col_ix];
-    if (!col.spill.is_open()) {
+    auto& bytes = streams_[stream_id].cols[col_ix];
+    auto& spill = spills_[stream_id][col_ix];
+    if (!spill.file.is_open()) {
         fs::create_directories(dir_);
-        col.spill_path = dir_ / (std::string(schemas()[stream_id].stem) + ".c" +
-                                 std::to_string(col_ix) + ".spill");
-        col.spill.open(col.spill_path,
-                       std::ios::binary | std::ios::trunc | std::ios::out);
-        if (!col.spill)
+        spill.path = dir_ / (std::string(schemas()[stream_id].stem) + ".c" +
+                             std::to_string(col_ix) + ".spill");
+        spill.file.open(spill.path,
+                        std::ios::binary | std::ios::trunc | std::ios::out);
+        if (!spill.file)
             throw std::runtime_error("BinaryWriter: cannot open spill file " +
-                                     col.spill_path.string());
+                                     spill.path.string());
     }
-    col.crc = crc32(col.bytes.data(), col.bytes.size(), col.crc);
-    col.spill.write(reinterpret_cast<const char*>(col.bytes.data()),
-                    std::streamsize(col.bytes.size()));
-    if (!col.spill)
+    spill.crc = crc32(bytes.data(), bytes.size(), spill.crc);
+    spill.file.write(reinterpret_cast<const char*>(bytes.data()),
+                     std::streamsize(bytes.size()));
+    if (!spill.file)
         throw std::runtime_error("BinaryWriter: spill write failed: " +
-                                 col.spill_path.string());
-    col.spilled += col.bytes.size();
-    col.bytes.clear();
+                                 spill.path.string());
+    spill.bytes += bytes.size();
+    bytes.clear();
 }
 
 void BinaryWriter::write_stream_file(std::size_t stream_id) {
@@ -389,19 +362,19 @@ void BinaryWriter::write_stream_file(std::size_t stream_id) {
     // A spilled column splices its temp file in front of the still-
     // buffered tail; the section CRC chains across both, so the bytes
     // are identical to the all-in-memory path.
-    auto emit_column = [&](Column& col) {
-        if (col.spilled == 0) {
-            emit_section(col.bytes);
+    auto emit_column = [&](const std::vector<std::uint8_t>& bytes, Spill& spill) {
+        if (spill.bytes == 0) {
+            emit_section(bytes);
             return;
         }
         std::vector<std::uint8_t> frame;
-        put(frame, std::uint64_t(col.spilled + col.bytes.size()));
+        put(frame, std::uint64_t(spill.bytes + bytes.size()));
         emit(frame);
-        col.spill.close();
-        std::ifstream in(col.spill_path, std::ios::binary);
+        spill.file.close();
+        std::ifstream in(spill.path, std::ios::binary);
         if (!in)
             throw std::runtime_error("BinaryWriter: cannot reopen spill file " +
-                                     col.spill_path.string());
+                                     spill.path.string());
         std::vector<char> buf(1 << 20);
         std::uint64_t copied = 0;
         while (in) {
@@ -412,19 +385,20 @@ void BinaryWriter::write_stream_file(std::size_t stream_id) {
             written += std::uint64_t(got);
             copied += std::uint64_t(got);
         }
-        if (copied != col.spilled)
+        if (copied != spill.bytes)
             throw std::runtime_error("BinaryWriter: spill file truncated: " +
-                                     col.spill_path.string());
-        emit(col.bytes);
+                                     spill.path.string());
+        emit(bytes);
         std::vector<std::uint8_t> tail;
-        put(tail, crc32(col.bytes.data(), col.bytes.size(), col.crc));
+        put(tail, crc32(bytes.data(), bytes.size(), spill.crc));
         emit(tail);
         std::error_code ec;
-        fs::remove(col.spill_path, ec);
+        fs::remove(spill.path, ec);
     };
 
     emit(make_header(schema, stream.count));
-    for (auto& col : stream.columns) emit_column(col);
+    for (std::size_t c = 0; c < schema.cols.size(); ++c)
+        emit_column(stream.cols[c], spills_[stream_id][c]);
     if (schema.id == 6) {
         std::vector<std::uint8_t> tab;
         put(tab, std::uint32_t(names_.size()));

@@ -21,21 +21,22 @@
 // guarantee.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "trace/columns.hpp"
 #include "trace/sink.hpp"
 #include "trace/traceset.hpp"
 
 namespace kooza::trace {
-
-class ColumnChunk;
 
 /// First 8 bytes of every kooza.trace/1 stream file.
 inline constexpr char kBinaryMagic[8] = {'K', 'O', 'O', 'Z', 'A', 'T', 'R', '1'};
@@ -51,7 +52,8 @@ inline constexpr std::uint32_t kBinaryVersion = 1;
 
 /// Buffered streaming writer: append record chunks as they are captured
 /// (no full-TraceSet materialization required by the caller), then
-/// finish() to lay the files down. Columns are buffered per stream, so
+/// finish() to lay the files down. Both append overloads encode through
+/// the same per-stream encoder and columns are buffered per stream, so
 /// the output is byte-identical however the records were chunked.
 ///
 /// With `spill_buffer_bytes > 0`, any column buffer reaching that size is
@@ -59,6 +61,10 @@ inline constexpr std::uint32_t kBinaryVersion = 1;
 /// flushes), keeping the writer's memory flat for arbitrarily long
 /// captures; finish() splices the spill files into the final sections.
 /// The produced bytes are identical either way.
+///
+/// Only finish() writes .bin files. A writer destroyed unfinished — its
+/// capture failed and the stack is unwinding — removes its spill files
+/// and leaves no capture behind that could read as complete.
 class BinaryWriter {
 public:
     explicit BinaryWriter(std::filesystem::path dir,
@@ -67,13 +73,13 @@ public:
     BinaryWriter& operator=(const BinaryWriter&) = delete;
     ~BinaryWriter();
 
-    /// Append every record in `chunk` to the per-stream column buffers.
-    /// Throws std::logic_error after finish().
+    /// Append every record in `chunk`, one batch per stream. Throws
+    /// std::logic_error after finish().
     void append(const TraceSet& chunk);
 
     /// Append a struct-of-arrays chunk (trace/columns.hpp): the numeric
-    /// streams' pre-encoded columns are spliced in wholesale, only spans
-    /// are re-encoded (their name column indexes this writer's string
+    /// streams arrive encoded and are spliced in wholesale; spans are
+    /// encoded here (their name column indexes this writer's string
     /// table). Produces bytes identical to the TraceSet overload.
     void append(const ColumnChunk& chunk);
 
@@ -86,27 +92,24 @@ public:
     }
 
 private:
-    struct Column {
-        std::vector<std::uint8_t> bytes;
-        // Spill state: bytes already flushed to `spill_path`, with the
-        // running CRC32 over them (chained into the section checksum).
-        std::filesystem::path spill_path;
-        std::ofstream spill;
-        std::uint64_t spilled = 0;
+    /// A column's bytes already flushed to `path`, with the running CRC32
+    /// over them (chained into the section checksum).
+    struct Spill {
+        std::filesystem::path path;
+        std::ofstream file;
+        std::uint64_t bytes = 0;
         std::uint32_t crc = 0;
     };
-    struct Stream {
-        std::vector<Column> columns;
-        std::uint64_t count = 0;
-    };
 
+    void encode_spans(std::span<const Span> spans);
     void maybe_spill();
     void spill_column(std::size_t stream_id, std::size_t col_ix);
     void write_stream_file(std::size_t stream_id);
 
     std::filesystem::path dir_;
     std::size_t spill_buffer_bytes_ = 0;
-    std::vector<Stream> streams_;                  ///< indexed by stream id
+    EncodedStreams streams_;  ///< buffered (not yet spilled) columns
+    std::array<std::array<Spill, kMaxColumns>, kStreamCount> spills_;
     std::vector<std::string> names_;               ///< span-name string table
     std::map<std::string, std::uint32_t> name_ix_; ///< dedup index into names_
     std::uint64_t records_ = 0;

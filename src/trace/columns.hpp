@@ -1,23 +1,18 @@
 // trace::ColumnChunk — a struct-of-arrays record buffer in kooza.trace/1
-// wire encoding.
+// column encoding.
 //
-// StreamingSink used to stage released records in a TraceSet (array of
-// structs), which BinaryWriter then re-walked field by field on every
-// chunk flush. ColumnChunk does the column split once, at release time:
-// each numeric stream is held as per-column little-endian byte vectors —
-// exactly the bytes BinaryWriter's sections contain — so a chunk flush is
-// a handful of column splices instead of a per-record, per-field re-pack.
-// Spans stay array-of-structs: their name column is an index into the
-// writer's deduplicated string table, which only the writer can assign.
-//
-// The field order and widths here must match binary.cpp's stream schemas
-// byte for byte (the schema hash in every file header is the tripwire).
+// StreamingSink stages released records here instead of in a TraceSet:
+// add() encodes each record into its stream's column bytes at release
+// time, so a chunk flush (BinaryWriter::append(ColumnChunk)) is a handful
+// of column splices. add() calls the same per-stream encoder as
+// BinaryWriter::append(TraceSet), with a batch of one record; the field
+// order lives only there (binary.cpp), never here. Spans stay
+// array-of-structs: their name column is an index into the writer's
+// deduplicated string table, which only the writer can assign.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "trace/records.hpp"
@@ -25,62 +20,27 @@
 
 namespace kooza::trace {
 
+/// Most columns of any kooza.trace/1 stream (storage and spans have 6).
+inline constexpr std::size_t kMaxColumns = 6;
+
+/// One stream's records in kooza.trace/1 column encoding: cols[c] holds
+/// field c of every record in schema order, packed little-endian.
+struct EncodedStream {
+    std::array<std::vector<std::uint8_t>, kMaxColumns> cols;
+    std::uint64_t count = 0;
+};
+
+/// Every stream's encoded columns, indexed by StreamId.
+using EncodedStreams = std::array<EncodedStream, kStreamCount>;
+
 class ColumnChunk {
 public:
-    void add(const StorageRecord& r) {
-        auto& s = streams_[std::size_t(StreamId::kStorage)];
-        push_f64(s.cols[0], r.time);
-        push_u64(s.cols[1], r.request_id);
-        push_u64(s.cols[2], r.lbn);
-        push_u64(s.cols[3], r.size_bytes);
-        push_u8(s.cols[4], std::uint8_t(r.type));
-        push_f64(s.cols[5], r.latency);
-        ++s.count;
-    }
-    void add(const CpuRecord& r) {
-        auto& s = streams_[std::size_t(StreamId::kCpu)];
-        push_f64(s.cols[0], r.time);
-        push_u64(s.cols[1], r.request_id);
-        push_f64(s.cols[2], r.busy_seconds);
-        push_f64(s.cols[3], r.utilization);
-        ++s.count;
-    }
-    void add(const MemoryRecord& r) {
-        auto& s = streams_[std::size_t(StreamId::kMemory)];
-        push_f64(s.cols[0], r.time);
-        push_u64(s.cols[1], r.request_id);
-        push_u32(s.cols[2], r.bank);
-        push_u64(s.cols[3], r.size_bytes);
-        push_u8(s.cols[4], std::uint8_t(r.type));
-        ++s.count;
-    }
-    void add(const NetworkRecord& r) {
-        auto& s = streams_[std::size_t(StreamId::kNetwork)];
-        push_f64(s.cols[0], r.time);
-        push_u64(s.cols[1], r.request_id);
-        push_u64(s.cols[2], r.size_bytes);
-        push_u8(s.cols[3], std::uint8_t(r.direction));
-        push_f64(s.cols[4], r.latency);
-        ++s.count;
-    }
-    void add(const RequestRecord& r) {
-        auto& s = streams_[std::size_t(StreamId::kRequests)];
-        push_u64(s.cols[0], r.request_id);
-        push_u8(s.cols[1], std::uint8_t(r.type));
-        push_f64(s.cols[2], r.arrival);
-        push_f64(s.cols[3], r.completion);
-        push_u64(s.cols[4], r.bytes);
-        ++s.count;
-    }
-    void add(const FailureRecord& r) {
-        auto& s = streams_[std::size_t(StreamId::kFailures)];
-        push_f64(s.cols[0], r.time);
-        push_u64(s.cols[1], r.request_id);
-        push_u32(s.cols[2], r.server);
-        push_u8(s.cols[3], std::uint8_t(r.kind));
-        push_f64(s.cols[4], r.duration);
-        ++s.count;
-    }
+    void add(const StorageRecord& r);
+    void add(const CpuRecord& r);
+    void add(const MemoryRecord& r);
+    void add(const NetworkRecord& r);
+    void add(const RequestRecord& r);
+    void add(const FailureRecord& r);
     void add(const Span& s) { spans_.push_back(s); }
 
     /// Records buffered across all streams.
@@ -102,34 +62,7 @@ public:
 private:
     friend class BinaryWriter;
 
-    /// Max columns of any numeric stream (storage has 6).
-    static constexpr std::size_t kMaxCols = 6;
-
-    struct StreamCols {
-        std::array<std::vector<std::uint8_t>, kMaxCols> cols;
-        std::uint64_t count = 0;
-    };
-
-    static void push_u8(std::vector<std::uint8_t>& b, std::uint8_t v) {
-        b.push_back(v);
-    }
-    template <typename T>
-    static void push_raw(std::vector<std::uint8_t>& b, T v) {
-        const auto old = b.size();
-        b.resize(old + sizeof(T));
-        std::memcpy(b.data() + old, &v, sizeof(T));
-    }
-    static void push_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-        push_raw(b, v);
-    }
-    static void push_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-        push_raw(b, v);
-    }
-    static void push_f64(std::vector<std::uint8_t>& b, double v) {
-        push_raw(b, std::bit_cast<std::uint64_t>(v));
-    }
-
-    std::array<StreamCols, kStreamCount> streams_;
+    EncodedStreams streams_;
     std::vector<Span> spans_;
 };
 

@@ -95,4 +95,15 @@ struct RequestRecord {
     [[nodiscard]] double latency() const noexcept { return completion - arrival; }
 };
 
+/// The key every capture stream is ordered by: the record's time, except
+/// for requests (arrival) and spans (start, span.hpp). TraceSet::sort_by_time
+/// and StreamingSink both order by it, which is what makes a streamed
+/// capture byte-identical to a sorted materialized one.
+[[nodiscard]] inline double sort_key(const StorageRecord& r) noexcept { return r.time; }
+[[nodiscard]] inline double sort_key(const CpuRecord& r) noexcept { return r.time; }
+[[nodiscard]] inline double sort_key(const MemoryRecord& r) noexcept { return r.time; }
+[[nodiscard]] inline double sort_key(const NetworkRecord& r) noexcept { return r.time; }
+[[nodiscard]] inline double sort_key(const FailureRecord& r) noexcept { return r.time; }
+[[nodiscard]] inline double sort_key(const RequestRecord& r) noexcept { return r.arrival; }
+
 }  // namespace kooza::trace

@@ -44,6 +44,9 @@ struct Span {
     [[nodiscard]] double duration() const noexcept { return end - start; }
 };
 
+/// Spans are ordered by start time (the sort_key set in records.hpp).
+[[nodiscard]] inline double sort_key(const Span& s) noexcept { return s.start; }
+
 /// Collects spans with deterministic 1-in-N head sampling (a trace is
 /// either fully recorded or fully dropped, as in Dapper).
 class SpanTracer {

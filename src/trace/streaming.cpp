@@ -30,23 +30,13 @@ public:
     StreamingShard(StreamingSink& owner, std::uint32_t group) noexcept
         : owner_(&owner), group_(group) {}
 
-    void append(const StorageRecord& r) override {
-        push(StreamId::kStorage, r.time, r);
-    }
-    void append(const CpuRecord& r) override { push(StreamId::kCpu, r.time, r); }
-    void append(const MemoryRecord& r) override {
-        push(StreamId::kMemory, r.time, r);
-    }
-    void append(const NetworkRecord& r) override {
-        push(StreamId::kNetwork, r.time, r);
-    }
-    void append(const RequestRecord& r) override {
-        push(StreamId::kRequests, r.arrival, r);
-    }
-    void append(const FailureRecord& r) override {
-        push(StreamId::kFailures, r.time, r);
-    }
-    void append(const Span& s) override { push(StreamId::kSpans, s.start, s); }
+    void append(const StorageRecord& r) override { push(StreamId::kStorage, r); }
+    void append(const CpuRecord& r) override { push(StreamId::kCpu, r); }
+    void append(const MemoryRecord& r) override { push(StreamId::kMemory, r); }
+    void append(const NetworkRecord& r) override { push(StreamId::kNetwork, r); }
+    void append(const RequestRecord& r) override { push(StreamId::kRequests, r); }
+    void append(const FailureRecord& r) override { push(StreamId::kFailures, r); }
+    void append(const Span& s) override { push(StreamId::kSpans, s); }
 
     void open_hold(StreamId stream, double key) override {
         owner_->open(stream, key);
@@ -57,8 +47,8 @@ public:
 
 private:
     template <typename R>
-    void push(StreamId stream, double key, const R& rec) {
-        owner_->push(stream, group_, seq_[std::size_t(stream)]++, key,
+    void push(StreamId stream, const R& rec) {
+        owner_->push(stream, group_, seq_[std::size_t(stream)]++, sort_key(rec),
                      StreamingSink::AnyRecord(rec));
     }
 
@@ -77,16 +67,6 @@ StreamingSink::StreamingSink(Options opts, std::size_t n_groups)
     for (std::size_t g = 0; g < n_groups; ++g)
         shards_.push_back(
             std::make_unique<StreamingShard>(*this, std::uint32_t(g)));
-}
-
-StreamingSink::~StreamingSink() {
-    // finish() can throw; cover only the forgot-to-finish path.
-    if (!finished_) {
-        try {
-            finish();
-        } catch (...) {
-        }
-    }
 }
 
 Sink& StreamingSink::group(std::size_t g) {

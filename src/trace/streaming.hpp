@@ -5,17 +5,18 @@
 //
 // Byte-identity contract: the files StreamingSink produces are identical
 // to write_binary(sorted TraceSet) of the same capture. The canonical
-// record order is (sort key, server group, per-group emission sequence) —
-// exactly what TraceSet::sort_by_time's stable per-stream sort yields over
-// the group-concatenated collectors — and StreamingSink emits records in
-// that order online:
-//   - every record enters a per-stream min-heap keyed (key, group, seq);
+// record order is (sort_key, server group, per-group emission sequence),
+// with sort_key the one overload set in records.hpp/span.hpp that
+// TraceSet::sort_by_time's stable per-stream sort also uses — so that
+// sort over the group-concatenated collectors yields exactly this order.
+// StreamingSink emits records in that order online:
+//   - every record enters a per-stream min-heap keyed (sort_key, group, seq);
 //   - emitters open a *hold* at issue time for records that are keyed in
 //     the past but not yet appended (sink.hpp's hold protocol);
 //   - a record leaves the heap only once its key is strictly below the
 //     stream's watermark = min(earliest open hold, simulation now) — at
 //     that point no earlier-keyed record can still arrive.
-// Drained records accumulate in a chunk buffer that is appended to the
+// Drained records are encoded into a ColumnChunk that is appended to the
 // BinaryWriter every `chunk_records` records (the writer spills column
 // payloads to temp files, so it is flat too).
 #pragma once
@@ -49,7 +50,6 @@ public:
     /// `n_groups` sinks: group 0 for cluster-level emitters, 1..n-1 for
     /// per-server device stacks (gfs::Cluster uses 1 + n_chunkservers).
     StreamingSink(Options opts, std::size_t n_groups);
-    ~StreamingSink() override;
 
     Sink& group(std::size_t g) override;
     [[nodiscard]] std::size_t group_count() const override { return shards_.size(); }
@@ -61,7 +61,8 @@ public:
 
     /// Drain every heap and finalize the seven .bin files. Throws
     /// std::logic_error if any hold is still open (an emitter leak) and
-    /// std::runtime_error on I/O failure. Idempotent.
+    /// std::runtime_error on I/O failure. Idempotent. A sink destroyed
+    /// unfinished (its capture threw) writes no .bin file at all.
     void finish();
 
     /// Records accepted so far (all streams).
@@ -90,8 +91,8 @@ private:
     struct StreamState {
         std::priority_queue<Pending, std::vector<Pending>, Later> heap;
         std::multiset<double> holds;
-        // Released records are column-split immediately (struct-of-arrays,
-        // already in wire encoding) so the writer flush is a column splice.
+        // Released records are encoded immediately (struct-of-arrays, in
+        // wire encoding) so the writer flush is a column splice.
         ColumnChunk chunk;
         std::size_t chunk_count = 0;
     };

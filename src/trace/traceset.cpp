@@ -31,18 +31,18 @@ void TraceSet::clear() {
 }
 
 void TraceSet::sort_by_time() {
-    auto by_time = [](const auto& a, const auto& b) { return a.time < b.time; };
-    std::stable_sort(storage.begin(), storage.end(), by_time);
-    std::stable_sort(cpu.begin(), cpu.end(), by_time);
-    std::stable_sort(memory.begin(), memory.end(), by_time);
-    std::stable_sort(network.begin(), network.end(), by_time);
-    std::stable_sort(requests.begin(), requests.end(),
-                     [](const RequestRecord& a, const RequestRecord& b) {
-                         return a.arrival < b.arrival;
-                     });
-    std::stable_sort(failures.begin(), failures.end(), by_time);
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const Span& a, const Span& b) { return a.start < b.start; });
+    auto by_key = [](auto& rs) {
+        std::stable_sort(rs.begin(), rs.end(), [](const auto& a, const auto& b) {
+            return sort_key(a) < sort_key(b);
+        });
+    };
+    by_key(storage);
+    by_key(cpu);
+    by_key(memory);
+    by_key(network);
+    by_key(requests);
+    by_key(failures);
+    by_key(spans);
 }
 
 std::string TraceSet::summary() const {

@@ -33,7 +33,8 @@ struct TraceSet {
 
     void clear();
 
-    /// Sort every stream by timestamp (requests by arrival, spans by start).
+    /// Stable-sort every stream by its records' sort_key (records.hpp):
+    /// time, requests by arrival, spans by start.
     void sort_by_time();
 
     /// One-line inventory, e.g. "storage=120 cpu=240 ... spans=60".

@@ -5,21 +5,9 @@
 #include <stdexcept>
 
 #include "par/pool.hpp"
+#include "workloads/profiles.hpp"
 
 namespace kooza::workloads {
-
-namespace {
-
-std::uint64_t align4k(std::uint64_t offset) { return offset & ~std::uint64_t(4095); }
-
-/// Clamp an offset so [offset, offset+size) stays inside the file.
-std::uint64_t clamp_offset(std::uint64_t offset, std::uint64_t size,
-                           std::uint64_t file_size) {
-    if (size >= file_size) return 0;
-    return std::min(offset, file_size - size);
-}
-
-}  // namespace
 
 ClosedLoopPool::ClosedLoopPool(ClosedLoopParams p) : p_(p) {
     if (p_.clients == 0)
@@ -82,9 +70,7 @@ std::optional<gfs::RequestSpec> ClosedLoopPool::next(std::uint32_t client,
     r.type = rng.bernoulli(p_.read_fraction) ? trace::IoType::kRead
                                              : trace::IoType::kWrite;
     r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;
-    r.offset = clamp_offset(
-        align4k(std::uint64_t(rng.uniform(0.0, double(p_.file_size)))), r.size,
-        p_.file_size);
+    r.offset = random_offset(rng, r.size, p_.file_size);
     return r;
 }
 

@@ -9,35 +9,12 @@
 
 namespace kooza::workloads {
 
-namespace {
-
-std::uint64_t align4k(std::uint64_t offset) { return offset & ~std::uint64_t(4095); }
-
-/// Clamp an offset so [offset, offset+size) stays inside the file.
-std::uint64_t clamp_offset(std::uint64_t offset, std::uint64_t size,
-                           std::uint64_t file_size) {
-    if (size >= file_size) return 0;
-    return std::min(offset, file_size - size);
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------- profiles
-
-ProfileGenerator::ProfileGenerator(std::unique_ptr<Profile> profile,
-                                   std::uint64_t seed)
-    : profile_(std::move(profile)) {
-    if (!profile_)
-        throw std::invalid_argument("ProfileGenerator: null profile");
-    stream_ = profile_->open_stream(sim::Rng(seed));
-}
-
 // --------------------------------------------------------------------- mix
 
-MixGenerator::MixGenerator(std::string name, Params p,
+MixGenerator::MixGenerator(Params p,
                            std::unique_ptr<queueing::ArrivalProcess> arrivals,
                            sim::Rng rng)
-    : name_(std::move(name)), p_(p), arrivals_(std::move(arrivals)), rng_(rng) {
+    : p_(p), arrivals_(std::move(arrivals)), rng_(rng) {
     if (!arrivals_)
         throw std::invalid_argument("MixGenerator: null arrival process");
     if (p_.files == 0) throw std::invalid_argument("MixGenerator: zero files");
@@ -82,9 +59,7 @@ std::optional<gfs::RequestSpec> MixGenerator::poll() {
     if (r.type == trace::IoType::kWrite && p_.append_writes) {
         r.append = true;
     } else {
-        r.offset = clamp_offset(
-            align4k(std::uint64_t(rng_.uniform(0.0, double(p_.file_size)))), r.size,
-            p_.file_size);
+        r.offset = random_offset(rng_, r.size, p_.file_size);
     }
     return r;
 }
@@ -197,6 +172,11 @@ TraceReplayGenerator::TraceReplayGenerator(const std::filesystem::path& trace_di
     std::uint64_t max_size = 512;
     ops_.reserve(ts.requests.size());
     for (const auto& rec : ts.requests) {
+        // A NaN arrival would also break the stable_sort below.
+        if (!std::isfinite(rec.arrival))
+            throw std::runtime_error(
+                "TraceReplayGenerator: " + trace_dir.string() + ": request " +
+                std::to_string(rec.request_id) + " has a non-finite arrival time");
         gfs::RequestSpec r;
         r.time = rec.arrival;
         r.type = rec.type;
@@ -230,9 +210,8 @@ std::optional<gfs::RequestSpec> TraceReplayGenerator::poll() {
 
 // ------------------------------------------------------------------- merge
 
-MergeGenerator::MergeGenerator(std::string name,
-                               std::vector<std::unique_ptr<Generator>> parts)
-    : name_(std::move(name)), parts_(std::move(parts)) {
+MergeGenerator::MergeGenerator(std::vector<std::unique_ptr<ScheduleStream>> parts)
+    : parts_(std::move(parts)) {
     if (parts_.empty())
         throw std::invalid_argument("MergeGenerator: no sub-generators");
     std::set<std::string> seen;

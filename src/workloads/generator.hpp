@@ -1,20 +1,17 @@
-// Pluggable workload-generator API, after CODES' standard op-stream
-// interface (codes_workload_get_next(): many generators, one simulator).
+// Workload generators beyond the synthetic profiles, after CODES'
+// workload API (codes_workload_get_next(): many generators, one
+// simulator). Each is a workloads::ScheduleStream (profiles.hpp), so it
+// inherits the nondecreasing-time enforcement StreamingSink's hold
+// protocol depends on:
 //
-// A Generator is a named, pull-based stream of typed ops
-// (gfs::RequestSpec) feeding core::run_capture's SchedulePump. It extends
-// ScheduleStream — so every generator inherits the nondecreasing-time
-// enforcement StreamingSink's hold protocol depends on — and adds an
-// identity plus a family of implementations beyond the synthetic
-// profiles:
-//
-//   ProfileGenerator     the existing workloads::Profile archetypes
+//   MixGenerator         arrival-process-driven read/write mix
 //   CheckpointGenerator  Daly-style HPC checkpoint/restart traffic
 //   TraceReplayGenerator re-issue a captured kooza.trace/1 requests log
-//   MergeGenerator       time-merge of sub-generators (tiered scenarios)
+//   MergeGenerator       time-merge of sub-streams (tiered scenarios)
 //   core::ModelReplayGenerator  trained-KOOZA-model replay (core lib)
 //
-// The scenario library (scenarios.hpp) composes these into named configs.
+// Profiles are streams through Profile::open_stream. The scenario
+// library (scenarios.hpp) composes these into named configs.
 #pragma once
 
 #include <cstdint>
@@ -30,40 +27,10 @@
 
 namespace kooza::workloads {
 
-/// Named pull-based op stream. Ops come back one at a time in
-/// nondecreasing time order (enforced by ScheduleStream::next());
-/// exhaustion (nullopt) is permanent. Generators are single-pass: open a
-/// fresh one (same config + seed) to re-read the same op sequence.
-class Generator : public ScheduleStream {
-public:
-    [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Adapter: any Profile is a Generator via its open_stream() schedule.
-class ProfileGenerator final : public Generator {
-public:
-    ProfileGenerator(std::unique_ptr<Profile> profile, std::uint64_t seed);
-
-    [[nodiscard]] std::string name() const override { return profile_->name(); }
-    [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
-    files() const override {
-        return stream_->files();
-    }
-
-protected:
-    [[nodiscard]] std::optional<gfs::RequestSpec> poll() override {
-        return stream_->next();
-    }
-
-private:
-    std::unique_ptr<Profile> profile_;
-    std::unique_ptr<ScheduleStream> stream_;
-};
-
 /// Generic arrival-process-driven request mix: the building block the
 /// scenario library modulates with time-varying envelopes. Fixed-size
 /// reads/writes against a set of files with optional Zipf popularity.
-class MixGenerator final : public Generator {
+class MixGenerator final : public ScheduleStream {
 public:
     struct Params {
         std::size_t count = 500;
@@ -77,23 +44,18 @@ public:
         bool append_writes = false;  ///< writes use the record-append path
     };
 
-    MixGenerator(std::string name, Params p,
-                 std::unique_ptr<queueing::ArrivalProcess> arrivals, sim::Rng rng);
+    MixGenerator(Params p, std::unique_ptr<queueing::ArrivalProcess> arrivals,
+                 sim::Rng rng);
 
-    [[nodiscard]] std::string name() const override { return name_; }
     [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
     files() const override {
         return files_;
-    }
-    [[nodiscard]] const queueing::ArrivalProcess& arrivals() const noexcept {
-        return *arrivals_;
     }
 
 protected:
     [[nodiscard]] std::optional<gfs::RequestSpec> poll() override;
 
 private:
-    std::string name_;
     Params p_;
     std::unique_ptr<queueing::ArrivalProcess> arrivals_;
     sim::Rng rng_;
@@ -110,7 +72,7 @@ private:
 /// sequential writes. Failures arrive with exponential MTTI; a failure
 /// rolls the app back — every rank reads its last complete checkpoint
 /// shard back in (restart reads) and recomputes. Ops stop after `count`.
-class CheckpointGenerator final : public Generator {
+class CheckpointGenerator final : public ScheduleStream {
 public:
     struct Params {
         std::size_t count = 500;           ///< total ops (writes + reads)
@@ -123,7 +85,6 @@ public:
 
     CheckpointGenerator(Params p, sim::Rng rng);
 
-    [[nodiscard]] std::string name() const override { return "checkpoint"; }
     [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
     files() const override {
         return files_;
@@ -155,8 +116,9 @@ private:
 /// against a fresh cluster. Arrival times, types and sizes replay
 /// verbatim (sorted by arrival); file placement is re-laid-out
 /// deterministically over one replay file, since request records do not
-/// retain offsets.
-class TraceReplayGenerator final : public Generator {
+/// retain offsets. A non-finite arrival is rejected at load
+/// (std::runtime_error naming the directory and the request id).
+class TraceReplayGenerator final : public ScheduleStream {
 public:
     struct Params {
         std::uint64_t file_size = 1ull << 30;  ///< grows to fit large requests
@@ -165,7 +127,6 @@ public:
     explicit TraceReplayGenerator(const std::filesystem::path& trace_dir);
     TraceReplayGenerator(const std::filesystem::path& trace_dir, Params p);
 
-    [[nodiscard]] std::string name() const override { return "trace-replay"; }
     [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
     files() const override {
         return files_;
@@ -181,15 +142,13 @@ private:
     std::size_t ix_ = 0;
 };
 
-/// Time-merge of sub-generators into one nondecreasing op stream (ties
-/// break by sub-generator index, so the merge is deterministic). The
-/// sub-generators' file sets must not collide.
-class MergeGenerator final : public Generator {
+/// Time-merge of sub-streams into one nondecreasing op stream (ties
+/// break by sub-stream index, so the merge is deterministic). The
+/// sub-streams' file sets must not collide.
+class MergeGenerator final : public ScheduleStream {
 public:
-    MergeGenerator(std::string name,
-                   std::vector<std::unique_ptr<Generator>> parts);
+    explicit MergeGenerator(std::vector<std::unique_ptr<ScheduleStream>> parts);
 
-    [[nodiscard]] std::string name() const override { return name_; }
     [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
     files() const override {
         return files_;
@@ -199,8 +158,7 @@ protected:
     [[nodiscard]] std::optional<gfs::RequestSpec> poll() override;
 
 private:
-    std::string name_;
-    std::vector<std::unique_ptr<Generator>> parts_;
+    std::vector<std::unique_ptr<ScheduleStream>> parts_;
     std::vector<std::optional<gfs::RequestSpec>> heads_;
     std::vector<std::pair<std::string, std::uint64_t>> files_;
 };

@@ -1,7 +1,6 @@
 #include "workloads/profiles.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,28 +30,62 @@ void Workload::install(gfs::Cluster& cluster) const {
     cluster.submit_all(requests);
 }
 
-namespace {
-
-/// Clamp an offset so [offset, offset+size) stays inside the file.
-std::uint64_t clamp_offset(std::uint64_t offset, std::uint64_t size,
-                           std::uint64_t file_size) {
-    if (size >= file_size) return 0;
-    return std::min(offset, file_size - size);
+Workload Profile::generate(sim::Rng rng) const {
+    const auto stream = open_stream(rng);
+    Workload w;
+    w.files = stream->files();
+    while (auto r = stream->next()) w.requests.push_back(std::move(*r));
+    return w;
 }
 
-/// Align an offset down to 4 KB (block-friendly I/O).
-std::uint64_t align4k(std::uint64_t offset) { return offset & ~std::uint64_t(4095); }
+namespace {
 
-/// Fallback stream: materialize generate() once and replay it.
-class MaterializedStream final : public ScheduleStream {
+/// `count` requests drawn one per pull by `draw`, a mutable callable that
+/// carries the schedule's state (clock, cursor, RNG) between pulls.
+template <typename Draw>
+class DrawStream final : public ScheduleStream {
 public:
-    explicit MaterializedStream(Workload w) : w_(std::move(w)) {}
+    DrawStream(std::vector<std::pair<std::string, std::uint64_t>> files,
+               std::size_t count, Draw draw)
+        : files_(std::move(files)), left_(count), draw_(std::move(draw)) {}
+    const std::vector<std::pair<std::string, std::uint64_t>>& files() const override {
+        return files_;
+    }
+    std::optional<gfs::RequestSpec> poll() override {
+        if (left_ == 0) return std::nullopt;
+        --left_;
+        return draw_();
+    }
+
+private:
+    std::vector<std::pair<std::string, std::uint64_t>> files_;
+    std::size_t left_;
+    Draw draw_;
+};
+
+template <typename Draw>
+std::unique_ptr<ScheduleStream> draw_stream(
+    std::vector<std::pair<std::string, std::uint64_t>> files, std::size_t count,
+    Draw draw) {
+    return std::make_unique<DrawStream<Draw>>(std::move(files), count, std::move(draw));
+}
+
+/// A schedule built whole and replayed, for profiles whose requests are
+/// not drawn in time order: sorted by time once, then served in order.
+class SortedStream final : public ScheduleStream {
+public:
+    explicit SortedStream(Workload w) : w_(std::move(w)) {
+        std::sort(w_.requests.begin(), w_.requests.end(),
+                  [](const gfs::RequestSpec& a, const gfs::RequestSpec& b) {
+                      return a.time < b.time;
+                  });
+    }
     const std::vector<std::pair<std::string, std::uint64_t>>& files() const override {
         return w_.files;
     }
     std::optional<gfs::RequestSpec> poll() override {
         if (ix_ >= w_.requests.size()) return std::nullopt;
-        return w_.requests[ix_++];
+        return std::move(w_.requests[ix_++]);
     }
 
 private:
@@ -60,215 +93,65 @@ private:
     std::size_t ix_ = 0;
 };
 
-/// True streaming micro schedule: one request per pull, same draws as
-/// MicroProfile::generate (exponential, bernoulli, [uniform]).
-class MicroStream final : public ScheduleStream {
-public:
-    MicroStream(MicroProfile::Params p, sim::Rng rng) : p_(p), rng_(rng) {
-        files_.emplace_back("micro.dat", p_.file_size);
-    }
-    const std::vector<std::pair<std::string, std::uint64_t>>& files() const override {
-        return files_;
-    }
-    std::optional<gfs::RequestSpec> poll() override {
-        if (i_ >= p_.count) return std::nullopt;
-        ++i_;
-        t_ += rng_.exponential(p_.arrival_rate);
-        gfs::RequestSpec r;
-        r.time = t_;
-        r.file = "micro.dat";
-        r.type = rng_.bernoulli(p_.read_fraction) ? trace::IoType::kRead
-                                                  : trace::IoType::kWrite;
-        r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;
-        if (p_.sequential) {
-            r.offset = clamp_offset(seq_cursor_, r.size, p_.file_size);
-            seq_cursor_ += r.size;
-            if (seq_cursor_ + r.size > p_.file_size) seq_cursor_ = 0;
-        } else {
-            r.offset = clamp_offset(
-                align4k(std::uint64_t(rng_.uniform(0.0, double(p_.file_size)))),
-                r.size, p_.file_size);
-        }
-        return r;
-    }
-
-private:
-    MicroProfile::Params p_;
-    sim::Rng rng_;
-    std::vector<std::pair<std::string, std::uint64_t>> files_;
-    double t_ = 0.0;
-    std::uint64_t seq_cursor_ = 0;
-    std::size_t i_ = 0;
-};
-
-/// True streaming OLTP schedule (MMPP phase state carried across pulls).
-class OltpStream final : public ScheduleStream {
-public:
-    OltpStream(OltpProfile::Params p, sim::Rng rng) : p_(p), rng_(rng) {
-        files_.emplace_back("table.db", p_.table_size);
-    }
-    const std::vector<std::pair<std::string, std::uint64_t>>& files() const override {
-        return files_;
-    }
-    std::optional<gfs::RequestSpec> poll() override {
-        if (i_ >= p_.count) return std::nullopt;
-        ++i_;
-        const double burst_rate = p_.base_rate * p_.burst_multiplier;
-        const double switch_quiet = 0.5;
-        const double switch_burst = 2.0;
-        for (;;) {
-            const double rate = phase_ == 0 ? p_.base_rate : burst_rate;
-            const double sw = phase_ == 0 ? switch_quiet : switch_burst;
-            const double ta = rng_.exponential(rate);
-            const double ts = rng_.exponential(sw);
-            if (ta <= ts) {
-                t_ += ta;
-                break;
-            }
-            t_ += ts;
-            phase_ ^= 1;
-        }
-        gfs::RequestSpec r;
-        r.time = t_;
-        r.file = "table.db";
-        r.type = rng_.bernoulli(p_.read_fraction) ? trace::IoType::kRead
-                                                  : trace::IoType::kWrite;
-        static constexpr std::uint64_t kPages[] = {4096, 8192, 16384};
-        r.size = kPages[std::size_t(rng_.uniform_int(0, 2))];
-        r.offset = clamp_offset(
-            align4k(std::uint64_t(rng_.uniform(0.0, double(p_.table_size)))), r.size,
-            p_.table_size);
-        return r;
-    }
-
-private:
-    OltpProfile::Params p_;
-    sim::Rng rng_;
-    std::vector<std::pair<std::string, std::uint64_t>> files_;
-    double t_ = 0.0;
-    int phase_ = 0;
-    std::size_t i_ = 0;
-};
-
-/// True streaming log-append schedule.
-class LogAppendStream final : public ScheduleStream {
-public:
-    LogAppendStream(LogAppendProfile::Params p, sim::Rng rng) : p_(p), rng_(rng) {
-        for (std::size_t l = 0; l < p_.logs; ++l)
-            files_.emplace_back("log." + std::to_string(l), p_.initial_size);
-    }
-    const std::vector<std::pair<std::string, std::uint64_t>>& files() const override {
-        return files_;
-    }
-    std::optional<gfs::RequestSpec> poll() override {
-        if (i_ >= p_.count) return std::nullopt;
-        ++i_;
-        t_ += rng_.exponential(p_.arrival_rate);
-        gfs::RequestSpec r;
-        r.time = t_;
-        r.file = "log." + std::to_string(std::size_t(
-                     rng_.uniform_int(0, std::int64_t(p_.logs) - 1)));
-        r.type = trace::IoType::kWrite;
-        r.append = true;
-        r.size = align4k(std::uint64_t(
-                     rng_.uniform(double(p_.min_record), double(p_.max_record))));
-        r.size = std::max<std::uint64_t>(r.size, 512);
-        return r;
-    }
-
-private:
-    LogAppendProfile::Params p_;
-    sim::Rng rng_;
-    std::vector<std::pair<std::string, std::uint64_t>> files_;
-    double t_ = 0.0;
-    std::size_t i_ = 0;
-};
-
 }  // namespace
 
-std::unique_ptr<ScheduleStream> Profile::open_stream(sim::Rng rng) const {
-    return std::make_unique<MaterializedStream>(generate(rng));
-}
-
 std::unique_ptr<ScheduleStream> MicroProfile::open_stream(sim::Rng rng) const {
-    return std::make_unique<MicroStream>(p_, rng);
+    return draw_stream(
+        {{"micro.dat", p_.file_size}}, p_.count,
+        [p = p_, rng, t = 0.0, seq_cursor = std::uint64_t(0)]() mutable {
+            t += rng.exponential(p.arrival_rate);
+            gfs::RequestSpec r;
+            r.time = t;
+            r.file = "micro.dat";
+            r.type = rng.bernoulli(p.read_fraction) ? trace::IoType::kRead
+                                                    : trace::IoType::kWrite;
+            r.size = r.type == trace::IoType::kRead ? p.read_size : p.write_size;
+            if (p.sequential) {
+                r.offset = clamp_offset(seq_cursor, r.size, p.file_size);
+                seq_cursor += r.size;
+                if (seq_cursor + r.size > p.file_size) seq_cursor = 0;
+            } else {
+                r.offset = random_offset(rng, r.size, p.file_size);
+            }
+            return r;
+        });
 }
 
 std::unique_ptr<ScheduleStream> OltpProfile::open_stream(sim::Rng rng) const {
-    return std::make_unique<OltpStream>(p_, rng);
-}
-
-std::unique_ptr<ScheduleStream> LogAppendProfile::open_stream(sim::Rng rng) const {
-    return std::make_unique<LogAppendStream>(p_, rng);
-}
-
-Workload MicroProfile::generate(sim::Rng& rng) const {
-    Workload w;
-    w.files.emplace_back("micro.dat", p_.file_size);
-    double t = 0.0;
-    std::uint64_t seq_cursor = 0;
-    for (std::size_t i = 0; i < p_.count; ++i) {
-        t += rng.exponential(p_.arrival_rate);
-        gfs::RequestSpec r;
-        r.time = t;
-        r.file = "micro.dat";
-        r.type = rng.bernoulli(p_.read_fraction) ? trace::IoType::kRead
-                                                 : trace::IoType::kWrite;
-        r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;
-        if (p_.sequential) {
-            r.offset = clamp_offset(seq_cursor, r.size, p_.file_size);
-            seq_cursor += r.size;
-            if (seq_cursor + r.size > p_.file_size) seq_cursor = 0;
-        } else {
-            r.offset = clamp_offset(
-                align4k(std::uint64_t(rng.uniform(0.0, double(p_.file_size)))), r.size,
-                p_.file_size);
-        }
-        w.requests.push_back(std::move(r));
-    }
-    return w;
-}
-
-Workload OltpProfile::generate(sim::Rng& rng) const {
-    Workload w;
-    w.files.emplace_back("table.db", p_.table_size);
-    // MMPP(2): quiet at base_rate, bursts at base_rate * burst_multiplier.
-    const double burst_rate = p_.base_rate * p_.burst_multiplier;
-    const double switch_quiet = 0.5;  // leave quiet phase every ~2 s
-    const double switch_burst = 2.0;  // bursts last ~0.5 s
-    int phase = 0;
-    double t = 0.0;
-    for (std::size_t i = 0; i < p_.count; ++i) {
-        // Competing exponentials between arrival and phase switch.
-        for (;;) {
-            const double rate = phase == 0 ? p_.base_rate : burst_rate;
-            const double sw = phase == 0 ? switch_quiet : switch_burst;
-            const double ta = rng.exponential(rate);
-            const double ts = rng.exponential(sw);
-            if (ta <= ts) {
-                t += ta;
-                break;
+    return draw_stream(
+        {{"table.db", p_.table_size}}, p_.count,
+        [p = p_, rng, t = 0.0, phase = 0]() mutable {
+            // MMPP(2): quiet at base_rate, bursts at base_rate * burst_multiplier.
+            const double burst_rate = p.base_rate * p.burst_multiplier;
+            const double switch_quiet = 0.5;  // leave quiet phase every ~2 s
+            const double switch_burst = 2.0;  // bursts last ~0.5 s
+            // Competing exponentials between arrival and phase switch.
+            for (;;) {
+                const double rate = phase == 0 ? p.base_rate : burst_rate;
+                const double sw = phase == 0 ? switch_quiet : switch_burst;
+                const double ta = rng.exponential(rate);
+                const double ts = rng.exponential(sw);
+                if (ta <= ts) {
+                    t += ta;
+                    break;
+                }
+                t += ts;
+                phase ^= 1;
             }
-            t += ts;
-            phase ^= 1;
-        }
-        gfs::RequestSpec r;
-        r.time = t;
-        r.file = "table.db";
-        r.type = rng.bernoulli(p_.read_fraction) ? trace::IoType::kRead
-                                                 : trace::IoType::kWrite;
-        // Page-sized accesses: 4, 8 or 16 KB.
-        static constexpr std::uint64_t kPages[] = {4096, 8192, 16384};
-        r.size = kPages[std::size_t(rng.uniform_int(0, 2))];
-        r.offset = clamp_offset(
-            align4k(std::uint64_t(rng.uniform(0.0, double(p_.table_size)))), r.size,
-            p_.table_size);
-        w.requests.push_back(std::move(r));
-    }
-    return w;
+            gfs::RequestSpec r;
+            r.time = t;
+            r.file = "table.db";
+            r.type = rng.bernoulli(p.read_fraction) ? trace::IoType::kRead
+                                                    : trace::IoType::kWrite;
+            // Page-sized accesses: 4, 8 or 16 KB.
+            static constexpr std::uint64_t kPages[] = {4096, 8192, 16384};
+            r.size = kPages[std::size_t(rng.uniform_int(0, 2))];
+            r.offset = random_offset(rng, r.size, p.table_size);
+            return r;
+        });
 }
 
-Workload WebSearchProfile::generate(sim::Rng& rng) const {
+std::unique_ptr<ScheduleStream> WebSearchProfile::open_stream(sim::Rng rng) const {
     Workload w;
     for (std::size_t s = 0; s < p_.shards; ++s)
         w.files.emplace_back("shard." + std::to_string(s), p_.shard_size);
@@ -283,19 +166,13 @@ Workload WebSearchProfile::generate(sim::Rng& rng) const {
                                                  : trace::IoType::kWrite;
         const double bytes = rng.lognormal(p_.size_log_mean, p_.size_log_sigma);
         r.size = std::clamp<std::uint64_t>(std::uint64_t(bytes), 4096, 8ull << 20);
-        r.offset = clamp_offset(
-            align4k(std::uint64_t(rng.uniform(0.0, double(p_.shard_size)))), r.size,
-            p_.shard_size);
+        r.offset = random_offset(rng, r.size, p_.shard_size);
         w.requests.push_back(std::move(r));
     }
-    std::sort(w.requests.begin(), w.requests.end(),
-              [](const gfs::RequestSpec& a, const gfs::RequestSpec& b) {
-                  return a.time < b.time;
-              });
-    return w;
+    return std::make_unique<SortedStream>(std::move(w));
 }
 
-Workload StreamingProfile::generate(sim::Rng& rng) const {
+std::unique_ptr<ScheduleStream> StreamingProfile::open_stream(sim::Rng rng) const {
     Workload w;
     for (std::size_t f = 0; f < p_.files; ++f)
         w.files.emplace_back("media." + std::to_string(f), p_.file_size);
@@ -325,32 +202,26 @@ Workload StreamingProfile::generate(sim::Rng& rng) const {
             w.requests.push_back(std::move(r));
         }
     }
-    std::sort(w.requests.begin(), w.requests.end(),
-              [](const gfs::RequestSpec& a, const gfs::RequestSpec& b) {
-                  return a.time < b.time;
-              });
-    return w;
+    return std::make_unique<SortedStream>(std::move(w));
 }
 
-Workload LogAppendProfile::generate(sim::Rng& rng) const {
-    Workload w;
+std::unique_ptr<ScheduleStream> LogAppendProfile::open_stream(sim::Rng rng) const {
+    std::vector<std::pair<std::string, std::uint64_t>> files;
     for (std::size_t l = 0; l < p_.logs; ++l)
-        w.files.emplace_back("log." + std::to_string(l), p_.initial_size);
-    double t = 0.0;
-    for (std::size_t i = 0; i < p_.count; ++i) {
-        t += rng.exponential(p_.arrival_rate);
+        files.emplace_back("log." + std::to_string(l), p_.initial_size);
+    return draw_stream(std::move(files), p_.count, [p = p_, rng, t = 0.0]() mutable {
+        t += rng.exponential(p.arrival_rate);
         gfs::RequestSpec r;
         r.time = t;
         r.file = "log." + std::to_string(std::size_t(
-                     rng.uniform_int(0, std::int64_t(p_.logs) - 1)));
+                     rng.uniform_int(0, std::int64_t(p.logs) - 1)));
         r.type = trace::IoType::kWrite;
         r.append = true;
         r.size = align4k(std::uint64_t(
-                     rng.uniform(double(p_.min_record), double(p_.max_record))));
+                     rng.uniform(double(p.min_record), double(p.max_record))));
         r.size = std::max<std::uint64_t>(r.size, 512);
-        w.requests.push_back(std::move(r));
-    }
-    return w;
+        return r;
+    });
 }
 
 Workload table2_validation_workload() {

@@ -8,6 +8,7 @@
 // sessions).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -29,12 +30,35 @@ struct Workload {
     void install(gfs::Cluster& cluster) const;
 };
 
-/// Pull-based view of a profile's schedule: the file list up front, then
-/// requests one at a time in nondecreasing time order. Datacenter-scale
-/// captures pump requests from a stream instead of materializing a
-/// multi-million-element schedule (core::run_capture uses a stream in
-/// both capture modes, so streamed and in-memory runs see the exact same
-/// request sequence).
+/// Align an offset down to 4 KB (block-friendly I/O).
+[[nodiscard]] constexpr std::uint64_t align4k(std::uint64_t offset) noexcept {
+    return offset & ~std::uint64_t(4095);
+}
+
+/// Clamp an offset so [offset, offset+size) stays inside the file.
+[[nodiscard]] constexpr std::uint64_t clamp_offset(std::uint64_t offset,
+                                                   std::uint64_t size,
+                                                   std::uint64_t file_size) noexcept {
+    return size >= file_size ? 0 : std::min(offset, file_size - size);
+}
+
+/// A uniformly drawn, 4 KB-aligned offset for a `size`-byte access that
+/// stays inside the file (one rng.uniform draw).
+[[nodiscard]] inline std::uint64_t random_offset(sim::Rng& rng, std::uint64_t size,
+                                                 std::uint64_t file_size) {
+    return clamp_offset(align4k(std::uint64_t(rng.uniform(0.0, double(file_size)))),
+                        size, file_size);
+}
+
+/// The workload API, after CODES' get_next(): every request source — a
+/// profile, a scenario generator (generator.hpp), a trace or model
+/// replay — is a pull-based stream of timed requests. The file list
+/// comes up front, then requests one at a time in nondecreasing time
+/// order. core::run_capture pumps one request at a time in both capture
+/// modes, so streamed and in-memory runs see the exact same request
+/// sequence and a multi-million-request schedule is never materialized.
+/// Streams are single-pass: open a fresh one (same config + seed) to
+/// re-read the same sequence.
 class ScheduleStream {
 public:
     virtual ~ScheduleStream() = default;
@@ -64,21 +88,23 @@ private:
     bool exhausted_ = false;
 };
 
-/// Common interface so benches can sweep profiles generically.
+/// A named workload archetype. open_stream() is its one schedule;
+/// generate() is that stream drained, so a materialized workload and a
+/// pumped capture see the same requests by construction.
 class Profile {
 public:
     virtual ~Profile() = default;
-    [[nodiscard]] virtual Workload generate(sim::Rng& rng) const = 0;
     [[nodiscard]] virtual std::string name() const = 0;
 
-    /// Open a pull-based stream over this profile's schedule. The base
-    /// implementation materializes generate() and replays it, so every
-    /// profile is streamable; profiles whose generators are already
-    /// monotone in time (micro, oltp, logappend) override it with true
-    /// O(1)-memory streams that draw the same RNG sequence as generate(),
-    /// making the stream identical to the materialized schedule.
+    /// Open a pull-based stream over this profile's schedule, drawing
+    /// from `rng`. Micro, OLTP and log-append draw one request per pull
+    /// in O(1) memory; web-search and streaming build their schedule up
+    /// front and sort it by time.
     [[nodiscard]] virtual std::unique_ptr<ScheduleStream> open_stream(
-        sim::Rng rng) const;
+        sim::Rng rng) const = 0;
+
+    /// The whole schedule at once: open_stream(rng) drained.
+    [[nodiscard]] Workload generate(sim::Rng rng) const;
 };
 
 /// Fixed-size request microbenchmark — the paper's Table 2 driver.
@@ -97,7 +123,6 @@ public:
         bool sequential = false;          ///< sequential vs random offsets
     };
     explicit MicroProfile(Params p) : p_(p) {}
-    [[nodiscard]] Workload generate(sim::Rng& rng) const override;
     [[nodiscard]] std::string name() const override { return "micro"; }
     [[nodiscard]] std::unique_ptr<ScheduleStream> open_stream(
         sim::Rng rng) const override;
@@ -119,7 +144,6 @@ public:
         std::uint64_t table_size = 4ull << 30;
     };
     explicit OltpProfile(Params p) : p_(p) {}
-    [[nodiscard]] Workload generate(sim::Rng& rng) const override;
     [[nodiscard]] std::string name() const override { return "oltp"; }
     [[nodiscard]] std::unique_ptr<ScheduleStream> open_stream(
         sim::Rng rng) const override;
@@ -143,8 +167,9 @@ public:
         double size_log_sigma = 0.6;
     };
     explicit WebSearchProfile(Params p) : p_(p) {}
-    [[nodiscard]] Workload generate(sim::Rng& rng) const override;
     [[nodiscard]] std::string name() const override { return "websearch"; }
+    [[nodiscard]] std::unique_ptr<ScheduleStream> open_stream(
+        sim::Rng rng) const override;
 
 private:
     Params p_;
@@ -166,8 +191,9 @@ public:
         std::size_t mean_segments = 20;      ///< geometric session length
     };
     explicit StreamingProfile(Params p) : p_(p) {}
-    [[nodiscard]] Workload generate(sim::Rng& rng) const override;
     [[nodiscard]] std::string name() const override { return "streaming"; }
+    [[nodiscard]] std::unique_ptr<ScheduleStream> open_stream(
+        sim::Rng rng) const override;
 
 private:
     Params p_;
@@ -187,7 +213,6 @@ public:
         std::uint64_t max_record = 256ull << 10;
     };
     explicit LogAppendProfile(Params p) : p_(p) {}
-    [[nodiscard]] Workload generate(sim::Rng& rng) const override;
     [[nodiscard]] std::string name() const override { return "logappend"; }
     [[nodiscard]] std::unique_ptr<ScheduleStream> open_stream(
         sim::Rng rng) const override;

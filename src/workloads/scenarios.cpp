@@ -9,7 +9,7 @@ namespace kooza::workloads {
 
 namespace {
 
-std::unique_ptr<Generator> make_diurnal(const ScenarioParams& p) {
+std::unique_ptr<ScheduleStream> make_diurnal(const ScenarioParams& p) {
     MixGenerator::Params mix;
     mix.count = p.count;
     mix.read_fraction = 0.7;
@@ -20,11 +20,10 @@ std::unique_ptr<Generator> make_diurnal(const ScenarioParams& p) {
     mix.file_prefix = "diurnal.";
     auto arrivals = std::make_unique<queueing::ModulatedArrivals>(
         std::make_unique<queueing::DiurnalEnvelope>(p.rate, 0.8, p.period));
-    return std::make_unique<MixGenerator>("diurnal", mix, std::move(arrivals),
-                                          sim::Rng(p.seed));
+    return std::make_unique<MixGenerator>(mix, std::move(arrivals), sim::Rng(p.seed));
 }
 
-std::unique_ptr<Generator> make_flashcrowd(const ScenarioParams& p) {
+std::unique_ptr<ScheduleStream> make_flashcrowd(const ScenarioParams& p) {
     MixGenerator::Params mix;
     mix.count = p.count;
     mix.read_fraction = 0.95;  // crowds read the hot object; few updates
@@ -36,11 +35,10 @@ std::unique_ptr<Generator> make_flashcrowd(const ScenarioParams& p) {
     auto arrivals = std::make_unique<queueing::ModulatedArrivals>(
         std::make_unique<queueing::SpikeEnvelope>(p.rate, 8.0, p.period,
                                                   p.period / 10.0));
-    return std::make_unique<MixGenerator>("flashcrowd", mix, std::move(arrivals),
-                                          sim::Rng(p.seed));
+    return std::make_unique<MixGenerator>(mix, std::move(arrivals), sim::Rng(p.seed));
 }
 
-std::unique_ptr<Generator> make_tiered(const ScenarioParams& p) {
+std::unique_ptr<ScheduleStream> make_tiered(const ScenarioParams& p) {
     // 70/30 split between a Zipf-read serving tier and a log-append
     // write tier, each with its own arrival stream and file namespace.
     const std::size_t reads = std::max<std::size_t>(1, (p.count * 7) / 10);
@@ -65,19 +63,18 @@ std::unique_ptr<Generator> make_tiered(const ScenarioParams& p) {
     write_tier.file_prefix = "tier.log.";
     write_tier.append_writes = true;  // commit-log tier uses record appends
 
-    std::vector<std::unique_ptr<Generator>> parts;
+    std::vector<std::unique_ptr<ScheduleStream>> parts;
     parts.push_back(std::make_unique<MixGenerator>(
-        "tiered.read", read_tier,
-        std::make_unique<queueing::PoissonArrivals>(p.rate * 0.7), read_rng));
+        read_tier, std::make_unique<queueing::PoissonArrivals>(p.rate * 0.7),
+        read_rng));
     parts.push_back(std::make_unique<MixGenerator>(
-        "tiered.log", write_tier,
-        std::make_unique<queueing::PoissonArrivals>(
-            std::max(p.rate * 0.3, 1e-6)),
+        write_tier,
+        std::make_unique<queueing::PoissonArrivals>(std::max(p.rate * 0.3, 1e-6)),
         write_rng));
-    return std::make_unique<MergeGenerator>("tiered", std::move(parts));
+    return std::make_unique<MergeGenerator>(std::move(parts));
 }
 
-std::unique_ptr<Generator> make_checkpoint(const ScenarioParams& p) {
+std::unique_ptr<ScheduleStream> make_checkpoint(const ScenarioParams& p) {
     CheckpointGenerator::Params ckpt;
     ckpt.count = p.count;
     ckpt.mtti = 2.0 * p.period;  // a couple of failures per capture
@@ -91,7 +88,7 @@ std::unique_ptr<Generator> make_checkpoint(const ScenarioParams& p) {
 struct ScenarioEntry {
     const char* name;
     const char* description;
-    std::unique_ptr<Generator> (*make)(const ScenarioParams&);
+    std::unique_ptr<ScheduleStream> (*make)(const ScenarioParams&);
 };
 
 const ScenarioEntry kScenarios[] = {
@@ -126,7 +123,7 @@ std::string describe_scenario(const std::string& name) {
     return "";
 }
 
-std::unique_ptr<Generator> make_scenario(const std::string& name,
+std::unique_ptr<ScheduleStream> make_scenario(const std::string& name,
                                          const ScenarioParams& p) {
     for (const auto& s : kScenarios)
         if (name == s.name) return s.make(p);

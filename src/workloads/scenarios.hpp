@@ -39,9 +39,9 @@ struct ScenarioParams {
 /// One-line human description of a scenario ("" for unknown names).
 [[nodiscard]] std::string describe_scenario(const std::string& name);
 
-/// Build a scenario generator, or nullptr for an unknown name.
-[[nodiscard]] std::unique_ptr<Generator> make_scenario(const std::string& name,
-                                                       const ScenarioParams& p);
+/// Open a scenario's request stream, or nullptr for an unknown name.
+[[nodiscard]] std::unique_ptr<ScheduleStream> make_scenario(const std::string& name,
+                                                            const ScenarioParams& p);
 
 /// Closed-loop scenarios are feedback recipes (client pools driven by
 /// completion callbacks), not ScheduleStreams, so they live in their own

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <regex>
 #include <sstream>
+#include <utility>
 
 #include "core/generator.hpp"
 #include "core/serialize.hpp"
@@ -124,6 +126,29 @@ TEST(ModelRoundTrip, MalformedInputRejected) {
     EXPECT_THROW((void)load_model(wrong), std::runtime_error);
     std::stringstream truncated("kooza-model v1\nname x\nread_fraction 0.5\n");
     EXPECT_THROW((void)load_model(truncated), std::runtime_error);
+}
+
+TEST(ModelRoundTrip, HostileCountsRejected) {
+    // Counts in a model file are untrusted: a huge, negative or junk-
+    // suffixed count is a malformed model, never an allocation attempt.
+    std::stringstream ss;
+    save_model(train_micro(4), ss);
+    const std::string text = ss.str();
+    const std::pair<const char*, const char*> mutations[] = {
+        {R"(chain \d+)", "chain 4611686018427387904"},
+        {R"(chain \d+)", "chain -1"},
+        {R"(empirical \d+)", "empirical 4611686018427387904"},
+        {R"(arrivals [^\n]*)", "arrivals trace 4611686018427387904"},
+        {R"(types \d)", "types 1x"},
+    };
+    for (const auto& [pattern, replacement] : mutations) {
+        SCOPED_TRACE(replacement);
+        const auto mutated = std::regex_replace(text, std::regex(pattern), replacement,
+                                                std::regex_constants::format_first_only);
+        ASSERT_NE(mutated, text);
+        std::stringstream in(mutated);
+        EXPECT_THROW((void)load_model(in), std::runtime_error);
+    }
 }
 
 TEST(DistributionSerialize, UnknownFamilyRejected) {

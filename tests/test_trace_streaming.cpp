@@ -173,6 +173,74 @@ TEST(Streaming, CloseHoldWithoutOpenThrows) {
     fs::remove_all(dir);
 }
 
+// Only finish() writes .bin files. A capture that throws part-way — the
+// sink and its writer destroyed during stack unwinding — must leave
+// nothing that reads as a complete capture, spill files included.
+TEST(Streaming, UnfinishedSinkLeavesNoCapture) {
+    const auto dir = fresh_dir("kooza_stream_unfinished");
+    try {
+        StreamingSink sink({.dir = dir, .chunk_records = 4, .spill_buffer_bytes = 64},
+                           /*n_groups=*/2);
+        for (int i = 0; i < 100; ++i)
+            sink.group(std::size_t(i) % 2)
+                .append(storage_at(0.01 * double(i), std::uint64_t(i)));
+        throw std::runtime_error("capture failed");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_THROW(ChunkedReader{dir}, std::runtime_error);
+    if (fs::exists(dir))
+        for (const auto& e : fs::directory_iterator(dir))
+            ADD_FAILURE() << "left behind: " << e.path();
+    fs::remove_all(dir);
+}
+
+// End to end: replaying a request log with a non-finite arrival fails at
+// load, naming the log and the request, and the streamed output
+// directory holds no capture.
+TEST(Streaming, ReplayOfNonFiniteArrivalLeavesNoCapture) {
+    const auto src = fresh_dir("kooza_stream_inf_src");
+    const auto out = fresh_dir("kooza_stream_inf_out");
+    core::CaptureOptions co;
+    co.profile = "micro";
+    co.count = 400;
+    co.seed = 7;
+    co.out_dir = src.string();
+    (void)core::run_capture(co);
+
+    // Set one request's arrival (third CSV column) to inf.
+    std::istringstream csv(slurp(src / "requests.csv"));
+    std::string line, edited, request_id;
+    for (int row = 0; std::getline(csv, line); ++row) {
+        if (row == 200) {
+            const auto c1 = line.find(',');
+            const auto c2 = line.find(',', c1 + 1);
+            const auto c3 = line.find(',', c2 + 1);
+            request_id = line.substr(0, c1);
+            line = line.substr(0, c2 + 1) + "inf" + line.substr(c3);
+        }
+        edited += line + "\n";
+    }
+    ASSERT_FALSE(request_id.empty());
+    std::ofstream(src / "requests.csv", std::ios::trunc) << edited;
+
+    core::CaptureOptions replay;
+    replay.replay_dir = src.string();
+    replay.out_dir = out.string();
+    replay.stream = true;
+    replay.chunk_records = 256;
+    try {
+        (void)core::run_capture(replay);
+        ADD_FAILURE() << "replay of a non-finite arrival did not throw";
+    } catch (const std::exception& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(src.string()), std::string::npos) << msg;
+        EXPECT_NE(msg.find("request " + request_id), std::string::npos) << msg;
+    }
+    EXPECT_THROW(ChunkedReader{out}, std::runtime_error);
+    fs::remove_all(src);
+    fs::remove_all(out);
+}
+
 TEST(Streaming, WriterSpillPathBytesIdentical) {
     // A tiny spill buffer forces every column through the temp-file
     // spill-and-splice path; the final files must not change.

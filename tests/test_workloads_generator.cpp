@@ -1,6 +1,6 @@
-// Conformance suite for the pluggable workload-generator API: every
-// generator (profile adapter, scenario mixes, checkpoint/restart, trace
-// replay, trained-model replay) honors the ScheduleStream contracts —
+// Conformance suite for the pluggable workload API: every request source
+// (profile schedules, scenario mixes, checkpoint/restart, trace replay,
+// trained-model replay) honors the ScheduleStream contracts —
 // nondecreasing times, permanent exhaustion, same-seed reproducibility —
 // and scenario captures stay byte-identical across capture modes and
 // thread counts. Runs in the `workloads` tier and under TSan.
@@ -179,13 +179,23 @@ TEST(ScheduleStreamContract, ExhaustionSticksEvenIfPollRevives) {
 
 // ---- Individual generators -------------------------------------------
 
-TEST(ProfileGenerator, MatchesUnderlyingProfileStream) {
-    workloads::MicroProfile::Params mp{.count = 150, .arrival_rate = 30.0};
-    workloads::ProfileGenerator gen(
-        std::make_unique<workloads::MicroProfile>(mp), /*seed=*/5);
-    EXPECT_EQ(gen.name(), "micro");
-    auto direct = workloads::MicroProfile(mp).open_stream(sim::Rng(5));
-    expect_same_sequence(drain(gen), drain(*direct));
+TEST(ProfileSchedule, GenerateMatchesCaptureSchedule) {
+    // Tests that install generate() must capture the same traffic the
+    // tools pump through make_capture_schedule, for every profile.
+    for (const char* name : {"micro", "oltp", "websearch", "streaming", "logappend"}) {
+        SCOPED_TRACE(name);
+        core::CaptureOptions co;
+        co.profile = name;
+        co.count = 400;
+        co.rate = 50.0;
+        co.seed = 17;
+        const auto profile = core::make_profile(name, co.count, co.rate);
+        ASSERT_NE(profile, nullptr);
+        const auto generated = profile->generate(sim::Rng(co.seed));
+        const auto stream = core::make_capture_schedule(co);
+        EXPECT_EQ(generated.files, stream->files());
+        expect_same_sequence(generated.requests, drain(*stream));
+    }
 }
 
 TEST(CheckpointGenerator, DalyIntervalAndPhaseShape) {
@@ -236,7 +246,6 @@ TEST(TraceReplayGenerator, ReplaysRequestLogInArrivalOrder) {
     ASSERT_GT(cap.traces.requests.size(), 0u);
 
     workloads::TraceReplayGenerator gen(dir);
-    EXPECT_EQ(gen.name(), "trace-replay");
     EXPECT_EQ(gen.total_ops(), cap.traces.requests.size());
     const auto ops = drain(gen);
     ASSERT_EQ(ops.size(), cap.traces.requests.size());
@@ -255,13 +264,12 @@ TEST(MergeGenerator, MergesInTimeOrderAndRejectsCollisions) {
         p.file_prefix = prefix;
         p.files = 2;
         return std::make_unique<workloads::MixGenerator>(
-            prefix, p, std::make_unique<queueing::PoissonArrivals>(rate),
-            sim::Rng(4));
+            p, std::make_unique<queueing::PoissonArrivals>(rate), sim::Rng(4));
     };
-    std::vector<std::unique_ptr<workloads::Generator>> parts;
+    std::vector<std::unique_ptr<workloads::ScheduleStream>> parts;
     parts.push_back(part("a.", 50, 10.0));
     parts.push_back(part("b.", 70, 25.0));
-    workloads::MergeGenerator merged("both", std::move(parts));
+    workloads::MergeGenerator merged(std::move(parts));
     EXPECT_EQ(merged.files().size(), 4u);
     const auto ops = drain(merged);
     ASSERT_EQ(ops.size(), 120u);
@@ -270,10 +278,10 @@ TEST(MergeGenerator, MergesInTimeOrderAndRejectsCollisions) {
         if (op.file.rfind("a.", 0) == 0) ++from_a;
     EXPECT_EQ(from_a, 50u);  // merge drops nothing
 
-    std::vector<std::unique_ptr<workloads::Generator>> colliding;
+    std::vector<std::unique_ptr<workloads::ScheduleStream>> colliding;
     colliding.push_back(part("same.", 10, 10.0));
     colliding.push_back(part("same.", 10, 10.0));
-    EXPECT_THROW(workloads::MergeGenerator("bad", std::move(colliding)),
+    EXPECT_THROW(workloads::MergeGenerator(std::move(colliding)),
                  std::invalid_argument);
 }
 
@@ -298,7 +306,6 @@ TEST(ModelReplayGenerator, MatchesBatchGeneratorDraws) {
     mp.count = n;
     mp.seed = seed;
     core::ModelReplayGenerator gen(std::move(model), mp);
-    EXPECT_EQ(gen.name(), "model:conformance");
     const auto ops = drain(gen);
     ASSERT_EQ(ops.size(), n);
     const std::uint64_t file_size = gen.files()[0].second;
