@@ -95,7 +95,9 @@ void print_ablation() {
             r.time = (tcur += g);
         }
         const auto times = arrival_times_from(new_gaps);
-        core::Replayer rep(bench::replay_config(cfg, model.cpu_verify_fraction()));
+        core::ReplayConfig rc(cfg);
+        rc.cpu_verify_fraction = model.cpu_verify_fraction();
+        core::Replayer rep(rc);
         const auto res = rep.replay(relabeled);
         const double lat = stats::mean(res.latencies);
         const double p99 = stats::quantile(res.latencies, 0.99);

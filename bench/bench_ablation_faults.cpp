@@ -80,8 +80,8 @@ void print_ablation() {
         const auto model = core::ClusterModel::train(per_server);
         sim::Rng gen_rng(kSeed + i + 1);
         const auto w = model.generate(120.0, gen_rng);
-        auto rc = bench::replay_config(cluster.config(),
-                                       model.server(0).cpu_verify_fraction());
+        core::ReplayConfig rc(cluster.config());
+        rc.cpu_verify_fraction = model.server(0).cpu_verify_fraction();
         rc.n_servers = cluster.n_servers();
         const core::Replayer rep(rc);
         const double lat = stats::mean(rep.replay_sharded(w).latencies);

@@ -58,7 +58,9 @@ void print_ablation() {
             sizes.push_back(double(r.storage_bytes));
             lbns.push_back(double(r.lbn));
         }
-        core::Replayer rep(bench::replay_config(cfg, model.cpu_verify_fraction()));
+        core::ReplayConfig rc(cfg);
+        rc.cpu_verify_fraction = model.cpu_verify_fraction();
+        core::Replayer rep(rc);
         const double lat = stats::mean(rep.replay(w).latencies);
         return Row{g, tc.util_levels, model.parameter_count(),
                    stats::ks_statistic_two_sample(orig_sizes, sizes),

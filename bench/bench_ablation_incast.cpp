@@ -60,7 +60,7 @@ Point run_point(std::size_t fan_in) {
         r.server = std::uint32_t(i);
         w.requests.push_back(r);
     }
-    core::ReplayConfig rcfg = kooza::bench::replay_config(cfg, 0.4);
+    core::ReplayConfig rcfg(cfg);
     rcfg.n_servers = fan_in;
     core::Replayer rep(rcfg);
     const auto res = rep.replay(w);

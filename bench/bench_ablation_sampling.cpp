@@ -57,7 +57,9 @@ void print_ablation() {
         const auto model = core::Trainer().train(ts);
         sim::Rng gen_rng(kSeed + every);
         const auto w = core::Generator(model).generate(1000, gen_rng);
-        core::Replayer rep(bench::replay_config(cfg, model.cpu_verify_fraction()));
+        core::ReplayConfig rc(cfg);
+        rc.cpu_verify_fraction = model.cpu_verify_fraction();
+        core::Replayer rep(rc);
         const double lat = stats::mean(rep.replay(w).latencies);
 
         return Row{every,

@@ -262,8 +262,9 @@ double p99_prediction_error(bool smoke) {
     sim::Rng rng(kSeed);
     const auto synthetic =
         core::Generator(model).generate(closed_cap.traces.requests.size(), rng);
-    core::Replayer replayer(
-        bench::replay_config(gfs::GfsConfig{}, model.cpu_verify_fraction()));
+    core::ReplayConfig rc;
+    rc.cpu_verify_fraction = model.cpu_verify_fraction();
+    core::Replayer replayer(rc);
     const auto replayed = replayer.replay(synthetic);
     auto report = core::compare_features(trace::extract_features(closed_cap.traces),
                                          trace::extract_features(replayed.traces),

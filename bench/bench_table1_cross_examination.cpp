@@ -107,7 +107,9 @@ Scores score_kooza(const Context& c) {
     sim::Rng rng(kSeed + 1);
     const auto w = core::Generator(model).generate(500, rng);
     s.feature_ks = stats::ks_statistic_two_sample(c.orig_sizes, sizes_of(w));
-    core::Replayer rep(bench::replay_config(c.cfg, model.cpu_verify_fraction()));
+    core::ReplayConfig rc(c.cfg);
+    rc.cpu_verify_fraction = model.cpu_verify_fraction();
+    core::Replayer rep(rc);
     const auto lat = stats::mean(rep.replay(w, core::ReplayMode::kStructured).latencies);
     s.latency_err_pct = stats::variation_pct(lat, c.orig_latency);
     return s;
@@ -133,7 +135,7 @@ Scores score_inbreadth(const Context& c) {
     sim::Rng rng(kSeed + 2);
     const auto w = model.generate(500, rng);
     s.feature_ks = stats::ks_statistic_two_sample(c.orig_sizes, sizes_of(w));
-    core::Replayer rep(bench::replay_config(c.cfg, 0.4));
+    core::Replayer rep{core::ReplayConfig(c.cfg)};
     const auto lat =
         stats::mean(rep.replay(w, core::ReplayMode::kIndependent).latencies);
     s.latency_err_pct = stats::variation_pct(lat, c.orig_latency);
@@ -177,7 +179,7 @@ Scores score_hmm(const Context& c) {
     sim::Rng rng(kSeed + 4);
     const auto w = model.generate(500, rng);
     s.feature_ks = stats::ks_statistic_two_sample(c.orig_sizes, sizes_of(w));
-    core::Replayer rep(bench::replay_config(c.cfg, 0.4));
+    core::Replayer rep{core::ReplayConfig(c.cfg)};
     const auto lat =
         stats::mean(rep.replay(w, core::ReplayMode::kIndependent).latencies);
     s.latency_err_pct = stats::variation_pct(lat, c.orig_latency);
@@ -276,8 +278,9 @@ void print_scenario_axis() {
         const auto w =
             core::Generator(model).generate(cap.traces.requests.size(), rng);
         s.feature_ks = stats::ks_statistic_two_sample(orig_sizes, sizes_of(w));
-        core::Replayer rep(
-            bench::replay_config(gfs::GfsConfig{}, model.cpu_verify_fraction()));
+        core::ReplayConfig rc;
+        rc.cpu_verify_fraction = model.cpu_verify_fraction();
+        core::Replayer rep(rc);
         const auto lat =
             stats::mean(rep.replay(w, core::ReplayMode::kStructured).latencies);
         s.latency_err_pct =

@@ -82,7 +82,9 @@ Experiment run_experiment() {
     e.verify_fraction = model.cpu_verify_fraction();
     sim::Rng rng(kSeed);
     e.synthetic = core::Generator(model).generate(200, rng);
-    core::Replayer replayer(bench::replay_config(cfg, e.verify_fraction));
+    core::ReplayConfig rc(cfg);
+    rc.cpu_verify_fraction = e.verify_fraction;
+    core::Replayer replayer(rc);
     e.replayed = replayer.replay(e.synthetic).traces;
     return e;
 }
@@ -129,7 +131,7 @@ void print_hmm_column() {
     const auto model = baselines::HmmModel::train(original);
     sim::Rng rng(kSeed);
     const auto synthetic = model.generate(200, rng);
-    core::Replayer replayer(bench::replay_config(cfg, 0.4));
+    core::Replayer replayer{core::ReplayConfig(cfg)};
     const auto replayed =
         replayer.replay(synthetic, core::ReplayMode::kIndependent).traces;
 
@@ -184,8 +186,9 @@ void print_scenario_axis() {
         sim::Rng rng(kSeed);
         const auto synthetic =
             core::Generator(model).generate(cap.traces.requests.size(), rng);
-        core::Replayer replayer(
-            bench::replay_config(gfs::GfsConfig{}, model.cpu_verify_fraction()));
+        core::ReplayConfig rc;
+        rc.cpu_verify_fraction = model.cpu_verify_fraction();
+        core::Replayer replayer(rc);
         const auto replayed = replayer.replay(synthetic);
         auto report = core::compare_features(trace::extract_features(cap.traces),
                                              trace::extract_features(replayed.traces),
@@ -235,7 +238,9 @@ void BM_ReplayTable2(benchmark::State& state) {
     const auto model = core::Trainer().train(ts);
     sim::Rng rng(kSeed);
     const auto w = core::Generator(model).generate(200, rng);
-    core::Replayer replayer(bench::replay_config(cfg, model.cpu_verify_fraction()));
+    core::ReplayConfig rc(cfg);
+    rc.cpu_verify_fraction = model.cpu_verify_fraction();
+    core::Replayer replayer(rc);
     for (auto _ : state) {
         auto res = replayer.replay(w);
         benchmark::DoNotOptimize(res.latencies.size());

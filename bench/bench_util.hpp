@@ -50,19 +50,6 @@ inline trace::TraceSet simulate(const workloads::Workload& w,
     return cluster.traces();
 }
 
-/// Replay device stack mirroring a cluster config.
-inline core::ReplayConfig replay_config(const gfs::GfsConfig& cfg,
-                                        double verify_fraction) {
-    core::ReplayConfig r;
-    r.disk = cfg.disk;
-    r.cpu = cfg.cpu;
-    r.memory = cfg.memory;
-    r.net = cfg.net;
-    r.control_bytes = cfg.control_bytes;
-    r.cpu_verify_fraction = verify_fraction;
-    return r;
-}
-
 /// Fixed-width table printer.
 class Table {
 public:

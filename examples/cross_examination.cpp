@@ -58,11 +58,7 @@ int main(int argc, char** argv) {
     std::cout << "original: " << ts.summary() << "\n"
               << "          mean latency " << orig_lat * 1e3 << " ms\n\n";
 
-    core::ReplayConfig rc;
-    rc.disk = cfg.disk;
-    rc.cpu = cfg.cpu;
-    rc.memory = cfg.memory;
-    rc.net = cfg.net;
+    core::ReplayConfig rc(cfg);
 
     std::cout << std::left << std::setw(14) << "model" << std::setw(14)
               << "feature-KS" << std::setw(16) << "latency-err%" << std::setw(12)

@@ -45,11 +45,7 @@ int main(int argc, char** argv) {
     const auto synthetic = generator.generate(400, gen_rng);
 
     // 4. Replay it against the same device models.
-    kooza::core::ReplayConfig rcfg;
-    rcfg.disk = cfg.disk;
-    rcfg.cpu = cfg.cpu;
-    rcfg.memory = cfg.memory;
-    rcfg.net = cfg.net;
+    kooza::core::ReplayConfig rcfg(cfg);
     rcfg.cpu_verify_fraction = model.cpu_verify_fraction();
     kooza::core::Replayer replayer(rcfg);
     const auto replayed = replayer.replay(synthetic);

@@ -75,11 +75,7 @@ int main(int argc, char** argv) {
     sim::Rng gen_rng(seed + 1);
     const auto synthetic = core::Generator(model).generate(1500, gen_rng);
 
-    auto base_cfg = core::ReplayConfig{};
-    base_cfg.disk = baseline.disk;
-    base_cfg.cpu = baseline.cpu;
-    base_cfg.memory = baseline.memory;
-    base_cfg.net = baseline.net;
+    core::ReplayConfig base_cfg(baseline);
     base_cfg.cpu_verify_fraction = model.cpu_verify_fraction();
 
     std::vector<Candidate> candidates;

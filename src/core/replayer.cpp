@@ -1,10 +1,13 @@
 #include "core/replayer.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <array>
+#include <deque>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
+#include "gfs/chunkserver.hpp"
 #include "obs/metrics.hpp"
 #include "par/pool.hpp"
 #include "sim/engine.hpp"
@@ -28,202 +31,252 @@ ReplayerMetrics& metrics() {
     return m;
 }
 
+/// The phases replay executes, one per gfs::phase name in kPhaseNames;
+/// every other name is kUnknown.
+enum class Phase : std::uint8_t {
+    kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kReplForward, kCpuAggregate,
+    kNetTx, kMasterLookup, kUnknown
+};
+constexpr std::array<std::string_view, std::size_t(Phase::kUnknown)> kPhaseNames{
+    gfs::phase::kNetRx,       gfs::phase::kCpuVerify,    gfs::phase::kMemBuffer,
+    gfs::phase::kDiskIo,      gfs::phase::kReplForward,  gfs::phase::kCpuAggregate,
+    gfs::phase::kNetTx,       gfs::phase::kMasterLookup};
+
+Phase phase_of(std::string_view name) {
+    return Phase(std::find(kPhaseNames.begin(), kPhaseNames.end(), name) -
+                 kPhaseNames.begin());
+}
+
 /// One replay server: the chunkserver's device stack without GFS logic.
 struct ServerStack {
-    std::unique_ptr<hw::Disk> disk;
-    std::unique_ptr<hw::Cpu> cpu;
-    std::unique_ptr<hw::Memory> memory;
-    std::unique_ptr<hw::SwitchPort> ingress;
+    hw::Disk disk;
+    hw::Cpu cpu;
+    hw::Memory memory;
+    hw::SwitchPort ingress;
 
-    ServerStack(sim::Engine& eng, const ReplayConfig& cfg, trace::Sink* sink) {
-        disk = std::make_unique<hw::Disk>(eng, cfg.disk, sink);
-        cpu = std::make_unique<hw::Cpu>(eng, cfg.cpu, sink);
-        memory = std::make_unique<hw::Memory>(eng, cfg.memory, sink);
-        ingress = std::make_unique<hw::SwitchPort>(
-            eng, cfg.net, trace::NetworkRecord::Direction::kRx, sink);
-    }
+    ServerStack(sim::Engine& eng, const ReplayConfig& cfg, trace::Sink* sink)
+        : disk(eng, cfg.disk, sink),
+          cpu(eng, cfg.cpu, sink),
+          memory(eng, cfg.memory, sink),
+          ingress(eng, cfg.net, trace::NetworkRecord::Direction::kRx, sink) {}
 };
 
-struct Runtime {
-    sim::Engine engine;
-    trace::TraceSet traces;
-    trace::MemorySink sink{traces};
-    std::vector<std::unique_ptr<ServerStack>> servers;
-    std::unique_ptr<hw::SwitchPort> client_port;
-    std::vector<double> latencies;
-    std::size_t unknown_phases = 0;
-
-    explicit Runtime(const ReplayConfig& cfg) {
-        for (std::size_t s = 0; s < cfg.n_servers; ++s)
-            servers.push_back(std::make_unique<ServerStack>(engine, cfg, &sink));
-        client_port = std::make_unique<hw::SwitchPort>(
-            engine, cfg.net, trace::NetworkRecord::Direction::kTx, &sink);
-    }
-
-    void finish_request(std::uint64_t id, const SyntheticRequest& r, double arrival) {
-        trace::RequestRecord rec;
-        rec.request_id = id;
-        rec.type = r.type;
-        rec.arrival = arrival;
-        rec.completion = engine.now();
-        rec.bytes = r.network_bytes;
-        traces.requests.push_back(rec);
-        latencies.push_back(rec.completion - rec.arrival);
-        metrics().replayed.add();
-        metrics().latency_ns.observe_seconds(rec.completion - rec.arrival);
-    }
-};
-
-class Execution {
+/// One replay: the engine, the device stacks, the client port and one
+/// record per request. Device callbacks capture `this` and a record
+/// index, so a Run stays where it was built until finish() drains it.
+class Run {
 public:
-    Execution(Runtime& rt, const ReplayConfig& cfg) : rt_(rt), cfg_(cfg) {}
+    Run(const ReplayConfig& cfg, ReplayMode mode, std::uint64_t first_id,
+        std::size_t n_requests)
+        : cfg_(cfg),
+          mode_(mode),
+          first_id_(first_id),
+          client_port_(engine_, cfg.net, trace::NetworkRecord::Direction::kTx, &sink_) {
+        for (std::size_t s = 0; s < cfg.n_servers; ++s)
+            servers_.emplace_back(engine_, cfg, &sink_);
+        records_.reserve(n_requests);
+    }
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
 
-    /// How many times each phase kind occurs in a request's sequence —
-    /// the request's feature budget is split evenly across repeats (a
-    /// chunk-boundary write has two disk.io phases of half the bytes, not
-    /// two full-size I/Os).
-    struct PhaseCounts {
-        std::size_t rx = 0, tx = 0, verify = 0, aggregate = 0, mem = 0, disk = 0;
-
-        static PhaseCounts of(const std::vector<std::string>& phases) {
-            PhaseCounts c;
-            for (const auto& p : phases) {
-                if (p == "net.rx") ++c.rx;
-                else if (p == "net.tx") ++c.tx;
-                else if (p == "cpu.verify") ++c.verify;
-                else if (p == "cpu.aggregate") ++c.aggregate;
-                else if (p == "mem.buffer") ++c.mem;
-                else if (p == "disk.io") ++c.disk;
-            }
-            return c;
+    /// Record `r` (which must outlive the run) and schedule its arrival.
+    void add(const SyntheticRequest& r) {
+        const std::size_t i = records_.size();
+        Record& rec = records_.emplace_back();
+        rec.req = &r;
+        rec.id = first_id_ + i;
+        rec.server = r.server % servers_.size();
+        rec.first = phases_.size();
+        for (const auto& name : r.phases) {
+            const Phase p = phase_of(name);
+            phases_.push_back(p);
+            ++rec.count[std::size_t(p)];
         }
-    };
-
-    /// Structured replay: phases in the request's learned order.
-    void run_structured(std::uint64_t id, const SyntheticRequest& r,
-                        std::size_t server) {
-        const double arrival = rt_.engine.now();
-        auto phases = std::make_shared<std::vector<std::string>>(r.phases);
-        auto req = std::make_shared<SyntheticRequest>(r);
-        auto counts = std::make_shared<PhaseCounts>(PhaseCounts::of(r.phases));
-        auto step = std::make_shared<std::function<void(std::size_t)>>();
-        *step = [this, id, req, server, arrival, phases, counts,
-                 step](std::size_t i) {
-            if (i >= phases->size()) {
-                rt_.engine.schedule_after(0.0, [step] { *step = nullptr; });
-                rt_.finish_request(id, *req, arrival);
-                return;
-            }
-            execute_phase(id, *req, *counts, server, (*phases)[i],
-                          [step, i] { (*step)(i + 1); });
-        };
-        (*step)(0);
+        engine_.schedule_at(r.time, [this, i] { arrive(i); });
     }
 
-    /// Independent replay: all subsystems stressed concurrently (the
-    /// structure-free in-breadth stressing).
-    void run_independent(std::uint64_t id, const SyntheticRequest& r,
-                         std::size_t server) {
-        const double arrival = rt_.engine.now();
-        auto req = std::make_shared<SyntheticRequest>(r);
-        auto outstanding = std::make_shared<int>(4);
-        auto done_one = [this, id, req, arrival, outstanding] {
-            if (--*outstanding == 0) rt_.finish_request(id, *req, arrival);
-        };
-        ServerStack& st = *rt_.servers[server];
-        // Network: payload in the payload-bearing direction.
-        if (r.type == trace::IoType::kWrite)
-            st.ingress->transfer(id, r.network_bytes,
-                                 [done_one](double) { done_one(); }, true);
-        else
-            rt_.client_port->transfer(id, r.network_bytes,
-                                      [done_one](double) { done_one(); }, true);
-        // CPU: the whole busy budget as one burst.
-        st.cpu->execute(id, r.cpu_busy_seconds, done_one);
-        // Memory.
-        st.memory->access(id, bank_of(r), r.memory_bytes, r.memory_type,
-                          [done_one](double) { done_one(); });
-        // Storage.
-        st.disk->io(id, lbn_of(r), r.storage_bytes, r.storage_type,
-                    [done_one](double) { done_one(); });
+    /// Drain the engine and hand over what the run wrote.
+    ReplayResult finish() {
+        engine_.run();
+        ReplayResult out;
+        out.traces = std::move(traces_);
+        out.traces.sort_by_time();
+        out.latencies = std::move(latencies_);
+        out.network_drops = client_port_.drops();
+        out.network_timeouts = client_port_.timeouts();
+        for (const auto& s : servers_) {
+            out.network_drops += s.ingress.drops();
+            out.network_timeouts += s.ingress.timeouts();
+            out.mean_cpu_utilization += s.cpu.utilization();
+            out.mean_disk_utilization += s.disk.utilization();
+        }
+        out.mean_cpu_utilization /= double(servers_.size());
+        out.mean_disk_utilization /= double(servers_.size());
+        out.duration = engine_.now();
+        out.unknown_phases = unknown_phases_;
+        return out;
     }
 
 private:
+    struct Record {
+        const SyntheticRequest* req = nullptr;
+        std::uint64_t id = 0;
+        double arrival = 0.0;
+        std::size_t server = 0;
+        std::size_t first = 0;  ///< the request's first entry in phases_
+        /// Structured: index of the next phase to run. Independent: the
+        /// subsystem parts still outstanding.
+        std::size_t next = 0;
+        /// Occurrences of each Phase in the request's sequence.
+        std::array<std::uint32_t, std::size_t(Phase::kUnknown) + 1> count{};
+
+        [[nodiscard]] std::uint32_t of(Phase p) const { return count[std::size_t(p)]; }
+        /// One payload transfer's share of the network bytes: the
+        /// payload-direction net phases and the replica forwards split it.
+        [[nodiscard]] std::uint64_t network_share() const {
+            const Phase payload =
+                req->type == trace::IoType::kWrite ? Phase::kNetRx : Phase::kNetTx;
+            return req->network_bytes / (of(payload) + of(Phase::kReplForward));
+        }
+        /// One disk write's share of the storage bytes: local disk.io
+        /// phases and replica writes split it.
+        [[nodiscard]] std::uint64_t storage_share() const {
+            return req->storage_bytes / (of(Phase::kDiskIo) + of(Phase::kReplForward));
+        }
+    };
+
     [[nodiscard]] std::uint32_t bank_of(const SyntheticRequest& r) const {
         return r.bank % cfg_.memory.banks;
     }
     [[nodiscard]] std::uint64_t lbn_of(const SyntheticRequest& r) const {
         return std::min<std::uint64_t>(r.lbn, cfg_.disk.lbn_count - 1);
     }
-
-    static std::uint64_t split(std::uint64_t total, std::size_t n) {
-        return n <= 1 ? total : total / n;
+    ServerStack& replica_of(const Record& rec) {
+        return servers_[(rec.server + 1) % servers_.size()];
     }
 
-    void execute_phase(std::uint64_t id, const SyntheticRequest& r,
-                       const PhaseCounts& counts, std::size_t server,
-                       const std::string& phase, std::function<void()> next) {
-        ServerStack& st = *rt_.servers[server];
-        if (phase == "net.rx") {
+    void arrive(std::size_t i) {
+        Record& rec = records_[i];
+        rec.arrival = engine_.now();
+        // A request with no phase list cannot be replayed in order —
+        // fall back to concurrent stressing.
+        if (mode_ == ReplayMode::kStructured && !rec.req->phases.empty())
+            step(i);
+        else
+            stress(i);
+    }
+
+    /// Structured replay: run the request's next phase, or complete it.
+    void step(std::size_t i) {
+        Record& rec = records_[i];
+        const SyntheticRequest& r = *rec.req;
+        if (rec.next == r.phases.size()) return complete(i);
+        const Phase phase = phases_[rec.first + rec.next++];
+        ServerStack& st = servers_[rec.server];
+        const auto then = [this, i](double) { step(i); };
+        switch (phase) {
+        case Phase::kNetRx: {
             const bool payload = r.type == trace::IoType::kWrite;
-            st.ingress->transfer(
-                id,
-                payload ? split(r.network_bytes, counts.rx) : cfg_.control_bytes,
-                [next = std::move(next)](double) { next(); }, payload);
-        } else if (phase == "net.tx") {
+            st.ingress.transfer(rec.id,
+                                payload ? rec.network_share() : cfg_.control_bytes, then,
+                                payload);
+            break;
+        }
+        case Phase::kNetTx: {
             const bool payload = r.type == trace::IoType::kRead;
-            rt_.client_port->transfer(
-                id,
-                payload ? split(r.network_bytes, counts.tx) : cfg_.control_bytes,
-                [next = std::move(next)](double) { next(); }, payload);
-        } else if (phase == "cpu.verify") {
-            st.cpu->execute(id,
-                            cfg_.cpu_verify_fraction * r.cpu_busy_seconds /
-                                double(std::max<std::size_t>(1, counts.verify)),
-                            std::move(next));
-        } else if (phase == "cpu.aggregate") {
-            st.cpu->execute(id,
-                            (1.0 - cfg_.cpu_verify_fraction) * r.cpu_busy_seconds /
-                                double(std::max<std::size_t>(1, counts.aggregate)),
-                            std::move(next));
-        } else if (phase == "mem.buffer") {
-            st.memory->access(id, bank_of(r), split(r.memory_bytes, counts.mem),
-                              r.memory_type,
-                              [next = std::move(next)](double) { next(); });
-        } else if (phase == "disk.io") {
-            st.disk->io(id, lbn_of(r), split(r.storage_bytes, counts.disk),
-                        r.storage_type,
-                        [next = std::move(next)](double) { next(); });
-        } else if (phase == "repl.forward") {
-            // One replica hop: payload to the next server, which writes it.
-            const std::size_t rep = (server + 1) % rt_.servers.size();
-            ServerStack& rs = *rt_.servers[rep];
-            rs.ingress->transfer(
-                id, r.network_bytes,
-                [this, id, &rs, r, next = std::move(next)](double) mutable {
-                    rs.disk->io(id, lbn_of(r), r.storage_bytes, r.storage_type,
-                                [next = std::move(next)](double) { next(); });
+            client_port_.transfer(rec.id,
+                                  payload ? rec.network_share() : cfg_.control_bytes,
+                                  then, payload);
+            break;
+        }
+        case Phase::kCpuVerify:
+        case Phase::kCpuAggregate: {
+            const double fraction = phase == Phase::kCpuVerify
+                                        ? cfg_.cpu_verify_fraction
+                                        : 1.0 - cfg_.cpu_verify_fraction;
+            st.cpu.execute(rec.id, fraction * r.cpu_busy_seconds / double(rec.of(phase)),
+                           [this, i] { step(i); });
+            break;
+        }
+        case Phase::kMemBuffer:
+            st.memory.access(rec.id, bank_of(r), r.memory_bytes / rec.of(phase),
+                             r.memory_type, then);
+            break;
+        case Phase::kDiskIo:
+            st.disk.io(rec.id, lbn_of(r), rec.storage_share(), r.storage_type, then);
+            break;
+        case Phase::kReplForward:
+            // One replica hop: a share of the payload to the next server,
+            // which writes a share of the storage bytes.
+            replica_of(rec).ingress.transfer(
+                rec.id, rec.network_share(),
+                [this, i](double) {
+                    const Record& rec = records_[i];
+                    replica_of(rec).disk.io(rec.id, lbn_of(*rec.req), rec.storage_share(),
+                                            rec.req->storage_type,
+                                            [this, i](double) { step(i); });
                 },
                 true);
-        } else if (phase == "master.lookup") {
+            break;
+        case Phase::kMasterLookup:
             // Control round trip on the client port.
-            rt_.client_port->transfer(
-                id, cfg_.control_bytes,
-                [this, id, next = std::move(next)](double) mutable {
-                    rt_.client_port->transfer(
-                        id, cfg_.control_bytes,
-                        [next = std::move(next)](double) { next(); }, false);
+            client_port_.transfer(
+                rec.id, cfg_.control_bytes,
+                [this, i](double) {
+                    client_port_.transfer(records_[i].id, cfg_.control_bytes,
+                                          [this, i](double) { step(i); }, false);
                 },
                 false);
-        } else {
-            ++rt_.unknown_phases;
+            break;
+        case Phase::kUnknown:
+            ++unknown_phases_;
             metrics().unknown.add();
-            rt_.engine.schedule_after(0.0, std::move(next));
+            engine_.schedule_after(0.0, [this, i] { step(i); });
+            break;
         }
     }
 
-    Runtime& rt_;
+    /// Independent replay: all subsystems stressed concurrently (the
+    /// structure-free in-breadth stressing).
+    void stress(std::size_t i) {
+        Record& rec = records_[i];
+        const SyntheticRequest& r = *rec.req;
+        ServerStack& st = servers_[rec.server];
+        rec.next = 4;
+        const auto part_done = [this, i](double) {
+            if (--records_[i].next == 0) complete(i);
+        };
+        // Network: payload in the payload-bearing direction.
+        auto& port = r.type == trace::IoType::kWrite ? st.ingress : client_port_;
+        port.transfer(rec.id, r.network_bytes, part_done, true);
+        // CPU: the whole busy budget as one burst.
+        st.cpu.execute(rec.id, r.cpu_busy_seconds, [part_done] { part_done(0.0); });
+        st.memory.access(rec.id, bank_of(r), r.memory_bytes, r.memory_type, part_done);
+        st.disk.io(rec.id, lbn_of(r), r.storage_bytes, r.storage_type, part_done);
+    }
+
+    void complete(std::size_t i) {
+        const Record& rec = records_[i];
+        const trace::RequestRecord out{rec.id, rec.req->type, rec.arrival, engine_.now(),
+                                       rec.req->network_bytes};
+        traces_.requests.push_back(out);
+        latencies_.push_back(out.latency());
+        metrics().replayed.add();
+        metrics().latency_ns.observe_seconds(out.latency());
+    }
+
     const ReplayConfig& cfg_;
+    const ReplayMode mode_;
+    const std::uint64_t first_id_;
+    sim::Engine engine_;
+    trace::TraceSet traces_;
+    trace::MemorySink sink_{traces_};
+    std::deque<ServerStack> servers_;
+    hw::SwitchPort client_port_;
+    std::vector<Record> records_;
+    std::vector<Phase> phases_;  ///< every request's phases, in record order
+    std::vector<double> latencies_;
+    std::size_t unknown_phases_ = 0;
 };
 
 }  // namespace
@@ -236,7 +289,11 @@ Replayer::Replayer(ReplayConfig cfg) : cfg_(cfg) {
 
 ReplayResult Replayer::replay(const SyntheticWorkload& workload,
                               ReplayMode mode) const {
-    return replay_with_ids(workload, mode, 0);
+    if (workload.empty())
+        throw std::invalid_argument("Replayer::replay: empty workload");
+    Run run(cfg_, mode, 0, workload.requests.size());
+    for (const auto& r : workload.requests) run.add(r);
+    return run.finish();
 }
 
 ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
@@ -247,29 +304,22 @@ ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
     if (shards <= 1) return replay(workload, mode);
 
     // Partition by server tag, preserving arrival order within a shard.
-    std::vector<SyntheticWorkload> parts(shards);
-    for (auto& p : parts) p.model_name = workload.model_name;
-    for (const auto& r : workload.requests) {
-        auto& p = parts[std::size_t(r.server % shards)];
-        p.requests.push_back(r);
-        p.requests.back().server = 0;
-    }
+    std::vector<std::vector<const SyntheticRequest*>> parts(shards);
+    for (const auto& r : workload.requests) parts[r.server % shards].push_back(&r);
     // Each shard's request ids start after the previous shard's range, so
     // merged traces keep globally-unique ids no matter the schedule.
-    std::vector<std::uint64_t> base_id(shards, 0);
-    std::uint64_t next_id = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-        base_id[s] = next_id;
-        next_id += parts[s].requests.size();
-    }
+    std::vector<std::uint64_t> first_id(shards, 0);
+    for (std::size_t s = 1; s < shards; ++s)
+        first_id[s] = first_id[s - 1] + parts[s - 1].size();
 
     ReplayConfig shard_cfg = cfg_;
     shard_cfg.n_servers = 1;
-    const Replayer shard_replayer(shard_cfg);
     std::vector<std::optional<ReplayResult>> results(shards);
     par::pool().parallel_for(shards, [&](std::size_t s) {
-        if (parts[s].requests.empty()) return;  // idle server: nothing to run
-        results[s] = shard_replayer.replay_with_ids(parts[s], mode, base_id[s]);
+        if (parts[s].empty()) return;  // idle server: nothing to run
+        Run run(shard_cfg, mode, first_id[s], parts[s].size());
+        for (const auto* r : parts[s]) run.add(*r);
+        results[s] = run.finish();
     });
 
     // Merge by shard index (idle shards count as 0-utilization servers).
@@ -290,46 +340,6 @@ ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
     out.mean_cpu_utilization /= double(shards);
     out.mean_disk_utilization /= double(shards);
     out.traces.sort_by_time();
-    return out;
-}
-
-ReplayResult Replayer::replay_with_ids(const SyntheticWorkload& workload,
-                                       ReplayMode mode,
-                                       std::uint64_t base_id) const {
-    if (workload.empty())
-        throw std::invalid_argument("Replayer::replay: empty workload");
-    Runtime rt(cfg_);
-    Execution exec(rt, cfg_);
-    std::uint64_t id = base_id;
-    for (const auto& r : workload.requests) {
-        const std::uint64_t rid = id++;
-        const std::size_t server = std::size_t(r.server % rt.servers.size());
-        rt.engine.schedule_at(r.time, [&exec, rid, r, server, mode] {
-            // A request with no phase list cannot be replayed in order —
-            // fall back to concurrent stressing.
-            if (mode == ReplayMode::kStructured && !r.phases.empty())
-                exec.run_structured(rid, r, server);
-            else
-                exec.run_independent(rid, r, server);
-        });
-    }
-    rt.engine.run();
-    ReplayResult out;
-    out.traces = std::move(rt.traces);
-    out.traces.sort_by_time();
-    out.latencies = std::move(rt.latencies);
-    out.network_drops = rt.client_port->drops();
-    out.network_timeouts = rt.client_port->timeouts();
-    for (const auto& s : rt.servers) {
-        out.network_drops += s->ingress->drops();
-        out.network_timeouts += s->ingress->timeouts();
-        out.mean_cpu_utilization += s->cpu->utilization();
-        out.mean_disk_utilization += s->disk->utilization();
-    }
-    out.mean_cpu_utilization /= double(rt.servers.size());
-    out.mean_disk_utilization /= double(rt.servers.size());
-    out.duration = rt.engine.now();
-    out.unknown_phases = rt.unknown_phases;
     return out;
 }
 

@@ -10,17 +10,23 @@
 //    which is all a structure-less in-breadth model can justify; latency
 //    degenerates to the slowest subsystem (the paper's "invalid stressing
 //    of the system").
+//
+// One replay is one run: an engine, one device stack per server built
+// from the hardware of a gfs::GfsConfig (the cluster the traces came
+// from), and one record per request that steps through its phases. The
+// phase vocabulary is gfs::phase's: each name is mapped once, when the
+// run is built, to the device step it drives; any other name counts in
+// ReplayResult::unknown_phases and costs one zero-delay event. A
+// request's byte and busy-time budgets are split evenly across the
+// phases that spend them (a replicated write's repl.forward spends part
+// of its network and storage bytes, not a second copy).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/synthetic.hpp"
-#include "hw/cpu.hpp"
-#include "hw/disk.hpp"
-#include "hw/memory.hpp"
-#include "hw/network.hpp"
+#include "gfs/config.hpp"
 #include "trace/traceset.hpp"
 
 namespace kooza::core {
@@ -28,17 +34,25 @@ namespace kooza::core {
 enum class ReplayMode { kStructured, kIndependent };
 
 struct ReplayConfig {
-    hw::DiskParams disk{};
-    hw::CpuParams cpu{.cores = 2, .per_byte_cost = 1.0 / 1e9,
-                      .per_request_overhead = 20e-6};
-    hw::MemoryParams memory{};
-    hw::SwitchParams net{};
-    std::size_t n_servers = 1;      ///< synthetic requests round-robin over servers
-    std::uint64_t control_bytes = 512;
+    /// Replay on the default cluster's hardware.
+    ReplayConfig() : ReplayConfig(gfs::GfsConfig{}) {}
+    /// Replay on `hw`'s device models and control-message size.
+    explicit ReplayConfig(const gfs::GfsConfig& hw)
+        : disk(hw.disk), cpu(hw.cpu), memory(hw.memory), net(hw.net),
+          control_bytes(hw.control_bytes) {}
+
+    hw::DiskParams disk;
+    hw::CpuParams cpu;
+    hw::MemoryParams memory;
+    hw::SwitchParams net;
+    std::uint64_t control_bytes;
+    /// A request runs on server `SyntheticRequest::server % n_servers`.
+    /// Only ClusterModel tags requests with per-server ids; every other
+    /// generator leaves them on server 0.
+    std::size_t n_servers = 1;
     /// Split of a request's CPU busy time before/after I/O (take it from
     /// ServerModel::cpu_verify_fraction for a trained model).
     double cpu_verify_fraction = 0.4;
-    std::uint64_t seed = 99;
 };
 
 struct ReplayResult {
@@ -75,10 +89,6 @@ public:
     [[nodiscard]] const ReplayConfig& config() const noexcept { return cfg_; }
 
 private:
-    [[nodiscard]] ReplayResult replay_with_ids(const SyntheticWorkload& workload,
-                                               ReplayMode mode,
-                                               std::uint64_t base_id) const;
-
     ReplayConfig cfg_;
 };
 

@@ -19,25 +19,10 @@ StructureQueue StructureQueue::fit(const std::vector<trace::Span>& spans,
 
 void StructureAccumulator::observe(const trace::Span& s) {
     spans_[s.trace_id].push_back(s);
-    ++n_spans_;
 }
 
 void StructureAccumulator::observe(const std::vector<trace::Span>& spans) {
     for (const auto& s : spans) observe(s);
-}
-
-void StructureAccumulator::merge(StructureAccumulator&& other) {
-    for (auto& [id, vec] : other.spans_) {
-        auto& mine = spans_[id];
-        if (mine.empty())
-            mine = std::move(vec);
-        else
-            mine.insert(mine.end(), std::make_move_iterator(vec.begin()),
-                        std::make_move_iterator(vec.end()));
-    }
-    n_spans_ += other.n_spans_;
-    other.spans_.clear();
-    other.n_spans_ = 0;
 }
 
 StructureQueue StructureAccumulator::fit(std::span<const trace::TraceId> trace_ids,

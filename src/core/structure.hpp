@@ -96,11 +96,6 @@ class StructureAccumulator {
 public:
     void observe(const trace::Span& s);
     void observe(const std::vector<trace::Span>& spans);
-    void merge(StructureAccumulator&& other);
-
-    /// Distinct trace ids buffered so far.
-    [[nodiscard]] std::size_t trace_count() const noexcept { return spans_.size(); }
-    [[nodiscard]] std::size_t span_count() const noexcept { return n_spans_; }
 
     /// Fit a queue from the buffered trees whose ids are in `trace_ids`.
     /// Same semantics and failure mode as StructureQueue::fit.
@@ -109,7 +104,6 @@ public:
 
 private:
     std::map<trace::TraceId, std::vector<trace::Span>> spans_;
-    std::size_t n_spans_ = 0;
 };
 
 }  // namespace kooza::core

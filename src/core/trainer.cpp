@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "gfs/chunkserver.hpp"
 #include "obs/metrics.hpp"
 #include "par/pool.hpp"
 #include "stats/fitting.hpp"
@@ -37,14 +38,13 @@ TrainerMetrics& trainer_metrics() {
 }  // namespace
 
 std::vector<std::string> canonical_phases(trace::IoType t) {
+    using namespace gfs::phase;
     if (t == trace::IoType::kRead)
-        return {"net.rx", "cpu.verify", "mem.buffer", "disk.io", "cpu.aggregate",
-                "net.tx"};
+        return {kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kCpuAggregate, kNetTx};
     // Write path (gfs::ChunkServer::handle_write): the payload is verified,
     // buffered and written, then re-enters NET/DISK through the replica
     // fan-out before the post-I/O aggregate and the ack leaves on net.tx.
-    return {"net.rx",       "cpu.verify",    "mem.buffer", "disk.io",
-            "repl.forward", "cpu.aggregate", "net.tx"};
+    return {kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kReplForward, kCpuAggregate, kNetTx};
 }
 
 namespace {
@@ -79,8 +79,8 @@ struct Trainer::TrainInputs {
         for (const auto& r : chunk.storage) max_lbn = std::max(max_lbn, r.lbn);
         for (const auto& r : chunk.memory) max_bank = std::max(max_bank, r.bank);
         for (const auto& s : chunk.spans) {
-            if (s.name == "cpu.verify") verify_sum += s.duration();
-            if (s.name == "cpu.verify" || s.name == "cpu.aggregate")
+            if (s.name == gfs::phase::kCpuVerify) verify_sum += s.duration();
+            if (s.name == gfs::phase::kCpuVerify || s.name == gfs::phase::kCpuAggregate)
                 verify_total += s.duration();
         }
         structure.observe(chunk.spans);

@@ -24,48 +24,6 @@ NetMetrics& metrics() {
 
 }  // namespace
 
-Link::Link(sim::Engine& engine, LinkParams params,
-           trace::NetworkRecord::Direction direction, trace::Sink* sink)
-    : engine_(engine), params_(params), direction_(direction), sink_(sink) {
-    if (!(params_.bandwidth > 0.0)) throw std::invalid_argument("Link: bandwidth");
-    if (params_.propagation < 0.0) throw std::invalid_argument("Link: propagation");
-    pipe_ = std::make_unique<sim::Resource>(engine_, 1);
-}
-
-void Link::transfer(std::uint64_t request_id, std::uint64_t size_bytes,
-                    std::function<void(double)> on_done) {
-    const double issued = engine_.now();
-    // Keyed at issue, emitted at delivery (see sink.hpp hold protocol).
-    if (sink_ != nullptr) sink_->open_hold(trace::StreamId::kNetwork, issued);
-    pipe_->acquire([this, request_id, size_bytes, issued,
-                    on_done = std::move(on_done)]() mutable {
-        const double serialization = double(size_bytes) / params_.bandwidth;
-        engine_.schedule_after(serialization, [this, request_id, size_bytes, issued,
-                                               on_done = std::move(on_done)]() mutable {
-            pipe_->release();
-            engine_.schedule_after(params_.propagation,
-                                   [this, request_id, size_bytes, issued,
-                                    on_done = std::move(on_done)] {
-                ++completed_;
-                metrics().transfers.add();
-                metrics().bytes.add(size_bytes);
-                const double latency = engine_.now() - issued;
-                if (sink_ != nullptr) {
-                    trace::NetworkRecord rec;
-                    rec.time = issued;
-                    rec.request_id = request_id;
-                    rec.size_bytes = size_bytes;
-                    rec.direction = direction_;
-                    rec.latency = latency;
-                    sink_->append(rec);
-                    sink_->close_hold(trace::StreamId::kNetwork, issued);
-                }
-                if (on_done) on_done(latency);
-            });
-        });
-    });
-}
-
 SwitchPort::SwitchPort(sim::Engine& engine, SwitchParams params,
                        trace::NetworkRecord::Direction direction, trace::Sink* sink)
     : engine_(engine), params_(params), direction_(direction), sink_(sink) {

@@ -1,11 +1,11 @@
-// Network devices: point-to-point links and a shared-buffer switch port.
+// Network device: a shared-buffer switch port.
 //
-// A Link is a serialized pipe (bandwidth + propagation). A SwitchPort
-// models the congestion point where TCP/IP incast happens: many senders
-// converge on one output with a finite packet buffer; overflowing frames
-// are dropped and retried after a timeout, which is exactly the latency
-// collapse the paper says a multi-server KOOZA composition can replicate
-// (Section 4). Completed transfers emit NetworkRecords at the receiver.
+// A SwitchPort models the congestion point where TCP/IP incast happens:
+// many senders converge on one output with a finite packet buffer;
+// overflowing frames are dropped and retried after a timeout, which is
+// exactly the latency collapse the paper says a multi-server KOOZA
+// composition can replicate (Section 4). Completed transfers emit
+// NetworkRecords at the receiver.
 #pragma once
 
 #include <cstdint>
@@ -18,38 +18,6 @@
 #include "trace/sink.hpp"
 
 namespace kooza::hw {
-
-struct LinkParams {
-    double bandwidth = 1.25e8;   ///< bytes/second (1 Gb/s)
-    double propagation = 50e-6;  ///< seconds
-    std::uint32_t mtu = 1500;    ///< frame payload, bytes
-};
-
-/// Serialized point-to-point link.
-class Link {
-public:
-    /// @param direction recorded on emitted NetworkRecords (rx at the GFS
-    ///        server for client->server, tx for server->client)
-    Link(sim::Engine& engine, LinkParams params,
-         trace::NetworkRecord::Direction direction, trace::Sink* sink = nullptr);
-
-    /// Move `size_bytes` across the link; `on_done` fires at the receiver
-    /// with the total latency (queueing + serialization + propagation).
-    void transfer(std::uint64_t request_id, std::uint64_t size_bytes,
-                  std::function<void(double latency)> on_done);
-
-    [[nodiscard]] const LinkParams& params() const noexcept { return params_; }
-    [[nodiscard]] double utilization() const noexcept { return pipe_->utilization(); }
-    [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-
-private:
-    sim::Engine& engine_;
-    LinkParams params_;
-    trace::NetworkRecord::Direction direction_;
-    trace::Sink* sink_;
-    std::unique_ptr<sim::Resource> pipe_;
-    std::uint64_t completed_ = 0;
-};
 
 struct SwitchParams {
     double bandwidth = 1.25e8;     ///< output port rate, bytes/second

@@ -2,6 +2,8 @@
 // incast behaviour, and phase handling.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/replayer.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/features.hpp"
@@ -112,6 +114,25 @@ TEST(Replayer, ReplForwardUsesSecondServerDisk) {
     const auto res = rep.replay(workload_of({r}));
     EXPECT_EQ(res.traces.storage.size(), 2u);   // primary + replica write
     EXPECT_EQ(res.traces.network.size(), 2u);   // rx payload + forward
+}
+
+TEST(Replayer, ReplForwardSharesTheByteBudgets) {
+    // A replicated write's features already sum the replica's share: the
+    // forward hop and the replica write spend part of the request's
+    // network and storage bytes, not a second copy of them.
+    auto r = basic_read(0.0);
+    r.type = IoType::kWrite;
+    r.storage_type = IoType::kWrite;
+    r.network_bytes = 2 << 20;
+    r.storage_bytes = 2 << 20;
+    r.phases = {"net.rx", "disk.io", "repl.forward", "net.tx"};
+    ReplayConfig cfg;
+    cfg.n_servers = 2;
+    const auto res = Replayer(cfg).replay(workload_of({r}));
+    const auto fs = kooza::trace::extract_features(res.traces);
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].network_bytes, 2u << 20);
+    EXPECT_EQ(fs[0].storage_bytes, 2u << 20);
 }
 
 TEST(Replayer, MasterLookupPhaseSupported) {
@@ -231,6 +252,112 @@ TEST(Replayer, DeterministicAcrossRuns) {
     ASSERT_EQ(a.latencies.size(), b.latencies.size());
     for (std::size_t i = 0; i < a.latencies.size(); ++i)
         EXPECT_DOUBLE_EQ(a.latencies[i], b.latencies[i]);
+}
+
+/// FNV-1a over the bytes of each value added.
+class Fnv {
+public:
+    template <typename T>
+    void add(const T& v) {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        for (unsigned char b : bytes) {
+            h_ ^= b;
+            h_ *= 1099511628211ull;
+        }
+    }
+    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+private:
+    std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// Everything a replay writes: latencies in completion order, every
+/// record of every stream in stored order, and the run totals.
+std::uint64_t digest(const ReplayResult& res) {
+    Fnv d;
+    for (double l : res.latencies) d.add(l);
+    const auto& t = res.traces;
+    for (const auto& x : t.requests) {
+        d.add(x.request_id); d.add(x.type); d.add(x.arrival);
+        d.add(x.completion); d.add(x.bytes);
+    }
+    for (const auto& x : t.storage) {
+        d.add(x.time); d.add(x.request_id); d.add(x.lbn);
+        d.add(x.size_bytes); d.add(x.type); d.add(x.latency);
+    }
+    for (const auto& x : t.cpu) {
+        d.add(x.time); d.add(x.request_id); d.add(x.busy_seconds);
+        d.add(x.utilization);
+    }
+    for (const auto& x : t.memory) {
+        d.add(x.time); d.add(x.request_id); d.add(x.bank);
+        d.add(x.size_bytes); d.add(x.type);
+    }
+    for (const auto& x : t.network) {
+        d.add(x.time); d.add(x.request_id); d.add(x.size_bytes);
+        d.add(x.direction); d.add(x.latency);
+    }
+    d.add(t.spans.size()); d.add(t.failures.size());
+    d.add(res.network_drops); d.add(res.network_timeouts);
+    d.add(res.unknown_phases); d.add(res.duration);
+    d.add(res.mean_cpu_utilization); d.add(res.mean_disk_utilization);
+    return d.value();
+}
+
+/// Reads and writes on two servers, overlapping so the devices queue:
+/// every executable phase but repl.forward, master.lookup on both
+/// servers, one unknown phase name and one empty phase list.
+SyntheticWorkload pinned_workload() {
+    std::vector<SyntheticRequest> rs;
+    auto add = [&](double t, IoType type, std::uint32_t server,
+                   std::vector<std::string> phases) {
+        auto r = basic_read(t);
+        r.type = r.storage_type = r.memory_type = type;
+        if (type == IoType::kWrite) {
+            r.network_bytes = r.storage_bytes = 1 << 20;
+            r.memory_bytes = 64 << 10;
+            r.cpu_busy_seconds = 0.001;
+        }
+        r.lbn = 4096 * (rs.size() * 37 % 11);
+        r.bank = std::uint32_t(rs.size() % 5);
+        r.server = server;
+        r.phases = std::move(phases);
+        rs.push_back(r);
+    };
+    const std::vector<std::string> read = {"net.rx",  "cpu.verify",    "mem.buffer",
+                                           "disk.io", "cpu.aggregate", "net.tx"};
+    auto with_lookup = [](std::vector<std::string> p) {
+        p.insert(p.begin(), "master.lookup");
+        return p;
+    };
+    add(0.0, IoType::kRead, 0, with_lookup(read));
+    add(0.0005, IoType::kWrite, 1, with_lookup(read));
+    add(0.001, IoType::kRead, 1,
+        {"net.rx", "warp.drive", "cpu.verify", "disk.io", "net.tx"});
+    add(0.001, IoType::kWrite, 0, {});
+    add(0.002, IoType::kWrite, 0,
+        {"net.rx", "net.rx", "cpu.verify", "mem.buffer", "disk.io", "disk.io",
+         "cpu.aggregate", "net.tx"});
+    add(0.0025, IoType::kRead, 1, with_lookup(read));
+    for (int k = 0; k < 8; ++k)
+        add(0.003 + 0.0002 * k, k % 3 == 0 ? IoType::kWrite : IoType::kRead,
+            std::uint32_t(k % 2), read);
+    return workload_of(std::move(rs));
+}
+
+TEST(Replayer, ReplayDigestPinned) {
+    // Pins every byte a replay writes against a recorded constant, so a
+    // rewrite of the replayer must reproduce its predecessor exactly.
+    const auto w = pinned_workload();
+    ReplayConfig cfg;
+    cfg.n_servers = 2;
+    const Replayer rep(cfg);
+    using enum ReplayMode;
+    EXPECT_EQ(digest(rep.replay(w, kStructured)), 0xf96b853adb221d49ull);
+    EXPECT_EQ(digest(rep.replay(w, kIndependent)), 0xcc30eef856abe096ull);
+    EXPECT_EQ(digest(rep.replay_sharded(w, kStructured)), 0x0cd72834c12e231full);
+    EXPECT_EQ(digest(rep.replay_sharded(w, kIndependent)), 0xba55fb2d90d6d3a9ull);
 }
 
 }  // namespace

@@ -168,32 +168,6 @@ TEST(Memory, EmitsRecordsAndValidates) {
     EXPECT_EQ(mem.bank_of(4096), 1u);
 }
 
-TEST(Link, LatencyIsSerializationPlusPropagation) {
-    Engine eng;
-    LinkParams p{.bandwidth = 1e6, .propagation = 0.01};
-    Link link(eng, p, NetworkRecord::Direction::kRx, nullptr);
-    double latency = 0.0;
-    link.transfer(1, 500000, [&](double l) { latency = l; });
-    eng.run();
-    EXPECT_NEAR(latency, 0.5 + 0.01, 1e-9);
-}
-
-TEST(Link, TransfersSerialize) {
-    Engine eng;
-    TraceSet sink;
-    MemorySink msink(sink);
-    LinkParams p{.bandwidth = 1e6, .propagation = 0.0};
-    Link link(eng, p, NetworkRecord::Direction::kTx, &msink);
-    std::vector<double> done;
-    link.transfer(1, 1000000, [&](double) { done.push_back(eng.now()); });
-    link.transfer(2, 1000000, [&](double) { done.push_back(eng.now()); });
-    eng.run();
-    EXPECT_NEAR(done[0], 1.0, 1e-9);
-    EXPECT_NEAR(done[1], 2.0, 1e-9);
-    EXPECT_EQ(sink.network.size(), 2u);
-    EXPECT_EQ(sink.network[0].direction, NetworkRecord::Direction::kTx);
-}
-
 TEST(SwitchPort, DeliversWholePayload) {
     Engine eng;
     TraceSet sink;

@@ -3,10 +3,12 @@
 // training, and the incast composition.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "baselines/inbreadth.hpp"
 #include "baselines/indepth.hpp"
+#include "core/capture.hpp"
 #include "core/generator.hpp"
 #include "core/replayer.hpp"
 #include "core/trainer.hpp"
@@ -34,17 +36,6 @@ trace::TraceSet run_cluster(const workloads::Workload& w,
     return cluster.traces();
 }
 
-core::ReplayConfig replay_cfg_for(const gfs::GfsConfig& cfg,
-                                  double verify_fraction) {
-    core::ReplayConfig r;
-    r.disk = cfg.disk;
-    r.cpu = cfg.cpu;
-    r.memory = cfg.memory;
-    r.net = cfg.net;
-    r.cpu_verify_fraction = verify_fraction;
-    return r;
-}
-
 TEST(Integration, Table2ScenarioFeaturesNearExact) {
     // The paper's validation: one 64 KB read and one 4 MB write, unloaded.
     // Train on repeated instances, generate, replay, compare per type.
@@ -61,7 +52,9 @@ TEST(Integration, Table2ScenarioFeaturesNearExact) {
     const auto model = core::Trainer({.workload_name = "table2"}).train(ts);
     Rng rng(1);
     const auto synth = core::Generator(model).generate(100, rng);
-    core::Replayer replayer(replay_cfg_for(cfg, model.cpu_verify_fraction()));
+    core::ReplayConfig rc(cfg);
+    rc.cpu_verify_fraction = model.cpu_verify_fraction();
+    core::Replayer replayer(rc);
     const auto replayed = replayer.replay(synth);
 
     // Table 2 compares per user-request type (one block for the 64 KB
@@ -98,7 +91,9 @@ TEST(Integration, KoozaBeatsInBreadthOnLatency) {
     const auto kooza_model = core::Trainer().train(ts);
     Rng g1(3);
     const auto kooza_w = core::Generator(kooza_model).generate(400, g1);
-    core::Replayer replayer(replay_cfg_for(cfg, kooza_model.cpu_verify_fraction()));
+    core::ReplayConfig rc(cfg);
+    rc.cpu_verify_fraction = kooza_model.cpu_verify_fraction();
+    core::Replayer replayer(rc);
     const double kooza_lat =
         stats::mean(replayer.replay(kooza_w, core::ReplayMode::kStructured).latencies);
 
@@ -199,11 +194,39 @@ TEST(Integration, MultiServerIncastReproduced) {
         r.server = std::uint32_t(i);
         w.requests.push_back(r);
     }
-    core::ReplayConfig rcfg = replay_cfg_for(cfg, 0.4);
+    core::ReplayConfig rcfg(cfg);
     rcfg.n_servers = 32;
     core::Replayer rep(rcfg);
     const auto res = rep.replay(w);
     EXPECT_GT(res.network_drops, 0u);
+}
+
+TEST(Integration, ReplicatedWritesKeepTheirByteBudgets) {
+    // A replication-2 capture's write features already include the
+    // replica's share of network and storage bytes; replaying its
+    // repl.forward phase must spend that share, not add a second copy.
+    core::CaptureOptions opts;
+    opts.profile = "micro";
+    opts.count = 2000;
+    opts.seed = 7;
+    opts.n_servers = 2;
+    opts.replication = 2;
+    const auto ts = core::run_capture(opts).traces;
+    const auto model = core::Trainer().train(ts);
+    Rng rng(7);
+    const auto synth = core::Generator(model).generate(ts.requests.size(), rng);
+    core::ReplayConfig rc;
+    rc.cpu_verify_fraction = model.cpu_verify_fraction();
+    const auto replayed = core::Replayer(rc).replay(synth);
+    const auto report = core::compare_features(
+        trace::extract_features(ts), trace::extract_features(replayed.traces), "r2");
+    std::size_t checked = 0;
+    for (const auto& row : report.rows) {
+        if (row.subsystem != "Network" && row.subsystem != "Storage") continue;
+        EXPECT_LT(std::abs(row.variation_pct), 1.0) << row.to_string();
+        ++checked;
+    }
+    EXPECT_EQ(checked, 2u);
 }
 
 TEST(Integration, ModelPortableAcrossServerConfigs) {
@@ -219,7 +242,8 @@ TEST(Integration, ModelPortableAcrossServerConfigs) {
     const auto synth = core::Generator(model).generate(300, g);
 
     auto latency_with_disk = [&](double transfer_rate) {
-        auto rc = replay_cfg_for(cfg, model.cpu_verify_fraction());
+        core::ReplayConfig rc(cfg);
+        rc.cpu_verify_fraction = model.cpu_verify_fraction();
         rc.disk.transfer_rate = transfer_rate;
         core::Replayer rep(rc);
         return stats::mean(rep.replay(synth).latencies);

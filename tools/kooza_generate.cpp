@@ -1,12 +1,13 @@
 // kooza_generate — load a saved KOOZA model (from kooza_model --save),
-// generate a synthetic workload, replay it on the device models and write
-// the resulting traces (--out, in --format csv|bin). This is the
-// deployment half of the paper's methodology: the model file stands in
-// for the application.
+// generate a synthetic workload, replay it on one server built from the
+// default cluster hardware (gfs::GfsConfig{}, the hardware kooza_capture
+// simulates) and write the resulting traces (--out, in --format csv|bin).
+// This is the deployment half of the paper's methodology: the model file
+// stands in for the application.
 //
 // Usage:
-//   kooza_generate <model-file> [--count N] [--seed S] [--servers N]
-//                  [--out DIR] [--format csv|bin]
+//   kooza_generate <model-file> [--count N] [--seed S] [--out DIR]
+//                  [--format csv|bin]
 
 #include <iostream>
 
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
         cli::Args args(argc, argv);
         if (args.positional().size() != 1) {
             std::cerr << "usage: kooza_generate <model-file> [--count N] [--seed S] "
-                         "[--servers N] [--out DIR] [--format csv|bin]\n";
+                         "[--out DIR] [--format csv|bin]\n";
             return 2;
         }
         const auto fmt = trace::format_from_string(args.get("format", "csv"));
@@ -41,14 +42,12 @@ int main(int argc, char** argv) {
         const auto workload = core::Generator(model).generate(count, rng);
 
         core::ReplayConfig rc;
-        rc.n_servers = std::size_t(args.get_u64("servers", 1));
         rc.cpu_verify_fraction = model.cpu_verify_fraction();
         core::Replayer replayer(rc);
         const auto res = replayer.replay(workload);
 
         const auto features = trace::extract_features(res.traces);
-        std::cout << "generated " << workload.requests.size()
-                  << " requests, replayed on " << rc.n_servers << " server(s)\n"
+        std::cout << "generated " << workload.requests.size() << " requests\n"
                   << "mean latency "
                   << stats::mean(trace::column_latency(features)) * 1e3 << " ms, p99 "
                   << stats::quantile(trace::column_latency(features), 0.99) * 1e3
