@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "gfs/chunkserver.hpp"
@@ -79,6 +80,13 @@ struct Trainer::TrainInputs {
         for (const auto& r : chunk.storage) max_lbn = std::max(max_lbn, r.lbn);
         for (const auto& r : chunk.memory) max_bank = std::max(max_bank, r.bank);
         for (const auto& s : chunk.spans) {
+            // Checked here: the structure fit's std::invalid_argument is
+            // replaced by the canonical structure, which would hide it.
+            if (!std::isfinite(s.start) || !std::isfinite(s.end))
+                throw std::invalid_argument(
+                    "Trainer::train: span " + std::to_string(s.span_id) + " of trace " +
+                    std::to_string(s.trace_id) + " has a non-finite time (start " +
+                    std::to_string(s.start) + ", end " + std::to_string(s.end) + ")");
             if (s.name == gfs::phase::kCpuVerify) verify_sum += s.duration();
             if (s.name == gfs::phase::kCpuVerify || s.name == gfs::phase::kCpuAggregate)
                 verify_total += s.duration();
@@ -105,6 +113,7 @@ ServerModel Trainer::train_streaming(const std::filesystem::path& dir,
 std::unique_ptr<queueing::ArrivalProcess> fit_arrivals(
     const std::vector<trace::RequestFeatures>& features, double ks_threshold) {
     std::vector<double> arrivals = trace::column_arrival(features);
+    stats::require_finite(arrivals, "fit_arrivals");
     std::sort(arrivals.begin(), arrivals.end());
     if (arrivals.size() < 3) return std::make_unique<queueing::PoissonArrivals>(1.0);
     std::vector<double> gaps(arrivals.size() - 1);

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "stats/hypothesis.hpp"
 
 namespace kooza::markov {
 
@@ -24,11 +25,17 @@ EchmmMetrics& echmm_metrics() {
     static EchmmMetrics m;
     return m;
 }
+
+/// Gaussian log-density, with log(sigma) hoisted out by the caller.
+double log_density(double x, double mu, double sigma, double log_sigma) {
+    const double d = (x - mu) / sigma;
+    return -0.5 * (kLog2Pi + d * d) - log_sigma;
+}
 }  // namespace
 
-double Echmm::log_emission(std::size_t state, double x) const {
-    const double d = (x - mu_[state]) / sigma_[state];
-    return -0.5 * (kLog2Pi + d * d) - std::log(sigma_[state]);
+void Echmm::log_sigmas(std::vector<double>& out) const {
+    out.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) out[i] = std::log(sigma_[i]);
 }
 
 Echmm::Fitter::Fitter(std::size_t n_states, double tol)
@@ -41,6 +48,7 @@ void Echmm::Fitter::initialize(std::span<const double> pooled, std::uint64_t see
     const std::size_t n_states = m_.n_;
     if (pooled.size() < 2 * n_states)
         throw std::invalid_argument("Echmm::fit: too little data for state count");
+    stats::require_finite(pooled, "Echmm::fit");
     std::vector<double> sorted(pooled.begin(), pooled.end());
     std::sort(sorted.begin(), sorted.end());
 
@@ -114,45 +122,60 @@ void Echmm::Fitter::accumulate(std::span<const double> seq) {
     const std::size_t T = seq.size();
     if (T == 0) return;
     const std::size_t n = m_.n_;
+    const auto& a = m_.a_;
+    // One emission density per (t, state); every pass below reads it.
+    m_.log_sigmas(log_sigma_);
+    emit_.resize(T * n);
+    for (std::size_t t = 0; t < T; ++t)
+        for (std::size_t j = 0; j < n; ++j)
+            emit_[t * n + j] = std::exp(
+                log_density(seq[t], m_.mu_[j], m_.sigma_[j], log_sigma_[j]));
+    alpha_.resize(T * n);
+    beta_.resize(T * n);
+    scale_.assign(T, 0.0);
+    const double* emit = emit_.data();
+    double* alpha = alpha_.data();
+    double* beta = beta_.data();
+    double* scale = scale_.data();
     // Scaled forward.
-    std::vector<std::vector<double>> alpha(T, std::vector<double>(n));
-    std::vector<std::vector<double>> beta(T, std::vector<double>(n));
-    std::vector<double> scale(T, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        alpha[0][i] = m_.pi_[i] * std::exp(m_.log_emission(i, seq[0]));
-    for (std::size_t i = 0; i < n; ++i) scale[0] += alpha[0][i];
+    for (std::size_t i = 0; i < n; ++i) alpha[i] = m_.pi_[i] * emit[i];
+    for (std::size_t i = 0; i < n; ++i) scale[0] += alpha[i];
     scale[0] = std::max(scale[0], 1e-300);
-    for (std::size_t i = 0; i < n; ++i) alpha[0][i] /= scale[0];
+    for (std::size_t i = 0; i < n; ++i) alpha[i] /= scale[0];
     for (std::size_t t = 1; t < T; ++t) {
+        const double* prev = alpha + (t - 1) * n;
+        double* cur = alpha + t * n;
         for (std::size_t j = 0; j < n; ++j) {
             double s = 0.0;
-            for (std::size_t i = 0; i < n; ++i) s += alpha[t - 1][i] * m_.a_[i][j];
-            alpha[t][j] = s * std::exp(m_.log_emission(j, seq[t]));
+            for (std::size_t i = 0; i < n; ++i) s += prev[i] * a[i][j];
+            cur[j] = s * emit[t * n + j];
         }
-        for (std::size_t j = 0; j < n; ++j) scale[t] += alpha[t][j];
+        for (std::size_t j = 0; j < n; ++j) scale[t] += cur[j];
         scale[t] = std::max(scale[t], 1e-300);
-        for (std::size_t j = 0; j < n; ++j) alpha[t][j] /= scale[t];
+        for (std::size_t j = 0; j < n; ++j) cur[j] /= scale[t];
     }
     for (std::size_t t = 0; t < T; ++t) total_ll_ += std::log(scale[t]);
     // Scaled backward.
-    for (std::size_t i = 0; i < n; ++i) beta[T - 1][i] = 1.0;
+    for (std::size_t i = 0; i < n; ++i) beta[(T - 1) * n + i] = 1.0;
     for (std::size_t t = T - 1; t-- > 0;) {
+        const double* e1 = emit + (t + 1) * n;
+        const double* b1 = beta + (t + 1) * n;
         for (std::size_t i = 0; i < n; ++i) {
             double s = 0.0;
-            for (std::size_t j = 0; j < n; ++j)
-                s += m_.a_[i][j] * std::exp(m_.log_emission(j, seq[t + 1])) *
-                     beta[t + 1][j];
-            beta[t][i] = s / scale[t + 1];
+            for (std::size_t j = 0; j < n; ++j) s += a[i][j] * e1[j] * b1[j];
+            beta[t * n + i] = s / scale[t + 1];
         }
     }
     // Gamma accumulation: first/second moments per state, so the M-step
     // can form the variance against the updated mean.
     for (std::size_t t = 0; t < T; ++t) {
+        const double* at = alpha + t * n;
+        const double* bt = beta + t * n;
         double norm = 0.0;
-        for (std::size_t i = 0; i < n; ++i) norm += alpha[t][i] * beta[t][i];
+        for (std::size_t i = 0; i < n; ++i) norm += at[i] * bt[i];
         norm = std::max(norm, 1e-300);
         for (std::size_t i = 0; i < n; ++i) {
-            const double g = alpha[t][i] * beta[t][i] / norm;
+            const double g = at[i] * bt[i] / norm;
             gamma_all_[i] += g;
             x_acc_[i] += g * seq[t];
             x2_acc_[i] += g * seq[t] * seq[t];
@@ -160,18 +183,20 @@ void Echmm::Fitter::accumulate(std::span<const double> seq) {
         }
     }
     // Xi accumulation.
-    std::vector<std::vector<double>> xi(n, std::vector<double>(n));
+    xi_.resize(n * n);
     for (std::size_t t = 0; t + 1 < T; ++t) {
+        const double* at = alpha + t * n;
+        const double* e1 = emit + (t + 1) * n;
+        const double* b1 = beta + (t + 1) * n;
         double norm = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) {
-                xi[i][j] = alpha[t][i] * m_.a_[i][j] *
-                           std::exp(m_.log_emission(j, seq[t + 1])) * beta[t + 1][j];
-                norm += xi[i][j];
+                xi_[i * n + j] = at[i] * a[i][j] * e1[j] * b1[j];
+                norm += xi_[i * n + j];
             }
         norm = std::max(norm, 1e-300);
         for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j) a_acc_[i][j] += xi[i][j] / norm;
+            for (std::size_t j = 0; j < n; ++j) a_acc_[i][j] += xi_[i * n + j] / norm;
     }
 }
 
@@ -251,10 +276,14 @@ double Echmm::emission_stddev(std::size_t i) const {
 
 double Echmm::log_likelihood(std::span<const double> xs) const {
     if (xs.empty()) return 0.0;
+    std::vector<double> log_sigma;
+    log_sigmas(log_sigma);
+    const auto emission = [&](std::size_t j, double x) {
+        return std::exp(log_density(x, mu_[j], sigma_[j], log_sigma[j]));
+    };
     std::vector<double> alpha(n_);
     double ll = 0.0;
-    for (std::size_t i = 0; i < n_; ++i)
-        alpha[i] = pi_[i] * std::exp(log_emission(i, xs[0]));
+    for (std::size_t i = 0; i < n_; ++i) alpha[i] = pi_[i] * emission(i, xs[0]);
     double scale = 0.0;
     for (double a : alpha) scale += a;
     scale = std::max(scale, 1e-300);
@@ -265,7 +294,7 @@ double Echmm::log_likelihood(std::span<const double> xs) const {
         for (std::size_t j = 0; j < n_; ++j) {
             double s = 0.0;
             for (std::size_t i = 0; i < n_; ++i) s += alpha[i] * a_[i][j];
-            next[j] = s * std::exp(log_emission(j, xs[t]));
+            next[j] = s * emission(j, xs[t]);
         }
         scale = 0.0;
         for (double a : next) scale += a;
@@ -279,6 +308,11 @@ double Echmm::log_likelihood(std::span<const double> xs) const {
 std::vector<std::size_t> Echmm::viterbi(std::span<const double> xs) const {
     if (xs.empty()) return {};
     const std::size_t T = xs.size();
+    std::vector<double> log_sigma;
+    log_sigmas(log_sigma);
+    const auto log_emission = [&](std::size_t j, double x) {
+        return log_density(x, mu_[j], sigma_[j], log_sigma[j]);
+    };
     std::vector<std::vector<double>> delta(T, std::vector<double>(n_));
     std::vector<std::vector<std::size_t>> psi(T, std::vector<std::size_t>(n_, 0));
     for (std::size_t i = 0; i < n_; ++i)

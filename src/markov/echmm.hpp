@@ -74,7 +74,8 @@ public:
 private:
     explicit Echmm(std::size_t n) : n_(n) {}
 
-    [[nodiscard]] double log_emission(std::size_t state, double x) const;
+    /// out[i] = log(sigma_i), hoisted out of every density evaluation.
+    void log_sigmas(std::vector<double>& out) const;
 
     std::size_t n_;
     std::vector<double> pi_;                  ///< initial distribution
@@ -97,6 +98,15 @@ private:
 /// M-step variance uses the E[x^2] - mu_new^2 form, so sigma is computed
 /// against the *updated* mean (a single stale-mean pass overestimates it
 /// by (mu_new - mu_old)^2 every iteration).
+///
+/// Each accumulate() call evaluates every emission density once, into one
+/// T x n table that the forward, backward, gamma and xi passes all read
+/// (log sigma is taken once per state, not per density). The table and
+/// the forward, backward, scale and xi buffers are flat vectors the Fitter
+/// keeps, so repeated calls allocate only when a longer sequence arrives.
+/// Reading a density from the table changes no expression and no
+/// summation order, so the fit is bit-identical to evaluating each density
+/// where it is used.
 class Echmm::Fitter {
 public:
     explicit Fitter(std::size_t n_states, double tol = 1e-4);
@@ -134,6 +144,13 @@ private:
     std::vector<double> gamma_all_;  ///< sum of gamma over all t
     std::vector<double> x_acc_;      ///< sum of gamma * x
     std::vector<double> x2_acc_;     ///< sum of gamma * x^2
+    // accumulate() work buffers, reused across calls (row-major, T x n).
+    std::vector<double> log_sigma_;  ///< log(sigma_i) of the current model
+    std::vector<double> emit_;       ///< emission density of state j at t
+    std::vector<double> alpha_;      ///< scaled forward
+    std::vector<double> beta_;       ///< scaled backward
+    std::vector<double> scale_;      ///< per-step forward scale
+    std::vector<double> xi_;         ///< n x n, one step's transition posteriors
 };
 
 }  // namespace kooza::markov

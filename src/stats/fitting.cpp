@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "stats/descriptive.hpp"
@@ -11,10 +12,6 @@
 namespace kooza::stats {
 
 namespace {
-
-void require_nonempty(std::span<const double> xs, const char* who) {
-    if (xs.empty()) throw std::invalid_argument(std::string(who) + ": empty sample");
-}
 
 bool all_positive(std::span<const double> xs) {
     return std::all_of(xs.begin(), xs.end(), [](double x) { return x > 0.0; });
@@ -126,54 +123,98 @@ std::unique_ptr<Uniform> fit_uniform(std::span<const double> xs) {
     return std::make_unique<Uniform>(*mn - margin, *mx + margin);
 }
 
-std::vector<Fit> fit_all(std::span<const double> xs, std::span<const Family> families) {
-    require_nonempty(xs, "fit_all");
-    if (is_constant(xs)) {
-        std::vector<Fit> out;
-        out.push_back(Fit{std::make_unique<Deterministic>(xs.front()), 0.0});
-        return out;
-    }
-    std::vector<Fit> fits;
-    for (Family f : families) {
-        std::unique_ptr<Distribution> d;
-        try {
-            switch (f) {
-                case Family::kDeterministic: continue;  // only for constant data
-                case Family::kUniform: d = fit_uniform(xs); break;
-                case Family::kExponential: d = fit_exponential(xs); break;
-                case Family::kNormal: d = fit_normal(xs); break;
-                case Family::kLogNormal: d = fit_lognormal(xs); break;
-                case Family::kPareto: d = fit_pareto(xs); break;
-                case Family::kWeibull: d = fit_weibull(xs); break;
-                case Family::kGamma: d = fit_gamma(xs); break;
-            }
-        } catch (const std::invalid_argument&) {
-            continue;  // family's preconditions not met by this sample
+namespace {
+
+constexpr Family kDefault[] = {Family::kExponential, Family::kNormal,
+                               Family::kLogNormal,   Family::kPareto,
+                               Family::kWeibull,     Family::kGamma,
+                               Family::kUniform};
+
+/// Family `f` fitted to `xs`, or null when the sample violates the
+/// family's preconditions (Deterministic is only for constant data).
+std::unique_ptr<Distribution> fit_family(Family f, std::span<const double> xs) {
+    try {
+        switch (f) {
+            case Family::kDeterministic: return nullptr;
+            case Family::kUniform: return fit_uniform(xs);
+            case Family::kExponential: return fit_exponential(xs);
+            case Family::kNormal: return fit_normal(xs);
+            case Family::kLogNormal: return fit_lognormal(xs);
+            case Family::kPareto: return fit_pareto(xs);
+            case Family::kWeibull: return fit_weibull(xs);
+            case Family::kGamma: return fit_gamma(xs);
         }
-        const double ks = ks_statistic(xs, *d);
-        fits.push_back(Fit{std::move(d), ks});
+    } catch (const std::invalid_argument&) {
     }
-    std::sort(fits.begin(), fits.end(),
-              [](const Fit& a, const Fit& b) { return a.ks < b.ks; });
+    return nullptr;
+}
+
+/// The one sorted copy every family's KS scan reads. The estimators keep
+/// reading `xs` in its original order: their sums depend on it.
+std::vector<double> sorted_copy(std::span<const double> xs, const char* who) {
+    require_nonempty(xs, who);
+    require_finite(xs, who);
+    std::vector<double> s(xs.begin(), xs.end());
+    std::sort(s.begin(), s.end());
+    return s;
+}
+
+/// The fit of a constant sample (sorted.front() == sorted.back()).
+Fit deterministic(std::span<const double> xs) {
+    return Fit{std::make_unique<Deterministic>(xs.front()), 0.0};
+}
+
+/// The earliest default family with the least KS distance, among those
+/// whose distance is below `cutoff`; an invalid Fit when there is none.
+/// Each family's scan stops as soon as it cannot beat the best so far.
+Fit select_best(std::span<const double> xs, const char* who, double cutoff) {
+    const auto sorted = sorted_copy(xs, who);
+    if (sorted.front() == sorted.back()) return deterministic(xs);
+    Fit best;
+    for (Family f : kDefault) {
+        auto d = fit_family(f, xs);
+        if (!d) continue;
+        const double ks = ks_statistic_sorted(sorted, *d, cutoff);
+        if (ks < cutoff) {
+            best = Fit{std::move(d), ks};
+            cutoff = ks;  // a tie cannot displace the earlier family
+        }
+    }
+    return best;
+}
+
+}  // namespace
+
+std::vector<Fit> fit_all(std::span<const double> xs, std::span<const Family> families) {
+    const auto sorted = sorted_copy(xs, "fit_all");
+    std::vector<Fit> fits;
+    if (sorted.front() == sorted.back()) {
+        fits.push_back(deterministic(xs));
+        return fits;
+    }
+    for (Family f : families)
+        if (auto d = fit_family(f, xs)) {
+            const double ks = ks_statistic_sorted(sorted, *d);
+            fits.push_back(Fit{std::move(d), ks});
+        }
+    std::stable_sort(fits.begin(), fits.end(),
+                     [](const Fit& a, const Fit& b) { return a.ks < b.ks; });
     return fits;
 }
 
 Fit fit_best(std::span<const double> xs) {
-    static const Family kDefault[] = {Family::kExponential, Family::kNormal,
-                                      Family::kLogNormal,   Family::kPareto,
-                                      Family::kWeibull,     Family::kGamma,
-                                      Family::kUniform};
-    auto fits = fit_all(xs, kDefault);
-    if (fits.empty()) throw std::runtime_error("fit_best: no family fit the sample");
-    return std::move(fits.front());
+    auto best = select_best(xs, "fit_best", std::numeric_limits<double>::infinity());
+    if (!best.valid()) throw std::runtime_error("fit_best: no family fit the sample");
+    return best;
 }
 
 std::unique_ptr<Distribution> fit_or_empirical(std::span<const double> xs,
                                                double ks_threshold) {
-    require_nonempty(xs, "fit_or_empirical");
-    if (is_constant(xs)) return std::make_unique<Deterministic>(xs.front());
-    auto best = fit_best(xs);
-    if (best.valid() && best.ks <= ks_threshold) return std::move(best.dist);
+    // Below the next double up is at or under the threshold.
+    auto best = select_best(xs, "fit_or_empirical",
+                            std::nextafter(ks_threshold,
+                                           std::numeric_limits<double>::infinity()));
+    if (best.valid()) return std::move(best.dist);
     return std::make_unique<Empirical>(xs);
 }
 

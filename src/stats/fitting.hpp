@@ -1,6 +1,12 @@
 // Parameter estimation for the distribution families in distributions.hpp,
 // plus model selection by Kolmogorov-Smirnov distance ("distribution
 // fitting through the KS test", Feitelson '02 as surveyed in the paper).
+//
+// Selection sorts each sample once; every candidate family's KS distance
+// is then an exact branch-and-bound scan over that one sorted copy
+// (stats::ks_statistic_sorted). The estimators read the sample in its
+// original order, since their sums depend on it. A sample holding a NaN or
+// an infinity is rejected with std::invalid_argument before any sort.
 #pragma once
 
 #include <memory>
@@ -55,17 +61,25 @@ enum class Family {
 [[nodiscard]] std::unique_ptr<Uniform> fit_uniform(std::span<const double> xs);
 
 /// Fit each candidate family (skipping ones whose preconditions the data
-/// violates), score by KS distance, return them sorted best-first.
+/// violates), score each by its exact KS distance, and return them sorted
+/// best-first by a stable sort, so equal distances keep `families` order.
 /// A Deterministic fit is returned alone if the sample is constant.
+/// Throws std::invalid_argument on an empty sample or a non-finite value.
 [[nodiscard]] std::vector<Fit> fit_all(std::span<const double> xs,
                                        std::span<const Family> families);
 
-/// Convenience: best single fit across the default family set
-/// (exponential, normal, lognormal, pareto, weibull, gamma, uniform).
+/// Best single fit across the default family set, tried in this order:
+/// exponential, normal, lognormal, pareto, weibull, gamma, uniform. The
+/// result is fit_all(xs, that set).front(): a tie goes to the earlier
+/// family. A family's KS scan stops as soon as it cannot beat the best
+/// family so far, so only the winner's distance is always computed in
+/// full. Throws std::invalid_argument on an empty sample or a non-finite
+/// value.
 [[nodiscard]] Fit fit_best(std::span<const double> xs);
 
 /// Like fit_best but falls back to an Empirical distribution when the best
-/// parametric KS distance exceeds `ks_threshold`.
+/// parametric KS distance exceeds `ks_threshold`. A family's scan also
+/// stops once its distance cannot come in at or under the threshold.
 [[nodiscard]] std::unique_ptr<Distribution> fit_or_empirical(
     std::span<const double> xs, double ks_threshold = 0.08);
 

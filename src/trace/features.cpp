@@ -1,8 +1,11 @@
 #include "trace/features.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace kooza::trace {
 
@@ -77,6 +80,11 @@ std::vector<RequestFeatures> FeatureAccumulator::finish() const {
             f.first_lbn = a.first_lbn;
             f.first_bank = a.first_bank;
         }
+        // A NaN arrival has no place in the sort order below.
+        if (std::isnan(f.arrival))
+            throw std::invalid_argument("FeatureAccumulator: request " +
+                                        std::to_string(f.request_id) +
+                                        " has a non-finite arrival (nan)");
         out.push_back(f);
     }
     std::sort(out.begin(), out.end(), [](const RequestFeatures& a, const RequestFeatures& b) {

@@ -56,7 +56,8 @@ public:
 
     /// Completed-request rows, sorted by arrival — exactly what
     /// extract_features returns for the concatenation of everything
-    /// observed.
+    /// observed. Throws std::invalid_argument naming the request when an
+    /// arrival is NaN, which has no place in that order.
     [[nodiscard]] std::vector<RequestFeatures> finish() const;
 
 private:

@@ -6,6 +6,8 @@
 #include <filesystem>
 
 #include "baselines/hmm.hpp"
+#include "core/capture.hpp"
+#include "digest.hpp"
 #include "gfs/cluster.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/hypothesis.hpp"
@@ -168,6 +170,29 @@ TEST(HmmBaseline, SeededRestartsNeverWorse) {
               m1.size_hmm().training_log_likelihood());
     EXPECT_GE(m4.interarrival_hmm().training_log_likelihood(),
               m1.interarrival_hmm().training_log_likelihood());
+}
+
+TEST(HmmBaseline, TrainDigestPinned) {
+    // Pins both Baum-Welch fits of a default-config train against recorded
+    // constants: the bits of pi, the transitions, the means, the standard
+    // deviations and the training log-likelihood, plus the iterations.
+    kooza::core::CaptureOptions o;
+    o.profile = "oltp";
+    o.count = 3000;
+    o.seed = 7;
+    const auto model = HmmModel::train(kooza::core::run_capture(o).traces);
+    kooza::testutil::Fnv d;
+    for (const auto* m : {&model.interarrival_hmm(), &model.size_hmm()}) {
+        for (std::size_t i = 0; i < m->n_states(); ++i) {
+            d.add(m->initial()[i]);
+            for (std::size_t j = 0; j < m->n_states(); ++j) d.add(m->transition(i, j));
+            d.add(m->emission_mean(i));
+            d.add(m->emission_stddev(i));
+        }
+        d.add(m->training_log_likelihood());
+        d.add(std::uint64_t(m->iterations_run()));
+    }
+    EXPECT_EQ(d.value(), 0x5aaa4852d80c5c87ull) << std::hex << d.value();
 }
 
 TEST(HmmBaseline, Validation) {

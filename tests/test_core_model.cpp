@@ -1,9 +1,19 @@
 // Tests for the KOOZA trainer, ServerModel, generator and validator.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cmath>
+#include <filesystem>
+#include <limits>
+#include <sstream>
+
+#include "core/capture.hpp"
 #include "core/generator.hpp"
+#include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "core/validator.hpp"
+#include "digest.hpp"
 #include "gfs/cluster.hpp"
 #include "trace/features.hpp"
 #include "workloads/profiles.hpp"
@@ -100,6 +110,91 @@ TEST(Trainer, SingleTypeWorkload) {
     EXPECT_FALSE(model.has_writes());
     EXPECT_THROW((void)model.writes(), std::logic_error);
     EXPECT_DOUBLE_EQ(model.read_fraction(), 1.0);
+}
+
+/// FNV-1a over the bytes core::save_model writes.
+std::uint64_t saved_digest(const ServerModel& m) {
+    std::ostringstream os;
+    save_model(m, os);
+    kooza::testutil::Fnv d;
+    d.add_bytes(os.str());
+    return d.value();
+}
+
+/// Saved-model digests of train() and train_streaming() on one capture.
+std::pair<std::uint64_t, std::uint64_t> train_digests(CaptureOptions o,
+                                                      const std::string& tag) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("kooza_pin_" + tag + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    o.out_dir = dir.string();
+    o.format = kooza::trace::Format::kBinary;
+    const auto cap = run_capture(o);
+    const Trainer trainer({.workload_name = tag});
+    const std::pair digests{saved_digest(trainer.train(cap.traces)),
+                            saved_digest(trainer.train_streaming(dir))};
+    fs::remove_all(dir);
+    return digests;
+}
+
+TEST(Trainer, SavedModelDigestPinned) {
+    // Pins every byte a trained model saves against recorded constants:
+    // a faster fit must choose the same families with the same parameters.
+    CaptureOptions oltp;
+    oltp.profile = "oltp";
+    oltp.count = 3000;
+    oltp.seed = 7;
+    const auto [oltp_mat, oltp_streamed] = train_digests(oltp, "oltp");
+    EXPECT_EQ(oltp_mat, 0x9c5696c8bacea5cfull) << std::hex << oltp_mat;
+    EXPECT_EQ(oltp_streamed, 0x9c5696c8bacea5cfull) << std::hex << oltp_streamed;
+    CaptureOptions closed;
+    closed.closed_loop = true;
+    closed.count = 3000;
+    closed.seed = 7;
+    const auto [closed_mat, closed_streamed] = train_digests(closed, "closed");
+    EXPECT_EQ(closed_mat, 0x5b7481ba499d1500ull) << std::hex << closed_mat;
+    EXPECT_EQ(closed_streamed, 0x5b7481ba499d1500ull) << std::hex << closed_streamed;
+}
+
+/// Trains on `ts` and returns the error message.
+std::string train_error(const kooza::trace::TraceSet& ts) {
+    try {
+        (void)Trainer().train(ts);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "no throw";
+}
+
+TEST(Trainer, RejectsNonFiniteSpanEnd) {
+    auto ts = simulate_micro(200, 21);
+    ASSERT_GT(ts.spans.size(), 10u);
+    auto& span = ts.spans[10];
+    span.end = std::numeric_limits<double>::quiet_NaN();
+    const std::string err = train_error(ts);
+    EXPECT_NE(err.find("non-finite"), std::string::npos) << err;
+    EXPECT_NE(err.find("span " + std::to_string(span.span_id)), std::string::npos) << err;
+    EXPECT_NE(err.find("trace " + std::to_string(span.trace_id)), std::string::npos)
+        << err;
+}
+
+TEST(Trainer, RejectsNonFiniteCpuBusyTime) {
+    auto ts = simulate_micro(200, 22);
+    ASSERT_GT(ts.cpu.size(), 10u);
+    ts.cpu[10].busy_seconds = std::numeric_limits<double>::infinity();
+    const std::string err = train_error(ts);
+    EXPECT_NE(err.find("non-finite"), std::string::npos) << err;
+}
+
+TEST(Trainer, RejectsNonFiniteArrival) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        auto ts = simulate_micro(200, 23);
+        ts.requests[7].arrival = bad;
+        const std::string err = train_error(ts);
+        EXPECT_NE(err.find("non-finite"), std::string::npos) << err;
+    }
 }
 
 TEST(Model, ParameterCountPositiveAndDescribed) {

@@ -2,15 +2,15 @@
 // incast behaviour, and phase handling.
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "core/replayer.hpp"
+#include "digest.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/features.hpp"
 
 namespace {
 
 using namespace kooza::core;
+using kooza::testutil::Fnv;
 using kooza::trace::IoType;
 
 SyntheticRequest basic_read(double t) {
@@ -253,24 +253,6 @@ TEST(Replayer, DeterministicAcrossRuns) {
     for (std::size_t i = 0; i < a.latencies.size(); ++i)
         EXPECT_DOUBLE_EQ(a.latencies[i], b.latencies[i]);
 }
-
-/// FNV-1a over the bytes of each value added.
-class Fnv {
-public:
-    template <typename T>
-    void add(const T& v) {
-        unsigned char bytes[sizeof(T)];
-        std::memcpy(bytes, &v, sizeof(T));
-        for (unsigned char b : bytes) {
-            h_ ^= b;
-            h_ *= 1099511628211ull;
-        }
-    }
-    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
-private:
-    std::uint64_t h_ = 14695981039346656037ull;
-};
 
 /// Everything a replay writes: latencies in completion order, every
 /// record of every stream in stored order, and the run totals.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "digest.hpp"
 #include "markov/echmm.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
@@ -12,6 +13,7 @@ namespace {
 
 using kooza::markov::Echmm;
 using kooza::sim::Rng;
+using kooza::testutil::Fnv;
 
 /// Two-regime data: long runs near 10, long runs near 100.
 std::vector<double> two_regime_sequence(std::size_t n, std::uint64_t seed) {
@@ -291,6 +293,50 @@ TEST(Echmm, FitterGuardsProtocol) {
     const std::vector<double> tiny{1.0, 2.0};
     Echmm::Fitter starved(4);
     EXPECT_THROW(starved.initialize(tiny), std::invalid_argument);
+}
+
+/// FNV-1a over the bits of every fitted parameter, the training
+/// log-likelihood and the iteration count.
+std::uint64_t fit_digest(const Echmm& m) {
+    Fnv d;
+    for (std::size_t i = 0; i < m.n_states(); ++i) {
+        d.add(m.initial()[i]);
+        for (std::size_t j = 0; j < m.n_states(); ++j) d.add(m.transition(i, j));
+        d.add(m.emission_mean(i));
+        d.add(m.emission_stddev(i));
+    }
+    d.add(m.training_log_likelihood());
+    d.add(std::uint64_t(m.iterations_run()));
+    return d.value();
+}
+
+TEST(Echmm, FitDigestPinned) {
+    // Pins every bit Baum-Welch produces against recorded constants, so a
+    // rewrite of the E-step must keep its expressions and summation order.
+    const std::vector<std::vector<double>> seqs{two_regime_sequence(1200, 41),
+                                                two_regime_sequence(500, 42),
+                                                two_regime_sequence(90, 43)};
+    const auto m = Echmm::fit(seqs, 4, 60, 1e-4, 9, 2);
+    const std::uint64_t fit = fit_digest(m);
+    EXPECT_EQ(fit, 0x4bcebcc566d4c135ull) << std::hex << fit;
+    // Decoding and scoring read the same log-density.
+    Fnv d;
+    d.add(m.log_likelihood(seqs[1]));
+    for (std::size_t s : m.viterbi(seqs[2])) d.add(std::uint64_t(s));
+    EXPECT_EQ(d.value(), 0x7dcafef33f116d4eull) << std::hex << d.value();
+}
+
+TEST(Echmm, RejectsNonFiniteObservations) {
+    auto seq = two_regime_sequence(200, 44);
+    seq[57] = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::vector<double>> seqs{seq};
+    try {
+        (void)Echmm::fit(seqs, 2);
+        FAIL() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Echmm, InitialDistributionNormalized) {

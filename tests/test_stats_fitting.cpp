@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "sim/rng.hpp"
@@ -170,6 +171,74 @@ TEST(FitOrEmpirical, ConstantGivesDeterministic) {
     const std::vector<double> xs{4.0, 4.0};
     auto d = fit_or_empirical(xs);
     EXPECT_EQ(d->name(), "deterministic");
+}
+
+/// fit_best's family order.
+const Family kSeven[] = {Family::kExponential, Family::kNormal, Family::kLogNormal,
+                         Family::kPareto,      Family::kWeibull, Family::kGamma,
+                         Family::kUniform};
+
+TEST(FitBest, EqualsFrontOfFitAll) {
+    // fit_best stops a family's scan once it cannot win; it must still
+    // pick what scoring every family in full picks, with the same D.
+    Rng rng(12);
+    std::vector<std::vector<double>> samples{
+        draw(Exponential(1.0), 3000, 13), draw(Normal(50.0, 5.0), 2000, 14),
+        draw(LogNormal(1.0, 0.7), 2500, 15), draw(Pareto(1.0, 1.2), 4000, 16),
+        draw(Weibull(1.7, 3.0), 1500, 17),   draw(Gamma(4.0, 1.5), 3000, 18),
+        draw(Uniform(10.0, 20.0), 2000, 19), draw(Gamma(0.6, 2.0), 17, 20)};
+    std::vector<double> ties, bimodal;
+    for (int i = 0; i < 3000; ++i) {
+        ties.push_back(4096.0 * double(1 + rng.uniform_int(0, 31)));
+        bimodal.push_back(rng.bernoulli(0.4) ? rng.normal(2.0, 0.2)
+                                             : rng.normal(9.0, 1.0));
+    }
+    samples.push_back(std::move(ties));
+    samples.push_back(std::move(bimodal));
+    samples.push_back({1.0, 2.0});
+    samples.push_back({3.0, 1.0, 2.0});
+    for (const auto& xs : samples) {
+        const auto best = fit_best(xs);
+        const auto all = fit_all(xs, kSeven);
+        ASSERT_FALSE(all.empty());
+        EXPECT_EQ(best.dist->describe(), all.front().dist->describe());
+        EXPECT_EQ(best.ks, all.front().ks);
+    }
+}
+
+TEST(FitAll, TieKeepsEarlierFamily) {
+    // n-1 ones and one huge value: both the exponential and the Pareto fit
+    // put F(1) at exactly 0, so both distances are exactly (n-1)/n.
+    std::vector<double> xs(9, 1.0);
+    xs.push_back(1e150);
+    const Family exp_first[] = {Family::kExponential, Family::kPareto};
+    const Family pareto_first[] = {Family::kPareto, Family::kExponential};
+    const auto a = fit_all(xs, exp_first);
+    const auto b = fit_all(xs, pareto_first);
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), 2u);
+    EXPECT_EQ(a[0].ks, 0.9);
+    EXPECT_EQ(a[0].ks, a[1].ks);
+    EXPECT_EQ(a[0].dist->name(), "exponential");
+    EXPECT_EQ(b[0].dist->name(), "pareto");
+}
+
+TEST(FitSelection, RejectsNonFiniteValues) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> with_nan{1.0, 2.0, nan}, with_inf{1.0, inf};
+    for (const auto* xs : {&with_nan, &with_inf}) {
+        EXPECT_THROW((void)fit_all(*xs, kSeven), std::invalid_argument);
+        EXPECT_THROW((void)fit_best(*xs), std::invalid_argument);
+        EXPECT_THROW((void)fit_or_empirical(*xs), std::invalid_argument);
+    }
+    try {
+        (void)fit_or_empirical(with_inf);
+        FAIL() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(FamilyName, AllNamed) {
