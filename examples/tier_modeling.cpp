@@ -1,24 +1,17 @@
-// In-depth modeling family tour: the three queueing formalisms the
-// paper's survey covers, on the same 3-tier web service.
-//
-//  1. Plain queueing network (Liu '05): tandem multi-station queues.
-//  2. Layered queueing network (Franks '09): same tiers, but callers HOLD
-//     their threads during nested calls — thread pools saturate long
-//     before processors, which the plain network cannot see.
-//  3. SQS (Meisner '10): empirical characterization + statistically
-//     sampled fleet simulation, scaling the answer to 10,000 servers.
+// In-depth modeling at fleet scale: SQS (Meisner '10), the queueing
+// formalism of the paper's survey that ablation A7 (bench_ablation_sqs)
+// exercises. One server's request stream on a 3-tier web service is
+// characterized empirically, then a statistically sampled fleet
+// simulation scales the answer to 10,000 servers.
 //
 // Usage: tier_modeling [seed]
 
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
-#include "queueing/analytic.hpp"
-#include "queueing/lqn.hpp"
-#include "queueing/network.hpp"
 #include "queueing/sqs.hpp"
-#include "sim/engine.hpp"
-#include "stats/descriptive.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -26,45 +19,6 @@ using namespace kooza;
 using namespace kooza::queueing;
 
 constexpr double kArrivalRate = 60.0;
-constexpr std::size_t kRequests = 20000;
-
-void plain_network(std::uint64_t seed) {
-    sim::Engine eng;
-    std::size_t cls = 0;
-    ThreeTierConfig cfg;  // web 2x2ms, app 2x4ms, db 1x8ms
-    auto net = make_three_tier(eng, cfg, cls, seed);
-    PoissonArrivals arr(kArrivalRate);
-    net->drive(cls, arr, kRequests);
-    eng.run();
-    std::cout << "1) plain queueing network (Liu-style):\n"
-              << "   mean response " << stats::mean(net->response_times(cls)) * 1e3
-              << " ms;  utilization web/app/db = "
-              << net->station_report(0).utilization << " / "
-              << net->station_report(1).utilization << " / "
-              << net->station_report(2).utilization << "\n\n";
-}
-
-void layered_network(std::uint64_t seed) {
-    sim::Engine eng;
-    LqnModel lqn(eng, seed);
-    // Same service demands, but web threads block on app, app on db.
-    const auto web = lqn.add_task("web", 2, std::make_shared<stats::Exponential>(500.0));
-    const auto app = lqn.add_task("app", 2, std::make_shared<stats::Exponential>(250.0));
-    const auto db = lqn.add_task("db", 1, std::make_shared<stats::Exponential>(125.0));
-    lqn.add_call(web, app, 1.0);
-    lqn.add_call(app, db, 1.0);
-    PoissonArrivals arr(kArrivalRate);
-    sim::Rng rng(seed + 1);
-    lqn.drive(web, arr, kRequests, rng);
-    eng.run();
-    std::cout << "2) layered queueing network (nested possession):\n"
-              << "   mean response " << stats::mean(lqn.response_times()) * 1e3
-              << " ms;  POOL utilization web/app/db = " << lqn.pool_utilization(web)
-              << " / " << lqn.pool_utilization(app) << " / "
-              << lqn.pool_utilization(db) << "\n"
-              << "   (web's 2 threads are busy ~the whole request path — the\n"
-              << "    saturation the plain network hides)\n\n";
-}
 
 void sqs_fleet(std::uint64_t seed) {
     // Characterize one server's request stream, then answer at DC scale.
@@ -88,10 +42,8 @@ void sqs_fleet(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
     const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 19;
-    std::cout << "Three in-depth formalisms on one 3-tier web service (seed=" << seed
-              << ", " << kArrivalRate << " req/s)\n\n";
-    plain_network(seed);
-    layered_network(seed);
+    std::cout << "SQS on one 3-tier web service (seed=" << seed << ", " << kArrivalRate
+              << " req/s)\n\n";
     sqs_fleet(seed);
     return 0;
 }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "stats/descriptive.hpp"
-#include "stats/hypothesis.hpp"
 
 namespace kooza::core {
 
@@ -182,16 +181,6 @@ ValidationReport compare_single(const trace::RequestFeatures& original,
     rep.rows.push_back(
         row("Performance", "Latency", original.latency, synthetic.latency, "ms"));
     return rep;
-}
-
-double latency_ks(const std::vector<trace::RequestFeatures>& original,
-                  const std::vector<trace::RequestFeatures>& synthetic) {
-    // An empty side has no empirical CDF to compare against — report 0
-    // (no measurable distance) rather than throwing; callers reached
-    // here with fully-rejected phases under admission control.
-    if (original.empty() || synthetic.empty()) return 0.0;
-    return stats::ks_statistic_two_sample(trace::column_latency(original),
-                                          trace::column_latency(synthetic));
 }
 
 }  // namespace kooza::core

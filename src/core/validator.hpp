@@ -63,9 +63,4 @@ struct ValidationReport {
                                               const trace::RequestFeatures& synthetic,
                                               std::string label);
 
-/// Two-sample KS distance between the latency distributions (shape check
-/// beyond the mean). Returns 0 when either side is empty.
-[[nodiscard]] double latency_ks(const std::vector<trace::RequestFeatures>& original,
-                                const std::vector<trace::RequestFeatures>& synthetic);
-
 }  // namespace kooza::core

@@ -127,13 +127,6 @@ void Cluster::submit_all(const std::vector<RequestSpec>& specs) {
 
 void Cluster::run() { engine_->run(); }
 
-MachineProfiler& Cluster::attach_profiler(double interval, double horizon) {
-    if (profiler_) throw std::logic_error("Cluster: profiler already attached");
-    profiler_ = std::make_unique<MachineProfiler>(*engine_, servers_, interval,
-                                                  horizon);
-    return *profiler_;
-}
-
 std::uint64_t Cluster::failed_requests() const {
     std::uint64_t n = 0;
     for (const auto& c : clients_) n += c->failed_requests();

@@ -13,7 +13,6 @@
 #include "gfs/client.hpp"
 #include "gfs/config.hpp"
 #include "gfs/faults.hpp"
-#include "gfs/profiler.hpp"
 #include "sim/engine.hpp"
 #include "trace/records.hpp"
 #include "trace/sink.hpp"
@@ -122,11 +121,6 @@ public:
     /// The injector, or nullptr when no faults were configured/injected.
     [[nodiscard]] FaultInjector* fault_injector() noexcept { return injector_.get(); }
 
-    /// Attach a GWP-style machine profiler sampling every `interval`
-    /// seconds until `horizon`. Call before run(); the cluster owns the
-    /// profiler. Only one may be attached.
-    MachineProfiler& attach_profiler(double interval, double horizon);
-
 private:
     GfsConfig cfg_;
     std::unique_ptr<sim::Engine> engine_;
@@ -144,7 +138,6 @@ private:
     std::vector<std::unique_ptr<AdmissionController>> admission_;
     std::vector<std::unique_ptr<Client>> clients_;
     std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<MachineProfiler> profiler_;
     std::vector<double> latencies_;
     std::uint64_t next_request_ = 0;
     std::uint64_t completed_ = 0;

@@ -104,7 +104,6 @@ public:
     [[nodiscard]] std::uint64_t chunk_size() const noexcept { return chunk_size_; }
     [[nodiscard]] std::size_t n_servers() const noexcept { return n_servers_; }
     [[nodiscard]] std::size_t replication() const noexcept { return replication_; }
-    [[nodiscard]] std::uint64_t total_chunks() const noexcept { return next_handle_; }
 
 private:
     /// Bytes of file payload stored in chunk `idx` of `name`.

@@ -47,7 +47,6 @@ void Cpu::execute(std::uint64_t request_id, double busy_seconds,
         engine_.schedule_after(busy_seconds, [this, request_id, busy_seconds, issued,
                                               on_done = std::move(on_done)] {
             cores_->release();
-            ++completed_;
             metrics().bursts.add();
             metrics().busy_ns.observe_seconds(busy_seconds);
             if (sink_ != nullptr) {

@@ -39,17 +39,12 @@ public:
 
     [[nodiscard]] const CpuParams& params() const noexcept { return params_; }
     [[nodiscard]] double utilization() const noexcept { return cores_->utilization(); }
-    /// Cumulative busy core-seconds (profiler uses deltas of this).
-    [[nodiscard]] double busy_time() const noexcept { return cores_->busy_time(); }
-    [[nodiscard]] std::uint32_t cores() const noexcept { return cores_->capacity(); }
-    [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
 
 private:
     sim::Engine& engine_;
     CpuParams params_;
     trace::Sink* sink_;
     std::unique_ptr<sim::Resource> cores_;
-    std::uint64_t completed_ = 0;
 };
 
 }  // namespace kooza::hw

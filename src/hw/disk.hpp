@@ -50,9 +50,6 @@ public:
     [[nodiscard]] const DiskParams& params() const noexcept { return params_; }
     [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
     [[nodiscard]] double utilization() const noexcept { return queue_->utilization(); }
-    /// Cumulative busy seconds (profiler uses deltas of this for
-    /// per-interval utilization).
-    [[nodiscard]] double busy_time() const noexcept { return queue_->busy_time(); }
     [[nodiscard]] std::uint64_t head_position() const noexcept { return head_; }
 
 private:

@@ -50,7 +50,6 @@ void Memory::access(std::uint64_t request_id, std::uint32_t bank,
         engine_.schedule_after(service, [this, &res, request_id, bank, size_bytes, type,
                                          issued, on_done = std::move(on_done)] {
             res.release();
-            ++completed_;
             metrics().accesses.add();
             metrics().bytes.add(size_bytes);
             if (sink_ != nullptr) {
@@ -66,12 +65,6 @@ void Memory::access(std::uint64_t request_id, std::uint32_t bank,
             if (on_done) on_done(engine_.now() - issued);
         });
     });
-}
-
-double Memory::bank_utilization(std::uint32_t bank) const {
-    if (bank >= params_.banks)
-        throw std::invalid_argument("Memory::bank_utilization: bank range");
-    return banks_[bank]->utilization();
 }
 
 }  // namespace kooza::hw

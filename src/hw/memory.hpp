@@ -38,15 +38,12 @@ public:
     [[nodiscard]] std::uint32_t bank_of(std::uint64_t address) const noexcept;
 
     [[nodiscard]] const MemoryParams& params() const noexcept { return params_; }
-    [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-    [[nodiscard]] double bank_utilization(std::uint32_t bank) const;
 
 private:
     sim::Engine& engine_;
     MemoryParams params_;
     trace::Sink* sink_;
     std::vector<std::unique_ptr<sim::Resource>> banks_;
-    std::uint64_t completed_ = 0;
 };
 
 }  // namespace kooza::hw

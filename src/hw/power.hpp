@@ -7,8 +7,7 @@
 // model for the datacenter" (Section 5). This is the standard
 // idle + utilization-proportional server power model (non-energy-
 // proportional servers burn most of their power at idle), evaluated over
-// utilization samples from the machine profiler or over aggregate
-// utilizations from a replay.
+// aggregate utilizations from a replay.
 #pragma once
 
 #include <span>

@@ -130,20 +130,6 @@ std::vector<std::size_t> MarkovChain::sample_path(std::size_t length,
     return path;
 }
 
-std::vector<double> MarkovChain::stationary(std::size_t max_iter, double tol) const {
-    std::vector<double> pi(n_, 1.0 / double(n_)), next(n_, 0.0);
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
-        std::fill(next.begin(), next.end(), 0.0);
-        for (std::size_t i = 0; i < n_; ++i)
-            for (std::size_t j = 0; j < n_; ++j) next[j] += pi[i] * p_[i][j];
-        double diff = 0.0;
-        for (std::size_t j = 0; j < n_; ++j) diff += std::fabs(next[j] - pi[j]);
-        pi.swap(next);
-        if (diff < tol) return pi;
-    }
-    throw std::runtime_error("MarkovChain::stationary: power iteration did not converge");
-}
-
 double MarkovChain::log_likelihood(std::span<const std::size_t> seq) const {
     if (seq.empty()) return 0.0;
     for (std::size_t s : seq)
@@ -157,19 +143,6 @@ double MarkovChain::log_likelihood(std::span<const std::size_t> seq) const {
         ll += std::log(p);
     }
     return ll;
-}
-
-double MarkovChain::transition_distance(const MarkovChain& other) const {
-    if (other.n_ != n_)
-        throw std::invalid_argument("MarkovChain::transition_distance: size mismatch");
-    const auto pi = stationary();
-    double d = 0.0;
-    for (std::size_t i = 0; i < n_; ++i) {
-        double row_tv = 0.0;
-        for (std::size_t j = 0; j < n_; ++j) row_tv += std::fabs(p_[i][j] - other.p_[i][j]);
-        d += pi[i] * 0.5 * row_tv;
-    }
-    return d;
 }
 
 std::string MarkovChain::to_string(int precision) const {

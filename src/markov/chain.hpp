@@ -83,19 +83,9 @@ public:
     [[nodiscard]] std::vector<std::size_t> sample_path(std::size_t length,
                                                        sim::Rng& rng) const;
 
-    /// Stationary distribution by power iteration. Throws if the iteration
-    /// fails to converge (period-2 chains etc. are out of scope here).
-    [[nodiscard]] std::vector<double> stationary(std::size_t max_iter = 10000,
-                                                 double tol = 1e-12) const;
-
     /// Log-likelihood of a sequence under the chain (includes the initial
     /// state term). -inf if any step has zero probability.
     [[nodiscard]] double log_likelihood(std::span<const std::size_t> seq) const;
-
-    /// Total-variation-style distance between two chains' transition rows,
-    /// weighted by this chain's stationary distribution. Both chains must
-    /// have the same state count.
-    [[nodiscard]] double transition_distance(const MarkovChain& other) const;
 
     [[nodiscard]] std::string to_string(int precision = 3) const;
 

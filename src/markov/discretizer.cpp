@@ -41,57 +41,6 @@ std::string EqualWidthDiscretizer::describe() const {
     return os.str();
 }
 
-QuantileDiscretizer::QuantileDiscretizer(std::span<const double> sample,
-                                         std::size_t bins) {
-    if (bins == 0) throw std::invalid_argument("QuantileDiscretizer: bins must be >= 1");
-    if (sample.empty()) throw std::invalid_argument("QuantileDiscretizer: empty sample");
-    std::vector<double> s(sample.begin(), sample.end());
-    std::sort(s.begin(), s.end());
-    edges_.clear();
-    for (std::size_t k = 1; k < bins; ++k) {
-        const double q = double(k) / double(bins);
-        const double pos = q * double(s.size() - 1);
-        const std::size_t lo = std::size_t(pos);
-        const std::size_t hi = std::min(lo + 1, s.size() - 1);
-        const double frac = pos - double(lo);
-        const double edge = s[lo] * (1.0 - frac) + s[hi] * frac;
-        // Deduplicate edges (heavily-tied samples collapse bins).
-        if (edges_.empty() || edge > edges_.back()) edges_.push_back(edge);
-    }
-    // Per-bin medians as representatives.
-    const std::size_t nb = edges_.size() + 1;
-    std::vector<std::vector<double>> members(nb);
-    for (double x : s) {
-        auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-        members[std::size_t(it - edges_.begin())].push_back(x);
-    }
-    reps_.resize(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-        if (members[b].empty()) {
-            // Empty interior bin after dedup: fall back to nearest edge.
-            reps_[b] = b < edges_.size() ? edges_[b] : s.back();
-        } else {
-            reps_[b] = members[b][members[b].size() / 2];
-        }
-    }
-}
-
-std::size_t QuantileDiscretizer::state_of(double x) const {
-    auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-    return std::size_t(it - edges_.begin());
-}
-
-double QuantileDiscretizer::representative(std::size_t state) const {
-    if (state >= reps_.size()) throw std::out_of_range("QuantileDiscretizer::representative");
-    return reps_[state];
-}
-
-std::string QuantileDiscretizer::describe() const {
-    std::ostringstream os;
-    os << "quantile x" << n_states();
-    return os.str();
-}
-
 LbnRangeDiscretizer::LbnRangeDiscretizer(std::uint64_t lbn_count, std::size_t ranges)
     : lbn_count_(lbn_count), ranges_(ranges) {
     if (lbn_count == 0) throw std::invalid_argument("LbnRangeDiscretizer: lbn_count 0");

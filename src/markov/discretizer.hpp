@@ -53,26 +53,6 @@ private:
     std::size_t bins_;
 };
 
-/// Quantile (equal-mass) bins learned from a training sample; adapts state
-/// resolution to where the data actually lives.
-class QuantileDiscretizer : public Discretizer {
-public:
-    QuantileDiscretizer(std::span<const double> sample, std::size_t bins);
-    [[nodiscard]] std::size_t n_states() const noexcept override {
-        return edges_.size() + 1;
-    }
-    [[nodiscard]] std::size_t state_of(double x) const override;
-    [[nodiscard]] double representative(std::size_t state) const override;
-    [[nodiscard]] std::string describe() const override;
-    [[nodiscard]] std::unique_ptr<Discretizer> clone() const override {
-        return std::make_unique<QuantileDiscretizer>(*this);
-    }
-
-private:
-    std::vector<double> edges_;  ///< interior bin edges, ascending
-    std::vector<double> reps_;   ///< per-bin medians of the training data
-};
-
 /// LBN-range states for the storage model: the disk's logical block space
 /// [0, lbn_count) split into `ranges` contiguous ranges (paper Fig. 2:
 /// "LBN 1..LBN 4"). sample_within draws a uniform LBN in the range.

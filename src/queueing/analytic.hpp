@@ -1,7 +1,7 @@
 // Closed-form queueing results: M/M/1, M/M/c (Erlang C) and M/G/1
 // (Pollaczek-Khinchine). These give the analytic predictions the in-depth
-// modeling literature (Liu '05, Kamra '04) relies on, and serve as oracles
-// for the queueing-network simulator's tests.
+// modeling literature (Liu '05, Kamra '04) relies on; M/M/1 is the oracle
+// the SQS ablation (bench_ablation_sqs) checks its fleet simulation against.
 #pragma once
 
 #include <cstdint>

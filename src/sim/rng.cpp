@@ -23,11 +23,4 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
     return weights.size() - 1;  // floating-point edge: r == total
 }
 
-std::size_t Rng::zipf_small(std::size_t n, double s) {
-    if (n == 0) throw std::invalid_argument("Rng::zipf_small: n == 0");
-    std::vector<double> w(n);
-    for (std::size_t i = 0; i < n; ++i) w[i] = 1.0 / std::pow(double(i + 1), s);
-    return weighted_index(w);
-}
-
 }  // namespace kooza::sim

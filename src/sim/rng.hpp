@@ -76,11 +76,6 @@ public:
     /// Throws if weights are empty or all zero.
     std::size_t weighted_index(std::span<const double> weights);
 
-    /// Sample index 0..n-1 according to a Zipf(s) popularity law.
-    /// P(i) proportional to 1/(i+1)^s. O(n) per call via precomputed CDF is the
-    /// caller's job (see stats::Zipf); this helper is for small n.
-    std::size_t zipf_small(std::size_t n, double s);
-
     /// Access the underlying engine (for std:: distribution objects).
     std::mt19937_64& engine() noexcept { return gen_; }
 

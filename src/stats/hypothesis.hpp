@@ -1,7 +1,6 @@
-// Goodness-of-fit tests: Kolmogorov-Smirnov (one- and two-sample) and the
-// chi-square test. KS is the selection criterion the paper's survey
-// (Feitelson '02) prescribes for identifying the arrival-distribution
-// family.
+// Kolmogorov-Smirnov distances, one- and two-sample. KS is the selection
+// criterion the paper's survey (Feitelson '02) prescribes for identifying
+// the arrival-distribution family.
 //
 // The one-sample statistic is computed over one sorted copy of the sample
 // by branch and bound (ks_statistic_sorted): only the points that can
@@ -16,16 +15,6 @@
 #include "stats/distributions.hpp"
 
 namespace kooza::stats {
-
-/// Result of a goodness-of-fit test.
-struct TestResult {
-    double statistic = 0.0;  ///< KS D or chi-square X^2
-    double p_value = 1.0;    ///< asymptotic p-value
-    /// Convenience: reject H0 at significance alpha?
-    [[nodiscard]] bool reject(double alpha = 0.05) const noexcept {
-        return p_value < alpha;
-    }
-};
 
 /// Throws std::invalid_argument naming `who` when `xs` is empty.
 void require_nonempty(std::span<const double> xs, const char* who);
@@ -56,24 +45,9 @@ void require_finite(std::span<const double> xs, const char* who);
     std::span<const double> sorted, const Distribution& dist,
     double cutoff = std::numeric_limits<double>::infinity());
 
-/// One-sample KS test against a fully-specified distribution.
-[[nodiscard]] TestResult ks_test(std::span<const double> xs, const Distribution& dist);
-
 /// Two-sample KS statistic D = sup |F_n(x) - G_m(x)|. Throws
 /// std::invalid_argument on an empty sample or a non-finite value.
 [[nodiscard]] double ks_statistic_two_sample(std::span<const double> xs,
                                              std::span<const double> ys);
-
-/// Two-sample KS test.
-[[nodiscard]] TestResult ks_test_two_sample(std::span<const double> xs,
-                                            std::span<const double> ys);
-
-/// Chi-square goodness-of-fit of a sample against a distribution, using
-/// `bins` equiprobable bins (expected count n/bins each). `fitted_params`
-/// reduces the degrees of freedom (dof = bins - 1 - fitted_params).
-[[nodiscard]] TestResult chi_square_test(std::span<const double> xs,
-                                         const Distribution& dist,
-                                         std::size_t bins = 10,
-                                         std::size_t fitted_params = 0);
 
 }  // namespace kooza::stats

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace kooza::stats {
@@ -54,34 +52,6 @@ std::vector<double> Matrix::col(std::size_t c) const {
     return out;
 }
 
-Matrix Matrix::transpose() const {
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-    return t;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-    if (cols_ != other.rows_) throw std::invalid_argument("Matrix::multiply: shape mismatch");
-    Matrix out(rows_, other.cols_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double a = at(r, k);
-            if (a == 0.0) continue;
-            for (std::size_t c = 0; c < other.cols_; ++c)
-                out.at(r, c) += a * other.at(k, c);
-        }
-    return out;
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> v) const {
-    if (v.size() != cols_) throw std::invalid_argument("Matrix::multiply: vector size");
-    std::vector<double> out(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c) out[r] += at(r, c) * v[c];
-    return out;
-}
-
 std::vector<double> Matrix::solve(Matrix a, std::vector<double> b) {
     if (a.rows_ != a.cols_) throw std::invalid_argument("Matrix::solve: non-square");
     if (b.size() != a.rows_) throw std::invalid_argument("Matrix::solve: rhs size");
@@ -111,73 +81,6 @@ std::vector<double> Matrix::solve(Matrix a, std::vector<double> b) {
         x[ri] = s / a.at(ri, ri);
     }
     return x;
-}
-
-double Matrix::determinant() const {
-    if (rows_ != cols_) throw std::invalid_argument("Matrix::determinant: non-square");
-    Matrix a = *this;
-    const std::size_t n = rows_;
-    double det = 1.0;
-    for (std::size_t k = 0; k < n; ++k) {
-        std::size_t piv = k;
-        for (std::size_t r = k + 1; r < n; ++r)
-            if (std::fabs(a.at(r, k)) > std::fabs(a.at(piv, k))) piv = r;
-        if (std::fabs(a.at(piv, k)) < 1e-300) return 0.0;
-        if (piv != k) {
-            for (std::size_t c = 0; c < n; ++c) std::swap(a.at(k, c), a.at(piv, c));
-            det = -det;
-        }
-        det *= a.at(k, k);
-        for (std::size_t r = k + 1; r < n; ++r) {
-            const double f = a.at(r, k) / a.at(k, k);
-            for (std::size_t c = k; c < n; ++c) a.at(r, c) -= f * a.at(k, c);
-        }
-    }
-    return det;
-}
-
-Matrix Matrix::inverse() const {
-    if (rows_ != cols_) throw std::invalid_argument("Matrix::inverse: non-square");
-    const std::size_t n = rows_;
-    Matrix a = *this;
-    Matrix inv = Matrix::identity(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        std::size_t piv = k;
-        for (std::size_t r = k + 1; r < n; ++r)
-            if (std::fabs(a.at(r, k)) > std::fabs(a.at(piv, k))) piv = r;
-        if (std::fabs(a.at(piv, k)) < 1e-12)
-            throw std::runtime_error("Matrix::inverse: singular matrix");
-        if (piv != k)
-            for (std::size_t c = 0; c < n; ++c) {
-                std::swap(a.at(k, c), a.at(piv, c));
-                std::swap(inv.at(k, c), inv.at(piv, c));
-            }
-        const double d = a.at(k, k);
-        for (std::size_t c = 0; c < n; ++c) {
-            a.at(k, c) /= d;
-            inv.at(k, c) /= d;
-        }
-        for (std::size_t r = 0; r < n; ++r) {
-            if (r == k) continue;
-            const double f = a.at(r, k);
-            if (f == 0.0) continue;
-            for (std::size_t c = 0; c < n; ++c) {
-                a.at(r, c) -= f * a.at(k, c);
-                inv.at(r, c) -= f * inv.at(k, c);
-            }
-        }
-    }
-    return inv;
-}
-
-std::string Matrix::to_string(int precision) const {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(precision);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t c = 0; c < cols_; ++c) os << (c ? " " : "") << at(r, c);
-        os << "\n";
-    }
-    return os.str();
 }
 
 std::vector<double> column_means(const Matrix& data) {

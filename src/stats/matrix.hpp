@@ -1,11 +1,10 @@
-// Small dense matrix for the multivariate statistics (PCA, GMM,
-// regression). Row-major, double precision, no SIMD heroics — feature
-// spaces here are a handful of dimensions.
+// Small dense matrix for the multivariate statistics (PCA, regression).
+// Row-major, double precision, no SIMD heroics — feature spaces here are
+// a handful of dimensions.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace kooza::stats {
@@ -30,21 +29,9 @@ public:
     [[nodiscard]] std::span<const double> row(std::size_t r) const;
     [[nodiscard]] std::vector<double> col(std::size_t c) const;
 
-    [[nodiscard]] Matrix transpose() const;
-    [[nodiscard]] Matrix multiply(const Matrix& other) const;
-    [[nodiscard]] std::vector<double> multiply(std::span<const double> v) const;
-
     /// Solve A x = b by Gaussian elimination with partial pivoting.
     /// Throws std::runtime_error if A is singular (pivot below 1e-12 scale).
     [[nodiscard]] static std::vector<double> solve(Matrix a, std::vector<double> b);
-
-    /// Determinant by LU (destructive copy). For small matrices.
-    [[nodiscard]] double determinant() const;
-
-    /// Inverse by Gauss-Jordan. Throws on singular input.
-    [[nodiscard]] Matrix inverse() const;
-
-    [[nodiscard]] std::string to_string(int precision = 4) const;
 
 private:
     std::size_t rows_ = 0, cols_ = 0;

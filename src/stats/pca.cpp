@@ -6,41 +6,33 @@
 namespace kooza::stats {
 
 Pca::Pca(const Matrix& data, bool standardize) {
-    means_ = column_means(data);
-    scales_.assign(data.cols(), 1.0);
+    const auto means = column_means(data);
     Matrix centered(data.rows(), data.cols());
     for (std::size_t r = 0; r < data.rows(); ++r)
         for (std::size_t c = 0; c < data.cols(); ++c)
-            centered.at(r, c) = data.at(r, c) - means_[c];
+            centered.at(r, c) = data.at(r, c) - means[c];
     if (standardize) {
         for (std::size_t c = 0; c < data.cols(); ++c) {
             double ss = 0.0;
             for (std::size_t r = 0; r < data.rows(); ++r)
                 ss += centered.at(r, c) * centered.at(r, c);
             const double sd = std::sqrt(ss / double(data.rows() - 1));
-            if (sd > 0.0) {
-                scales_[c] = sd;
+            if (sd > 0.0)
                 for (std::size_t r = 0; r < data.rows(); ++r) centered.at(r, c) /= sd;
-            }
         }
     }
-    eigen_ = symmetric_eigen(covariance_matrix(centered));
+    eigenvalues_ = symmetric_eigen(covariance_matrix(centered)).values;
     // Clamp tiny negative eigenvalues produced by round-off.
-    for (auto& v : eigen_.values)
+    for (auto& v : eigenvalues_)
         if (v < 0.0 && v > -1e-10) v = 0.0;
 }
 
-std::vector<double> Pca::component(std::size_t i) const {
-    if (i >= dimensions()) throw std::out_of_range("Pca::component");
-    return eigen_.vectors.col(i);
-}
-
 double Pca::explained_variance(std::size_t k) const {
-    if (k > dimensions()) throw std::out_of_range("Pca::explained_variance");
+    if (k > eigenvalues_.size()) throw std::out_of_range("Pca::explained_variance");
     double total = 0.0, head = 0.0;
-    for (std::size_t i = 0; i < eigen_.values.size(); ++i) {
-        total += eigen_.values[i];
-        if (i < k) head += eigen_.values[i];
+    for (std::size_t i = 0; i < eigenvalues_.size(); ++i) {
+        total += eigenvalues_[i];
+        if (i < k) head += eigenvalues_[i];
     }
     return total > 0.0 ? head / total : 0.0;
 }
@@ -48,31 +40,9 @@ double Pca::explained_variance(std::size_t k) const {
 std::size_t Pca::components_for(double target) const {
     if (!(target > 0.0 && target <= 1.0))
         throw std::invalid_argument("Pca::components_for: target in (0,1]");
-    for (std::size_t k = 1; k <= dimensions(); ++k)
+    for (std::size_t k = 1; k <= eigenvalues_.size(); ++k)
         if (explained_variance(k) >= target - 1e-12) return k;
-    return dimensions();
-}
-
-std::vector<double> Pca::project(std::span<const double> x, std::size_t k) const {
-    if (x.size() != dimensions()) throw std::invalid_argument("Pca::project: dimension");
-    if (k > dimensions()) throw std::out_of_range("Pca::project: k");
-    std::vector<double> scores(k, 0.0);
-    for (std::size_t c = 0; c < k; ++c)
-        for (std::size_t d = 0; d < dimensions(); ++d)
-            scores[c] += ((x[d] - means_[d]) / scales_[d]) * eigen_.vectors.at(d, c);
-    return scores;
-}
-
-std::vector<double> Pca::reconstruct(std::span<const double> scores) const {
-    if (scores.size() > dimensions())
-        throw std::invalid_argument("Pca::reconstruct: too many scores");
-    std::vector<double> x(dimensions(), 0.0);
-    for (std::size_t d = 0; d < dimensions(); ++d) {
-        for (std::size_t c = 0; c < scores.size(); ++c)
-            x[d] += scores[c] * eigen_.vectors.at(d, c);
-        x[d] = x[d] * scales_[d] + means_[d];
-    }
-    return x;
+    return eigenvalues_.size();
 }
 
 }  // namespace kooza::stats

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "stats/matrix.hpp"
@@ -22,33 +21,14 @@ public:
     /// (correlation-matrix PCA); zero-variance features are left unscaled.
     explicit Pca(const Matrix& data, bool standardize = false);
 
-    [[nodiscard]] std::size_t dimensions() const noexcept { return means_.size(); }
-
-    /// Eigenvalues of the (co)variance matrix, descending.
-    [[nodiscard]] const std::vector<double>& eigenvalues() const noexcept {
-        return eigen_.values;
-    }
-
-    /// Component i as a unit vector in feature space.
-    [[nodiscard]] std::vector<double> component(std::size_t i) const;
-
     /// Fraction of total variance captured by the first k components.
     [[nodiscard]] double explained_variance(std::size_t k) const;
 
     /// Smallest k whose cumulative explained variance reaches `target`.
     [[nodiscard]] std::size_t components_for(double target) const;
 
-    /// Project one observation onto the first k components.
-    [[nodiscard]] std::vector<double> project(std::span<const double> x,
-                                              std::size_t k) const;
-
-    /// Reconstruct an observation from its k-dimensional projection.
-    [[nodiscard]] std::vector<double> reconstruct(std::span<const double> scores) const;
-
 private:
-    std::vector<double> means_;
-    std::vector<double> scales_;
-    EigenResult eigen_;
+    std::vector<double> eigenvalues_;  ///< of the (co)variance matrix, descending
 };
 
 }  // namespace kooza::stats

@@ -7,24 +7,6 @@
 
 namespace kooza::stats {
 
-SimpleRegression fit_simple(std::span<const double> xs, std::span<const double> ys) {
-    if (xs.size() != ys.size()) throw std::invalid_argument("fit_simple: length mismatch");
-    if (xs.size() < 2) throw std::invalid_argument("fit_simple: need >= 2 points");
-    const double mx = mean(xs), my = mean(ys);
-    double sxx = 0.0, sxy = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        sxx += (xs[i] - mx) * (xs[i] - mx);
-        sxy += (xs[i] - mx) * (ys[i] - my);
-        syy += (ys[i] - my) * (ys[i] - my);
-    }
-    if (sxx <= 0.0) throw std::invalid_argument("fit_simple: zero variance in x");
-    SimpleRegression r;
-    r.slope = sxy / sxx;
-    r.intercept = my - r.slope * mx;
-    r.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
-    return r;
-}
-
 LinearModel::LinearModel(const Matrix& data, std::span<const double> ys, double ridge) {
     if (ys.size() != data.rows())
         throw std::invalid_argument("LinearModel: response length mismatch");

@@ -1,6 +1,6 @@
-// Linear regression (OLS), used for the analytical throughput/latency
-// predictors the survey covers (Patwardhan '04, Gulati '09) and as one of
-// the paper's suggested dimensionality-reduction tools.
+// Multiple linear regression (OLS), one of the paper's suggested
+// dimensionality-reduction tools: core::correlation_report fits request
+// latency on the other Table 2 features with it.
 #pragma once
 
 #include <span>
@@ -9,22 +9,6 @@
 #include "stats/matrix.hpp"
 
 namespace kooza::stats {
-
-/// Simple y = a + b x regression.
-struct SimpleRegression {
-    double intercept = 0.0;
-    double slope = 0.0;
-    double r_squared = 0.0;
-
-    [[nodiscard]] double predict(double x) const noexcept {
-        return intercept + slope * x;
-    }
-};
-
-/// Fit y = a + b x by least squares. Throws on length mismatch, n < 2, or
-/// zero variance in x.
-[[nodiscard]] SimpleRegression fit_simple(std::span<const double> xs,
-                                          std::span<const double> ys);
 
 /// Multiple linear regression y = b0 + b1 x1 + ... via the normal
 /// equations, with optional scale-invariant ridge regularization.

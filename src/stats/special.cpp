@@ -101,28 +101,4 @@ double gamma_p(double a, double x) {
     return 1.0 - gamma_q_cf(a, x);
 }
 
-double gamma_q(double a, double x) { return 1.0 - gamma_p(a, x); }
-
-double kolmogorov_survival(double lambda) noexcept {
-    if (lambda <= 0.0) return 1.0;
-    double sum = 0.0;
-    double sign = 1.0;
-    for (int k = 1; k <= 100; ++k) {
-        const double term = std::exp(-2.0 * double(k) * double(k) * lambda * lambda);
-        sum += sign * term;
-        sign = -sign;
-        if (term < 1e-12) break;
-    }
-    const double q = 2.0 * sum;
-    if (q < 0.0) return 0.0;
-    if (q > 1.0) return 1.0;
-    return q;
-}
-
-double chi_square_survival(double x, double dof) {
-    if (!(dof > 0.0)) throw std::invalid_argument("chi_square_survival: dof must be > 0");
-    if (x <= 0.0) return 1.0;
-    return gamma_q(dof / 2.0, x / 2.0);
-}
-
 }  // namespace kooza::stats

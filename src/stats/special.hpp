@@ -1,6 +1,5 @@
-// Special functions shared by the distribution and hypothesis-test code:
-// normal CDF, regularized incomplete gamma, and the Kolmogorov survival
-// function used for KS p-values.
+// Special functions behind the distributions: the normal CDF and its
+// inverse, and the regularized lower incomplete gamma (the Gamma CDF).
 #pragma once
 
 namespace kooza::stats {
@@ -15,16 +14,5 @@ namespace kooza::stats {
 /// Regularized lower incomplete gamma P(a, x) = gamma(a,x) / Gamma(a).
 /// Requires a > 0, x >= 0.
 [[nodiscard]] double gamma_p(double a, double x);
-
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-[[nodiscard]] double gamma_q(double a, double x);
-
-/// Kolmogorov distribution survival function:
-/// Q(lambda) = 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2).
-/// Used to turn a scaled KS statistic into an asymptotic p-value.
-[[nodiscard]] double kolmogorov_survival(double lambda) noexcept;
-
-/// Chi-square survival function with k degrees of freedom.
-[[nodiscard]] double chi_square_survival(double x, double dof);
 
 }  // namespace kooza::stats

@@ -27,6 +27,13 @@ void FeatureAccumulator::observe(const NetworkRecord& r) {
 }
 
 void FeatureAccumulator::observe(const CpuRecord& r) {
+    // A NaN would reach the CPU-utilization discretizer, which converts
+    // it to a state id (undefined behaviour), before any fit rejects it.
+    if (!std::isfinite(r.busy_seconds))
+        throw std::invalid_argument("FeatureAccumulator: request " +
+                                    std::to_string(r.request_id) +
+                                    " has a non-finite CPU busy time (" +
+                                    std::to_string(r.busy_seconds) + ")");
     acc_[r.request_id].cpu_busy += r.busy_seconds;
 }
 
@@ -97,13 +104,6 @@ std::vector<RequestFeatures> extract_features(const TraceSet& ts) {
     FeatureAccumulator acc;
     acc.observe(ts);
     return acc.finish();
-}
-
-std::optional<RequestFeatures> extract_features_for(const TraceSet& ts,
-                                                    std::uint64_t request_id) {
-    for (const auto& f : extract_features(ts))
-        if (f.request_id == request_id) return f;
-    return std::nullopt;
 }
 
 #define KOOZA_COLUMN(fn, expr)                                                      \

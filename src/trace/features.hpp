@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,7 +50,9 @@ struct RequestFeatures {
 /// they must arrive in record order.
 class FeatureAccumulator {
 public:
-    /// Every feature-bearing stream of `chunk`, in record order.
+    /// Every feature-bearing stream of `chunk`, in record order. Throws
+    /// std::invalid_argument naming the request when a CPU record's busy
+    /// time is NaN or infinite.
     void observe(const TraceSet& chunk);
 
     /// Completed-request rows, sorted by arrival — exactly what
@@ -80,10 +81,6 @@ private:
     std::map<std::uint64_t, PerRequest> acc_;
     std::vector<RequestRecord> requests_;
 };
-
-/// Features of one specific request, if it completed.
-[[nodiscard]] std::optional<RequestFeatures> extract_features_for(const TraceSet& ts,
-                                                                  std::uint64_t request_id);
 
 /// Column accessors for fitting/validation code.
 [[nodiscard]] std::vector<double> column_network_bytes(

@@ -1,15 +1,13 @@
 #include "workloads/closedloop.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "par/pool.hpp"
-#include "workloads/profiles.hpp"
 
 namespace kooza::workloads {
 
-ClosedLoopPool::ClosedLoopPool(ClosedLoopParams p) : p_(p) {
+ClosedLoopPool::ClosedLoopPool(ClosedLoopParams p)
+    : p_(p), picker_(p.files, p.zipf_s) {
     if (p_.clients == 0)
         throw std::invalid_argument("ClosedLoopPool: zero clients");
     if (p_.outstanding == 0)
@@ -26,15 +24,6 @@ ClosedLoopPool::ClosedLoopPool(ClosedLoopParams p) : p_(p) {
 
     for (std::size_t f = 0; f < p_.files; ++f)
         files_.emplace_back(p_.file_prefix + std::to_string(f), p_.file_size);
-    if (p_.zipf_s > 0.0 && p_.files > 1) {
-        popularity_cdf_.resize(p_.files);
-        double total = 0.0;
-        for (std::size_t f = 0; f < p_.files; ++f) {
-            total += 1.0 / std::pow(double(f + 1), p_.zipf_s);
-            popularity_cdf_[f] = total;
-        }
-        for (double& c : popularity_cdf_) c /= total;
-    }
     rngs_.reserve(p_.clients);
     for (std::size_t c = 0; c < p_.clients; ++c)
         rngs_.emplace_back(par::shard_seed(p_.seed, c));
@@ -56,17 +45,7 @@ std::optional<gfs::RequestSpec> ClosedLoopPool::next(std::uint32_t client,
     r.time = now + think;
     r.client = client;
 
-    std::size_t file_ix = 0;
-    if (!popularity_cdf_.empty()) {
-        const double u = rng.uniform(0.0, 1.0);
-        file_ix = std::size_t(std::upper_bound(popularity_cdf_.begin(),
-                                               popularity_cdf_.end(), u) -
-                              popularity_cdf_.begin());
-        file_ix = std::min(file_ix, p_.files - 1);
-    } else if (p_.files > 1) {
-        file_ix = std::size_t(rng.uniform_int(0, std::int64_t(p_.files) - 1));
-    }
-    r.file = files_[file_ix].first;
+    r.file = files_[picker_.pick(rng)].first;
     r.type = rng.bernoulli(p_.read_fraction) ? trace::IoType::kRead
                                              : trace::IoType::kWrite;
     r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;

@@ -27,6 +27,7 @@
 
 #include "gfs/cluster.hpp"
 #include "sim/rng.hpp"
+#include "workloads/profiles.hpp"
 
 namespace kooza::workloads {
 
@@ -71,7 +72,7 @@ public:
 private:
     ClosedLoopParams p_;
     std::vector<std::pair<std::string, std::uint64_t>> files_;
-    std::vector<double> popularity_cdf_;  ///< empty = uniform file pick
+    FilePicker picker_;
     std::vector<sim::Rng> rngs_;          ///< one deterministic shard per client
     std::size_t issued_ = 0;
 };

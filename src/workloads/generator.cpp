@@ -14,7 +14,7 @@ namespace kooza::workloads {
 MixGenerator::MixGenerator(Params p,
                            std::unique_ptr<queueing::ArrivalProcess> arrivals,
                            sim::Rng rng)
-    : p_(p), arrivals_(std::move(arrivals)), rng_(rng) {
+    : p_(p), arrivals_(std::move(arrivals)), rng_(rng), picker_(p.files, p.zipf_s) {
     if (!arrivals_)
         throw std::invalid_argument("MixGenerator: null arrival process");
     if (p_.files == 0) throw std::invalid_argument("MixGenerator: zero files");
@@ -23,15 +23,6 @@ MixGenerator::MixGenerator(Params p,
     arrivals_->reset();
     for (std::size_t f = 0; f < p_.files; ++f)
         files_.emplace_back(p_.file_prefix + std::to_string(f), p_.file_size);
-    if (p_.zipf_s > 0.0 && p_.files > 1) {
-        popularity_cdf_.resize(p_.files);
-        double total = 0.0;
-        for (std::size_t f = 0; f < p_.files; ++f) {
-            total += 1.0 / std::pow(double(f + 1), p_.zipf_s);
-            popularity_cdf_[f] = total;
-        }
-        for (double& c : popularity_cdf_) c /= total;
-    }
 }
 
 std::optional<gfs::RequestSpec> MixGenerator::poll() {
@@ -39,20 +30,9 @@ std::optional<gfs::RequestSpec> MixGenerator::poll() {
     ++i_;
     t_ += arrivals_->next_interarrival(rng_);
 
-    std::size_t file_ix = 0;
-    if (!popularity_cdf_.empty()) {
-        const double u = rng_.uniform(0.0, 1.0);
-        file_ix = std::size_t(std::upper_bound(popularity_cdf_.begin(),
-                                               popularity_cdf_.end(), u) -
-                              popularity_cdf_.begin());
-        file_ix = std::min(file_ix, p_.files - 1);
-    } else if (p_.files > 1) {
-        file_ix = std::size_t(rng_.uniform_int(0, std::int64_t(p_.files) - 1));
-    }
-
     gfs::RequestSpec r;
     r.time = t_;
-    r.file = files_[file_ix].first;
+    r.file = files_[picker_.pick(rng_)].first;
     r.type = rng_.bernoulli(p_.read_fraction) ? trace::IoType::kRead
                                               : trace::IoType::kWrite;
     r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;

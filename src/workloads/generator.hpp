@@ -60,7 +60,7 @@ private:
     std::unique_ptr<queueing::ArrivalProcess> arrivals_;
     sim::Rng rng_;
     std::vector<std::pair<std::string, std::uint64_t>> files_;
-    std::vector<double> popularity_cdf_;  ///< empty when uniform
+    FilePicker picker_;
     double t_ = 0.0;
     std::size_t i_ = 0;
 };

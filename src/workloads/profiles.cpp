@@ -1,6 +1,7 @@
 #include "workloads/profiles.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,6 +24,27 @@ std::optional<gfs::RequestSpec> ScheduleStream::next() {
     }
     last_time_ = spec->time;
     return spec;
+}
+
+FilePicker::FilePicker(std::size_t files, double zipf_s) : files_(files) {
+    if (!(zipf_s > 0.0) || files < 2) return;
+    cdf_.resize(files);
+    double total = 0.0;
+    for (std::size_t f = 0; f < files; ++f) {
+        total += 1.0 / std::pow(double(f + 1), zipf_s);
+        cdf_[f] = total;
+    }
+    for (double& c : cdf_) c /= total;
+}
+
+std::size_t FilePicker::pick(sim::Rng& rng) const {
+    if (!cdf_.empty()) {
+        const double u = rng.uniform(0.0, 1.0);
+        const auto f = std::size_t(std::upper_bound(cdf_.begin(), cdf_.end(), u) -
+                                   cdf_.begin());
+        return std::min(f, files_ - 1);
+    }
+    return files_ > 1 ? std::size_t(rng.uniform_int(0, std::int64_t(files_) - 1)) : 0;
 }
 
 void Workload::install(gfs::Cluster& cluster) const {
@@ -222,26 +244,6 @@ std::unique_ptr<ScheduleStream> LogAppendProfile::open_stream(sim::Rng rng) cons
         r.size = std::max<std::uint64_t>(r.size, 512);
         return r;
     });
-}
-
-Workload table2_validation_workload() {
-    Workload w;
-    w.files.emplace_back("validate.dat", 64ull << 20);
-    gfs::RequestSpec read;
-    read.time = 0.0;
-    read.file = "validate.dat";
-    read.offset = 0;
-    read.size = 64ull << 10;
-    read.type = trace::IoType::kRead;
-    w.requests.push_back(read);
-    gfs::RequestSpec write;
-    write.time = 1.0;  // unloaded: well after the read completes
-    write.file = "validate.dat";
-    write.offset = 8ull << 20;
-    write.size = 4ull << 20;
-    write.type = trace::IoType::kWrite;
-    w.requests.push_back(write);
-    return w;
 }
 
 }  // namespace kooza::workloads

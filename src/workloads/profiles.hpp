@@ -50,6 +50,20 @@ struct Workload {
                         size, file_size);
 }
 
+/// Which of `files` files a request targets: file f with probability
+/// proportional to 1/(f+1)^zipf_s when zipf_s > 0, uniformly otherwise.
+/// A pick makes one rng.uniform draw (Zipf), one rng.uniform_int draw
+/// (uniform over several files) or none (a single file).
+class FilePicker {
+public:
+    FilePicker(std::size_t files, double zipf_s);
+    [[nodiscard]] std::size_t pick(sim::Rng& rng) const;
+
+private:
+    std::size_t files_;
+    std::vector<double> cdf_;  ///< cumulative popularity; empty when uniform
+};
+
 /// The workload API, after CODES' get_next(): every request source — a
 /// profile, a scenario generator (generator.hpp), a trace or model
 /// replay — is a pull-based stream of timed requests. The file list
@@ -220,9 +234,5 @@ public:
 private:
     Params p_;
 };
-
-/// The paper's two validation requests (Table 2), issued back-to-back and
-/// unloaded: request 0 = 64 KB read, request 1 = 4 MB write.
-[[nodiscard]] Workload table2_validation_workload();
 
 }  // namespace kooza::workloads

@@ -393,113 +393,6 @@ TEST(Append, SequentialityBeatsRandomWrites) {
     EXPECT_LT(mean_latency(true), mean_latency(false));
 }
 
-TEST(Profiler, SamplesAllServersOnCadence) {
-    GfsConfig cfg;
-    cfg.n_chunkservers = 2;
-    Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
-    for (int i = 0; i < 20; ++i)
-        cluster.submit({.time = double(i) * 0.1, .file = "f", .offset = 0,
-                        .size = 1u << 20, .type = IoType::kRead});
-    auto& prof = cluster.attach_profiler(0.5, 2.0);
-    cluster.run();
-    // 4 ticks x 2 servers.
-    EXPECT_EQ(prof.samples().size(), 8u);
-    for (const auto& m : prof.samples()) {
-        EXPECT_GE(m.cpu_utilization, 0.0);
-        EXPECT_LE(m.cpu_utilization, 1.0);
-        EXPECT_GE(m.disk_utilization, 0.0);
-        EXPECT_LE(m.disk_utilization, 1.0);
-    }
-    EXPECT_EQ(prof.cpu_series(0).size(), 4u);
-}
-
-TEST(Profiler, FlagsTheHotServer) {
-    GfsConfig cfg;
-    cfg.n_chunkservers = 2;
-    cfg.chunk_size = 32ull << 20;
-    Cluster cluster(cfg);
-    // Two single-chunk files: one per server; hammer only the first.
-    cluster.create_file("hot", 32ull << 20);
-    cluster.create_file("cold", 32ull << 20);
-    for (int i = 0; i < 50; ++i)
-        cluster.submit({.time = double(i) * 0.05, .file = "hot", .offset = 0,
-                        .size = 4u << 20, .type = IoType::kRead});
-    cluster.submit({.time = 0.0, .file = "cold", .offset = 0, .size = 4096,
-                    .type = IoType::kRead});
-    auto& prof = cluster.attach_profiler(0.5, 3.0);
-    cluster.run();
-    EXPECT_EQ(prof.hottest_server(), 0u);
-    // The hot server's peak interval utilization dominates the cold one's
-    // (the *final* interval may be idle for both once the burst drains —
-    // per-interval deltas reflect current load, not start-weighted history).
-    const auto hot = prof.disk_series(0);
-    const auto cold = prof.disk_series(1);
-    const double hot_peak = *std::max_element(hot.begin(), hot.end());
-    const double cold_peak = *std::max_element(cold.begin(), cold.end());
-    EXPECT_GT(hot_peak, cold_peak * 5.0);
-}
-
-TEST(Profiler, ReportsPerIntervalDeltasNotCumulative) {
-    GfsConfig cfg;
-    cfg.n_chunkservers = 1;
-    Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
-    // Burst of work in the first half-second, then a long idle tail.
-    for (int i = 0; i < 10; ++i)
-        cluster.submit({.time = double(i) * 0.05, .file = "f", .offset = 0,
-                        .size = 4u << 20, .type = IoType::kRead});
-    auto& prof = cluster.attach_profiler(1.0, 4.0);
-    cluster.run();
-    const auto disk = prof.disk_series(0);
-    ASSERT_EQ(disk.size(), 4u);
-    // The burst interval is busy; the cumulative-reporting bug kept the
-    // idle tail's "utilization" pinned near the historical average instead
-    // of dropping to zero.
-    EXPECT_GT(disk.front(), 0.05);
-    EXPECT_NEAR(disk.back(), 0.0, 1e-9);
-    // Per-interval I/O counts must sum to the device's cumulative total.
-    std::uint64_t ios = 0;
-    for (const auto& m : prof.samples()) ios += m.disk_ios;
-    EXPECT_EQ(ios, cluster.server(0).disk().completed());
-}
-
-TEST(Profiler, TakesFinalPartialSampleAtHorizon) {
-    GfsConfig cfg;
-    cfg.n_chunkservers = 1;
-    Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
-    // Activity near the horizon that only the partial tail tick can see.
-    cluster.submit({.time = 1.7, .file = "f", .offset = 0, .size = 1u << 20,
-                    .type = IoType::kRead});
-    auto& prof = cluster.attach_profiler(0.8, 2.0);
-    cluster.run();
-    // Ticks at 0.8, 1.6 and the partial one at the 2.0 horizon.
-    ASSERT_EQ(prof.samples().size(), 3u);
-    const auto& tail = prof.samples().back();
-    EXPECT_DOUBLE_EQ(tail.time, 2.0);
-    EXPECT_NEAR(tail.interval, 0.4, 1e-12);
-    EXPECT_GT(tail.disk_ios, 0u);
-}
-
-TEST(Profiler, EmptyProfileReturnsSentinel) {
-    GfsConfig cfg;
-    Cluster cluster(cfg);
-    auto& prof = cluster.attach_profiler(0.5, 1.0);
-    // Never run: no samples taken; flagging must not throw.
-    EXPECT_TRUE(prof.samples().empty());
-    EXPECT_EQ(prof.hottest_server(), MachineProfiler::kNone);
-}
-
-TEST(Profiler, Validation) {
-    GfsConfig cfg;
-    Cluster cluster(cfg);
-    EXPECT_THROW(cluster.attach_profiler(0.0, 1.0), std::invalid_argument);
-    EXPECT_THROW(cluster.attach_profiler(0.5, 0.0), std::invalid_argument);
-    cluster.attach_profiler(0.5, 1.0);
-    EXPECT_THROW(cluster.attach_profiler(0.5, 1.0), std::logic_error);
-}
-
 TEST(Cluster, DeterministicForSeed) {
     auto run = [] {
         Cluster cluster(small_config());

@@ -57,14 +57,6 @@ TEST(MarkovChain, FitValidation) {
     EXPECT_THROW(MarkovChain::fit(seqs, 3, -1.0), std::invalid_argument);
 }
 
-TEST(MarkovChain, StationaryOfKnownChain) {
-    // Two-state chain: P(0->1)=0.1, P(1->0)=0.3 -> pi = (0.75, 0.25).
-    MarkovChain c({{0.9, 0.1}, {0.3, 0.7}}, {0.5, 0.5});
-    const auto pi = c.stationary();
-    EXPECT_NEAR(pi[0], 0.75, 1e-9);
-    EXPECT_NEAR(pi[1], 0.25, 1e-9);
-}
-
 TEST(MarkovChain, SamplePathFollowsSupport) {
     MarkovChain c({{0.0, 1.0}, {1.0, 0.0}}, {1.0, 0.0});
     Rng rng(1);
@@ -93,15 +85,6 @@ TEST(MarkovChain, LogLikelihoodImpossiblePathIsMinusInf) {
     EXPECT_TRUE(std::isinf(c.log_likelihood(impossible)));
 }
 
-TEST(MarkovChain, TransitionDistanceZeroToSelf) {
-    MarkovChain c({{0.9, 0.1}, {0.3, 0.7}}, {0.5, 0.5});
-    EXPECT_NEAR(c.transition_distance(c), 0.0, 1e-12);
-    MarkovChain other({{0.5, 0.5}, {0.5, 0.5}}, {0.5, 0.5});
-    EXPECT_GT(c.transition_distance(other), 0.1);
-    MarkovChain wrong_size(3);
-    EXPECT_THROW((void)c.transition_distance(wrong_size), std::invalid_argument);
-}
-
 TEST(MarkovChain, ToStringMentionsStates) {
     MarkovChain c(2);
     EXPECT_NE(c.to_string().find("2 states"), std::string::npos);
@@ -124,26 +107,6 @@ TEST(EqualWidth, SampleWithinStaysInBin) {
         EXPECT_GE(x, 4.0);
         EXPECT_LT(x, 6.0);
     }
-}
-
-TEST(Quantile, AdaptsToMass) {
-    // 90% of data in [0,1], 10% in [9,10]: quantile bins concentrate low.
-    std::vector<double> xs;
-    for (int i = 0; i < 900; ++i) xs.push_back(double(i) / 900.0);
-    for (int i = 0; i < 100; ++i) xs.push_back(9.0 + double(i) / 100.0);
-    QuantileDiscretizer d(xs, 4);
-    EXPECT_EQ(d.n_states(), 4u);
-    // First three states cover the low mass.
-    EXPECT_EQ(d.state_of(0.1), 0u);
-    EXPECT_EQ(d.state_of(9.5), 3u);
-}
-
-TEST(Quantile, DuplicateHeavySample) {
-    std::vector<double> xs(100, 5.0);
-    xs.push_back(6.0);
-    QuantileDiscretizer d(xs, 4);  // edges collapse, must not throw
-    EXPECT_GE(d.n_states(), 1u);
-    EXPECT_NO_THROW((void)d.representative(0));
 }
 
 TEST(LbnRange, FourRangesOverDisk) {

@@ -1,19 +1,15 @@
-// Tests for analytic queueing formulas, arrival processes, and the
-// queueing-network simulator (validated against the analytic oracles).
+// Tests for analytic queueing formulas and arrival processes.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "queueing/analytic.hpp"
 #include "queueing/arrival.hpp"
-#include "queueing/network.hpp"
-#include "sim/engine.hpp"
 #include "stats/descriptive.hpp"
 
 namespace {
 
 using namespace kooza::queueing;
-using kooza::sim::Engine;
 using kooza::sim::Rng;
 
 TEST(Mm1, KnownValues) {
@@ -133,76 +129,6 @@ TEST(ArrivalProcess, CloneIsIndependent) {
     EXPECT_DOUBLE_EQ(a, b);
 }
 
-TEST(Network, Mm1MatchesAnalytic) {
-    Engine eng;
-    Network net(eng, 11);
-    const auto st = net.add_station("srv", 1);
-    std::vector<Hop> path;
-    path.push_back(Hop{st, std::make_shared<kooza::stats::Exponential>(10.0)});
-    const auto cls = net.add_class("jobs", std::move(path));
-    PoissonArrivals arr(8.0);
-    net.drive(cls, arr, 30000);
-    eng.run();
-    const auto& resp = net.response_times(cls);
-    ASSERT_EQ(resp.size(), 30000u);
-    const auto oracle = mm1(8.0, 10.0);
-    EXPECT_NEAR(kooza::stats::mean(resp), oracle.mean_response,
-                oracle.mean_response * 0.08);
-    const auto rep = net.station_report(st);
-    EXPECT_NEAR(rep.utilization, 0.8, 0.05);
-    EXPECT_EQ(rep.completions, 30000u);
-}
-
-TEST(Network, TandemAddsResponseTimes) {
-    Engine eng;
-    Network net(eng, 12);
-    const auto a = net.add_station("a", 1);
-    const auto b = net.add_station("b", 1);
-    std::vector<Hop> path;
-    path.push_back(Hop{a, std::make_shared<kooza::stats::Exponential>(20.0)});
-    path.push_back(Hop{b, std::make_shared<kooza::stats::Exponential>(20.0)});
-    const auto cls = net.add_class("jobs", std::move(path));
-    PoissonArrivals arr(10.0);
-    net.drive(cls, arr, 20000);
-    eng.run();
-    // Jackson network: each station is M/M/1 with lambda=10, mu=20.
-    const double expected = 2.0 * mm1(10.0, 20.0).mean_response;
-    EXPECT_NEAR(kooza::stats::mean(net.response_times(cls)), expected,
-                expected * 0.1);
-    // Per-station sojourns match too.
-    EXPECT_NEAR(kooza::stats::mean(net.station_sojourns(cls, a)),
-                mm1(10.0, 20.0).mean_response, 0.02);
-}
-
-TEST(Network, MultiServerStationReducesWait) {
-    auto run_with_servers = [](std::uint32_t servers) {
-        Engine eng;
-        Network net(eng, 13);
-        const auto st = net.add_station("srv", servers);
-        std::vector<Hop> path;
-        path.push_back(Hop{st, std::make_shared<kooza::stats::Exponential>(10.0)});
-        const auto cls = net.add_class("jobs", std::move(path));
-        PoissonArrivals arr(15.0);
-        net.drive(cls, arr, 10000);
-        eng.run();
-        return kooza::stats::mean(net.response_times(cls));
-    };
-    EXPECT_LT(run_with_servers(4), run_with_servers(2));
-}
-
-TEST(Network, Validation) {
-    Engine eng;
-    Network net(eng, 14);
-    EXPECT_THROW(net.add_class("empty", {}), std::invalid_argument);
-    std::vector<Hop> bad;
-    bad.push_back(Hop{5, std::make_shared<kooza::stats::Exponential>(1.0)});
-    EXPECT_THROW(net.add_class("bad", std::move(bad)), std::invalid_argument);
-    std::vector<Hop> no_dist;
-    no_dist.push_back(Hop{net.add_station("s", 1), nullptr});
-    EXPECT_THROW(net.add_class("nodist", std::move(no_dist)), std::invalid_argument);
-    EXPECT_THROW(net.submit(0), std::out_of_range);
-}
-
 TEST(RateEnvelope, DiurnalStaysWithinBand) {
     kooza::queueing::DiurnalEnvelope env(40.0, 0.8, 60.0);
     for (double t = 0.0; t < 240.0; t += 0.7) {
@@ -268,25 +194,6 @@ TEST(ModulatedArrivals, ThinningTracksAverageRate) {
     // Cloning preserves the envelope (and the current clock).
     auto clone = arr.clone();
     EXPECT_EQ(clone->describe(), arr.describe());
-}
-
-TEST(ThreeTier, BuildsAndRuns) {
-    Engine eng;
-    std::size_t cls = 0;
-    ThreeTierConfig cfg;
-    auto net = make_three_tier(eng, cfg, cls, 15);
-    EXPECT_EQ(net->n_stations(), 3u);
-    PoissonArrivals arr(50.0);
-    net->drive(cls, arr, 5000);
-    eng.run();
-    ASSERT_EQ(net->response_times(cls).size(), 5000u);
-    // Response must be at least the sum of mean services (no negative wait).
-    const double floor = 0.0;
-    for (double r : net->response_times(cls)) EXPECT_GT(r, floor);
-    // DB tier (1 server, slowest) is the bottleneck.
-    const auto db = net->station_report(2);
-    const auto web = net->station_report(0);
-    EXPECT_GT(db.utilization, web.utilization);
 }
 
 }  // namespace

@@ -204,14 +204,6 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
     EXPECT_THROW(rng.weighted_index(neg), std::invalid_argument);
 }
 
-TEST(Rng, ZipfSmallSkewsToHead) {
-    Rng rng(6);
-    int counts[4] = {0, 0, 0, 0};
-    for (int i = 0; i < 10000; ++i) ++counts[rng.zipf_small(4, 1.0)];
-    EXPECT_GT(counts[0], counts[1]);
-    EXPECT_GT(counts[1], counts[3]);
-}
-
 TEST(Resource, GrantsUpToCapacity) {
     Engine eng;
     Resource res(eng, 2);

@@ -1,11 +1,10 @@
-// Tests for descriptive statistics and histograms.
+// Tests for descriptive statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 
 namespace {
 
@@ -123,85 +122,6 @@ TEST(Descriptive, VariationStruct) {
     const auto neg = variation(-3.0, 0.0);
     EXPECT_TRUE(neg.absolute);
     EXPECT_DOUBLE_EQ(neg.value, 3.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-    Histogram h(0.0, 10.0, 5);
-    h.add(-1.0);   // clamps to bin 0
-    h.add(0.5);
-    h.add(9.9);
-    h.add(100.0);  // clamps to last bin
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinCenters) {
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-    EXPECT_THROW((void)h.bin_center(5), std::out_of_range);
-}
-
-TEST(Histogram, FrequenciesSumToOne) {
-    Histogram h(0.0, 1.0, 4);
-    const std::vector<double> xs{0.1, 0.2, 0.6, 0.9};
-    h.add_all(xs);
-    double sum = 0.0;
-    for (double f : h.frequencies()) sum += f;
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(Histogram, InvalidConstruction) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderNonEmpty) {
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.1);
-    EXPECT_NE(h.render().find('#'), std::string::npos);
-}
-
-TEST(LogHistogram, PowerOfTwoBinning) {
-    LogHistogram h;
-    h.add(1.0);    // 2^0
-    h.add(3.0);    // 2^1
-    h.add(1024);   // 2^10
-    EXPECT_EQ(h.bins().at(0), 1u);
-    EXPECT_EQ(h.bins().at(1), 1u);
-    EXPECT_EQ(h.bins().at(10), 1u);
-    EXPECT_THROW(h.add(0.0), std::invalid_argument);
-}
-
-TEST(VuList, CountsCells) {
-    VuList vu({{"a", 0.0, 1.0, 2}, {"b", 0.0, 1.0, 2}});
-    const std::vector<double> p1{0.2, 0.2};
-    const std::vector<double> p2{0.8, 0.8};
-    vu.add(p1);
-    vu.add(p1);
-    vu.add(p2);
-    EXPECT_EQ(vu.total(), 3u);
-    EXPECT_EQ(vu.occupied_cells(), 2u);
-    EXPECT_EQ(vu.count_at(p1), 2u);
-    EXPECT_EQ(vu.count_at(p2), 1u);
-}
-
-TEST(VuList, DimensionMismatchThrows) {
-    VuList vu({{"a", 0.0, 1.0, 2}});
-    const std::vector<double> bad{0.5, 0.5};
-    EXPECT_THROW(vu.add(bad), std::invalid_argument);
-}
-
-TEST(VuList, MarginalMatchesData) {
-    VuList vu({{"a", 0.0, 1.0, 4}, {"b", 0.0, 1.0, 4}});
-    for (int i = 0; i < 8; ++i) {
-        const std::vector<double> p{0.1, double(i) / 8.0};
-        vu.add(p);
-    }
-    const auto m = vu.marginal(0);
-    EXPECT_EQ(m.count(0), 8u);
-    EXPECT_THROW(vu.marginal(2), std::out_of_range);
 }
 
 }  // namespace

@@ -198,14 +198,6 @@ TEST(Features, ExtractAggregates) {
     EXPECT_EQ(fs[1].memory_type, IoType::kWrite);
 }
 
-TEST(Features, ExtractForSpecificRequest) {
-    const auto ts = make_sample_traceset();
-    const auto f = extract_features_for(ts, 2);
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->request_id, 2u);
-    EXPECT_FALSE(extract_features_for(ts, 99).has_value());
-}
-
 TEST(Features, ColumnsAligned) {
     const auto fs = extract_features(make_sample_traceset());
     EXPECT_EQ(column_network_bytes(fs).size(), 2u);

@@ -162,17 +162,6 @@ TEST(LogAppend, RunsOnCluster) {
     EXPECT_GT(cluster.master().file_size("log.0"), 1ull << 20);
 }
 
-TEST(Table2Workload, ExactPaperRequests) {
-    const auto w = table2_validation_workload();
-    ASSERT_EQ(w.requests.size(), 2u);
-    EXPECT_EQ(w.requests[0].size, 64u << 10);
-    EXPECT_EQ(w.requests[0].type, IoType::kRead);
-    EXPECT_EQ(w.requests[1].size, 4u << 20);
-    EXPECT_EQ(w.requests[1].type, IoType::kWrite);
-    EXPECT_GT(w.requests[1].time, w.requests[0].time);
-    expect_within_files(w);
-}
-
 TEST(Workload, InstallRunsOnCluster) {
     kooza::gfs::GfsConfig cfg;
     kooza::gfs::Cluster cluster(cfg);

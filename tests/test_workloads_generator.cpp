@@ -9,14 +9,17 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <tuple>
 
 #include "core/capture.hpp"
 #include "core/generator.hpp"
 #include "core/model_replay.hpp"
 #include "core/trainer.hpp"
 #include "core/validator.hpp"
+#include "digest.hpp"
 #include "par/pool.hpp"
 #include "trace/io.hpp"
+#include "workloads/closedloop.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/scenarios.hpp"
 
@@ -110,6 +113,55 @@ TEST(GeneratorConformance, ExhaustionIsPermanent) {
 TEST(GeneratorConformance, MixHonorsCount) {
     auto gen = workloads::make_scenario("diurnal", small_params());
     EXPECT_EQ(drain(*gen).size(), small_params().count);
+}
+
+/// Folds the request fields a capture depends on into `d`.
+void fold_request(testutil::Fnv& d, const gfs::RequestSpec& r) {
+    d.add(r.time);
+    d.add_bytes(r.file);
+    d.add(r.offset);
+    d.add(r.size);
+    d.add(r.type);
+    d.add(r.append);
+}
+
+TEST(GeneratorConformance, FilePickDigestPinned) {
+    // Pins every arrival, file pick and offset of the Zipf-mix scenarios
+    // and of a closed-loop pool against constants recorded from an
+    // earlier build: the file picker must make the same draws.
+    const std::pair<const char*, std::uint64_t> scenarios[] = {
+        {"diurnal", 0xf40146c745e75f59ull},
+        {"flashcrowd", 0xe9bda57043918086ull},
+        {"tiered", 0x94b3ff30a6226726ull}};
+    for (const auto& [name, pinned] : scenarios) {
+        auto gen = workloads::make_scenario(name, small_params());
+        testutil::Fnv d;
+        for (const auto& r : drain(*gen)) fold_request(d, r);
+        EXPECT_EQ(d.value(), pinned) << name << " 0x" << std::hex << d.value();
+    }
+    // Zipf-popular, uniform and single-file pools; clients draw round-robin.
+    const std::tuple<double, std::size_t, std::uint64_t> pools[] = {
+        {0.9, 8, 0x3ca6df4fc4024d5dull},
+        {0.0, 8, 0xa9599242b4ffa25bull},
+        {0.9, 1, 0x5381ce60735d9903ull}};
+    for (const auto& [zipf_s, files, pinned] : pools) {
+        workloads::ClosedLoopParams p;
+        p.total = 300;
+        p.zipf_s = zipf_s;
+        p.files = files;
+        p.seed = 99;
+        workloads::ClosedLoopPool pool(p);
+        testutil::Fnv d;
+        std::uint32_t client = 0;
+        double now = 0.0;
+        while (auto r = pool.next(client, now)) {
+            fold_request(d, *r);
+            client = std::uint32_t((client + 1) % p.clients);
+            now += 0.001;
+        }
+        EXPECT_EQ(d.value(), pinned)
+            << "zipf " << zipf_s << " files " << files << " 0x" << std::hex << d.value();
+    }
 }
 
 // ---- ScheduleStream boundary enforcement (bugfix regression) ----------
