@@ -408,6 +408,9 @@ void BinaryWriter::write_stream_file(std::size_t stream_id) {
         }
         emit_section(tab);
     }
+    // close() makes the final flush; a failure there (disk full) must
+    // throw like any other short write, not vanish in the destructor.
+    f.close();
     if (!f) throw std::runtime_error("BinaryWriter: write failed: " + path.string());
     metrics().files_written.add();
     metrics().bytes_written.add(written);

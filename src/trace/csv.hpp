@@ -7,11 +7,12 @@
 //   failures.csv, spans.csv
 // Each file has a header row; fields are comma-separated, no quoting
 // (span names and annotations must not contain commas or newlines).
+// Doubles are written at 17 significant digits (printf's "%.17g"), so
+// every value but a NaN's payload, subnormals included, reads back bit
+// for bit.
 #pragma once
 
 #include <filesystem>
-#include <string>
-#include <vector>
 
 #include "trace/traceset.hpp"
 
@@ -23,13 +24,12 @@ namespace kooza::trace {
 /// format's string table has no such restriction).
 void write_csv(const TraceSet& ts, const std::filesystem::path& dir);
 
-/// Read a TraceSet previously written by write_csv. Every stream file
-/// must be present — a missing file means a partial capture and throws
-/// (counted in trace.csv.missing_files_total); a malformed row throws
-/// std::runtime_error with the file and line number.
+/// Read a TraceSet previously written by write_csv, one bounded window
+/// per file. Every stream file must be present — a missing file means a
+/// partial capture and throws (counted in trace.csv.missing_files_total);
+/// a malformed row (wrong field count, a number or id that is not the
+/// whole field, an unknown enum name) throws std::runtime_error with the
+/// file and line number (counted in trace.csv.bad_rows_total).
 [[nodiscard]] TraceSet read_csv(const std::filesystem::path& dir);
-
-/// Split one CSV line on commas (no quoting/escaping).
-[[nodiscard]] std::vector<std::string> split_csv_line(const std::string& line);
 
 }  // namespace kooza::trace

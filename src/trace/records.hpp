@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kooza::trace {
@@ -14,7 +15,7 @@ namespace kooza::trace {
 enum class IoType : std::uint8_t { kRead = 0, kWrite = 1 };
 
 [[nodiscard]] const char* to_string(IoType t) noexcept;
-[[nodiscard]] IoType iotype_from_string(const std::string& s);
+[[nodiscard]] IoType iotype_from_string(std::string_view s);
 
 /// One disk I/O: when it was issued, where (logical block number), how
 /// big, which way, and how long the device took.
@@ -57,7 +58,7 @@ struct NetworkRecord {
 };
 
 [[nodiscard]] const char* to_string(NetworkRecord::Direction d) noexcept;
-[[nodiscard]] NetworkRecord::Direction direction_from_string(const std::string& s);
+[[nodiscard]] NetworkRecord::Direction direction_from_string(std::string_view s);
 
 /// One failure-path event: a chunkserver crash or recovery, a client
 /// failover wait (with its backoff duration), a master-driven chunk
@@ -82,7 +83,7 @@ struct FailureRecord {
 };
 
 [[nodiscard]] const char* to_string(FailureRecord::Kind k) noexcept;
-[[nodiscard]] FailureRecord::Kind failure_kind_from_string(const std::string& s);
+[[nodiscard]] FailureRecord::Kind failure_kind_from_string(std::string_view s);
 
 /// End-to-end view of one user request.
 struct RequestRecord {

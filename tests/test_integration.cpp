@@ -3,8 +3,13 @@
 // training, and the incast composition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string_view>
+#include <unistd.h>
 
 #include "baselines/inbreadth.hpp"
 #include "baselines/indepth.hpp"
@@ -18,7 +23,10 @@
 #include "stats/hypothesis.hpp"
 #include "trace/csv.hpp"
 #include "trace/features.hpp"
+#include "trace/io.hpp"
 #include "workloads/profiles.hpp"
+
+#include "digest.hpp"
 
 namespace {
 
@@ -159,6 +167,69 @@ TEST(Integration, TrainingThroughCsvRoundTrip) {
     EXPECT_DOUBLE_EQ(m1.read_fraction(), m2.read_fraction());
     EXPECT_EQ(m1.parameter_count(), m2.parameter_count());
     EXPECT_EQ(m1.reads().structure.dominant(), m2.reads().structure.dominant());
+}
+
+/// FNV-1a over the seven CSV files a capture with `o` writes, in stream
+/// order, each file's name before its bytes. Also returns the data-row
+/// count of failures.csv, so a case can insist its faults were recorded.
+std::pair<std::uint64_t, std::size_t> csv_capture_digest(core::CaptureOptions o,
+                                                         const std::string& tag) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("kooza_csv_pin_" + tag + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    o.out_dir = dir.string();
+    o.format = trace::Format::kCsv;
+    (void)core::run_capture(o);
+    testutil::Fnv d;
+    std::size_t failure_rows = 0;
+    for (const auto* stem : trace::kStreamStems) {
+        const auto name = std::string(stem) + ".csv";
+        std::ifstream f(dir / name, std::ios::binary);
+        const std::string bytes{std::istreambuf_iterator<char>(f),
+                                std::istreambuf_iterator<char>()};
+        d.add_bytes(name);
+        d.add_bytes(bytes);
+        if (std::string_view(stem) == "failures")
+            failure_rows = std::size_t(std::count(bytes.begin(), bytes.end(), '\n')) - 1;
+    }
+    fs::remove_all(dir);
+    return {d.value(), failure_rows};
+}
+
+TEST(Integration, CsvCaptureBytesPinned) {
+    // Pins every byte write_csv lays down for three captures against
+    // constants recorded from the iostream writer at precision(17): a
+    // faster encoder must write the same text, doubles included.
+    core::CaptureOptions oltp;
+    oltp.profile = "oltp";
+    oltp.count = 2000;
+    oltp.seed = 7;
+    const auto oltp_digest = csv_capture_digest(oltp, "oltp").first;
+    EXPECT_EQ(oltp_digest, 0x6b66382e2c5ed226ull) << std::hex << oltp_digest;
+
+    core::CaptureOptions closed;
+    closed.closed_loop = true;
+    closed.clients = 4;
+    closed.outstanding = 2;
+    closed.count = 300;
+    closed.seed = 11;
+    const auto closed_digest = csv_capture_digest(closed, "closed").first;
+    EXPECT_EQ(closed_digest, 0x2343ed2fa4a29be7ull) << std::hex << closed_digest;
+
+    core::CaptureOptions faulted;
+    faulted.profile = "micro";
+    faulted.count = 400;
+    faulted.rate = 50.0;
+    faulted.seed = 77;
+    faulted.n_servers = 5;
+    faulted.replication = 2;
+    faulted.fault_rate = 0.2;
+    faulted.mttr = 1.0;
+    const auto [faulted_digest, faulted_failures] =
+        csv_capture_digest(faulted, "faulted");
+    EXPECT_GT(faulted_failures, 0u);
+    EXPECT_EQ(faulted_digest, 0x366ceba3ed185df1ull) << std::hex << faulted_digest;
 }
 
 TEST(Integration, MultiServerIncastReproduced) {

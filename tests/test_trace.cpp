@@ -237,12 +237,6 @@ TEST(Csv, MissingDirectoryThrows) {
     EXPECT_THROW((void)read_csv("/nonexistent/kooza"), std::runtime_error);
 }
 
-TEST(Csv, SplitLine) {
-    EXPECT_EQ(split_csv_line("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
-    EXPECT_EQ(split_csv_line(""), (std::vector<std::string>{""}));
-    EXPECT_EQ(split_csv_line("x,"), (std::vector<std::string>{"x", ""}));
-}
-
 TEST(Csv, MalformedRowThrows) {
     const auto dir = std::filesystem::temp_directory_path() / "kooza_csv_bad";
     std::filesystem::remove_all(dir);

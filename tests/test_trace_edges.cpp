@@ -2,8 +2,15 @@
 // robustness, and feature extraction on sparse/partial traces.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "trace/binary.hpp"
@@ -23,6 +30,90 @@ std::filesystem::path full_dir(const char* name) {
     std::filesystem::remove_all(dir);
     write_csv(TraceSet{}, dir);
     return dir;
+}
+
+std::string slurp(const std::filesystem::path& p) {
+    std::ifstream f(p, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void spit(const std::filesystem::path& p, const std::string& bytes) {
+    std::ofstream f(p, std::ios::binary | std::ios::trunc);
+    f << bytes;
+}
+
+/// Every field of every record as raw bytes, so comparing two TraceSets
+/// is a memcmp: -0.0 differs from 0.0 and no ulp tolerance applies.
+std::string field_bytes(const TraceSet& ts) {
+    std::string out;
+    auto add = [&out](const auto& v) {
+        char b[sizeof v];
+        std::memcpy(b, &v, sizeof v);
+        out.append(b, sizeof v);
+    };
+    add(ts.storage.size());
+    for (const auto& r : ts.storage) {
+        add(r.time); add(r.request_id); add(r.lbn); add(r.size_bytes);
+        add(r.type); add(r.latency);
+    }
+    add(ts.cpu.size());
+    for (const auto& r : ts.cpu) {
+        add(r.time); add(r.request_id); add(r.busy_seconds); add(r.utilization);
+    }
+    add(ts.memory.size());
+    for (const auto& r : ts.memory) {
+        add(r.time); add(r.request_id); add(r.bank); add(r.size_bytes); add(r.type);
+    }
+    add(ts.network.size());
+    for (const auto& r : ts.network) {
+        add(r.time); add(r.request_id); add(r.size_bytes); add(r.direction);
+        add(r.latency);
+    }
+    add(ts.requests.size());
+    for (const auto& r : ts.requests) {
+        add(r.request_id); add(r.type); add(r.arrival); add(r.completion); add(r.bytes);
+    }
+    add(ts.failures.size());
+    for (const auto& r : ts.failures) {
+        add(r.time); add(r.request_id); add(r.server); add(r.kind); add(r.duration);
+    }
+    add(ts.spans.size());
+    for (const auto& s : ts.spans) {
+        add(s.trace_id); add(s.span_id); add(s.parent_id); add(s.name.size());
+        out += s.name;
+        add(s.start); add(s.end);
+    }
+    return out;
+}
+
+/// A TraceSet with every stream populated: `n` records per stream whose
+/// doubles carry all 17 significant digits.
+TraceSet busy_traceset(std::size_t n) {
+    TraceSet ts;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = double(i) / 3.0 + 0.1;
+        const auto id = std::uint64_t(i) * 7919 + 1;
+        const auto type = i % 3 == 0 ? IoType::kWrite : IoType::kRead;
+        ts.storage.push_back({t, id, id * 13, 4096 * (i % 17 + 1), type, t / 997.0});
+        ts.cpu.push_back({t, id, t / 4099.0, 1.0 / double(i % 11 + 1)});
+        ts.memory.push_back({t, id, std::uint32_t(i % 8), 512 * (i % 5 + 1), type});
+        ts.network.push_back({t, id, 1400 * (i % 9 + 1),
+                              i % 2 ? NetworkRecord::Direction::kTx
+                                    : NetworkRecord::Direction::kRx,
+                              t / 1009.0});
+        ts.requests.push_back({id, type, t, t + 1.0 / 7.0, 65536});
+        ts.failures.push_back({t, id, std::uint32_t(i % 5),
+                               FailureRecord::Kind(i % 6), t / 101.0});
+        Span s;
+        s.trace_id = id;
+        s.span_id = id + 1;
+        s.parent_id = i % 4 ? id : 0;
+        s.name = i % 2 ? "disk.io" : "net.rx";
+        s.start = t;
+        s.end = t + 1.0 / 9.0;
+        ts.spans.push_back(s);
+    }
+    return ts;
 }
 
 TEST(SpanEdges, MultipleRootsPerTraceTolerated) {
@@ -122,6 +213,7 @@ TEST(CsvEdges, CrlfLineEndingsRoundTrip) {
         f << "request_id,type,arrival,completion,bytes\r\n";
         f << "7,read,0.5,1.5,4096\r\n";
         f << "8,write,2.0,2.5,1024\r\n";
+        f << "9,read,3.0,3.5,512\r\r\n";  // converted to CRLF twice
     }
     {
         std::ofstream f(dir / "storage.csv", std::ios::binary);
@@ -129,23 +221,14 @@ TEST(CsvEdges, CrlfLineEndingsRoundTrip) {
         f << "0.6,7,128,4096,read,0.01\r\n";
     }
     const auto ts = read_csv(dir);
-    ASSERT_EQ(ts.requests.size(), 2u);
+    ASSERT_EQ(ts.requests.size(), 3u);
     EXPECT_EQ(ts.requests[0].type, IoType::kRead);
     EXPECT_EQ(ts.requests[0].bytes, 4096u);  // last field, where '\r' rode
     EXPECT_EQ(ts.requests[1].type, IoType::kWrite);
+    EXPECT_EQ(ts.requests[2].bytes, 512u);
     ASSERT_EQ(ts.storage.size(), 1u);
     EXPECT_DOUBLE_EQ(ts.storage[0].latency, 0.01);
     std::filesystem::remove_all(dir);
-}
-
-TEST(CsvEdges, SplitCsvLineStripsTrailingCr) {
-    const auto f = split_csv_line("1,read,0.5\r");
-    ASSERT_EQ(f.size(), 3u);
-    EXPECT_EQ(f.back(), "0.5");
-    // A lone '\r' field (blank last column on a CRLF file) becomes empty.
-    const auto g = split_csv_line("a,b,");
-    ASSERT_EQ(g.size(), 3u);
-    EXPECT_TRUE(g.back().empty());
 }
 
 TEST(CsvEdges, WrongFieldCountThrows) {
@@ -160,27 +243,213 @@ TEST(CsvEdges, WrongFieldCountThrows) {
 }
 
 TEST(CsvEdges, BadIoTypeThrows) {
-    const auto dir = full_dir("kooza_csv_type");
-    {
-        std::ofstream f(dir / "memory.csv");
-        f << "time,request_id,bank,size_bytes,type\n";
-        f << "1.0,1,0,4096,sideways\n";
+    // An unknown I/O type or failure kind is a row error like any other:
+    // it names the file and line and counts as a bad row.
+    struct Case {
+        const char* file;
+        const char* header;
+        const char* row;
+    };
+    const Case cases[] = {
+        {"memory.csv", "time,request_id,bank,size_bytes,type", "1.0,1,0,4096,sideways"},
+        {"failures.csv", "time,request_id,server,kind,duration", "1.0,1,0,sideways,0.5"},
+    };
+    const auto& bad_rows = kooza::obs::counter("trace.csv.bad_rows_total");
+    for (const auto& c : cases) {
+        const auto dir = full_dir("kooza_csv_type");
+        spit(dir / c.file, std::string(c.header) + "\n" + c.row + "\n");
+        const auto before = bad_rows.value();
+        try {
+            (void)read_csv(dir);
+            ADD_FAILURE() << c.file << " loaded";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string(c.file) + ":2"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(bad_rows.value(), before + 1) << c.file;
+        std::filesystem::remove_all(dir);
     }
-    EXPECT_THROW(read_csv(dir), std::invalid_argument);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CsvEdges, TrailingJunkOnNumberThrows) {
-    // stod parses a valid prefix, so "0.5sec" used to load silently as
-    // 0.5 — corrupt data round-tripped as clean.
+    // A float field must be one number and nothing else: a valid prefix
+    // ("0.5sec" -> 0.5) used to load silently as clean data. Like the id
+    // fields, it takes no whitespace, no '+' and no hex; a subnormal is
+    // an ordinary value.
     const auto dir = full_dir("kooza_csv_junknum");
-    {
-        std::ofstream f(dir / "requests.csv");
-        f << "request_id,type,arrival,completion,bytes\n";
-        f << "1,read,0.5sec,1.5,4096\n";
+    const auto& bad_rows = kooza::obs::counter("trace.csv.bad_rows_total");
+    auto load = [&](const std::string& arrival) {
+        spit(dir / "requests.csv", "request_id,type,arrival,completion,bytes\n1,read," +
+                                       arrival + ",1.5,4096\n");
+        return read_csv(dir);
+    };
+    for (const std::string bad :
+         {"0.5sec", "0.5 ", " 0.5", "+0.5", "0x1p-1", "1e400", ""}) {
+        const auto before = bad_rows.value();
+        try {
+            (void)load(bad);
+            ADD_FAILURE() << "'" << bad << "' loaded";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("requests.csv:2: arrival"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(bad_rows.value(), before + 1) << "'" << bad << "'";
     }
-    EXPECT_THROW(read_csv(dir), std::runtime_error);
+    const auto arrival = [&](const std::string& good) {
+        const auto ts = load(good);
+        EXPECT_EQ(ts.requests.size(), 1u) << good;
+        return ts.requests.empty() ? 0.0 : ts.requests[0].arrival;
+    };
+    EXPECT_TRUE(std::isinf(arrival("inf")));
+    EXPECT_TRUE(std::isnan(arrival("nan")));
+    EXPECT_EQ(arrival(".5"), 0.5);
+    EXPECT_EQ(arrival("5."), 5.0);
+    EXPECT_EQ(arrival("1E5"), 1e5);
+    const double neg_zero = arrival("-0");
+    EXPECT_EQ(neg_zero, 0.0);
+    EXPECT_TRUE(std::signbit(neg_zero));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(arrival("4.9406564584124654e-324")),
+              std::bit_cast<std::uint64_t>(std::numeric_limits<double>::denorm_min()));
     std::filesystem::remove_all(dir);
+}
+
+TEST(CsvEdges, ExtremeValuesRoundTripBitForBit) {
+    // Subnormals used to be written fine and then rejected on read: stod
+    // reports ERANGE for any subnormal result. Every double and id here
+    // must come back with the same bits.
+    const double values[] = {std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -0.0,
+                             0.1,
+                             1.0 / 3.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+    const std::uint64_t ids[] = {0, std::numeric_limits<std::uint64_t>::max()};
+    TraceSet ts;
+    std::size_t i = 0;
+    for (const double v : values) {
+        const auto id = ids[i++ % 2];
+        ts.storage.push_back({v, id, id, id, IoType::kWrite, v});
+        ts.cpu.push_back({v, id, v, v});
+        ts.memory.push_back({v, id, 0, id, IoType::kRead});
+        ts.network.push_back({v, id, id, NetworkRecord::Direction::kTx, v});
+        ts.requests.push_back({id, IoType::kRead, v, v, id});
+        ts.failures.push_back({v, id, 0, FailureRecord::Kind::kFailover, v});
+        Span s;
+        s.trace_id = id;
+        s.span_id = id;
+        s.parent_id = id;
+        s.name = "disk.io";
+        s.start = v;
+        s.end = v;
+        ts.spans.push_back(s);
+    }
+    const auto dir = std::filesystem::temp_directory_path() / "kooza_csv_extreme";
+    std::filesystem::remove_all(dir);
+    write_csv(ts, dir);
+    const auto back = read_csv(dir);
+    EXPECT_TRUE(field_bytes(back) == field_bytes(ts));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CsvEdges, ReadWindowEdgesLoadTheSameRecords) {
+    // read_csv streams each file through a 1 MiB window (csv.cpp). A line
+    // longer than the window, an unterminated last line and CRLF pairs
+    // split across a refill must all load what the LF original loads.
+    namespace fs = std::filesystem;
+    const auto base = fs::temp_directory_path();
+    const auto& rows = kooza::obs::counter("trace.csv.rows_total");
+    const auto& bad_rows = kooza::obs::counter("trace.csv.bad_rows_total");
+    constexpr std::size_t kWindow = std::size_t(1) << 20;
+
+    // Several windows per file; rows_total counts every data row once.
+    auto ts = busy_traceset(40000);
+    const auto lf = base / "kooza_csv_window_lf";
+    fs::remove_all(lf);
+    write_csv(ts, lf);
+    ASSERT_GT(fs::file_size(lf / "storage.csv"), 2 * kWindow);
+    const auto rows_before = rows.value();
+    const auto bad_before = bad_rows.value();
+    const auto want = field_bytes(read_csv(lf));
+    EXPECT_EQ(rows.value() - rows_before, ts.total_records());
+    EXPECT_EQ(bad_rows.value(), bad_before);
+    EXPECT_TRUE(want == field_bytes(ts));
+
+    // CRLF copy. The storage header is padded so the first window ends
+    // on a '\r': that pair straddles the first refill, and later refills
+    // land wherever the rows put them.
+    const auto crlf = base / "kooza_csv_window_crlf";
+    fs::remove_all(crlf);
+    fs::create_directories(crlf);
+    for (const auto& e : fs::directory_iterator(lf)) {
+        std::string out;
+        for (const char c : slurp(e.path())) {
+            if (c == '\n') out += '\r';
+            out += c;
+        }
+        if (e.path().filename() == "storage.csv") {
+            const auto cr = out.rfind('\r', kWindow - 1);
+            ASSERT_NE(cr, std::string::npos);
+            out.insert(out.find('\r'), kWindow - 1 - cr, 'x');
+            ASSERT_EQ(out[kWindow - 1], '\r');
+            ASSERT_EQ(out[kWindow], '\n');
+        }
+        spit(crlf / e.path().filename(), out);
+    }
+    EXPECT_TRUE(field_bytes(read_csv(crlf)) == want);
+
+    // No newline after the last row of any file.
+    for (const auto& e : fs::directory_iterator(lf)) {
+        auto bytes = slurp(e.path());
+        ASSERT_EQ(bytes.back(), '\n');
+        bytes.pop_back();
+        spit(e.path(), bytes);
+    }
+    EXPECT_TRUE(field_bytes(read_csv(lf)) == want);
+
+    // A span name longer than the window, between ordinary rows: the
+    // writer passes it straight through, the reader grows its window.
+    ts.spans[100].name.assign(kWindow + 12345, 'n');
+    write_csv(ts, lf);
+    EXPECT_GT(fs::file_size(lf / "spans.csv"), kWindow);
+    EXPECT_TRUE(field_bytes(read_csv(lf)) == field_bytes(ts));
+
+    fs::remove_all(lf);
+    fs::remove_all(crlf);
+}
+
+TEST(TraceWriters, FullDiskThrowsNamingTheFile) {
+    // A write that fails only at the final flush (the data fits in the
+    // stream buffer) used to be lost silently: both writers returned and
+    // left nothing on disk. /dev/full fails every write with ENOSPC.
+    namespace fs = std::filesystem;
+    if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    TraceSet ts;
+    for (std::uint64_t id = 1; id <= 3; ++id)
+        ts.requests.push_back({id, IoType::kRead, double(id), double(id) + 0.5, 4096});
+    struct Writer {
+        const char* file;
+        void (*write)(const TraceSet&, const fs::path&);
+    };
+    for (const auto& f : {Writer{"requests.csv", write_csv},
+                          Writer{"requests.bin", write_binary}}) {
+        const auto dir = fs::temp_directory_path() / "kooza_full_disk";
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        fs::create_symlink("/dev/full", dir / f.file);
+        try {
+            f.write(ts, dir);
+            ADD_FAILURE() << f.file << ": write returned normally";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(f.file), std::string::npos)
+                << e.what();
+        }
+        fs::remove_all(dir);
+    }
 }
 
 TEST(CsvEdges, NegativeIdThrows) {
