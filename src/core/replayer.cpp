@@ -5,9 +5,8 @@
 #include <deque>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 
-#include "gfs/chunkserver.hpp"
+#include "gfs/phase.hpp"
 #include "obs/metrics.hpp"
 #include "par/pool.hpp"
 #include "sim/engine.hpp"
@@ -31,21 +30,7 @@ ReplayerMetrics& metrics() {
     return m;
 }
 
-/// The phases replay executes, one per gfs::phase name in kPhaseNames;
-/// every other name is kUnknown.
-enum class Phase : std::uint8_t {
-    kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kReplForward, kCpuAggregate,
-    kNetTx, kMasterLookup, kUnknown
-};
-constexpr std::array<std::string_view, std::size_t(Phase::kUnknown)> kPhaseNames{
-    gfs::phase::kNetRx,       gfs::phase::kCpuVerify,    gfs::phase::kMemBuffer,
-    gfs::phase::kDiskIo,      gfs::phase::kReplForward,  gfs::phase::kCpuAggregate,
-    gfs::phase::kNetTx,       gfs::phase::kMasterLookup};
-
-Phase phase_of(std::string_view name) {
-    return Phase(std::find(kPhaseNames.begin(), kPhaseNames.end(), name) -
-                 kPhaseNames.begin());
-}
+using gfs::Phase;
 
 /// One replay server: the chunkserver's device stack without GFS logic.
 struct ServerStack {
@@ -88,7 +73,7 @@ public:
         rec.server = r.server % servers_.size();
         rec.first = phases_.size();
         for (const auto& name : r.phases) {
-            const Phase p = phase_of(name);
+            const Phase p = gfs::phase_of(name);
             phases_.push_back(p);
             ++rec.count[std::size_t(p)];
         }
@@ -173,7 +158,7 @@ private:
         if (rec.next == r.phases.size()) return complete(i);
         const Phase phase = phases_[rec.first + rec.next++];
         ServerStack& st = servers_[rec.server];
-        const auto then = [this, i](double) { step(i); };
+        const auto then = [this, i] { step(i); };
         switch (phase) {
         case Phase::kNetRx: {
             const bool payload = r.type == trace::IoType::kWrite;
@@ -195,7 +180,7 @@ private:
                                         ? cfg_.cpu_verify_fraction
                                         : 1.0 - cfg_.cpu_verify_fraction;
             st.cpu.execute(rec.id, fraction * r.cpu_busy_seconds / double(rec.of(phase)),
-                           [this, i] { step(i); });
+                           then);
             break;
         }
         case Phase::kMemBuffer:
@@ -210,11 +195,10 @@ private:
             // which writes a share of the storage bytes.
             replica_of(rec).ingress.transfer(
                 rec.id, rec.network_share(),
-                [this, i](double) {
+                [this, i, then] {
                     const Record& rec = records_[i];
                     replica_of(rec).disk.io(rec.id, lbn_of(*rec.req), rec.storage_share(),
-                                            rec.req->storage_type,
-                                            [this, i](double) { step(i); });
+                                            rec.req->storage_type, then);
                 },
                 true);
             break;
@@ -222,16 +206,15 @@ private:
             // Control round trip on the client port.
             client_port_.transfer(
                 rec.id, cfg_.control_bytes,
-                [this, i](double) {
-                    client_port_.transfer(records_[i].id, cfg_.control_bytes,
-                                          [this, i](double) { step(i); }, false);
+                [this, i, then] {
+                    client_port_.transfer(records_[i].id, cfg_.control_bytes, then, false);
                 },
                 false);
             break;
         case Phase::kUnknown:
             ++unknown_phases_;
             metrics().unknown.add();
-            engine_.schedule_after(0.0, [this, i] { step(i); });
+            engine_.schedule_after(0.0, then);
             break;
         }
     }
@@ -243,14 +226,14 @@ private:
         const SyntheticRequest& r = *rec.req;
         ServerStack& st = servers_[rec.server];
         rec.next = 4;
-        const auto part_done = [this, i](double) {
+        const auto part_done = [this, i] {
             if (--records_[i].next == 0) complete(i);
         };
         // Network: payload in the payload-bearing direction.
         auto& port = r.type == trace::IoType::kWrite ? st.ingress : client_port_;
         port.transfer(rec.id, r.network_bytes, part_done, true);
         // CPU: the whole busy budget as one burst.
-        st.cpu.execute(rec.id, r.cpu_busy_seconds, [part_done] { part_done(0.0); });
+        st.cpu.execute(rec.id, r.cpu_busy_seconds, part_done);
         st.memory.access(rec.id, bank_of(r), r.memory_bytes, r.memory_type, part_done);
         st.disk.io(rec.id, lbn_of(r), r.storage_bytes, r.storage_type, part_done);
     }

@@ -8,7 +8,7 @@
 #include <string>
 #include <utility>
 
-#include "gfs/chunkserver.hpp"
+#include "gfs/phase.hpp"
 #include "obs/metrics.hpp"
 #include "par/pool.hpp"
 #include "stats/fitting.hpp"
@@ -39,13 +39,10 @@ TrainerMetrics& trainer_metrics() {
 }  // namespace
 
 std::vector<std::string> canonical_phases(trace::IoType t) {
-    using namespace gfs::phase;
-    if (t == trace::IoType::kRead)
-        return {kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kCpuAggregate, kNetTx};
-    // Write path (gfs::ChunkServer::handle_write): the payload is verified,
-    // buffered and written, then re-enters NET/DISK through the replica
-    // fan-out before the post-I/O aggregate and the ack leaves on net.tx.
-    return {kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kReplForward, kCpuAggregate, kNetTx};
+    std::vector<std::string> names;
+    for (const gfs::Phase p : gfs::path_of(t))
+        names.emplace_back(gfs::kPhaseNames[std::size_t(p)]);
+    return names;
 }
 
 namespace {

@@ -20,11 +20,10 @@
 
 namespace kooza::core {
 
-/// Canonical GFS phase order for a request type (paper Fig. 1), the
-/// fallback structure when span sampling recorded no tree for the type.
-/// Reads: rx -> verify -> buffer -> disk -> aggregate -> tx. Writes
-/// additionally re-enter the network/disk path through the replica
-/// fan-out (repl.forward) between the primary disk write and the ack.
+/// Canonical GFS phase order for a request type: the names of the read or
+/// write path table (gfs::path_of, paper Fig. 1), the fallback structure
+/// when span sampling recorded no tree for the type. A write's
+/// repl.forward appears once, between the primary disk write and the ack.
 [[nodiscard]] std::vector<std::string> canonical_phases(trace::IoType t);
 
 /// The arrival-process recipe shared by KOOZA's network sub-model and the

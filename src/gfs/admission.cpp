@@ -1,6 +1,7 @@
 #include "gfs/admission.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -31,8 +32,7 @@ AdmissionController::AdmissionController(sim::Engine& engine, std::uint32_t serv
     arm_probe();
 }
 
-void AdmissionController::admit(std::function<void()> op,
-                                std::function<void()> on_reject) {
+bool AdmissionController::admit(sim::EventFn op, sim::EventFn on_reject) {
     // Grant synchronously only when nobody is already waiting, so queued
     // ops keep FIFO order across ticket-count changes.
     if (queue_.empty() && in_flight_ < tickets_) {
@@ -40,7 +40,7 @@ void AdmissionController::admit(std::function<void()> op,
         ++admitted_;
         metrics().admitted.add();
         op();
-        return;
+        return true;
     }
     // A caller with no rejection path always queues: dropping its op
     // would leak the request. Otherwise the policy (and queue bound)
@@ -48,11 +48,12 @@ void AdmissionController::admit(std::function<void()> op,
     if (!on_reject || (cfg_.queue && queue_.size() < cfg_.queue_limit)) {
         queue_.push_back(std::move(op));
         metrics().queued.add();
-        return;
+        return true;
     }
     ++rejected_;
     metrics().rejected.add();
-    engine_.schedule_after(0.0, std::move(on_reject));
+    engine_.schedule_after(0.0, [on_reject = std::move(on_reject)]() mutable { on_reject(); });
+    return false;
 }
 
 void AdmissionController::release() {

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 
 #include "gfs/config.hpp"
@@ -39,10 +38,11 @@ public:
     AdmissionController& operator=(const AdmissionController&) = delete;
 
     /// Run `op` now if a ticket is free, queue it if the wait queue has
-    /// room, otherwise schedule `on_reject`. An empty `on_reject` means
-    /// the caller cannot handle rejection: the op queues past the limit
-    /// rather than being dropped. Every admitted op MUST release().
-    void admit(std::function<void()> op, std::function<void()> on_reject);
+    /// room, otherwise schedule `on_reject` and return false: a bounced op
+    /// never runs. An empty `on_reject` means the caller cannot handle
+    /// rejection: the op queues past the limit rather than being dropped.
+    /// Every admitted op MUST release().
+    bool admit(sim::EventFn op, sim::EventFn on_reject);
 
     /// Return the ticket held by a completed op; hands it to the queue
     /// head when one is waiting. Counts toward the probe window goodput.
@@ -76,7 +76,7 @@ private:
 
     std::uint32_t tickets_;
     std::size_t in_flight_ = 0;
-    std::deque<std::function<void()>> queue_;
+    std::deque<sim::EventFn> queue_;
 
     // Probe state: cumulative goodput per visited ticket count, explored
     // in a best / best+step / best-step cycle.

@@ -1,7 +1,7 @@
 #include "gfs/chunkserver.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "gfs/admission.hpp"
@@ -9,36 +9,7 @@
 
 namespace kooza::gfs {
 
-ChunkServer::ChunkServer(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
-                         trace::Sink* sink, trace::SpanTracer* tracer, sim::Rng rng)
-    : id_(id), engine_(engine), cfg_(cfg), sink_(sink), tracer_(tracer), rng_(rng) {
-    disk_ = std::make_unique<hw::Disk>(engine_, cfg_.disk, sink_);
-    cpu_ = std::make_unique<hw::Cpu>(engine_, cfg_.cpu, sink_);
-    memory_ = std::make_unique<hw::Memory>(engine_, cfg_.memory, sink_);
-    ingress_ = std::make_unique<hw::SwitchPort>(
-        engine_, cfg_.net, trace::NetworkRecord::Direction::kRx, sink_);
-}
-
-std::uint64_t ChunkServer::mem_bytes(std::uint64_t size, trace::IoType t) const {
-    const std::uint32_t shift =
-        t == trace::IoType::kRead ? cfg_.mem_shift_read : cfg_.mem_shift_write;
-    return std::max<std::uint64_t>(size >> shift, 512);
-}
-
-std::uint32_t ChunkServer::pick_bank(std::uint64_t request_id) const {
-    // Banks follow storage locality by default; fall back to request id.
-    return std::uint32_t(request_id % cfg_.memory.banks);
-}
-
 namespace {
-/// Span helpers tolerating a null tracer.
-trace::SpanId begin_span(trace::SpanTracer* t, std::uint64_t trace_id,
-                         trace::SpanId parent, const char* name, double now) {
-    return t != nullptr ? t->start_span(trace_id, parent, name, now) : 0;
-}
-void finish_span(trace::SpanTracer* t, trace::SpanId s, double now) {
-    if (t != nullptr) t->end_span(s, now);
-}
 
 struct ServerMetrics {
     obs::Counter& reads = obs::counter("gfs.server.reads_total");
@@ -54,239 +25,169 @@ ServerMetrics& metrics() {
     static ServerMetrics m;
     return m;
 }
+
+/// What a replica runs of the write path: cpu.verify, mem.buffer, disk.io.
+constexpr std::span<const Phase> kReplicaWrite = std::span(kWritePath).subspan(1, 3);
+
 }  // namespace
 
-void ChunkServer::verify_and_buffer(std::uint64_t request_id, std::uint64_t size,
-                                    trace::IoType mem_type, trace::SpanId parent,
-                                    std::function<void()> next) {
-    const double verify_work =
-        cfg_.cpu_verify_fraction * cpu_->work_for_bytes(size);
-    const auto sv =
-        begin_span(tracer_, request_id, parent, phase::kCpuVerify, engine_.now());
-    cpu_->execute(request_id, verify_work, [this, request_id, size, mem_type, parent,
-                                            sv, next = std::move(next)]() mutable {
-        finish_span(tracer_, sv, engine_.now());
-        const auto sm =
-            begin_span(tracer_, request_id, parent, phase::kMemBuffer, engine_.now());
-        const std::uint32_t bank = std::uint32_t(
-            memory_->bank_of(request_id * 4096 + std::uint64_t(id_) * 64));
-        memory_->access(request_id, bank, mem_bytes(size, mem_type), mem_type,
-                        [this, sm, next = std::move(next)](double) mutable {
-                            finish_span(tracer_, sm, engine_.now());
-                            next();
-                        });
-    });
+ChunkServer::ChunkServer(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
+                         trace::Sink* sink, trace::SpanTracer* tracer)
+    : id_(id), engine_(engine), cfg_(cfg), sink_(sink), tracer_(tracer) {
+    disk_ = std::make_unique<hw::Disk>(engine_, cfg_.disk, sink_);
+    cpu_ = std::make_unique<hw::Cpu>(engine_, cfg_.cpu, sink_);
+    memory_ = std::make_unique<hw::Memory>(engine_, cfg_.memory, sink_);
+    ingress_ = std::make_unique<hw::SwitchPort>(
+        engine_, cfg_.net, trace::NetworkRecord::Direction::kRx, sink_);
 }
 
-std::function<void()> ChunkServer::release_ticket_then(
-    std::function<void()> on_done) {
-    return [this, on_done = std::move(on_done)]() mutable {
-        admission_->release();
-        on_done();
-    };
+std::uint64_t ChunkServer::mem_bytes(std::uint64_t size, trace::IoType t) const {
+    const std::uint32_t shift =
+        t == trace::IoType::kRead ? cfg_.mem_shift_read : cfg_.mem_shift_write;
+    return std::max<std::uint64_t>(size >> shift, 512);
 }
 
-void ChunkServer::handle_read(std::uint64_t request_id, std::uint64_t lbn,
-                              std::uint64_t size, trace::SpanId parent,
-                              hw::SwitchPort& client_port,
-                              std::function<void()> on_done,
-                              std::function<void()> on_reject) {
-    if (admission_ != nullptr) {
-        admission_->admit(
-            [this, request_id, lbn, size, parent, &client_port,
-             on_done = std::move(on_done)]() mutable {
-                read_admitted(request_id, lbn, size, parent, client_port,
-                              release_ticket_then(std::move(on_done)));
-            },
-            std::move(on_reject));
-        return;
+std::uint32_t ChunkServer::open(std::uint64_t request_id, trace::IoType type,
+                                std::uint64_t lbn, std::uint64_t size,
+                                trace::SpanId parent, std::span<const Phase> path,
+                                sim::EventFn on_done) {
+    const std::uint32_t slot = pieces_.acquire();
+    Piece& p = pieces_[slot];
+    p.request_id = request_id;
+    p.type = type;
+    p.lbn = lbn;
+    p.size = size;
+    p.parent = parent;
+    p.path = path;
+    p.step = 0;
+    p.client_port = nullptr;
+    p.replicas.clear();
+    p.forwarded = 0;
+    p.ticket = false;
+    p.on_done = std::move(on_done);
+    return slot;
+}
+
+void ChunkServer::handle(std::uint64_t request_id, trace::IoType type, std::uint64_t lbn,
+                         std::uint64_t size, trace::SpanId parent,
+                         hw::SwitchPort& client_port,
+                         std::span<ChunkServer* const> replicas, sim::EventFn on_done,
+                         sim::EventFn on_reject) {
+    const std::uint32_t slot =
+        open(request_id, type, lbn, size, parent, path_of(type), std::move(on_done));
+    Piece& p = pieces_[slot];
+    p.client_port = &client_port;
+    p.replicas.assign(replicas.begin(), replicas.end());
+    if (admission_ == nullptr) return admitted(slot);
+    p.ticket = true;
+    // A bounced piece never runs: its record is free again at once.
+    if (!admission_->admit([this, slot] { admitted(slot); }, std::move(on_reject))) {
+        pieces_[slot].on_done.reset();
+        pieces_.release(slot);
     }
-    read_admitted(request_id, lbn, size, parent, client_port, std::move(on_done));
 }
 
-void ChunkServer::read_admitted(std::uint64_t request_id, std::uint64_t lbn,
+void ChunkServer::admitted(std::uint32_t slot) {
+    const Piece& p = pieces_[slot];
+    if (p.type == trace::IoType::kRead) {
+        metrics().reads.add();
+        metrics().read_bytes.add(p.size);
+    } else {
+        metrics().writes.add();
+        metrics().write_bytes.add(p.size);
+    }
+    run_phase(slot);
+}
+
+void ChunkServer::replica_write(std::uint64_t request_id, std::uint64_t lbn,
                                 std::uint64_t size, trace::SpanId parent,
-                                hw::SwitchPort& client_port,
-                                std::function<void()> on_done) {
-    metrics().reads.add();
-    metrics().read_bytes.add(size);
-    // net.rx: the request header reaches this server's port (control).
-    const auto srx = begin_span(tracer_, request_id, parent, phase::kNetRx, engine_.now());
-    ingress_->transfer(
-        request_id, cfg_.control_bytes,
-        [this, request_id, lbn, size, parent, srx, &client_port,
-         on_done = std::move(on_done)](double) mutable {
-            finish_span(tracer_, srx, engine_.now());
-            verify_and_buffer(
-                request_id, size, trace::IoType::kRead, parent,
-                [this, request_id, lbn, size, parent, &client_port,
-                 on_done = std::move(on_done)]() mutable {
-                    const auto sd = begin_span(tracer_, request_id, parent,
-                                               phase::kDiskIo, engine_.now());
-                    disk_->io(
-                        request_id, lbn, size, trace::IoType::kRead,
-                        [this, request_id, size, parent, sd, &client_port,
-                         on_done = std::move(on_done)](double) mutable {
-                            finish_span(tracer_, sd, engine_.now());
-                            const double agg_work =
-                                (1.0 - cfg_.cpu_verify_fraction) *
-                                cpu_->work_for_bytes(size);
-                            const auto sa =
-                                begin_span(tracer_, request_id, parent,
-                                           phase::kCpuAggregate, engine_.now());
-                            cpu_->execute(
-                                request_id, agg_work,
-                                [this, request_id, size, parent, sa, &client_port,
-                                 on_done = std::move(on_done)]() mutable {
-                                    finish_span(tracer_, sa, engine_.now());
-                                    const auto st = begin_span(tracer_, request_id,
-                                                               parent, phase::kNetTx,
-                                                               engine_.now());
-                                    client_port.transfer(
-                                        request_id, size,
-                                        [this, st,
-                                         on_done = std::move(on_done)](double) mutable {
-                                            finish_span(tracer_, st, engine_.now());
-                                            on_done();
-                                        },
-                                        /*record=*/true);
-                                });
-                        });
-                });
-        },
-        /*record=*/false);
-}
-
-void ChunkServer::handle_replica_write(std::uint64_t request_id, std::uint64_t lbn,
-                                       std::uint64_t size, trace::SpanId parent,
-                                       std::function<void()> on_done) {
+                                sim::EventFn on_done) {
     metrics().replica_writes.add();
-    verify_and_buffer(request_id, size, trace::IoType::kWrite, parent,
-                      [this, request_id, lbn, size, parent,
-                       on_done = std::move(on_done)]() mutable {
-                          const auto sd = begin_span(tracer_, request_id, parent,
-                                                     phase::kDiskIo, engine_.now());
-                          disk_->io(request_id, lbn, size, trace::IoType::kWrite,
-                                    [this, sd,
-                                     on_done = std::move(on_done)](double) mutable {
-                                        finish_span(tracer_, sd, engine_.now());
-                                        on_done();
-                                    });
-                      });
+    run_phase(open(request_id, trace::IoType::kWrite, lbn, size, parent, kReplicaWrite,
+                   std::move(on_done)));
 }
 
-void ChunkServer::handle_write(std::uint64_t request_id, std::uint64_t lbn,
-                               std::uint64_t size, trace::SpanId parent,
-                               hw::SwitchPort& client_port,
-                               std::vector<ChunkServer*> replicas,
-                               std::function<void()> on_done,
-                               std::function<void()> on_reject) {
-    if (admission_ != nullptr) {
-        admission_->admit(
-            [this, request_id, lbn, size, parent, &client_port,
-             replicas = std::move(replicas),
-             on_done = std::move(on_done)]() mutable {
-                write_admitted(request_id, lbn, size, parent, client_port,
-                               std::move(replicas),
-                               release_ticket_then(std::move(on_done)));
-            },
-            std::move(on_reject));
-        return;
+void ChunkServer::run_phase(std::uint32_t slot) {
+    Piece& p = pieces_[slot];
+    if (p.step == p.path.size()) return complete(slot);
+    const Phase phase = p.path[p.step];
+    if (phase == Phase::kReplForward && p.forwarded == p.replicas.size()) {
+        ++p.step;  // the chain is written (or empty)
+        return run_phase(slot);
     }
-    write_admitted(request_id, lbn, size, parent, client_port, std::move(replicas),
-                   std::move(on_done));
+    p.span = begin_span(tracer_, p.request_id, p.parent,
+                        kPhaseNames[std::size_t(phase)], engine_.now());
+    const auto next = [this, slot] { end_phase(slot); };
+    switch (phase) {
+    case Phase::kNetRx: {
+        // A read's header arrives as control; a write's payload is traffic.
+        const bool payload = p.type == trace::IoType::kWrite;
+        ingress_->transfer(p.request_id, payload ? p.size : cfg_.control_bytes, next,
+                           payload);
+        break;
+    }
+    case Phase::kCpuVerify:
+        cpu_->execute(p.request_id,
+                      cfg_.cpu_verify_fraction * cpu_->work_for_bytes(p.size), next);
+        break;
+    case Phase::kMemBuffer:
+        memory_->access(p.request_id,
+                        memory_->bank_of(p.request_id * 4096 + std::uint64_t(id_) * 64),
+                        mem_bytes(p.size, p.type), p.type, next);
+        break;
+    case Phase::kDiskIo:
+        disk_->io(p.request_id, p.lbn, p.size, p.type, next);
+        break;
+    case Phase::kReplForward: {
+        // One hop: the payload reaches the next replica, which writes it.
+        ChunkServer* rep = p.replicas[p.forwarded];
+        rep->ingress().transfer(
+            p.request_id, p.size,
+            [this, slot, rep] {
+                const Piece& p = pieces_[slot];
+                rep->replica_write(p.request_id, p.lbn, p.size, p.parent,
+                                   [this, slot] { end_phase(slot); });
+            },
+            /*record=*/true);
+        break;
+    }
+    case Phase::kCpuAggregate:
+        cpu_->execute(p.request_id,
+                      (1.0 - cfg_.cpu_verify_fraction) * cpu_->work_for_bytes(p.size),
+                      next);
+        break;
+    case Phase::kNetTx: {
+        // A read's payload leaves; a write's ack is control.
+        const bool payload = p.type == trace::IoType::kRead;
+        p.client_port->transfer(p.request_id, payload ? p.size : cfg_.control_bytes,
+                                next, payload);
+        break;
+    }
+    case Phase::kMasterLookup:
+    case Phase::kUnknown:
+        throw std::logic_error("ChunkServer: phase outside the read and write paths");
+    }
 }
 
-void ChunkServer::write_admitted(std::uint64_t request_id, std::uint64_t lbn,
-                                 std::uint64_t size, trace::SpanId parent,
-                                 hw::SwitchPort& client_port,
-                                 std::vector<ChunkServer*> replicas,
-                                 std::function<void()> on_done) {
-    metrics().writes.add();
-    metrics().write_bytes.add(size);
-    // net.rx: the write payload reaches this server's port.
-    const auto srx = begin_span(tracer_, request_id, parent, phase::kNetRx, engine_.now());
-    ingress_->transfer(
-        request_id, size,
-        [this, request_id, lbn, size, parent, srx, &client_port,
-         replicas = std::move(replicas), on_done = std::move(on_done)](double) mutable {
-            finish_span(tracer_, srx, engine_.now());
-            verify_and_buffer(
-                request_id, size, trace::IoType::kWrite, parent,
-                [this, request_id, lbn, size, parent, &client_port,
-                 replicas = std::move(replicas),
-                 on_done = std::move(on_done)]() mutable {
-                    const auto sd = begin_span(tracer_, request_id, parent,
-                                               phase::kDiskIo, engine_.now());
-                    disk_->io(
-                        request_id, lbn, size, trace::IoType::kWrite,
-                        [this, request_id, lbn, size, parent, sd, &client_port,
-                         replicas = std::move(replicas),
-                         on_done = std::move(on_done)](double) mutable {
-                            finish_span(tracer_, sd, engine_.now());
-                            // Forward along the replication chain, then ack.
-                            auto forward = std::make_shared<std::function<void(std::size_t)>>();
-                            auto replicas_ptr =
-                                std::make_shared<std::vector<ChunkServer*>>(
-                                    std::move(replicas));
-                            auto done_ptr = std::make_shared<std::function<void()>>(
-                                std::move(on_done));
-                            *forward = [this, request_id, lbn, size, parent, &client_port,
-                                        replicas_ptr, done_ptr,
-                                        forward](std::size_t i) {
-                                if (i < replicas_ptr->size()) {
-                                    ChunkServer* rep = (*replicas_ptr)[i];
-                                    const auto sf = begin_span(tracer_, request_id,
-                                                               parent,
-                                                               phase::kReplForward,
-                                                               engine_.now());
-                                    rep->ingress().transfer(
-                                        request_id, size,
-                                        [this, request_id, lbn, size, parent, rep, sf,
-                                         forward, i](double) {
-                                            rep->handle_replica_write(
-                                                request_id, lbn, size, parent,
-                                                [this, sf, forward, i] {
-                                                    finish_span(tracer_, sf,
-                                                                engine_.now());
-                                                    (*forward)(i + 1);
-                                                });
-                                        },
-                                        /*record=*/true);
-                                    return;
-                                }
-                                // Chain finished: break the self-reference
-                                // cycle once this invocation unwinds.
-                                engine_.schedule_after(
-                                    0.0, [forward] { *forward = nullptr; });
-                                const double agg_work =
-                                    (1.0 - cfg_.cpu_verify_fraction) *
-                                    cpu_->work_for_bytes(size);
-                                const auto sa = begin_span(tracer_, request_id, parent,
-                                                           phase::kCpuAggregate,
-                                                           engine_.now());
-                                cpu_->execute(request_id, agg_work, [this, request_id,
-                                                                     parent, sa,
-                                                                     &client_port,
-                                                                     done_ptr] {
-                                    finish_span(tracer_, sa, engine_.now());
-                                    const auto st = begin_span(tracer_, request_id,
-                                                               parent, phase::kNetTx,
-                                                               engine_.now());
-                                    client_port.transfer(
-                                        request_id, cfg_.control_bytes,
-                                        [this, st, done_ptr](double) {
-                                            finish_span(tracer_, st, engine_.now());
-                                            (*done_ptr)();
-                                        },
-                                        /*record=*/false);
-                                });
-                            };
-                            (*forward)(0);
-                        });
-                });
-        },
-        /*record=*/true);
+void ChunkServer::end_phase(std::uint32_t slot) {
+    Piece& p = pieces_[slot];
+    finish_span(tracer_, p.span, engine_.now());
+    if (p.path[p.step] == Phase::kReplForward)
+        ++p.forwarded;
+    else
+        ++p.step;
+    run_phase(slot);
+}
+
+void ChunkServer::complete(std::uint32_t slot) {
+    Piece& p = pieces_[slot];
+    sim::EventFn on_done = std::move(p.on_done);
+    const bool ticket = p.ticket;
+    pieces_.release(slot);
+    // The ticket goes back before the completion runs: the freed ticket
+    // must be grantable to whatever that completion submits next.
+    if (ticket) admission_->release();
+    on_done();
 }
 
 }  // namespace kooza::gfs

@@ -1,29 +1,24 @@
-// GFS chunkserver: executes read and write requests against its local
-// device models, following the subsystem path of the paper's Figure 1:
-//
-//   read:  net.rx -> cpu.verify -> mem.buffer -> disk.io -> cpu.aggregate
-//          -> net.tx
-//   write: net.rx -> cpu.verify -> mem.buffer -> disk.io -> repl.forward*
-//          -> cpu.aggregate -> net.tx(ack)
-//
-// Every phase is wrapped in a Dapper-style span so in-depth tracing can
-// recover the structure, and every device emits subsystem records so
-// in-breadth models can be trained — both from the same run.
+// GFS chunkserver: executes read and write pieces against its local
+// device models, stepping each through the read or write path of the
+// paper's Figure 1 (gfs/phase.hpp). Every phase is wrapped in a
+// Dapper-style span so in-depth tracing can recover the structure, and
+// every device emits subsystem records so in-breadth models can be
+// trained — both from the same run.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gfs/config.hpp"
-#include "gfs/master.hpp"
+#include "gfs/phase.hpp"
 #include "hw/cpu.hpp"
 #include "hw/disk.hpp"
 #include "hw/memory.hpp"
 #include "hw/network.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
+#include "sim/slots.hpp"
 #include "trace/sink.hpp"
 #include "trace/span.hpp"
 
@@ -31,44 +26,22 @@ namespace kooza::gfs {
 
 class AdmissionController;
 
-/// Canonical phase names (shared with the KOOZA structure queue).
-namespace phase {
-inline constexpr const char* kNetRx = "net.rx";
-inline constexpr const char* kCpuVerify = "cpu.verify";
-inline constexpr const char* kMemBuffer = "mem.buffer";
-inline constexpr const char* kDiskIo = "disk.io";
-inline constexpr const char* kReplForward = "repl.forward";
-inline constexpr const char* kCpuAggregate = "cpu.aggregate";
-inline constexpr const char* kNetTx = "net.tx";
-inline constexpr const char* kMasterLookup = "master.lookup";
-inline constexpr const char* kFailover = "failover";
-inline constexpr const char* kRequest = "request";
-}  // namespace phase
-
 class ChunkServer {
 public:
     ChunkServer(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
-                trace::Sink* sink, trace::SpanTracer* tracer, sim::Rng rng);
+                trace::Sink* sink, trace::SpanTracer* tracer);
 
-    /// Handle a read of `size` bytes at `lbn`. `parent` is the client's
-    /// root span. `on_done` fires when the response payload has reached
-    /// the client's port (the caller transfers it; see `respond_via`).
-    /// With admission control attached, `on_reject` fires instead when
-    /// the server bounces the request (empty on_reject = never bounce,
-    /// queue past the limit instead).
-    void handle_read(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size,
-                     trace::SpanId parent, hw::SwitchPort& client_port,
-                     std::function<void()> on_done,
-                     std::function<void()> on_reject = {});
-
-    /// Handle a write of `size` bytes at `lbn`. `replicas` are the
-    /// secondary servers to forward to (chain order). Completion fires
-    /// once the local write, all forwards, and the client ack are done.
-    void handle_write(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size,
-                      trace::SpanId parent, hw::SwitchPort& client_port,
-                      std::vector<ChunkServer*> replicas,
-                      std::function<void()> on_done,
-                      std::function<void()> on_reject = {});
+    /// Serve one piece: a `type` I/O of `size` bytes at `lbn`, under the
+    /// client's root span `parent`, answered on `client_port`. A write
+    /// forwards to `replicas` in chain order (copied before the call
+    /// returns). `on_done` runs once the response has reached the client
+    /// port. With admission control attached, `on_reject` runs instead
+    /// when the server bounces the piece (an empty on_reject never
+    /// bounces: the piece queues past the limit instead).
+    void handle(std::uint64_t request_id, trace::IoType type, std::uint64_t lbn,
+                std::uint64_t size, trace::SpanId parent, hw::SwitchPort& client_port,
+                std::span<ChunkServer* const> replicas, sim::EventFn on_done,
+                sim::EventFn on_reject = {});
 
     /// Attach a ticket controller gating primary reads and writes.
     /// Replica-side writes are NOT gated: the primary's ticket covers the
@@ -77,17 +50,12 @@ public:
     void set_admission(AdmissionController* admission) noexcept {
         admission_ = admission;
     }
-    [[nodiscard]] AdmissionController* admission() const noexcept {
-        return admission_;
-    }
 
     /// Ingress port (client->server and server->server traffic lands here).
     [[nodiscard]] hw::SwitchPort& ingress() noexcept { return *ingress_; }
 
     [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
     [[nodiscard]] hw::Disk& disk() noexcept { return *disk_; }
-    [[nodiscard]] hw::Cpu& cpu() noexcept { return *cpu_; }
-    [[nodiscard]] hw::Memory& memory() noexcept { return *memory_; }
 
     /// Failure injection: a failed server never answers; clients time out
     /// and fail over to the next replica. Recover with set_failed(false).
@@ -95,47 +63,53 @@ public:
     [[nodiscard]] bool failed() const noexcept { return failed_; }
 
 private:
-    /// Admission-gated entry bodies (the public handlers wrap these with
-    /// the ticket acquire/release when a controller is attached).
-    void read_admitted(std::uint64_t request_id, std::uint64_t lbn,
+    /// One piece in flight here: a primary read or write stepping through
+    /// its path, or a replica write stepping through the write path's
+    /// cpu.verify, mem.buffer and disk.io under the primary's span.
+    struct Piece {
+        std::uint64_t request_id = 0;
+        trace::IoType type = trace::IoType::kRead;
+        std::uint64_t lbn = 0;
+        std::uint64_t size = 0;
+        trace::SpanId parent = 0;
+        trace::SpanId span = 0;  ///< the running phase's span
+        std::span<const Phase> path;
+        std::size_t step = 0;  ///< index of the running phase in `path`
+        hw::SwitchPort* client_port = nullptr;
+        std::vector<ChunkServer*> replicas;  ///< forwarding chain
+        std::size_t forwarded = 0;           ///< replicas written so far
+        bool ticket = false;                 ///< holds an admission ticket
+        sim::EventFn on_done;
+    };
+
+    std::uint32_t open(std::uint64_t request_id, trace::IoType type, std::uint64_t lbn,
                        std::uint64_t size, trace::SpanId parent,
-                       hw::SwitchPort& client_port, std::function<void()> on_done);
-    void write_admitted(std::uint64_t request_id, std::uint64_t lbn,
-                        std::uint64_t size, trace::SpanId parent,
-                        hw::SwitchPort& client_port,
-                        std::vector<ChunkServer*> replicas,
-                        std::function<void()> on_done);
-
-    /// Wrap `on_done` so the admission ticket is returned before the
-    /// caller's completion runs (the freed ticket must be grantable to
-    /// whatever that completion submits next).
-    [[nodiscard]] std::function<void()> release_ticket_then(
-        std::function<void()> on_done);
-
-    /// Replica-side write: disk + devices only, no client ack.
-    void handle_replica_write(std::uint64_t request_id, std::uint64_t lbn,
-                              std::uint64_t size, trace::SpanId parent,
-                              std::function<void()> on_done);
-
-    /// Common pre-I/O path: cpu.verify then mem.buffer. Calls `next`.
-    void verify_and_buffer(std::uint64_t request_id, std::uint64_t size,
-                           trace::IoType mem_type, trace::SpanId parent,
-                           std::function<void()> next);
+                       std::span<const Phase> path, sim::EventFn on_done);
+    /// Replica side of a forward: verify, buffer and write, no client ack.
+    void replica_write(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size,
+                       trace::SpanId parent, sim::EventFn on_done);
+    /// A primary piece holds its ticket (if any): count it and run.
+    void admitted(std::uint32_t slot);
+    /// Open the span of the piece's current phase and issue its device
+    /// work, or complete the piece once its path is done.
+    void run_phase(std::uint32_t slot);
+    /// Device completion of the current phase: close its span, step on.
+    void end_phase(std::uint32_t slot);
+    void complete(std::uint32_t slot);
 
     [[nodiscard]] std::uint64_t mem_bytes(std::uint64_t size, trace::IoType t) const;
-    [[nodiscard]] std::uint32_t pick_bank(std::uint64_t request_id) const;
 
     std::uint32_t id_;
     sim::Engine& engine_;
     const GfsConfig& cfg_;
     trace::Sink* sink_;
     trace::SpanTracer* tracer_;
-    sim::Rng rng_;
     std::unique_ptr<hw::Disk> disk_;
     std::unique_ptr<hw::Cpu> cpu_;
     std::unique_ptr<hw::Memory> memory_;
     std::unique_ptr<hw::SwitchPort> ingress_;
     AdmissionController* admission_ = nullptr;
+    sim::Slots<Piece> pieces_;
     bool failed_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "gfs/client.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,14 +9,6 @@
 namespace kooza::gfs {
 
 namespace {
-trace::SpanId begin_span(trace::SpanTracer* t, std::uint64_t trace_id,
-                         trace::SpanId parent, const char* name, double now) {
-    return t != nullptr ? t->start_span(trace_id, parent, name, now) : 0;
-}
-void finish_span(trace::SpanTracer* t, trace::SpanId s, double now) {
-    if (t != nullptr) t->end_span(s, now);
-}
-
 struct ClientMetrics {
     obs::Counter& requests = obs::counter("gfs.client.requests_total");
     obs::Counter& failed = obs::counter("gfs.client.requests_failed_total");
@@ -99,171 +90,9 @@ void Client::demote_cached_replica(const CacheKey& key, std::uint32_t failed_ser
     if (pos != servers.end()) std::rotate(pos, pos + 1, servers.end());
 }
 
-void Client::lookup(std::uint64_t request_id, const std::string& file,
-                    std::uint64_t offset, trace::SpanId root,
-                    std::function<void(const ChunkLocation&)> next) {
-    const std::uint64_t chunk_index = offset / master_.chunk_size();
-    const auto key = std::make_pair(file, chunk_index);
-    if (cfg_.client_caches_locations) {
-        auto it = location_cache_.find(key);
-        if (it != location_cache_.end()) {
-            metrics().cache_hits.add();
-            next(it->second);
-            return;
-        }
-    }
-    metrics().cache_misses.add();
-    // Pay the master round trip: control to master, CPU work, control back.
-    const auto sl =
-        begin_span(tracer_, request_id, root, phase::kMasterLookup, engine_.now());
-    master_node_.ingress->transfer(
-        request_id, cfg_.control_bytes,
-        [this, request_id, file, offset, key, sl, next = std::move(next)](double) mutable {
-            master_node_.cpu->execute(
-                request_id, master_node_.cpu->params().per_request_overhead,
-                [this, request_id, file, offset, key, sl,
-                 next = std::move(next)]() mutable {
-                    ingress_->transfer(
-                        request_id, cfg_.control_bytes,
-                        [this, file, offset, key, sl, next = std::move(next)](double) {
-                            finish_span(tracer_, sl, engine_.now());
-                            // locate() lists replicas the master believes
-                            // alive first; overwrite (never emplace) so a
-                            // refreshed location replaces a stale one.
-                            const ChunkLocation loc = master_.locate(file, offset);
-                            if (cfg_.client_caches_locations)
-                                location_cache_[key] = loc;
-                            next(loc);
-                        },
-                        /*record=*/false);
-                });
-        },
-        /*record=*/false);
-}
-
-void Client::try_replica(std::uint64_t request_id, std::string file,
-                         std::uint64_t chunk_index, ChunkLocation loc,
-                         std::uint64_t offset_in_chunk, std::uint64_t size,
-                         trace::IoType type, trace::SpanId root, std::size_t attempt,
-                         std::uint32_t round, std::uint32_t backoff_step,
-                         std::shared_ptr<bool> request_failed,
-                         std::function<void()> done) {
-    if (loc.servers.empty())
-        throw std::logic_error("Client::try_replica: no replicas");
-    if (attempt >= loc.servers.size()) {
-        // Every known replica is down. Evict the stale location and, if
-        // retry rounds remain, back off and re-ask the master — it may
-        // have re-replicated the chunk onto live servers by now.
-        if (round < cfg_.client_retry_rounds) {
-            metrics().retry_rounds.add();
-            if (cfg_.client_caches_locations)
-                location_cache_.erase(CacheKey(file, chunk_index));
-            const double wait = backoff_wait(backoff_step);
-            const auto sf = begin_span(tracer_, request_id, root, phase::kFailover,
-                                       engine_.now());
-            engine_.schedule_after(
-                wait,
-                [this, request_id, file = std::move(file), chunk_index,
-                 offset_in_chunk, size, type, root, round, backoff_step, sf,
-                 request_failed = std::move(request_failed),
-                 done = std::move(done)]() mutable {
-                    finish_span(tracer_, sf, engine_.now());
-                    const std::uint64_t offset =
-                        chunk_index * master_.chunk_size() + offset_in_chunk;
-                    lookup(request_id, file, offset, root,
-                           [this, request_id, file, chunk_index, offset_in_chunk,
-                            size, type, root, round, backoff_step,
-                            request_failed = std::move(request_failed),
-                            done = std::move(done)](const ChunkLocation& fresh) mutable {
-                               try_replica(request_id, std::move(file), chunk_index,
-                                           fresh, offset_in_chunk, size, type, root,
-                                           0, round + 1, backoff_step + 1,
-                                           std::move(request_failed),
-                                           std::move(done));
-                           });
-                });
-            return;
-        }
-        // Out of retry rounds: the piece (and hence the request) fails.
-        *request_failed = true;
-        engine_.schedule_after(0.0, std::move(done));
-        return;
-    }
-    ChunkServer* target = servers_.at(loc.servers[attempt]).get();
-    if (target->failed()) {
-        // Wait out the (backed-off) RPC timeout, demote the dead replica
-        // in the cached location, then fail over to the next replica.
-        const double wait = backoff_wait(backoff_step);
-        ++failovers_;
-        metrics().failovers.add();
-        if (sink_ != nullptr) {
-            trace::FailureRecord rec;
-            rec.time = engine_.now();
-            rec.request_id = request_id;
-            rec.server = target->id();
-            rec.kind = trace::FailureRecord::Kind::kFailover;
-            rec.duration = wait;
-            sink_->append(rec);
-        }
-        if (cfg_.client_caches_locations)
-            demote_cached_replica(CacheKey(file, chunk_index), loc.servers[attempt]);
-        const auto sf =
-            begin_span(tracer_, request_id, root, phase::kFailover, engine_.now());
-        engine_.schedule_after(
-            wait,
-            [this, request_id, file = std::move(file), chunk_index,
-             loc = std::move(loc), offset_in_chunk, size, type, root, attempt, round,
-             backoff_step, sf, request_failed = std::move(request_failed),
-             done = std::move(done)]() mutable {
-                finish_span(tracer_, sf, engine_.now());
-                try_replica(request_id, std::move(file), chunk_index, std::move(loc),
-                            offset_in_chunk, size, type, root, attempt + 1, round,
-                            backoff_step + 1, std::move(request_failed),
-                            std::move(done));
-            });
-        return;
-    }
-    const std::uint64_t lbn = lbn_of(loc.handle, offset_in_chunk);
-    // Admission rejection is the server deliberately shedding load:
-    // retrying would defeat the shed, so the piece (and the request)
-    // fails immediately and the bounce lands in the failures stream.
-    auto on_reject = [this, request_id, server = loc.servers[attempt],
-                      request_failed, done]() {
-        ++rejections_;
-        metrics().rejected.add();
-        if (sink_ != nullptr) {
-            trace::FailureRecord rec;
-            rec.time = engine_.now();
-            rec.request_id = request_id;
-            rec.server = server;
-            rec.kind = trace::FailureRecord::Kind::kAdmissionReject;
-            rec.duration = 0.0;
-            sink_->append(rec);
-        }
-        *request_failed = true;
-        done();
-    };
-    if (type == trace::IoType::kRead) {
-        target->handle_read(request_id, lbn, size, root, *ingress_, std::move(done),
-                            std::move(on_reject));
-    } else {
-        // The chosen server acts as primary; remaining healthy replicas
-        // form the forwarding chain.
-        std::vector<ChunkServer*> replicas;
-        for (std::size_t r = 0; r < loc.servers.size(); ++r) {
-            if (r == attempt) continue;
-            ChunkServer* rep = servers_.at(loc.servers[r]).get();
-            if (!rep->failed()) replicas.push_back(rep);
-        }
-        target->handle_write(request_id, lbn, size, root, *ingress_,
-                             std::move(replicas), std::move(done),
-                             std::move(on_reject));
-    }
-}
-
 void Client::issue(std::uint64_t request_id, const std::string& file,
                    std::uint64_t offset, std::uint64_t size, trace::IoType type,
-                   std::function<void(double)> on_done) {
+                   sim::EventFn on_done) {
     if (size == 0) throw std::invalid_argument("Client::issue: size 0");
     if (offset + size > master_.file_size(file))
         throw std::invalid_argument("Client::issue: beyond end of file " + file);
@@ -271,74 +100,193 @@ void Client::issue(std::uint64_t request_id, const std::string& file,
     // The RequestRecord is keyed at arrival but only emitted (or dropped,
     // on failure) at completion: hold the requests stream until then.
     if (sink_ != nullptr) sink_->open_hold(trace::StreamId::kRequests, arrival);
-    const auto root =
-        begin_span(tracer_, request_id, 0, phase::kRequest, arrival);
+    const std::uint64_t chunk = master_.chunk_size();
+    const std::uint32_t r = requests_.acquire();
+    Request& req = requests_[r];
+    req.id = request_id;
+    req.file = file;
+    req.type = type;
+    req.arrival = arrival;
+    req.size = size;
+    req.root = begin_span(tracer_, request_id, 0, phase::kRequest, arrival);
+    req.outstanding = (offset + size - 1) / chunk - offset / chunk + 1;
+    req.failed = false;
+    req.on_done = std::move(on_done);
 
-    // Split into per-chunk pieces.
-    struct Piece {
-        std::uint64_t offset;
-        std::uint64_t size;
-    };
-    auto pieces = std::make_shared<std::vector<Piece>>();
-    std::uint64_t cur = offset, remaining = size;
-    while (remaining > 0) {
-        const std::uint64_t in_chunk = cur % master_.chunk_size();
-        const std::uint64_t take =
-            std::min(remaining, master_.chunk_size() - in_chunk);
-        pieces->push_back(Piece{cur, take});
-        cur += take;
-        remaining -= take;
+    // One piece per chunk the request touches.
+    for (std::uint64_t cur = offset, end = offset + size; cur < end;) {
+        const std::uint32_t s = pieces_.acquire();
+        Piece& p = pieces_[s];
+        p.request = r;
+        p.chunk_index = cur / chunk;
+        p.offset_in_chunk = cur % chunk;
+        p.size = std::min(end - cur, chunk - p.offset_in_chunk);
+        p.attempt = 0;
+        p.round = 0;
+        p.backoff_step = 0;
+        cur += p.size;
+        lookup(s);
     }
+}
 
-    auto outstanding = std::make_shared<std::size_t>(pieces->size());
-    auto request_failed = std::make_shared<bool>(false);
-    auto finish = [this, request_id, type, arrival, size, root, outstanding,
-                   request_failed, on_done = std::move(on_done)]() {
-        if (--*outstanding != 0) return;
-        const double now = engine_.now();
-        if (*request_failed) {
-            ++failed_requests_;
-            metrics().failed.add();
-            if (sink_ != nullptr) {
-                trace::FailureRecord rec;
-                rec.time = now;
-                rec.request_id = request_id;
-                rec.kind = trace::FailureRecord::Kind::kRequestFailed;
-                rec.duration = now - arrival;
-                sink_->append(rec);
-                // Failed requests emit no RequestRecord; release the hold.
-                sink_->close_hold(trace::StreamId::kRequests, arrival);
-            }
-            finish_span(tracer_, root, now);
-            if (on_done) on_done(-1.0);
+void Client::lookup(std::uint32_t s) {
+    Piece& p = pieces_[s];
+    const Request& req = requests_[p.request];
+    if (cfg_.client_caches_locations) {
+        const auto it = location_cache_.find(CacheKey(req.file, p.chunk_index));
+        if (it != location_cache_.end()) {
+            metrics().cache_hits.add();
+            p.loc = it->second;
+            return try_replica(s);
+        }
+    }
+    metrics().cache_misses.add();
+    // Pay the master round trip: control to master, CPU work, control back.
+    p.span = begin_span(tracer_, req.id, req.root, phase::kMasterLookup, engine_.now());
+    master_node_.ingress->transfer(
+        req.id, cfg_.control_bytes,
+        [this, s] {
+            master_node_.cpu->execute(
+                request_of(s).id, master_node_.cpu->params().per_request_overhead,
+                [this, s] {
+                    ingress_->transfer(request_of(s).id, cfg_.control_bytes,
+                                       [this, s] { located(s); }, /*record=*/false);
+                });
+        },
+        /*record=*/false);
+}
+
+void Client::located(std::uint32_t s) {
+    Piece& p = pieces_[s];
+    const Request& req = requests_[p.request];
+    finish_span(tracer_, p.span, engine_.now());
+    // locate() lists replicas the master believes alive first.
+    const std::uint64_t offset = p.chunk_index * master_.chunk_size() + p.offset_in_chunk;
+    if (cfg_.client_caches_locations) {
+        // Overwrite (never emplace) so a refreshed location replaces a
+        // stale one.
+        ChunkLocation& cached = location_cache_[CacheKey(req.file, p.chunk_index)];
+        cached = master_.locate(req.file, offset);
+        p.loc = cached;
+    } else {
+        p.loc = master_.locate(req.file, offset);
+    }
+    try_replica(s);
+}
+
+void Client::try_replica(std::uint32_t s) {
+    Piece& p = pieces_[s];
+    Request& req = requests_[p.request];
+    if (p.loc.servers.empty())
+        throw std::logic_error("Client::try_replica: no replicas");
+    if (p.attempt >= p.loc.servers.size()) {
+        // Every known replica is down. Evict the stale location and, if
+        // retry rounds remain, back off and re-ask the master — it may
+        // have re-replicated the chunk onto live servers by now.
+        if (p.round < cfg_.client_retry_rounds) {
+            metrics().retry_rounds.add();
+            if (cfg_.client_caches_locations)
+                location_cache_.erase(CacheKey(req.file, p.chunk_index));
+            const double wait = backoff_wait(p.backoff_step);
+            p.span = begin_span(tracer_, req.id, req.root, phase::kFailover, engine_.now());
+            p.attempt = 0;
+            ++p.round;
+            ++p.backoff_step;
+            engine_.schedule_after(wait, [this, s] {
+                finish_span(tracer_, pieces_[s].span, engine_.now());
+                lookup(s);
+            });
             return;
         }
-        if (sink_ != nullptr) {
-            trace::RequestRecord rec;
-            rec.request_id = request_id;
-            rec.type = type;
-            rec.arrival = arrival;
-            rec.completion = now;
-            rec.bytes = size;
-            sink_->append(rec);
-            sink_->close_hold(trace::StreamId::kRequests, arrival);
-        }
-        metrics().requests.add();
-        metrics().latency_ns.observe_seconds(now - arrival);
-        finish_span(tracer_, root, now);
-        if (on_done) on_done(now - arrival);
-    };
-
-    for (const auto& piece : *pieces) {
-        const std::uint64_t chunk_index = piece.offset / master_.chunk_size();
-        lookup(request_id, file, piece.offset, root,
-               [this, request_id, file, chunk_index, piece, type, root,
-                request_failed, finish](const ChunkLocation& loc) {
-                   try_replica(request_id, file, chunk_index, loc,
-                               piece.offset % master_.chunk_size(), piece.size, type,
-                               root, 0, 0, 0, request_failed, finish);
-               });
+        // Out of retry rounds: the piece (and hence the request) fails.
+        req.failed = true;
+        engine_.schedule_after(0.0, [this, s] { piece_done(s); });
+        return;
     }
+    ChunkServer* target = servers_.at(p.loc.servers[p.attempt]).get();
+    if (target->failed()) {
+        // Wait out the (backed-off) RPC timeout, demote the dead replica
+        // in the cached location, then fail over to the next replica.
+        const double wait = backoff_wait(p.backoff_step);
+        ++failovers_;
+        metrics().failovers.add();
+        if (sink_ != nullptr)
+            sink_->append(trace::FailureRecord{engine_.now(), req.id, target->id(),
+                                               trace::FailureRecord::Kind::kFailover, wait});
+        if (cfg_.client_caches_locations)
+            demote_cached_replica(CacheKey(req.file, p.chunk_index),
+                                  p.loc.servers[p.attempt]);
+        p.span = begin_span(tracer_, req.id, req.root, phase::kFailover, engine_.now());
+        ++p.attempt;
+        ++p.backoff_step;
+        engine_.schedule_after(wait, [this, s] {
+            finish_span(tracer_, pieces_[s].span, engine_.now());
+            try_replica(s);
+        });
+        return;
+    }
+    // The chosen server acts as primary; for a write, the remaining
+    // healthy replicas form the forwarding chain.
+    chain_.clear();
+    if (req.type == trace::IoType::kWrite) {
+        for (std::size_t r = 0; r < p.loc.servers.size(); ++r) {
+            if (r == p.attempt) continue;
+            ChunkServer* rep = servers_.at(p.loc.servers[r]).get();
+            if (!rep->failed()) chain_.push_back(rep);
+        }
+    }
+    target->handle(req.id, req.type, lbn_of(p.loc.handle, p.offset_in_chunk), p.size,
+                   req.root, *ingress_, chain_, [this, s] { piece_done(s); },
+                   [this, s] { reject(s); });
+}
+
+void Client::reject(std::uint32_t s) {
+    // Admission rejection is the server deliberately shedding load:
+    // retrying would defeat the shed, so the piece (and the request)
+    // fails immediately and the bounce lands in the failures stream.
+    const Piece& p = pieces_[s];
+    Request& req = requests_[p.request];
+    ++rejections_;
+    metrics().rejected.add();
+    if (sink_ != nullptr)
+        sink_->append(trace::FailureRecord{engine_.now(), req.id, p.loc.servers[p.attempt],
+                                           trace::FailureRecord::Kind::kAdmissionReject,
+                                           0.0});
+    req.failed = true;
+    piece_done(s);
+}
+
+void Client::piece_done(std::uint32_t s) {
+    const std::uint32_t r = pieces_[s].request;
+    pieces_.release(s);
+    if (--requests_[r].outstanding == 0) finish(r);
+}
+
+void Client::finish(std::uint32_t r) {
+    Request& req = requests_[r];
+    const double now = engine_.now();
+    last_latency_ = req.failed ? -1.0 : now - req.arrival;
+    if (req.failed) {
+        ++failed_requests_;
+        metrics().failed.add();
+    } else {
+        metrics().requests.add();
+        metrics().latency_ns.observe_seconds(last_latency_);
+    }
+    if (sink_ != nullptr) {
+        // A failed request emits a FailureRecord instead of its RequestRecord.
+        if (req.failed)
+            sink_->append(trace::FailureRecord{now, req.id, 0,
+                                               trace::FailureRecord::Kind::kRequestFailed,
+                                               now - req.arrival});
+        else
+            sink_->append(trace::RequestRecord{req.id, req.type, req.arrival, now, req.size});
+        sink_->close_hold(trace::StreamId::kRequests, req.arrival);
+    }
+    finish_span(tracer_, req.root, now);
+    sim::EventFn on_done = std::move(req.on_done);
+    requests_.release(r);
+    if (on_done) on_done();
 }
 
 }  // namespace kooza::gfs

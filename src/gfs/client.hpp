@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,6 +25,7 @@
 #include "hw/cpu.hpp"
 #include "hw/network.hpp"
 #include "sim/engine.hpp"
+#include "sim/slots.hpp"
 #include "trace/sink.hpp"
 #include "trace/span.hpp"
 
@@ -49,11 +49,15 @@ public:
     /// of `file`). Multi-chunk requests fan out to all owning servers in
     /// parallel; completion (and `on_done`) fires when every piece is
     /// done. Emits the RequestRecord and closes the root span. If every
-    /// replica of some piece is failed, the request fails: no
-    /// RequestRecord, and `on_done` receives a negative latency.
+    /// replica of some piece is failed, or a server bounced a piece, the
+    /// request fails: no RequestRecord, and last_latency() is negative
+    /// while `on_done` runs.
     void issue(std::uint64_t request_id, const std::string& file, std::uint64_t offset,
-               std::uint64_t size, trace::IoType type,
-               std::function<void(double latency)> on_done);
+               std::uint64_t size, trace::IoType type, sim::EventFn on_done);
+
+    /// Latency of the request whose `on_done` is running: seconds from
+    /// issue to completion, or -1 when it failed.
+    [[nodiscard]] double last_latency() const noexcept { return last_latency_; }
 
     /// Responses from chunkservers land here.
     [[nodiscard]] hw::SwitchPort& ingress() noexcept { return *ingress_; }
@@ -61,8 +65,8 @@ public:
     [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
 
     /// Requests that exhausted every replica without an answer. Failed
-    /// requests produce no RequestRecord and report a negative latency to
-    /// the completion callback.
+    /// requests produce no RequestRecord and report a negative
+    /// last_latency() to their completion.
     [[nodiscard]] std::uint64_t failed_requests() const noexcept {
         return failed_requests_;
     }
@@ -78,14 +82,40 @@ public:
 private:
     using CacheKey = std::pair<std::string, std::uint64_t>;  ///< file, chunk index
 
-    void lookup(std::uint64_t request_id, const std::string& file, std::uint64_t offset,
-                trace::SpanId root, std::function<void(const ChunkLocation&)> next);
-    void try_replica(std::uint64_t request_id, std::string file,
-                     std::uint64_t chunk_index, ChunkLocation loc,
-                     std::uint64_t offset_in_chunk, std::uint64_t size,
-                     trace::IoType type, trace::SpanId root, std::size_t attempt,
-                     std::uint32_t round, std::uint32_t backoff_step,
-                     std::shared_ptr<bool> request_failed, std::function<void()> done);
+    /// One user request in flight.
+    struct Request {
+        std::uint64_t id = 0;
+        std::string file;
+        trace::IoType type = trace::IoType::kRead;
+        double arrival = 0.0;
+        std::uint64_t size = 0;
+        trace::SpanId root = 0;
+        std::size_t outstanding = 0;  ///< pieces not yet finished
+        bool failed = false;          ///< some piece failed or was bounced
+        sim::EventFn on_done;
+    };
+    /// One per-chunk piece of a request, failing over across replicas.
+    struct Piece {
+        std::uint32_t request = 0;  ///< slot of the owning Request
+        std::uint64_t chunk_index = 0;
+        std::uint64_t offset_in_chunk = 0;
+        std::uint64_t size = 0;
+        ChunkLocation loc;               ///< replicas as last resolved
+        std::size_t attempt = 0;         ///< index into loc.servers
+        std::uint32_t round = 0;         ///< master re-asks so far
+        std::uint32_t backoff_step = 0;  ///< failover waits so far
+        trace::SpanId span = 0;          ///< open master.lookup or failover span
+    };
+
+    /// Resolve the piece's chunk location (cache, else a master round
+    /// trip), then try_replica().
+    void lookup(std::uint32_t piece);
+    /// The master's answer arrived: cache it and try_replica().
+    void located(std::uint32_t piece);
+    void try_replica(std::uint32_t piece);
+    void reject(std::uint32_t piece);
+    void piece_done(std::uint32_t piece);
+    void finish(std::uint32_t request);
     /// Move a failed server to the back of the cached location for `key`
     /// so later requests try live replicas first.
     void demote_cached_replica(const CacheKey& key, std::uint32_t failed_server);
@@ -93,6 +123,9 @@ private:
     [[nodiscard]] double backoff_wait(std::uint32_t step) const;
     [[nodiscard]] std::uint64_t lbn_of(ChunkHandle handle,
                                        std::uint64_t offset_in_chunk) const;
+    [[nodiscard]] Request& request_of(std::uint32_t piece) {
+        return requests_[pieces_[piece].request];
+    }
 
     std::uint32_t id_;
     sim::Engine& engine_;
@@ -104,6 +137,10 @@ private:
     trace::SpanTracer* tracer_;
     std::unique_ptr<hw::SwitchPort> ingress_;
     std::map<CacheKey, ChunkLocation> location_cache_;
+    sim::Slots<Request> requests_;
+    sim::Slots<Piece> pieces_;
+    std::vector<ChunkServer*> chain_;  ///< a write's forwarding chain, reused
+    double last_latency_ = 0.0;
     std::uint64_t failed_requests_ = 0;
     std::uint64_t failovers_ = 0;
     std::uint64_t rejections_ = 0;

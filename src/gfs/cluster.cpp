@@ -29,7 +29,6 @@ Cluster::Cluster(GfsConfig cfg, std::size_t n_clients, trace::SinkProvider* prov
     master_ = std::make_unique<Master>(cfg_.n_chunkservers, cfg_.replication,
                                        cfg_.chunk_size);
     master_node_ = std::make_unique<MasterNode>(*engine_, cfg_);
-    sim::Rng seeder(cfg_.seed);
     for (std::size_t s = 0; s < cfg_.n_chunkservers; ++s) {
         trace::Sink* server_sink = nullptr;
         if (provider_ == nullptr) {
@@ -41,8 +40,7 @@ Cluster::Cluster(GfsConfig cfg, std::size_t n_clients, trace::SinkProvider* prov
             server_sink = &provider_->group(1 + s);
         }
         servers_.push_back(std::make_unique<ChunkServer>(
-            std::uint32_t(s), *engine_, cfg_, server_sink, tracer_.get(),
-            seeder.fork()));
+            std::uint32_t(s), *engine_, cfg_, server_sink, tracer_.get()));
     }
     if (cfg_.admission.enabled) {
         for (std::size_t s = 0; s < servers_.size(); ++s) {
@@ -106,9 +104,11 @@ std::uint64_t Cluster::submit(const RequestSpec& spec,
             spec.append ? master_->allocate_append(spec.file, spec.size)
                         : spec.offset;
         const auto type = spec.append ? trace::IoType::kWrite : spec.type;
-        clients_[spec.client]->issue(
+        Client& client = *clients_[spec.client];
+        client.issue(
             id, spec.file, offset, spec.size, type,
-            [this, on_complete = std::move(on_complete)](double latency) {
+            [this, &client, on_complete = std::move(on_complete)] {
+                const double latency = client.last_latency();
                 if (latency >= 0.0) {
                     if (cfg_.collect_latencies) latencies_.push_back(latency);
                     ++completed_;

@@ -163,13 +163,13 @@ void FaultInjector::run_repair(const RepairTask& task) {
     // stage emits its usual device record, so repair traffic is part of
     // the captured workload.
     source->disk().io(id, lbn, task.bytes, trace::IoType::kRead,
-                      [this, task, dest, id, lbn, started](double) {
+                      [this, task, dest, id, lbn, started] {
                           dest->ingress().transfer(
                               id, task.bytes,
-                              [this, task, dest, id, lbn, started](double) {
+                              [this, task, dest, id, lbn, started] {
                                   dest->disk().io(
                                       id, lbn, task.bytes, trace::IoType::kWrite,
-                                      [this, task, dest, id, started](double) {
+                                      [this, task, dest, id, started] {
                                           if (dest->failed()) {
                                               master_.abort_repair(task.handle);
                                               return;

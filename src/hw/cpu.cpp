@@ -1,7 +1,7 @@
 #include "hw/cpu.hpp"
 
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -35,8 +35,8 @@ double Cpu::work_for_bytes(std::uint64_t bytes) const noexcept {
     return params_.per_request_overhead + double(bytes) * params_.per_byte_cost;
 }
 
-void Cpu::execute(std::uint64_t request_id, double busy_seconds,
-                  std::function<void()> on_done) {
+void Cpu::execute_fn(std::uint64_t request_id, double busy_seconds,
+                     sim::EventFn on_done) {
     if (!(busy_seconds >= 0.0)) throw std::invalid_argument("Cpu::execute: negative work");
     const double issued = engine_.now();
     // Keyed at issue, emitted at completion (see sink.hpp hold protocol).
@@ -45,7 +45,7 @@ void Cpu::execute(std::uint64_t request_id, double busy_seconds,
     cores_->acquire([this, request_id, busy_seconds, issued,
                      on_done = std::move(on_done)]() mutable {
         engine_.schedule_after(busy_seconds, [this, request_id, busy_seconds, issued,
-                                              on_done = std::move(on_done)] {
+                                              on_done = std::move(on_done)]() mutable {
             cores_->release();
             metrics().bursts.add();
             metrics().busy_ns.observe_seconds(busy_seconds);
@@ -59,7 +59,7 @@ void Cpu::execute(std::uint64_t request_id, double busy_seconds,
                 sink_->append(rec);
                 sink_->close_hold(trace::StreamId::kCpu, issued);
             }
-            if (on_done) on_done();
+            on_done();
         });
     });
 }

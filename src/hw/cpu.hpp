@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -30,9 +30,13 @@ class Cpu {
 public:
     Cpu(sim::Engine& engine, CpuParams params, trace::Sink* sink = nullptr);
 
-    /// Run a burst of `busy_seconds` of single-core work for a request.
-    void execute(std::uint64_t request_id, double busy_seconds,
-                 std::function<void()> on_done);
+    /// Run a burst of `busy_seconds` of single-core work for a request;
+    /// `on_done` runs when it completes (a sim::EventFn in the engine's arena).
+    template <typename F>
+    void execute(std::uint64_t request_id, double busy_seconds, F&& on_done) {
+        execute_fn(request_id, busy_seconds,
+                   sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
+    }
 
     /// Convenience: burst sized from bytes processed + per-request overhead.
     [[nodiscard]] double work_for_bytes(std::uint64_t bytes) const noexcept;
@@ -41,6 +45,8 @@ public:
     [[nodiscard]] double utilization() const noexcept { return cores_->utilization(); }
 
 private:
+    void execute_fn(std::uint64_t request_id, double busy_seconds, sim::EventFn on_done);
+
     sim::Engine& engine_;
     CpuParams params_;
     trace::Sink* sink_;

@@ -1,8 +1,8 @@
 #include "hw/disk.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -49,8 +49,8 @@ Disk::Disk(sim::Engine& engine, DiskParams params, trace::Sink* sink)
     queue_ = std::make_unique<sim::Resource>(engine_, 1);
 }
 
-void Disk::io(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
-              trace::IoType type, std::function<void(double)> on_done) {
+void Disk::io_fn(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
+                 trace::IoType type, sim::EventFn on_done) {
     if (lbn >= params_.lbn_count) throw std::invalid_argument("Disk::io: lbn range");
     const double issued = engine_.now();
     // The record is keyed at issue but emitted at completion: hold the
@@ -64,7 +64,7 @@ void Disk::io(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_by
         head_ = lbn + size_bytes / params_.block_size;
         if (head_ >= params_.lbn_count) head_ = params_.lbn_count - 1;
         engine_.schedule_after(service, [this, request_id, lbn, size_bytes, type, issued,
-                                         on_done = std::move(on_done)] {
+                                         on_done = std::move(on_done)]() mutable {
             queue_->release();
             ++completed_;
             const double latency = engine_.now() - issued;
@@ -83,7 +83,7 @@ void Disk::io(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_by
                 sink_->append(rec);
                 sink_->close_hold(trace::StreamId::kStorage, issued);
             }
-            if (on_done) on_done(latency);
+            on_done();
         });
     });
 }

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -42,10 +42,14 @@ public:
     /// @param sink optional trace sink; a StorageRecord per completed I/O
     Disk(sim::Engine& engine, DiskParams params, trace::Sink* sink = nullptr);
 
-    /// Issue an I/O. `on_done` fires at completion with the total latency
-    /// (queueing + service).
+    /// Issue an I/O; `on_done` runs once it is queued and served (a
+    /// sim::EventFn in the engine's arena).
+    template <typename F>
     void io(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
-            trace::IoType type, std::function<void(double latency)> on_done);
+            trace::IoType type, F&& on_done) {
+        io_fn(request_id, lbn, size_bytes, type,
+              sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
+    }
 
     [[nodiscard]] const DiskParams& params() const noexcept { return params_; }
     [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
@@ -53,6 +57,9 @@ public:
     [[nodiscard]] std::uint64_t head_position() const noexcept { return head_; }
 
 private:
+    void io_fn(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
+               trace::IoType type, sim::EventFn on_done);
+
     sim::Engine& engine_;
     DiskParams params_;
     trace::Sink* sink_;

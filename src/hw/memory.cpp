@@ -1,7 +1,7 @@
 #include "hw/memory.hpp"
 
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -35,9 +35,9 @@ std::uint32_t Memory::bank_of(std::uint64_t address) const noexcept {
     return std::uint32_t((address / 4096) % params_.banks);
 }
 
-void Memory::access(std::uint64_t request_id, std::uint32_t bank,
-                    std::uint64_t size_bytes, trace::IoType type,
-                    std::function<void(double)> on_done) {
+void Memory::access_fn(std::uint64_t request_id, std::uint32_t bank,
+                       std::uint64_t size_bytes, trace::IoType type,
+                       sim::EventFn on_done) {
     if (bank >= params_.banks) throw std::invalid_argument("Memory::access: bank range");
     const double issued = engine_.now();
     // Keyed at issue, emitted at completion (see sink.hpp hold protocol).
@@ -48,7 +48,7 @@ void Memory::access(std::uint64_t request_id, std::uint32_t bank,
         const double service =
             params_.access_latency + double(size_bytes) / params_.bank_bandwidth;
         engine_.schedule_after(service, [this, &res, request_id, bank, size_bytes, type,
-                                         issued, on_done = std::move(on_done)] {
+                                         issued, on_done = std::move(on_done)]() mutable {
             res.release();
             metrics().accesses.add();
             metrics().bytes.add(size_bytes);
@@ -62,7 +62,7 @@ void Memory::access(std::uint64_t request_id, std::uint32_t bank,
                 sink_->append(rec);
                 sink_->close_hold(trace::StreamId::kMemory, issued);
             }
-            if (on_done) on_done(engine_.now() - issued);
+            on_done();
         });
     });
 }

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -29,10 +29,14 @@ class Memory {
 public:
     Memory(sim::Engine& engine, MemoryParams params, trace::Sink* sink = nullptr);
 
-    /// Access `size_bytes` in `bank`. `on_done` fires at completion with
-    /// total latency (bank queueing + service).
+    /// Access `size_bytes` in `bank`; `on_done` runs once it is queued and
+    /// served (a sim::EventFn in the engine's arena).
+    template <typename F>
     void access(std::uint64_t request_id, std::uint32_t bank, std::uint64_t size_bytes,
-                trace::IoType type, std::function<void(double latency)> on_done);
+                trace::IoType type, F&& on_done) {
+        access_fn(request_id, bank, size_bytes, type,
+                  sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
+    }
 
     /// Bank an address maps to (simple interleave on 4 KB frames).
     [[nodiscard]] std::uint32_t bank_of(std::uint64_t address) const noexcept;
@@ -40,6 +44,9 @@ public:
     [[nodiscard]] const MemoryParams& params() const noexcept { return params_; }
 
 private:
+    void access_fn(std::uint64_t request_id, std::uint32_t bank, std::uint64_t size_bytes,
+                   trace::IoType type, sim::EventFn on_done);
+
     sim::Engine& engine_;
     MemoryParams params_;
     trace::Sink* sink_;

@@ -1,8 +1,8 @@
 #include "hw/network.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -33,99 +33,69 @@ SwitchPort::SwitchPort(sim::Engine& engine, SwitchParams params,
     port_ = std::make_unique<sim::Resource>(engine_, 1);
 }
 
-void SwitchPort::transfer(std::uint64_t request_id, std::uint64_t size_bytes,
-                          std::function<void(double)> on_done, bool record) {
-    auto cb = std::make_shared<std::function<void(double)>>(std::move(on_done));
+void SwitchPort::start(std::uint64_t request_id, std::uint64_t size_bytes, bool record,
+                       sim::EventFn on_done) {
     const double started = engine_.now();
-    // Recorded transfers are keyed at `started` but emitted when the last
-    // frame is delivered (or when retries are exhausted); hold the stream
-    // until whichever emit site fires.
-    if (record && sink_ != nullptr)
-        sink_->open_hold(trace::StreamId::kNetwork, started);
-    send_tail(request_id, size_bytes, started, size_bytes, 0, record,
-              std::move(cb));
+    // Recorded transfers are keyed at `started` but emitted when deliver()
+    // runs; hold the stream until then.
+    if (record && sink_ != nullptr) sink_->open_hold(trace::StreamId::kNetwork, started);
+    const std::uint32_t slot = transfers_.acquire();
+    transfers_[slot] =
+        Transfer{request_id, size_bytes, size_bytes, started, 0, record, std::move(on_done)};
+    send_tail(slot);
 }
 
-void SwitchPort::send_tail(std::uint64_t request_id, std::uint64_t remaining,
-                           double started, std::uint64_t total, std::uint32_t retries,
-                           bool record,
-                           std::shared_ptr<std::function<void(double)>> on_done) {
-    if (remaining == 0) {
+void SwitchPort::send_tail(std::uint32_t slot) {
+    Transfer& t = transfers_[slot];
+    if (t.remaining == 0) {
         // Whole payload serialized; deliver after propagation.
-        engine_.schedule_after(params_.propagation,
-                               [this, request_id, started, total, record, on_done] {
-            ++completed_;
-            metrics().transfers.add();
-            metrics().bytes.add(total);
-            const double latency = engine_.now() - started;
-            if (record && sink_ != nullptr) {
-                trace::NetworkRecord rec;
-                rec.time = started;
-                rec.request_id = request_id;
-                rec.size_bytes = total;
-                rec.direction = direction_;
-                rec.latency = latency;
-                sink_->append(rec);
-                sink_->close_hold(trace::StreamId::kNetwork, started);
-            }
-            if (*on_done) (*on_done)(latency);
-        });
+        engine_.schedule_after(params_.propagation, [this, slot] { deliver(slot); });
         return;
     }
     // Buffer check: waiting acquirers approximate buffered frames.
     if (port_->queue_length() >= params_.buffer_frames) {
         ++drops_;
         metrics().drops.add();
-        if (retries >= params_.max_retries) {
+        ++timeouts_;
+        metrics().timeouts.add();
+        if (t.retries >= params_.max_retries) {
             // Give up on further retries but still complete, counting the
             // stall; real TCP would reset — for workload purposes the
             // request finishes with a pathological latency either way.
-            // The record still has to be emitted: the congested transfers
-            // that exhaust their retries are exactly the tail the model
-            // needs, and dropping them silently undercounted incast.
-            ++timeouts_;
-            metrics().timeouts.add();
-            engine_.schedule_after(params_.retry_timeout,
-                                   [this, request_id, started, total, record,
-                                    on_done] {
-                ++completed_;
-                const double latency = engine_.now() - started;
-                if (record && sink_ != nullptr) {
-                    trace::NetworkRecord rec;
-                    rec.time = started;
-                    rec.request_id = request_id;
-                    rec.size_bytes = total;
-                    rec.direction = direction_;
-                    rec.latency = latency;
-                    sink_->append(rec);
-                    sink_->close_hold(trace::StreamId::kNetwork, started);
-                }
-                if (*on_done) (*on_done)(latency);
-            });
+            // The congested transfers that exhaust their retries are
+            // exactly the tail the model needs, so they are delivered,
+            // counted and recorded like any other.
+            engine_.schedule_after(params_.retry_timeout, [this, slot] { deliver(slot); });
             return;
         }
-        ++timeouts_;
-        metrics().timeouts.add();
-        engine_.schedule_after(params_.retry_timeout, [this, request_id, remaining,
-                                                       started, total, retries, record,
-                                                       on_done] {
-            send_tail(request_id, remaining, started, total, retries + 1, record,
-                      on_done);
-        });
+        ++t.retries;
+        engine_.schedule_after(params_.retry_timeout, [this, slot] { send_tail(slot); });
         return;
     }
-    const std::uint64_t frame = std::min<std::uint64_t>(remaining, params_.mtu);
-    port_->acquire([this, request_id, remaining, frame, started, total, retries, record,
-                    on_done] {
+    const std::uint64_t frame = std::min<std::uint64_t>(t.remaining, params_.mtu);
+    port_->acquire([this, slot, frame] {
         const double serialization = double(frame) / params_.bandwidth;
-        engine_.schedule_after(serialization, [this, request_id, remaining, frame,
-                                               started, total, retries, record,
-                                               on_done] {
+        engine_.schedule_after(serialization, [this, slot, frame] {
             port_->release();
-            send_tail(request_id, remaining - frame, started, total, retries, record,
-                      on_done);
+            transfers_[slot].remaining -= frame;
+            send_tail(slot);
         });
     });
+}
+
+void SwitchPort::deliver(std::uint32_t slot) {
+    Transfer& t = transfers_[slot];
+    ++completed_;
+    metrics().transfers.add();
+    metrics().bytes.add(t.total);
+    if (t.record && sink_ != nullptr) {
+        sink_->append(trace::NetworkRecord{t.started, t.request_id, t.total, direction_,
+                                           engine_.now() - t.started});
+        sink_->close_hold(trace::StreamId::kNetwork, t.started);
+    }
+    sim::EventFn on_done = std::move(t.on_done);
+    transfers_.release(slot);
+    on_done();
 }
 
 }  // namespace kooza::hw

@@ -9,11 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/slots.hpp"
 #include "trace/records.hpp"
 #include "trace/sink.hpp"
 
@@ -41,10 +42,16 @@ public:
                    trace::NetworkRecord::Direction::kRx,
                trace::Sink* sink = nullptr);
 
+    /// Send `size_bytes`; `on_done` runs once the last frame is delivered
+    /// or the retries ran out (a sim::EventFn in the engine's arena).
     /// @param record  false for control messages (headers, acks): they
     ///        cost time on the port but are not payload traffic
-    void transfer(std::uint64_t request_id, std::uint64_t size_bytes,
-                  std::function<void(double latency)> on_done, bool record = true);
+    template <typename F>
+    void transfer(std::uint64_t request_id, std::uint64_t size_bytes, F&& on_done,
+                  bool record = true) {
+        start(request_id, size_bytes, record,
+              sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
+    }
 
     [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
     [[nodiscard]] std::uint64_t timeouts() const noexcept { return timeouts_; }
@@ -52,15 +59,31 @@ public:
     [[nodiscard]] const SwitchParams& params() const noexcept { return params_; }
 
 private:
-    void send_tail(std::uint64_t request_id, std::uint64_t remaining, double started,
-                   std::uint64_t total, std::uint32_t retries, bool record,
-                   std::shared_ptr<std::function<void(double)>> on_done);
+    /// One transfer in flight. Exactly one waiter or event at a time
+    /// holds its slot, and that capture fits inline in a sim::EventFn.
+    struct Transfer {
+        std::uint64_t request_id = 0;
+        std::uint64_t remaining = 0;  ///< bytes not yet serialized
+        std::uint64_t total = 0;
+        double started = 0.0;
+        std::uint32_t retries = 0;
+        bool record = false;
+        sim::EventFn on_done;
+    };
+
+    void start(std::uint64_t request_id, std::uint64_t size_bytes, bool record,
+               sim::EventFn on_done);
+    void send_tail(std::uint32_t slot);
+    /// Count, record and call back a finished transfer: the last frame
+    /// arrived, or the retries ran out.
+    void deliver(std::uint32_t slot);
 
     sim::Engine& engine_;
     SwitchParams params_;
     trace::NetworkRecord::Direction direction_;
     trace::Sink* sink_;
     std::unique_ptr<sim::Resource> port_;
+    sim::Slots<Transfer> transfers_;
     std::uint64_t drops_ = 0;
     std::uint64_t timeouts_ = 0;
     std::uint64_t completed_ = 0;

@@ -157,6 +157,12 @@ TraceReplayGenerator::TraceReplayGenerator(const std::filesystem::path& trace_di
             throw std::runtime_error(
                 "TraceReplayGenerator: " + trace_dir.string() + ": request " +
                 std::to_string(rec.request_id) + " has a non-finite arrival time");
+        if (rec.bytes > kMaxRequestBytes)
+            throw std::runtime_error(
+                "TraceReplayGenerator: " + trace_dir.string() + ": request " +
+                std::to_string(rec.request_id) + " has " + std::to_string(rec.bytes) +
+                " bytes, above the " + std::to_string(kMaxRequestBytes) +
+                "-byte limit");
         gfs::RequestSpec r;
         r.time = rec.arrival;
         r.type = rec.type;

@@ -116,10 +116,15 @@ private:
 /// against a fresh cluster. Arrival times, types and sizes replay
 /// verbatim (sorted by arrival); file placement is re-laid-out
 /// deterministically over one replay file, since request records do not
-/// retain offsets. A non-finite arrival is rejected at load
-/// (std::runtime_error naming the directory and the request id).
+/// retain offsets. A non-finite arrival, or a request above
+/// kMaxRequestBytes, is rejected at load (std::runtime_error naming the
+/// directory and the request id).
 class TraceReplayGenerator final : public ScheduleStream {
 public:
+    /// Largest request a replayed trace may hold (1 TiB): a row's bytes
+    /// size the replay file, and so the master's chunk table.
+    static constexpr std::uint64_t kMaxRequestBytes = std::uint64_t(1) << 40;
+
     struct Params {
         std::uint64_t file_size = 1ull << 30;  ///< grows to fit large requests
     };

@@ -290,7 +290,7 @@ TEST(NetworkGiveUp, RetriesExhaustedStillEmitsRecord) {
     hw::SwitchPort port(engine, p, trace::NetworkRecord::Direction::kRx, &msink);
     int done = 0;
     for (int i = 0; i < 3; ++i)
-        port.transfer(std::uint64_t(i), 10000, [&](double) { ++done; });
+        port.transfer(std::uint64_t(i), 10000, [&] { ++done; });
     engine.run();
     EXPECT_EQ(done, 3);
     EXPECT_EQ(port.completed(), 3u);

@@ -7,6 +7,7 @@
 #include "hw/memory.hpp"
 #include "hw/network.hpp"
 #include "hw/power.hpp"
+#include "obs/metrics.hpp"
 #include "trace/sink.hpp"
 #include "sim/engine.hpp"
 
@@ -47,7 +48,7 @@ TEST(Disk, EmitsStorageRecords) {
     MemorySink msink(sink);
     Disk disk(eng, DiskParams{}, &msink);
     double latency = -1.0;
-    disk.io(42, 5000, 65536, IoType::kRead, [&](double l) { latency = l; });
+    disk.io(42, 5000, 65536, IoType::kRead, [&] { latency = eng.now(); });
     eng.run();
     ASSERT_EQ(sink.storage.size(), 1u);
     EXPECT_EQ(sink.storage[0].request_id, 42u);
@@ -62,9 +63,8 @@ TEST(Disk, QueueSerializesIos) {
     Engine eng;
     Disk disk(eng, DiskParams{}, nullptr);
     std::vector<double> done;
-    disk.io(1, 0, 1 << 20, IoType::kRead, [&](double) { done.push_back(eng.now()); });
-    disk.io(2, 1 << 20, 1 << 20, IoType::kRead,
-            [&](double) { done.push_back(eng.now()); });
+    disk.io(1, 0, 1 << 20, IoType::kRead, [&] { done.push_back(eng.now()); });
+    disk.io(2, 1 << 20, 1 << 20, IoType::kRead, [&] { done.push_back(eng.now()); });
     eng.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_GT(done[1], done[0]);  // second waits for first
@@ -73,7 +73,7 @@ TEST(Disk, QueueSerializesIos) {
 TEST(Disk, HeadMovesWithIo) {
     Engine eng;
     Disk disk(eng, DiskParams{}, nullptr);
-    disk.io(1, 9999, 512, IoType::kWrite, [](double) {});
+    disk.io(1, 9999, 512, IoType::kWrite, [] {});
     eng.run();
     EXPECT_EQ(disk.head_position(), 10000u);  // lbn + 1 block
 }
@@ -81,7 +81,7 @@ TEST(Disk, HeadMovesWithIo) {
 TEST(Disk, InvalidLbnThrows) {
     Engine eng;
     Disk disk(eng, DiskParams{}, nullptr);
-    EXPECT_THROW(disk.io(1, DiskParams{}.lbn_count, 512, IoType::kRead, [](double) {}),
+    EXPECT_THROW(disk.io(1, DiskParams{}.lbn_count, 512, IoType::kRead, [] {}),
                  std::invalid_argument);
 }
 
@@ -135,8 +135,8 @@ TEST(Memory, BanksOperateInParallel) {
     Engine eng;
     Memory mem(eng, MemoryParams{.banks = 2}, nullptr);
     std::vector<double> done;
-    mem.access(1, 0, 1 << 20, IoType::kRead, [&](double) { done.push_back(eng.now()); });
-    mem.access(2, 1, 1 << 20, IoType::kRead, [&](double) { done.push_back(eng.now()); });
+    mem.access(1, 0, 1 << 20, IoType::kRead, [&] { done.push_back(eng.now()); });
+    mem.access(2, 1, 1 << 20, IoType::kRead, [&] { done.push_back(eng.now()); });
     eng.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_DOUBLE_EQ(done[0], done[1]);  // different banks: no conflict
@@ -146,8 +146,8 @@ TEST(Memory, SameBankConflicts) {
     Engine eng;
     Memory mem(eng, MemoryParams{.banks = 2}, nullptr);
     std::vector<double> done;
-    mem.access(1, 0, 1 << 20, IoType::kRead, [&](double) { done.push_back(eng.now()); });
-    mem.access(2, 0, 1 << 20, IoType::kRead, [&](double) { done.push_back(eng.now()); });
+    mem.access(1, 0, 1 << 20, IoType::kRead, [&] { done.push_back(eng.now()); });
+    mem.access(2, 0, 1 << 20, IoType::kRead, [&] { done.push_back(eng.now()); });
     eng.run();
     EXPECT_GT(done[1], done[0]);
 }
@@ -157,12 +157,12 @@ TEST(Memory, EmitsRecordsAndValidates) {
     TraceSet sink;
     MemorySink msink(sink);
     Memory mem(eng, MemoryParams{.banks = 4}, &msink);
-    mem.access(9, 3, 4096, IoType::kWrite, [](double) {});
+    mem.access(9, 3, 4096, IoType::kWrite, [] {});
     eng.run();
     ASSERT_EQ(sink.memory.size(), 1u);
     EXPECT_EQ(sink.memory[0].bank, 3u);
     EXPECT_EQ(sink.memory[0].type, IoType::kWrite);
-    EXPECT_THROW(mem.access(9, 4, 4096, IoType::kRead, [](double) {}),
+    EXPECT_THROW(mem.access(9, 4, 4096, IoType::kRead, [] {}),
                  std::invalid_argument);
     EXPECT_EQ(mem.bank_of(0), 0u);
     EXPECT_EQ(mem.bank_of(4096), 1u);
@@ -174,7 +174,7 @@ TEST(SwitchPort, DeliversWholePayload) {
     MemorySink msink(sink);
     SwitchPort port(eng, SwitchParams{}, NetworkRecord::Direction::kRx, &msink);
     double latency = 0.0;
-    port.transfer(5, 1 << 20, [&](double l) { latency = l; });
+    port.transfer(5, 1 << 20, [&] { latency = eng.now(); });
     eng.run();
     EXPECT_GT(latency, 0.0);
     ASSERT_EQ(sink.network.size(), 1u);
@@ -187,7 +187,7 @@ TEST(SwitchPort, ControlTransfersNotRecorded) {
     TraceSet sink;
     MemorySink msink(sink);
     SwitchPort port(eng, SwitchParams{}, NetworkRecord::Direction::kRx, &msink);
-    port.transfer(5, 512, [](double) {}, /*record=*/false);
+    port.transfer(5, 512, [] {}, /*record=*/false);
     eng.run();
     EXPECT_TRUE(sink.network.empty());
     EXPECT_EQ(port.completed(), 1u);
@@ -204,7 +204,7 @@ TEST(SwitchPort, IncastCausesDropsAndCollapse) {
         std::vector<double> latencies;
         for (int i = 0; i < senders; ++i)
             port.transfer(std::uint64_t(i), 256 << 10,
-                          [&](double l) { latencies.push_back(l); });
+                          [&] { latencies.push_back(eng.now()); });
         eng.run();
         double worst = 0.0;
         for (double l : latencies) worst = std::max(worst, l);
@@ -215,6 +215,34 @@ TEST(SwitchPort, IncastCausesDropsAndCollapse) {
     EXPECT_EQ(drops_few, 0u);
     EXPECT_GT(drops_many, 0u);
     EXPECT_GT(worst_many, worst_few * 2.0);
+}
+
+TEST(SwitchPort, CountersIncludeTransfersThatExhaustRetries) {
+    // Six 64 KiB transfers at once into a one-frame buffer with no
+    // retries: four are dropped and give up. The network counters must
+    // count them too, as completed() and the written records do.
+    Engine eng;
+    TraceSet sink;
+    MemorySink msink(sink);
+    SwitchParams p;
+    p.buffer_frames = 1;
+    p.max_retries = 0;
+    p.retry_timeout = 0.01;
+    SwitchPort port(eng, p, NetworkRecord::Direction::kRx, &msink);
+    auto& transfers = kooza::obs::counter("hw.net.transfers_total");
+    auto& bytes = kooza::obs::counter("hw.net.bytes_total", kooza::obs::Unit::kBytes);
+    const auto transfers_before = transfers.value();
+    const auto bytes_before = bytes.value();
+    int done = 0;
+    for (int i = 0; i < 6; ++i) port.transfer(std::uint64_t(i), 64 << 10, [&] { ++done; });
+    eng.run();
+    EXPECT_EQ(done, 6);
+    EXPECT_EQ(port.timeouts(), 4u);
+    ASSERT_EQ(sink.network.size(), 6u);
+    std::uint64_t recorded = 0;
+    for (const auto& r : sink.network) recorded += r.size_bytes;
+    EXPECT_EQ(transfers.value() - transfers_before, port.completed());
+    EXPECT_EQ(bytes.value() - bytes_before, recorded);
 }
 
 TEST(Power, IdleFloorAndLoadProportionality) {

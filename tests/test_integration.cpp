@@ -19,6 +19,7 @@
 #include "core/trainer.hpp"
 #include "core/validator.hpp"
 #include "gfs/cluster.hpp"
+#include "obs/metrics.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/hypothesis.hpp"
 #include "trace/csv.hpp"
@@ -169,18 +170,10 @@ TEST(Integration, TrainingThroughCsvRoundTrip) {
     EXPECT_EQ(m1.reads().structure.dominant(), m2.reads().structure.dominant());
 }
 
-/// FNV-1a over the seven CSV files a capture with `o` writes, in stream
-/// order, each file's name before its bytes. Also returns the data-row
-/// count of failures.csv, so a case can insist its faults were recorded.
-std::pair<std::uint64_t, std::size_t> csv_capture_digest(core::CaptureOptions o,
-                                                         const std::string& tag) {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() /
-                         ("kooza_csv_pin_" + tag + "_" + std::to_string(::getpid()));
-    fs::remove_all(dir);
-    o.out_dir = dir.string();
-    o.format = trace::Format::kCsv;
-    (void)core::run_capture(o);
+/// FNV-1a over the seven CSV files in `dir`, in stream order, each
+/// file's name before its bytes. Also returns the data-row count of
+/// failures.csv, so a case can insist its faults were recorded.
+std::pair<std::uint64_t, std::size_t> csv_dir_digest(const std::filesystem::path& dir) {
     testutil::Fnv d;
     std::size_t failure_rows = 0;
     for (const auto* stem : trace::kStreamStems) {
@@ -193,14 +186,33 @@ std::pair<std::uint64_t, std::size_t> csv_capture_digest(core::CaptureOptions o,
         if (std::string_view(stem) == "failures")
             failure_rows = std::size_t(std::count(bytes.begin(), bytes.end(), '\n')) - 1;
     }
-    fs::remove_all(dir);
     return {d.value(), failure_rows};
 }
 
+std::filesystem::path pin_dir(const std::string& tag) {
+    return std::filesystem::temp_directory_path() /
+           ("kooza_csv_pin_" + tag + "_" + std::to_string(::getpid()));
+}
+
+/// csv_dir_digest of the CSV capture `o` writes.
+std::pair<std::uint64_t, std::size_t> csv_capture_digest(core::CaptureOptions o,
+                                                         const std::string& tag) {
+    const auto dir = pin_dir(tag);
+    std::filesystem::remove_all(dir);
+    o.out_dir = dir.string();
+    o.format = trace::Format::kCsv;
+    (void)core::run_capture(o);
+    const auto out = csv_dir_digest(dir);
+    std::filesystem::remove_all(dir);
+    return out;
+}
+
 TEST(Integration, CsvCaptureBytesPinned) {
-    // Pins every byte write_csv lays down for three captures against
-    // constants recorded from the iostream writer at precision(17): a
-    // faster encoder must write the same text, doubles included.
+    // Pins every byte write_csv lays down for seven captures. The first
+    // three constants were recorded from the iostream writer at
+    // precision(17), the other four from the std::function request path
+    // before its rewrite: a faster encoder or a rebuilt request path must
+    // write the same text, doubles included.
     core::CaptureOptions oltp;
     oltp.profile = "oltp";
     oltp.count = 2000;
@@ -230,6 +242,52 @@ TEST(Integration, CsvCaptureBytesPinned) {
         csv_capture_digest(faulted, "faulted");
     EXPECT_GT(faulted_failures, 0u);
     EXPECT_EQ(faulted_digest, 0x366ceba3ed185df1ull) << std::hex << faulted_digest;
+
+    // Admission control with two pinned tickets under eight closed-loop
+    // clients: first every piece past the tickets waits in the queue,
+    // then the same load is bounced instead.
+    core::CaptureOptions admitted;
+    admitted.closed_loop = true;
+    admitted.clients = 8;
+    admitted.outstanding = 4;
+    admitted.count = 400;
+    admitted.seed = 7;
+    admitted.admission = "queue";
+    admitted.admission_tickets = 2;
+    auto& queued = obs::counter("gfs.server.admission.queued_total");
+    const auto queued_before = queued.value();
+    const auto queue_digest = csv_capture_digest(admitted, "queue").first;
+    EXPECT_GT(queued.value(), queued_before);
+    EXPECT_EQ(queue_digest, 0x7b7de374cb77840aull) << std::hex << queue_digest;
+
+    admitted.admission = "reject";
+    const auto [reject_digest, rejections] = csv_capture_digest(admitted, "reject");
+    EXPECT_GT(rejections, 0u);
+    EXPECT_EQ(reject_digest, 0xe6b2f61eab3d747aull) << std::hex << reject_digest;
+
+    // Three replicas on four servers: every write forwards down a
+    // two-hop chain, and 1-in-7 sampling leaves most span handles null.
+    core::CaptureOptions replicated;
+    replicated.profile = "micro";
+    replicated.count = 400;
+    replicated.rate = 50.0;
+    replicated.seed = 7;
+    replicated.n_servers = 4;
+    replicated.replication = 3;
+    replicated.span_sample_every = 7;
+    auto& replica_writes = obs::counter("gfs.server.replica_writes_total");
+    const auto replica_before = replica_writes.value();
+    const auto replicated_digest = csv_capture_digest(replicated, "replicated").first;
+    EXPECT_GT(replica_writes.value(), replica_before);
+    EXPECT_EQ(replicated_digest, 0xbfb914079837062dull) << std::hex << replicated_digest;
+
+    // The tiered scenario's log tier writes through record appends.
+    core::CaptureOptions tiered;
+    tiered.scenario = "tiered";
+    tiered.count = 600;
+    tiered.seed = 7;
+    const auto tiered_digest = csv_capture_digest(tiered, "tiered").first;
+    EXPECT_EQ(tiered_digest, 0x9a96fa2944bd4906ull) << std::hex << tiered_digest;
 }
 
 TEST(Integration, MultiServerIncastReproduced) {
@@ -244,10 +302,20 @@ TEST(Integration, MultiServerIncastReproduced) {
     gfs::Cluster cluster(cfg);
     cluster.create_file("wide", 32ull << 20);
     // One big striped read: 8 MB over 32 chunks of 256 KB.
+    auto& drops = obs::counter("hw.net.drops_total");
+    const auto drops_before = drops.value();
     cluster.submit({0.0, "wide", 0, 8ull << 20, IoType::kRead, 0});
     cluster.run();
+    EXPECT_GT(drops.value(), drops_before);
     const auto ts = cluster.traces();
     ASSERT_EQ(ts.requests.size(), 1u);
+    // Pins the fan-out's bytes: 32 pieces, port drops and retries.
+    const auto dir = pin_dir("incast");
+    std::filesystem::remove_all(dir);
+    trace::write_csv(ts, dir);
+    const auto incast_digest = csv_dir_digest(dir).first;
+    std::filesystem::remove_all(dir);
+    EXPECT_EQ(incast_digest, 0x52e056de4663b733ull) << std::hex << incast_digest;
 
     // Replay the same fan-in with the multi-server replayer.
     core::SyntheticWorkload w;

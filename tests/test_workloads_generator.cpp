@@ -309,6 +309,33 @@ TEST(TraceReplayGenerator, ReplaysRequestLogInArrivalOrder) {
     fs::remove_all(dir);
 }
 
+TEST(TraceReplayGenerator, RejectsRequestsAboveTheSizeLimit) {
+    // A replayed row's bytes size the replay file, and the master reserves
+    // one chunk location per 64 MiB of it: a 2^62-byte row must fail by
+    // name before anything is sized from it.
+    const auto dir = fs::temp_directory_path() / "kooza_gen_replay_huge";
+    constexpr std::uint64_t kLimit = workloads::TraceReplayGenerator::kMaxRequestBytes;
+    const auto write_row = [&dir](std::uint64_t bytes) {
+        fs::remove_all(dir);
+        trace::TraceSet ts;
+        ts.requests.push_back({17, trace::IoType::kRead, 0.5, 0.75, bytes});
+        trace::write_traces(ts, dir, trace::Format::kCsv);
+    };
+    write_row(kLimit);
+    EXPECT_EQ(workloads::TraceReplayGenerator(dir).total_ops(), 1u);
+    write_row(std::uint64_t(1) << 62);
+    try {
+        workloads::TraceReplayGenerator gen(dir);
+        ADD_FAILURE() << "a 2^62-byte request was accepted";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(dir.string()), std::string::npos) << what;
+        EXPECT_NE(what.find("request 17"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(kLimit)), std::string::npos) << what;
+    }
+    fs::remove_all(dir);
+}
+
 TEST(MergeGenerator, MergesInTimeOrderAndRejectsCollisions) {
     auto part = [](const std::string& prefix, std::size_t count, double rate) {
         workloads::MixGenerator::Params p;
