@@ -1,9 +1,9 @@
 #include "core/structure.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "stats/fitting.hpp"
 
@@ -18,7 +18,10 @@ StructureQueue StructureQueue::fit(const std::vector<trace::Span>& spans,
 }
 
 void StructureAccumulator::observe(const trace::Span& s) {
-    spans_[s.trace_id].push_back(s);
+    const auto [it, added] = ids_.try_emplace(s.name, std::uint32_t(names_.size()));
+    if (added) names_.push_back(s.name);
+    traces_[s.trace_id].push_back(
+        Record{s.start, s.end, s.span_id, it->second, s.parent_id == 0});
 }
 
 void StructureAccumulator::observe(const std::vector<trace::Span>& spans) {
@@ -27,22 +30,35 @@ void StructureAccumulator::observe(const std::vector<trace::Span>& spans) {
 
 StructureQueue StructureAccumulator::fit(std::span<const trace::TraceId> trace_ids,
                                          double ks_threshold) const {
-    std::set<trace::TraceId> wanted(trace_ids.begin(), trace_ids.end());
-    // Sequence -> count; phase -> durations. Buckets iterate in ascending
-    // trace-id order, matching SpanTree::trace_ids over a flat vector
-    // (SpanTree itself re-sorts by (start, span id), a total order, so
-    // the buffered arrival order is irrelevant).
-    std::map<std::vector<std::string>, std::size_t> counts;
-    std::map<std::string, std::vector<double>> durations;
+    // Traces are visited in ascending id, as SpanTree::trace_ids lists a
+    // flat vector, so every phase's durations come out in one order.
+    std::vector<trace::TraceId> wanted(trace_ids.begin(), trace_ids.end());
+    std::sort(wanted.begin(), wanted.end());
+    wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+    // Phase-id sequence -> count; phase id -> durations.
+    std::map<std::vector<std::uint32_t>, std::size_t> counts;
+    std::vector<std::vector<double>> durations(names_.size());
+    std::vector<Record> tree;
+    std::vector<std::uint32_t> seq;
     std::size_t used = 0;
-    for (const auto& [id, vec] : spans_) {
-        if (wanted.find(id) == wanted.end()) continue;
-        trace::SpanTree tree(vec, id);
-        std::vector<std::string> seq;
-        for (const auto& s : tree.spans()) {
-            if (s.parent_id == 0) continue;  // skip the root "request" span
-            seq.push_back(s.name);
-            durations[s.name].push_back(s.duration());
+    for (const trace::TraceId id : wanted) {
+        const auto it = traces_.find(id);
+        if (it == traces_.end()) continue;
+        // SpanTree's order: start time, ties by span id (a parent before
+        // the children it opened at the same instant), then arrival.
+        tree.assign(it->second.begin(), it->second.end());
+        std::stable_sort(tree.begin(), tree.end(), [](const Record& a, const Record& b) {
+            if (a.start != b.start) return a.start < b.start;
+            return a.span_id < b.span_id;
+        });
+        if (std::none_of(tree.begin(), tree.end(), [](const Record& r) { return r.root; }))
+            throw std::invalid_argument("StructureQueue::fit: trace " + std::to_string(id) +
+                                        " has no root span");
+        seq.clear();
+        for (const Record& r : tree) {
+            if (r.root) continue;  // the "request" span itself
+            seq.push_back(r.phase);
+            durations[r.phase].push_back(r.end - r.start);
         }
         if (seq.empty()) continue;
         ++counts[seq];
@@ -51,18 +67,23 @@ StructureQueue StructureAccumulator::fit(std::span<const trace::TraceId> trace_i
     if (used == 0)
         throw std::invalid_argument("StructureQueue::fit: no usable span trees");
 
-    // Assemble through from_parts: it re-sorts by count and renormalizes
-    // probabilities from counts, reproducing the historical fit exactly.
+    // Variants go to from_parts in lexicographic name order; it orders
+    // them by count, stably, and renormalizes probabilities from counts.
     std::vector<StructureQueue::Variant> variants;
-    for (auto& [seq, n] : counts) {
+    for (const auto& [ids, n] : counts) {
         StructureQueue::Variant v;
-        v.phases = seq;
+        for (const std::uint32_t p : ids) v.phases.push_back(names_[p]);
         v.count = n;
         variants.push_back(std::move(v));
     }
+    std::sort(variants.begin(), variants.end(),
+              [](const StructureQueue::Variant& a, const StructureQueue::Variant& b) {
+                  return a.phases < b.phases;
+              });
     std::map<std::string, std::unique_ptr<stats::Distribution>> fitted;
-    for (auto& [name, vals] : durations)
-        fitted[name] = stats::fit_or_empirical(vals, ks_threshold);
+    for (std::size_t p = 0; p < names_.size(); ++p)
+        if (!durations[p].empty())
+            fitted.emplace(names_[p], stats::fit_or_empirical(durations[p], ks_threshold));
     return StructureQueue::from_parts(std::move(variants), std::move(fitted), used);
 }
 
@@ -83,8 +104,8 @@ StructureQueue StructureQueue::from_parts(
     StructureQueue q;
     q.trained_on_ = trained_on;
     q.variants_ = std::move(variants);
-    std::sort(q.variants_.begin(), q.variants_.end(),
-              [](const Variant& a, const Variant& b) { return a.count > b.count; });
+    std::stable_sort(q.variants_.begin(), q.variants_.end(),
+                     [](const Variant& a, const Variant& b) { return a.count > b.count; });
     for (auto& v : q.variants_) {
         v.probability = double(v.count) / double(total);
         q.weights_.push_back(double(v.count));

@@ -8,10 +8,12 @@
 // distribution per phase name.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -32,7 +34,8 @@ public:
     /// Fit from span records, using only traces whose ids are in
     /// `trace_ids` (callers partition by request type). Root spans
     /// ("request") are excluded; phases are ordered by span start time.
-    /// Throws if no usable trace is found.
+    /// Throws std::invalid_argument if no usable trace is found or a
+    /// wanted trace has no root span.
     static StructureQueue fit(const std::vector<trace::Span>& spans,
                               std::span<const trace::TraceId> trace_ids,
                               double ks_threshold = 0.08);
@@ -42,8 +45,10 @@ public:
     /// Phase durations are point masses at 0 — structure only.
     static StructureQueue canonical(std::vector<std::string> phases);
 
-    /// Reassemble from previously-fitted parts (deserialization). Variant
-    /// probabilities are renormalized from counts.
+    /// Reassemble from previously-fitted parts (deserialization). Variants
+    /// are ordered by count, most frequent first; equal counts keep their
+    /// input order, so a reloaded queue samples as the saved one did.
+    /// Variant probabilities are renormalized from counts.
     static StructureQueue from_parts(
         std::vector<Variant> variants,
         std::map<std::string, std::unique_ptr<stats::Distribution>> durations,
@@ -86,10 +91,11 @@ private:
 };
 
 /// Chunk-feedable span collector behind StructureQueue::fit. Spans arrive
-/// in any order, one record or one chunk at a time, and are bucketed per
-/// trace; fit() then reassembles the trees in ascending trace-id order —
-/// the same order SpanTree::trace_ids yields — so a queue fitted from
-/// chunked reads is identical to one fitted from the full span vector.
+/// in any order, one record or one chunk at a time. Each is kept as a
+/// compact record under its trace, its name interned to a phase id;
+/// fit() then visits the traces in ascending id and orders each one as
+/// trace::SpanTree does, so a queue fitted from chunked reads is
+/// identical to one fitted from the full span vector.
 /// Memory is O(buffered spans): captures bound it with span sampling
 /// (GfsConfig::span_sample_every), not with record caps.
 class StructureAccumulator {
@@ -97,13 +103,24 @@ public:
     void observe(const trace::Span& s);
     void observe(const std::vector<trace::Span>& spans);
 
-    /// Fit a queue from the buffered trees whose ids are in `trace_ids`.
+    /// Fit a queue from the buffered traces whose ids are in `trace_ids`.
     /// Same semantics and failure mode as StructureQueue::fit.
     [[nodiscard]] StructureQueue fit(std::span<const trace::TraceId> trace_ids,
                                      double ks_threshold = 0.08) const;
 
 private:
-    std::map<trace::TraceId, std::vector<trace::Span>> spans_;
+    /// What the fold keeps of a span.
+    struct Record {
+        double start = 0.0;
+        double end = 0.0;
+        trace::SpanId span_id = 0;  ///< breaks start-time ties
+        std::uint32_t phase = 0;    ///< index into names_
+        bool root = false;
+    };
+
+    std::unordered_map<trace::TraceId, std::vector<Record>> traces_;
+    std::vector<std::string> names_;                      ///< phase id -> name
+    std::unordered_map<std::string, std::uint32_t> ids_;  ///< name -> phase id
 };
 
 }  // namespace kooza::core

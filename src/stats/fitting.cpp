@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <stdexcept>
 
 #include "stats/descriptive.hpp"
@@ -15,10 +16,6 @@ namespace {
 
 bool all_positive(std::span<const double> xs) {
     return std::all_of(xs.begin(), xs.end(), [](double x) { return x > 0.0; });
-}
-
-bool is_constant(std::span<const double> xs) {
-    return std::all_of(xs.begin(), xs.end(), [&](double x) { return x == xs.front(); });
 }
 
 }  // namespace
@@ -77,32 +74,49 @@ std::unique_ptr<Weibull> fit_weibull(std::span<const double> xs) {
     require_nonempty(xs, "fit_weibull");
     if (!all_positive(xs))
         throw std::invalid_argument("fit_weibull: data must be positive");
-    if (is_constant(xs)) throw std::invalid_argument("fit_weibull: constant sample");
-    // Newton iteration on the MLE shape equation:
-    // 1/k = sum(x^k ln x)/sum(x^k) - mean(ln x)
-    std::vector<double> lx;
-    lx.reserve(xs.size());
-    for (double x : xs) lx.push_back(std::log(x));
-    const double mean_lx = mean(lx);
-    double k = 1.0;
+    // The MLE shape k is the root of
+    //   g(k) = sum(e^{k u} u) / sum(e^{k u}) - 1/k - mean(u),  u = ln x - max ln x.
+    // Shifting the logs leaves g as it is, keeps every e^{k u} at or below
+    // 1 and makes k independent of the data's units. g rises strictly from
+    // -inf (k -> 0) to -mean(u) > 0 (k -> inf), so its one root is
+    // bracketed by every evaluation: Newton steps that would leave the
+    // bracket split it geometrically instead, or double k while it is
+    // unbounded above.
+    std::vector<double> u;
+    u.reserve(xs.size());
+    for (double x : xs) u.push_back(std::log(x));
+    const auto [min_it, max_it] = std::minmax_element(u.begin(), u.end());
+    if (*min_it == *max_it) throw std::invalid_argument("fit_weibull: constant sample");
+    const double max_log = *max_it;
+    for (double& v : u) v -= max_log;
+    const double mean_u = mean(u);
+    // No u is above 0, so neither is the weighted mean in g: the root has
+    // 1/k <= -mean(u), which bounds the bracket below from the start.
+    // Newton starts at the log-moment estimate, sd(ln x) = pi / (sqrt(6) k),
+    // unless that lies below the bound.
+    double lo = -1.0 / mean_u, hi = std::numeric_limits<double>::infinity();
+    double k = std::max(lo, std::numbers::pi / (std::sqrt(6.0) * stddev(u)));
     for (int iter = 0; iter < 100; ++iter) {
         double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-            const double xk = std::pow(xs[i], k);
-            s0 += xk;
-            s1 += xk * lx[i];
-            s2 += xk * lx[i] * lx[i];
+        for (double v : u) {
+            const double w = std::exp(k * v);
+            s0 += w;
+            s1 += w * v;
+            s2 += w * v * v;
         }
-        const double f = s1 / s0 - 1.0 / k - mean_lx;
-        const double fp = (s2 * s0 - s1 * s1) / (s0 * s0) + 1.0 / (k * k);
-        const double step = f / fp;
-        k -= step;
-        if (!(k > 0.0)) k = 1e-3;
+        const double m1 = s1 / s0;
+        const double g = m1 - 1.0 / k - mean_u;
+        (g < 0.0 ? lo : hi) = k;
+        const double gp = s2 / s0 - m1 * m1 + 1.0 / (k * k);
+        double next = k - g / gp;
+        if (!(next > lo && next <= hi)) next = std::isinf(hi) ? 2.0 * k : std::sqrt(lo * hi);
+        const double step = next - k;
+        k = next;
         if (std::fabs(step) < 1e-10 * std::max(1.0, k)) break;
     }
     double s0 = 0.0;
-    for (double x : xs) s0 += std::pow(x, k);
-    const double scale = std::pow(s0 / double(xs.size()), 1.0 / k);
+    for (double v : u) s0 += std::exp(k * v);
+    const double scale = std::exp(max_log) * std::pow(s0 / double(xs.size()), 1.0 / k);
     return std::make_unique<Weibull>(k, scale);
 }
 

@@ -51,7 +51,9 @@ enum class Family {
 /// MLE: xm = min(x), alpha = n / sum(log(x/xm)). Requires positive data.
 [[nodiscard]] std::unique_ptr<Pareto> fit_pareto(std::span<const double> xs);
 
-/// MLE via Newton iteration on the shape. Requires positive data.
+/// MLE: bracketed Newton on the shape equation over logs shifted by
+/// their maximum, so the shape does not depend on the data's units.
+/// Requires positive data whose logs are not all equal.
 [[nodiscard]] std::unique_ptr<Weibull> fit_weibull(std::span<const double> xs);
 
 /// Method of moments: shape = mean^2/var, scale = var/mean.

@@ -140,7 +140,10 @@ std::pair<std::uint64_t, std::uint64_t> train_digests(CaptureOptions o,
 
 TEST(Trainer, SavedModelDigestPinned) {
     // Pins every byte a trained model saves against recorded constants:
-    // a faster fit must choose the same families with the same parameters.
+    // the families each fit chooses, their parameters to the last digit
+    // and the order of the structure variants. The closed-loop model keeps
+    // two Weibull fits (disk.io durations), so it pins the shape solver's
+    // rounding too; the oltp model has none.
     CaptureOptions oltp;
     oltp.profile = "oltp";
     oltp.count = 3000;
@@ -153,8 +156,8 @@ TEST(Trainer, SavedModelDigestPinned) {
     closed.count = 3000;
     closed.seed = 7;
     const auto [closed_mat, closed_streamed] = train_digests(closed, "closed");
-    EXPECT_EQ(closed_mat, 0x5b7481ba499d1500ull) << std::hex << closed_mat;
-    EXPECT_EQ(closed_streamed, 0x5b7481ba499d1500ull) << std::hex << closed_streamed;
+    EXPECT_EQ(closed_mat, 0x7157e764305c18ebull) << std::hex << closed_mat;
+    EXPECT_EQ(closed_streamed, 0x7157e764305c18ebull) << std::hex << closed_streamed;
 }
 
 /// Trains on `ts` and returns the error message.

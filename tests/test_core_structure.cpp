@@ -1,6 +1,9 @@
 // Tests for the structure queue (KOOZA's time-dependencies model).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/structure.hpp"
 #include "sim/rng.hpp"
 #include "trace/span.hpp"
@@ -96,6 +99,107 @@ TEST(StructureQueue, CanonicalFallback) {
     EXPECT_EQ(q.training_traces(), 0u);
     EXPECT_DOUBLE_EQ(q.phase_duration("x").mean(), 0.0);
     EXPECT_THROW(StructureQueue::canonical({}), std::invalid_argument);
+}
+
+TEST(StructureQueue, WantedTraceWithoutRootThrows) {
+    auto spans = make_spans(10);
+    for (auto& s : spans)
+        if (s.trace_id == 3 && s.parent_id == 0) s.parent_id = 99;  // no root left
+    EXPECT_THROW(StructureQueue::fit(spans, all_ids(10)), std::invalid_argument);
+    const std::vector<TraceId> others{1, 2, 4};
+    EXPECT_EQ(StructureQueue::fit(spans, others).training_traces(), 3u);
+}
+
+/// Spans for `n` traces with random phase durations, so that every
+/// duration fit depends on the order the fold visits its values in.
+std::vector<Span> random_spans(std::size_t n) {
+    SpanTracer t(1);
+    Rng rng(3);
+    for (TraceId id = 0; id < n; ++id) {
+        double now = double(id);
+        const auto root = t.start_span(id, 0, "request", now);
+        const auto phase = [&](const char* name, double rate) {
+            const auto s = t.start_span(id, root, name, now);
+            now += rng.exponential(rate);
+            t.end_span(s, now);
+        };
+        phase("A", 100.0);
+        if (!rng.bernoulli(0.3)) phase("B", 10.0);
+        phase("C", 10.0);
+        t.end_span(root, now);
+    }
+    return t.spans();
+}
+
+void expect_same_queue(const StructureQueue& a, const StructureQueue& b) {
+    EXPECT_EQ(a.describe(), b.describe());
+    ASSERT_EQ(a.phase_names(), b.phase_names());
+    for (const auto& p : a.phase_names()) {
+        const auto& da = a.phase_duration(p);
+        const auto& db = b.phase_duration(p);
+        EXPECT_EQ(da.describe(), db.describe()) << p;
+        EXPECT_EQ(da.mean(), db.mean()) << p;
+        EXPECT_EQ(da.variance(), db.variance()) << p;
+        for (double q : {0.1, 0.5, 0.9}) EXPECT_EQ(da.quantile(q), db.quantile(q)) << p;
+    }
+}
+
+TEST(StructureAccumulator, ObservationOrderIsIrrelevant) {
+    const auto spans = random_spans(300);
+    const auto ids = all_ids(300);
+    const auto q = StructureQueue::fit(spans, ids);
+    ASSERT_EQ(q.variants().size(), 2u);
+
+    const std::vector<Span> reversed(spans.rbegin(), spans.rend());
+    expect_same_queue(q, StructureQueue::fit(reversed, ids));
+
+    // Two chunks that interleave: every other span in each.
+    std::vector<Span> even, odd;
+    for (std::size_t i = 0; i < spans.size(); ++i) (i % 2 ? odd : even).push_back(spans[i]);
+    kooza::core::StructureAccumulator acc;
+    acc.observe(odd);
+    acc.observe(even);
+    expect_same_queue(q, acc.fit(ids));
+}
+
+TEST(StructureQueue, KeepsPhaseNamesOutsideGfsPaths) {
+    SpanTracer t(1);
+    for (TraceId id = 0; id < 20; ++id) {
+        const double base = double(id);
+        const auto root = t.start_span(id, 0, "request", base);
+        const auto l = t.start_span(id, root, "master.lookup", base);
+        t.end_span(l, base + 0.01);
+        const auto f = t.start_span(id, root, "failover", base + 0.01);
+        t.end_span(f, base + 0.05);
+        const auto d = t.start_span(id, root, "disk.io", base + 0.05);
+        t.end_span(d, base + 0.06);
+        t.end_span(root, base + 0.06);
+    }
+    const auto q = StructureQueue::fit(t.spans(), all_ids(20));
+    EXPECT_EQ(q.dominant(),
+              (std::vector<std::string>{"master.lookup", "failover", "disk.io"}));
+    EXPECT_NEAR(q.phase_duration("failover").mean(), 0.04, 1e-9);
+}
+
+TEST(StructureQueue, FromPartsKeepsTiedVariantOrder) {
+    // Above 16 variants an unstable sort reorders tied counts; they must
+    // keep their order, or a reloaded model samples other phase orders.
+    std::vector<StructureQueue::Variant> vs;
+    for (std::size_t i = 0; i < 17; ++i) {
+        StructureQueue::Variant v;
+        v.phases = {"p" + std::to_string(i)};
+        v.count = 1 + i % 3;
+        vs.push_back(std::move(v));
+    }
+    const auto q = StructureQueue::from_parts(vs, {}, 17);
+    const auto again = StructureQueue::from_parts(q.variants(), {}, 17);
+    ASSERT_EQ(again.variants().size(), 17u);
+    for (std::size_t i = 0; i < 17; ++i)
+        EXPECT_EQ(again.variants()[i].phases, q.variants()[i].phases) << i;
+    // Most frequent first, ties in input order.
+    EXPECT_EQ(q.variants()[0].phases, (std::vector<std::string>{"p2"}));
+    EXPECT_EQ(q.variants()[1].phases, (std::vector<std::string>{"p5"}));
+    EXPECT_EQ(q.variants()[16].phases, (std::vector<std::string>{"p15"}));
 }
 
 TEST(StructureQueue, ParameterCountAndDescribe) {

@@ -3,6 +3,7 @@
 // fit_best must identify the generating family.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -71,6 +72,34 @@ TEST(FitWeibull, RecoversParams) {
     auto fit = fit_weibull(draw(truth, 20000, 5));
     EXPECT_NEAR(fit->shape(), 1.7, 0.1);
     EXPECT_NEAR(fit->scale(), 3.0, 0.1);
+}
+
+TEST(FitWeibull, ShapeIsUnitInvariant) {
+    // The same sample in seconds, milliseconds, ... must fit the same
+    // shape and a scale in its own unit, including far from 1 where x^k
+    // under- or overflows.
+    const auto base = draw(Weibull(30.0, 1.0), 2000, 5);
+    const auto ref = fit_weibull(base);
+    EXPECT_NEAR(ref->shape(), 30.0, 1.5);
+    for (double c : {1e-6, 1e-3, 1.0, 1e3, 1e6}) {
+        auto xs = base;
+        for (double& x : xs) x *= c;
+        const auto fit = fit_weibull(xs);
+        EXPECT_NEAR(fit->shape(), ref->shape(), 1e-9 * ref->shape()) << "c=" << c;
+        EXPECT_NEAR(fit->scale(), c * ref->scale(), 1e-9 * c * ref->scale()) << "c=" << c;
+    }
+    const auto steep = fit_weibull(draw(Weibull(60.0, 1e6), 2000, 5));
+    EXPECT_NEAR(steep->shape(), 60.0, 0.05 * 60.0);
+}
+
+TEST(FitWeibull, RejectsSampleWithEqualLogs) {
+    // Two values one ulp apart whose logs round to the same double: the
+    // shape equation has no root, so the sample counts as constant.
+    const double a = 1e300, b = std::nextafter(a, 2e300);
+    ASSERT_EQ(std::log(a), std::log(b));
+    const std::vector<double> equal_logs{a, b, a}, constant{5.0, 5.0};
+    EXPECT_THROW(fit_weibull(equal_logs), std::invalid_argument);
+    EXPECT_THROW(fit_weibull(constant), std::invalid_argument);
 }
 
 TEST(FitGamma, RecoversParams) {
