@@ -1,6 +1,7 @@
 #include "core/structure.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,10 +19,15 @@ StructureQueue StructureQueue::fit(const std::vector<trace::Span>& spans,
 }
 
 void StructureAccumulator::observe(const trace::Span& s) {
-    const auto [it, added] = ids_.try_emplace(s.name, std::uint32_t(names_.size()));
-    if (added) names_.push_back(s.name);
+    constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
+    if (s.name.id() >= phases_.size()) phases_.resize(s.name.id() + 1, kNone);
+    auto& phase = phases_[s.name.id()];
+    if (phase == kNone) {
+        phase = std::uint32_t(names_.size());
+        names_.push_back(s.name.str());
+    }
     traces_[s.trace_id].push_back(
-        Record{s.start, s.end, s.span_id, it->second, s.parent_id == 0});
+        Record{s.start, s.end, s.span_id, phase, s.parent_id == 0});
 }
 
 void StructureAccumulator::observe(const std::vector<trace::Span>& spans) {

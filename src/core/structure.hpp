@@ -119,8 +119,8 @@ private:
     };
 
     std::unordered_map<trace::TraceId, std::vector<Record>> traces_;
-    std::vector<std::string> names_;                      ///< phase id -> name
-    std::unordered_map<std::string, std::uint32_t> ids_;  ///< name -> phase id
+    std::vector<std::string> names_;     ///< phase id -> name
+    std::vector<std::uint32_t> phases_;  ///< SpanName id -> phase id, or UINT32_MAX
 };
 
 }  // namespace kooza::core

@@ -76,6 +76,9 @@ struct Trainer::TrainInputs {
         features.observe(chunk);
         for (const auto& r : chunk.storage) max_lbn = std::max(max_lbn, r.lbn);
         for (const auto& r : chunk.memory) max_bank = std::max(max_bank, r.bank);
+        const auto& phases = gfs::span_names().phases;
+        const trace::SpanName verify = phases[std::size_t(gfs::Phase::kCpuVerify)];
+        const trace::SpanName aggregate = phases[std::size_t(gfs::Phase::kCpuAggregate)];
         for (const auto& s : chunk.spans) {
             // Checked here: the structure fit's std::invalid_argument is
             // replaced by the canonical structure, which would hide it.
@@ -84,9 +87,8 @@ struct Trainer::TrainInputs {
                     "Trainer::train: span " + std::to_string(s.span_id) + " of trace " +
                     std::to_string(s.trace_id) + " has a non-finite time (start " +
                     std::to_string(s.start) + ", end " + std::to_string(s.end) + ")");
-            if (s.name == gfs::phase::kCpuVerify) verify_sum += s.duration();
-            if (s.name == gfs::phase::kCpuVerify || s.name == gfs::phase::kCpuAggregate)
-                verify_total += s.duration();
+            if (s.name == verify) verify_sum += s.duration();
+            if (s.name == verify || s.name == aggregate) verify_total += s.duration();
         }
         structure.observe(chunk.spans);
     }

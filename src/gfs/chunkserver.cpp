@@ -116,7 +116,7 @@ void ChunkServer::run_phase(std::uint32_t slot) {
         return run_phase(slot);
     }
     p.span = begin_span(tracer_, p.request_id, p.parent,
-                        kPhaseNames[std::size_t(phase)], engine_.now());
+                        span_names().phases[std::size_t(phase)], engine_.now());
     const auto next = [this, slot] { end_phase(slot); };
     switch (phase) {
     case Phase::kNetRx: {

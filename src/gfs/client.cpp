@@ -108,7 +108,7 @@ void Client::issue(std::uint64_t request_id, const std::string& file,
     req.type = type;
     req.arrival = arrival;
     req.size = size;
-    req.root = begin_span(tracer_, request_id, 0, phase::kRequest, arrival);
+    req.root = begin_span(tracer_, request_id, 0, span_names().request, arrival);
     req.outstanding = (offset + size - 1) / chunk - offset / chunk + 1;
     req.failed = false;
     req.on_done = std::move(on_done);
@@ -142,7 +142,9 @@ void Client::lookup(std::uint32_t s) {
     }
     metrics().cache_misses.add();
     // Pay the master round trip: control to master, CPU work, control back.
-    p.span = begin_span(tracer_, req.id, req.root, phase::kMasterLookup, engine_.now());
+    p.span = begin_span(tracer_, req.id, req.root,
+                        span_names().phases[std::size_t(Phase::kMasterLookup)],
+                        engine_.now());
     master_node_.ingress->transfer(
         req.id, cfg_.control_bytes,
         [this, s] {
@@ -188,7 +190,8 @@ void Client::try_replica(std::uint32_t s) {
             if (cfg_.client_caches_locations)
                 location_cache_.erase(CacheKey(req.file, p.chunk_index));
             const double wait = backoff_wait(p.backoff_step);
-            p.span = begin_span(tracer_, req.id, req.root, phase::kFailover, engine_.now());
+            p.span = begin_span(tracer_, req.id, req.root, span_names().failover,
+                                engine_.now());
             p.attempt = 0;
             ++p.round;
             ++p.backoff_step;
@@ -216,7 +219,8 @@ void Client::try_replica(std::uint32_t s) {
         if (cfg_.client_caches_locations)
             demote_cached_replica(CacheKey(req.file, p.chunk_index),
                                   p.loc.servers[p.attempt]);
-        p.span = begin_span(tracer_, req.id, req.root, phase::kFailover, engine_.now());
+        p.span =
+            begin_span(tracer_, req.id, req.root, span_names().failover, engine_.now());
         ++p.attempt;
         ++p.backoff_step;
         engine_.schedule_after(wait, [this, s] {

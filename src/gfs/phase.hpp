@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "trace/records.hpp"
@@ -17,29 +16,16 @@
 
 namespace kooza::gfs {
 
-/// Canonical phase names (shared with the KOOZA structure queue).
-namespace phase {
-inline constexpr const char* kNetRx = "net.rx";
-inline constexpr const char* kCpuVerify = "cpu.verify";
-inline constexpr const char* kMemBuffer = "mem.buffer";
-inline constexpr const char* kDiskIo = "disk.io";
-inline constexpr const char* kReplForward = "repl.forward";
-inline constexpr const char* kCpuAggregate = "cpu.aggregate";
-inline constexpr const char* kNetTx = "net.tx";
-inline constexpr const char* kMasterLookup = "master.lookup";
-inline constexpr const char* kFailover = "failover";
-inline constexpr const char* kRequest = "request";
-}  // namespace phase
-
 /// The phases a request runs, one per name in kPhaseNames; every other
 /// name (failover, request, anything unknown) is kUnknown.
 enum class Phase : std::uint8_t {
     kNetRx, kCpuVerify, kMemBuffer, kDiskIo, kReplForward, kCpuAggregate,
     kNetTx, kMasterLookup, kUnknown
 };
+/// Canonical phase names (shared with the KOOZA structure queue).
 inline constexpr std::array<std::string_view, std::size_t(Phase::kUnknown)> kPhaseNames{
-    phase::kNetRx,       phase::kCpuVerify,    phase::kMemBuffer, phase::kDiskIo,
-    phase::kReplForward, phase::kCpuAggregate, phase::kNetTx,     phase::kMasterLookup};
+    "net.rx",       "cpu.verify",    "mem.buffer", "disk.io",
+    "repl.forward", "cpu.aggregate", "net.tx",     "master.lookup"};
 
 [[nodiscard]] constexpr Phase phase_of(std::string_view name) {
     return Phase(std::find(kPhaseNames.begin(), kPhaseNames.end(), name) -
@@ -61,11 +47,27 @@ inline constexpr std::array kWritePath{
     return kWritePath;
 }
 
+/// Span names interned once, so opening a span builds no string and takes
+/// no lock: one per Phase, then the client's root and failover spans.
+struct SpanNames {
+    std::array<trace::SpanName, kPhaseNames.size()> phases;  ///< by Phase
+    trace::SpanName request;
+    trace::SpanName failover;
+};
+[[nodiscard]] inline const SpanNames& span_names() {
+    static const SpanNames names = [] {
+        SpanNames n{{}, "request", "failover"};
+        for (std::size_t i = 0; i < kPhaseNames.size(); ++i) n.phases[i] = kPhaseNames[i];
+        return n;
+    }();
+    return names;
+}
+
 /// Span helpers tolerating a null tracer.
 inline trace::SpanId begin_span(trace::SpanTracer* t, std::uint64_t trace_id,
-                                trace::SpanId parent, std::string_view name,
+                                trace::SpanId parent, trace::SpanName name,
                                 double now) {
-    return t != nullptr ? t->start_span(trace_id, parent, std::string(name), now) : 0;
+    return t != nullptr ? t->start_span(trace_id, parent, name, now) : 0;
 }
 inline void finish_span(trace::SpanTracer* t, trace::SpanId s, double now) {
     if (t != nullptr) t->end_span(s, now);

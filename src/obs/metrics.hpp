@@ -17,9 +17,11 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,12 +106,7 @@ public:
 
     /// Bucket index of `v` (0 for 0, else bit width of v).
     [[nodiscard]] static std::size_t bucket_of(std::uint64_t v) noexcept {
-        std::size_t b = 0;
-        while (v != 0) {
-            v >>= 1;
-            ++b;
-        }
-        return b;
+        return std::size_t(std::bit_width(v));
     }
 
     void observe(std::uint64_t v) noexcept {
@@ -118,10 +115,15 @@ public:
         sh.sum.fetch_add(v, std::memory_order_relaxed);
         sh.buckets[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     }
-    /// Record a duration in seconds as integer nanoseconds (negatives
-    /// clamp to 0) — the deterministic representation of simulated time.
+    /// Record a duration in seconds as integer nanoseconds — the
+    /// deterministic representation of simulated time. Negatives and NaN
+    /// clamp to 0; 2^64 ns (about 584 years) and more, infinity included,
+    /// saturate to UINT64_MAX (bucket 64) instead of an undefined cast.
     void observe_seconds(double s) noexcept {
-        observe(s > 0.0 ? std::uint64_t(s * 1e9) : 0);
+        const double ns = s * 1e9;
+        if (!(ns > 0.0)) return observe(0);
+        constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+        observe(ns < 0x1p64 ? std::uint64_t(ns) : kMax);
     }
 
     [[nodiscard]] std::uint64_t count() const noexcept {

@@ -6,9 +6,11 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 #include "obs/metrics.hpp"
@@ -213,11 +215,15 @@ void ColumnChunk::add(const RequestRecord& r) { encode(std::span(&r, 1), streams
 void ColumnChunk::add(const FailureRecord& r) { encode(std::span(&r, 1), streams_); }
 
 void BinaryWriter::encode_spans(std::span<const Span> spans) {
+    static constexpr auto kNoIndex = std::numeric_limits<std::uint32_t>::max();
     auto name = [this](const Span& s) {
-        auto [it, inserted] =
-            name_ix_.try_emplace(s.name, std::uint32_t(names_.size()));
-        if (inserted) names_.push_back(s.name);
-        return it->second;
+        if (s.name.id() >= name_ix_.size()) name_ix_.resize(s.name.id() + 1, kNoIndex);
+        auto& ix = name_ix_[s.name.id()];
+        if (ix == kNoIndex) {
+            ix = std::uint32_t(names_.size());
+            names_.push_back(s.name);
+        }
+        return ix;
     };
     encode_columns(spans, stream_of(streams_, StreamId::kSpans), &Span::trace_id,
                    &Span::span_id, &Span::parent_id, name, &Span::start, &Span::end);
@@ -402,9 +408,10 @@ void BinaryWriter::write_stream_file(std::size_t stream_id) {
     if (schema.id == 6) {
         std::vector<std::uint8_t> tab;
         put(tab, std::uint32_t(names_.size()));
-        for (const auto& n : names_) {
-            put(tab, std::uint32_t(n.size()));
-            tab.insert(tab.end(), n.begin(), n.end());
+        for (const SpanName n : names_) {
+            const std::string& text = n.str();
+            put(tab, std::uint32_t(text.size()));
+            tab.insert(tab.end(), text.begin(), text.end());
         }
         emit_section(tab);
     }
@@ -545,8 +552,8 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
                 std::memcpy(&len, tab.data() + p, 4);
                 p += 4;
                 need(len);
-                names_.emplace_back(
-                    reinterpret_cast<const char*>(tab.data() + p), len);
+                names_.emplace_back(std::string_view(
+                    reinterpret_cast<const char*>(tab.data() + p), len));
                 p += len;
             }
             if (p != tab.size())

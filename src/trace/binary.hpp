@@ -27,7 +27,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -110,8 +109,10 @@ private:
     std::size_t spill_buffer_bytes_ = 0;
     EncodedStreams streams_;  ///< buffered (not yet spilled) columns
     std::array<std::array<Spill, kMaxColumns>, kStreamCount> spills_;
-    std::vector<std::string> names_;               ///< span-name string table
-    std::map<std::string, std::uint32_t> name_ix_; ///< dedup index into names_
+    /// The span-name string table, in order of first appearance.
+    std::vector<SpanName> names_;
+    /// names_ index by SpanName id; UINT32_MAX for a name not yet seen.
+    std::vector<std::uint32_t> name_ix_;
     std::uint64_t records_ = 0;
     bool finished_ = false;
 };
@@ -171,7 +172,7 @@ private:
 
     std::filesystem::path dir_;
     std::vector<StreamFile> files_;     ///< indexed by stream id
-    std::vector<std::string> names_;    ///< spans string table
+    std::vector<SpanName> names_;       ///< spans string table, interned
 };
 
 }  // namespace kooza::trace

@@ -8,7 +8,9 @@
 // BinaryWriter::append(TraceSet), with a batch of one record; the field
 // order lives only there (binary.cpp), never here. Spans stay
 // array-of-structs: their name column is an index into the writer's
-// deduplicated string table, which only the writer can assign.
+// string table, in order of first appearance across every chunk, which
+// only the writer can assign. A Span is a trivially copyable 48-byte
+// record, so staging one here is a plain copy.
 #pragma once
 
 #include <array>

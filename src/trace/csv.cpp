@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -311,17 +312,25 @@ void write_csv(const TraceSet& ts, const fs::path& dir) {
     {
         FileWriter f(dir / "spans.csv", buf);
         f.text("trace_id,span_id,parent_id,name,start,end\n");
+        std::vector<const std::string*> texts;  // by SpanName id, checked
         for (const auto& s : ts.spans) {
-            // The format has no quoting, so a ',' / CR / LF in a span name
-            // would silently shift every following field on read-back.
-            // Reject at the source; kooza.trace/1 (binary.hpp) stores
-            // names in a string table and takes arbitrary bytes.
-            if (s.name.find_first_of(",\r\n") != std::string::npos)
-                throw std::runtime_error(
-                    "write_csv: span name contains ',' or a line break "
-                    "(unrepresentable in spans.csv, use --format=bin): '" +
-                    s.name + "'");
-            f.row(s.trace_id, s.span_id, s.parent_id, s.name, s.start, s.end);
+            if (s.name.id() >= texts.size()) texts.resize(s.name.id() + 1, nullptr);
+            const std::string*& text = texts[s.name.id()];
+            if (text == nullptr) {
+                text = &s.name.str();
+                // The format has no quoting, so a ',' / CR / LF in a span
+                // name would silently shift every following field on
+                // read-back. Reject at the source; kooza.trace/1
+                // (binary.hpp) stores names in a string table and takes
+                // arbitrary bytes.
+                if (text->find_first_of(",\r\n") != std::string::npos)
+                    throw std::runtime_error(
+                        "write_csv: span name contains ',' or a line break "
+                        "(unrepresentable in spans.csv, use --format=bin): '" +
+                        *text + "'");
+            }
+            f.row(s.trace_id, s.span_id, s.parent_id, std::string_view(*text), s.start,
+                  s.end);
         }
         f.close();
     }
@@ -411,12 +420,20 @@ TraceSet read_csv(const fs::path& dir) {
     {
         Reader r(dir / "spans.csv", window);
         std::array<std::string_view, 6> f;
+        // Each distinct name is interned once; the keys view the table's
+        // own copy of the text, which never moves.
+        std::unordered_map<std::string_view, SpanName> names;
         while (r.next(f)) {
             Span s;
             s.trace_id = r.id(f[0], "trace_id");
             s.span_id = r.id(f[1], "span_id");
             s.parent_id = r.id(f[2], "parent_id");
-            s.name = f[3];
+            auto it = names.find(f[3]);
+            if (it == names.end()) {
+                const SpanName name(f[3]);
+                it = names.emplace(name.str(), name).first;
+            }
+            s.name = it->second;
             s.start = r.num(f[4], "start");
             s.end = r.num(f[5], "end");
             ts.spans.push_back(s);

@@ -6,7 +6,7 @@
 //   storage.csv, cpu.csv, memory.csv, network.csv, requests.csv,
 //   failures.csv, spans.csv
 // Each file has a header row; fields are comma-separated, no quoting
-// (span names and annotations must not contain commas or newlines).
+// (span names must not contain commas or line breaks).
 // Doubles are written at 17 significant digits (printf's "%.17g"), so
 // every value but a NaN's payload, subnormals included, reads back bit
 // for bit.

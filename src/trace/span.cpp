@@ -1,14 +1,63 @@
 #include "trace/span.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <limits>
+#include <mutex>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "trace/sink.hpp"
 
 namespace kooza::trace {
+
+namespace {
+
+/// The interned span names. texts_ is a deque, so a name's text never
+/// moves once interned: ids_ keys and str() references point into it.
+class NameTable {
+public:
+    NameTable() : texts_(1) { ids_.emplace(texts_.front(), 0); }
+
+    std::uint32_t intern(std::string_view text) {
+        const std::lock_guard lock(mu_);
+        const auto it = ids_.find(text);
+        if (it != ids_.end()) return it->second;
+        if (texts_.size() > std::numeric_limits<std::uint32_t>::max())
+            throw std::length_error("SpanName: more distinct names than ids");
+        const auto id = std::uint32_t(texts_.size());
+        ids_.emplace(texts_.emplace_back(text), id);
+        return id;
+    }
+
+    const std::string& text(std::uint32_t id) {
+        const std::lock_guard lock(mu_);
+        return texts_[id];
+    }
+
+private:
+    std::mutex mu_;
+    std::deque<std::string> texts_;  ///< by id; id 0 is ""
+    std::unordered_map<std::string_view, std::uint32_t> ids_;
+};
+
+/// Leaked like obs::Registry::global(), so spans outlive static destruction.
+NameTable& names() {
+    static auto* table = new NameTable;
+    return *table;
+}
+
+}  // namespace
+
+SpanName::SpanName(std::string_view text) : id_(names().intern(text)) {}
+
+const std::string& SpanName::str() const { return names().text(id_); }
+
+std::ostream& operator<<(std::ostream& os, SpanName name) { return os << name.str(); }
 
 SpanTracer::SpanTracer(std::uint64_t sample_every) : every_(sample_every) {
     if (sample_every == 0)
@@ -17,61 +66,53 @@ SpanTracer::SpanTracer(std::uint64_t sample_every) : every_(sample_every) {
 
 bool SpanTracer::sampled(TraceId trace) const noexcept { return trace % every_ == 0; }
 
-SpanId SpanTracer::start_span(TraceId trace, SpanId parent, std::string name,
+SpanId SpanTracer::start_span(TraceId trace, SpanId parent, SpanName name,
                               double now) {
     ++ops_req_;
     if (!sampled(trace)) return 0;
     ++ops_rec_;
     const SpanId id = next_id_++;
-    Span s;
-    s.trace_id = trace;
-    s.span_id = id;
-    s.parent_id = parent;
-    s.name = std::move(name);
-    s.start = now;
-    s.end = now;
-    open_.emplace(id, std::move(s));
+    open_.push_back(
+        Slot{Span{trace, id, parent, name, now, now}, &phase_histogram(name)});
     // Streaming mode: the span is keyed at its start but only appended
     // when it closes, so hold the spans stream until then.
     if (sink_) sink_->open_hold(StreamId::kSpans, now);
     return id;
 }
 
-void SpanTracer::annotate(SpanId span, double now, std::string message) {
-    ++ops_req_;
-    if (span == 0) return;
-    auto it = open_.find(span);
-    if (it == open_.end()) throw std::logic_error("SpanTracer::annotate: unknown span");
-    ++ops_rec_;
-    it->second.annotations.push_back(Annotation{now, std::move(message)});
-}
-
 void SpanTracer::end_span(SpanId span, double now) {
     ++ops_req_;
     if (span == 0) return;
-    auto it = open_.find(span);
-    if (it == open_.end()) throw std::logic_error("SpanTracer::end_span: unknown span");
+    if (span < base_ + head_ || span >= next_id_ || open_[span - base_].hist == nullptr)
+        throw std::logic_error("SpanTracer::end_span: unknown or closed span");
     ++ops_rec_;
-    it->second.end = now;
-    phase_histogram(it->second.name).observe_seconds(now - it->second.start);
+    Slot& slot = open_[span - base_];
+    slot.span.end = now;
+    slot.hist->observe_seconds(now - slot.span.start);
+    slot.hist = nullptr;
     if (sink_) {
-        const double start = it->second.start;
-        sink_->append(it->second);
-        sink_->close_hold(StreamId::kSpans, start);
+        sink_->append(slot.span);
+        sink_->close_hold(StreamId::kSpans, slot.span.start);
     } else {
-        done_.push_back(std::move(it->second));
+        done_.push_back(slot.span);
     }
-    open_.erase(it);
+    // Move the head past closed slots; drop them once they are at least
+    // half the table, so each slot is moved at most once on average.
+    while (head_ < open_.size() && open_[head_].hist == nullptr) ++head_;
+    if (2 * head_ >= open_.size()) {
+        open_.erase(open_.begin(), open_.begin() + std::ptrdiff_t(head_));
+        base_ += head_;
+        head_ = 0;
+    }
 }
 
-obs::Histogram& SpanTracer::phase_histogram(const std::string& name) {
-    auto it = phase_hist_.find(name);
-    if (it == phase_hist_.end())
-        it = phase_hist_
-                 .emplace(name, &obs::histogram("trace.phase." + name + ".duration_ns",
-                                                obs::Unit::kNanoseconds))
-                 .first;
-    return *it->second;
+obs::Histogram& SpanTracer::phase_histogram(SpanName name) {
+    if (name.id() >= phase_hist_.size()) phase_hist_.resize(name.id() + 1, nullptr);
+    auto& h = phase_hist_[name.id()];
+    if (h == nullptr)
+        h = &obs::histogram("trace.phase." + name.str() + ".duration_ns",
+                            obs::Unit::kNanoseconds);
+    return *h;
 }
 
 std::size_t SpanTracer::sampled_trace_count() const {
@@ -82,6 +123,8 @@ std::size_t SpanTracer::sampled_trace_count() const {
 
 void SpanTracer::clear() {
     open_.clear();
+    head_ = 0;
+    base_ = next_id_;
     done_.clear();
     ops_req_ = ops_rec_ = 0;
 }
@@ -119,7 +162,7 @@ std::vector<const Span*> SpanTree::children_of(SpanId parent) const {
 std::vector<std::string> SpanTree::phase_sequence() const {
     std::vector<std::string> out;
     out.reserve(spans_.size());
-    for (const auto& s : spans_) out.push_back(s.name);
+    for (const auto& s : spans_) out.push_back(s.name.str());
     return out;
 }
 
@@ -136,7 +179,6 @@ void SpanTree::render_node(const Span& s, int depth, std::string& out) const {
     std::ostringstream os;
     os << std::string(std::size_t(depth) * 2, ' ') << s.name << " ["
        << s.duration() * 1e3 << " ms]";
-    for (const auto& a : s.annotations) os << " {" << a.message << "}";
     os << "\n";
     out += os.str();
     for (const Span* c : children_of(s.span_id)) render_node(*c, depth + 1, out);

@@ -1,10 +1,12 @@
 // Capture allocation audit: global operator new counting hooks around one
 // run_capture bound the system-heap allocations a captured request costs.
 // Device and GFS continuations are sim::EventFn drawing overflow blocks
-// from the engine's arena, and each request and request piece is one
-// recycled record, so with spans sampled away the request path should
-// not touch the heap at all; what remains is set-up, trace vectors
-// growing, and the occasional queue block.
+// from the engine's arena, each request and request piece is one
+// recycled record, and a span is a plain record in the tracer's flat
+// open-span table with its name interned once. So the request path
+// should not touch the heap at all, with every request traced or with
+// spans sampled away; what remains is set-up, trace vectors growing, and
+// the occasional queue block.
 //
 // Skipped under sanitizers: their interceptors own the allocator and the
 // replacement operators below would fight them.
@@ -53,8 +55,7 @@ namespace {
 using kooza::core::CaptureOptions;
 
 constexpr std::size_t kRequests = 20'000;
-// Only request 0 is sampled: the span tracer's own allocations stay out
-// of the count.
+// Only request 0 is sampled: the count leaves the span tracer out.
 constexpr std::uint64_t kSampleEvery = 1'000'000'000;
 
 void expect_at_most_one_alloc_per_request(CaptureOptions opts) {
@@ -64,7 +65,6 @@ void expect_at_most_one_alloc_per_request(CaptureOptions opts) {
 #else
     opts.count = kRequests;
     opts.seed = 7;
-    opts.span_sample_every = kSampleEvery;
     g_new_calls = 0;
     g_counting = true;
     const auto res = kooza::core::run_capture(opts);
@@ -79,14 +79,14 @@ void expect_at_most_one_alloc_per_request(CaptureOptions opts) {
 #endif
 }
 
-TEST(CaptureAlloc, OltpRequestPathStaysOffTheHeap) {
+CaptureOptions oltp() {
     CaptureOptions o;
     o.profile = "oltp";
-    expect_at_most_one_alloc_per_request(o);
+    return o;
 }
 
-TEST(CaptureAlloc, SaturatedClosedLoopRequestPathStaysOffTheHeap) {
-    // 32 clients x 4 outstanding on one chunkserver: deep device queues.
+/// 32 clients x 4 outstanding on one chunkserver: deep device queues.
+CaptureOptions saturated_closed_loop() {
     CaptureOptions o;
     o.closed_loop = true;
     o.clients = 32;
@@ -95,7 +95,28 @@ TEST(CaptureAlloc, SaturatedClosedLoopRequestPathStaysOffTheHeap) {
     o.read_fraction = 0.9;
     o.read_size = 64 << 10;
     o.write_size = 256 << 10;
+    return o;
+}
+
+TEST(CaptureAlloc, OltpRequestPathStaysOffTheHeap) {
+    auto o = oltp();
+    o.span_sample_every = kSampleEvery;
     expect_at_most_one_alloc_per_request(o);
+}
+
+TEST(CaptureAlloc, SaturatedClosedLoopRequestPathStaysOffTheHeap) {
+    auto o = saturated_closed_loop();
+    o.span_sample_every = kSampleEvery;
+    expect_at_most_one_alloc_per_request(o);
+}
+
+// The default sampling traces every request: spans cost no heap either.
+TEST(CaptureAlloc, OltpTracedRequestPathStaysOffTheHeap) {
+    expect_at_most_one_alloc_per_request(oltp());
+}
+
+TEST(CaptureAlloc, SaturatedClosedLoopTracedRequestPathStaysOffTheHeap) {
+    expect_at_most_one_alloc_per_request(saturated_closed_loop());
 }
 
 }  // namespace

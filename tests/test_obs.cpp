@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -54,6 +55,7 @@ TEST(Histogram, Log2Buckets) {
     EXPECT_EQ(obs::Histogram::bucket_of(3), 2u);
     EXPECT_EQ(obs::Histogram::bucket_of(4), 3u);
     EXPECT_EQ(obs::Histogram::bucket_of(1ull << 63), 64u);
+    EXPECT_EQ(obs::Histogram::bucket_of(std::numeric_limits<std::uint64_t>::max()), 64u);
 
     obs::Registry reg;
     auto& h = reg.histogram("h");
@@ -76,6 +78,20 @@ TEST(Histogram, ObserveSecondsConvertsAndClamps) {
     h.observe_seconds(-0.25);  // negative clamps to 0
     EXPECT_EQ(h.count(), 2u);
     EXPECT_EQ(h.sum(), 1500000000u);
+    EXPECT_EQ(h.bucket(0), 1u);
+}
+
+TEST(Histogram, ObserveSecondsSaturates) {
+    // 2^64 ns is about 584 years: infinity and anything at or above it
+    // land in the top bucket, not in bucket 0 through an undefined cast.
+    obs::Registry reg;
+    auto& h = reg.histogram("sat", obs::Unit::kNanoseconds);
+    h.observe_seconds(std::numeric_limits<double>::infinity());
+    h.observe_seconds(1e300);
+    h.observe_seconds(2e10);
+    EXPECT_EQ(h.bucket(64), 3u);
+    EXPECT_EQ(h.bucket(0), 0u);
+    h.observe_seconds(std::numeric_limits<double>::quiet_NaN());
     EXPECT_EQ(h.bucket(0), 1u);
 }
 

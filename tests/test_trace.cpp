@@ -4,7 +4,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "trace/csv.hpp"
 #include "trace/features.hpp"
 #include "trace/records.hpp"
@@ -34,16 +39,17 @@ TEST(SpanTracer, RecordsWhenSampled) {
     SpanTracer t(1);
     const auto root = t.start_span(0, 0, "request", 0.0);
     const auto child = t.start_span(0, root, "disk.io", 0.1);
-    t.annotate(child, 0.15, "seek");
     t.end_span(child, 0.2);
     t.end_span(root, 0.3);
     ASSERT_EQ(t.spans().size(), 2u);
     EXPECT_EQ(t.spans()[0].name, "disk.io");
-    EXPECT_EQ(t.spans()[0].annotations.size(), 1u);
     EXPECT_DOUBLE_EQ(t.spans()[1].duration(), 0.3);
 }
 
 TEST(SpanTracer, HeadSamplingDropsWholeTraces) {
+    const auto& hist = kooza::obs::histogram("trace.phase.request.duration_ns",
+                                             kooza::obs::Unit::kNanoseconds);
+    const auto observed = hist.count();
     SpanTracer t(10);
     for (TraceId id = 0; id < 100; ++id) {
         const auto s = t.start_span(id, 0, "request", 0.0);
@@ -52,13 +58,14 @@ TEST(SpanTracer, HeadSamplingDropsWholeTraces) {
     EXPECT_EQ(t.sampled_trace_count(), 10u);  // ids 0,10,...,90
     EXPECT_EQ(t.operations_requested(), 200u);
     EXPECT_EQ(t.operations_recorded(), 20u);
+    // The phase histograms see the sampled traces only.
+    EXPECT_EQ(hist.count() - observed, 10u);
 }
 
 TEST(SpanTracer, UnsampledHandleIsNoop) {
     SpanTracer t(2);
     const auto s = t.start_span(1, 0, "request", 0.0);  // id 1 not sampled
     EXPECT_EQ(s, 0u);
-    EXPECT_NO_THROW(t.annotate(s, 0.5, "x"));
     EXPECT_NO_THROW(t.end_span(s, 1.0));
     EXPECT_TRUE(t.spans().empty());
 }
@@ -66,8 +73,103 @@ TEST(SpanTracer, UnsampledHandleIsNoop) {
 TEST(SpanTracer, UnknownHandleThrows) {
     SpanTracer t(1);
     EXPECT_THROW(t.end_span(99, 1.0), std::logic_error);
-    EXPECT_THROW(t.annotate(99, 1.0, "x"), std::logic_error);
     EXPECT_THROW(SpanTracer(0), std::invalid_argument);
+}
+
+TEST(SpanTracer, EndingTwiceThrows) {
+    SpanTracer t(1);
+    const auto root = t.start_span(1, 0, "request", 0.0);
+    const auto child = t.start_span(1, root, "disk.io", 0.1);
+    t.end_span(child, 0.2);
+    EXPECT_THROW(t.end_span(child, 0.3), std::logic_error);  // behind an open root
+    t.end_span(root, 0.4);
+    EXPECT_THROW(t.end_span(root, 0.5), std::logic_error);  // table empty
+    EXPECT_EQ(t.spans().size(), 2u);
+}
+
+TEST(SpanTracer, LongLivedRootOutlivesManyChildren) {
+    // The open-span table is indexed from the oldest open span, so a root
+    // that stays open pins every later slot until it closes. Odd children
+    // close after the next child, out of opening order.
+    constexpr SpanId kChildren = 10'000;
+    SpanTracer t(1);
+    const auto root = t.start_span(3, 0, "request", 0.0);
+    std::vector<SpanId> completed;
+    SpanId held = 0;
+    for (SpanId i = 0; i < kChildren; ++i) {
+        const double now = double(i);
+        const auto child = t.start_span(3, root, i % 2 ? "disk.io" : "net.rx", now);
+        ASSERT_EQ(child, root + 1 + i);
+        if (i % 2 == 1) {
+            held = child;
+            continue;
+        }
+        t.end_span(child, now + 0.5);
+        completed.push_back(child);
+        if (held != 0) {
+            t.end_span(held, now + 0.5);
+            completed.push_back(held);
+            held = 0;
+        }
+    }
+    t.end_span(held, 1e6);
+    completed.push_back(held);
+    t.end_span(root, 1e9);
+    const auto& spans = t.spans();
+    ASSERT_EQ(spans.size(), kChildren + 1);
+    for (std::size_t i = 0; i < completed.size(); ++i) {
+        ASSERT_EQ(spans[i].span_id, completed[i]) << i;
+        EXPECT_EQ(spans[i].parent_id, root) << i;
+        EXPECT_EQ(spans[i].trace_id, 3u) << i;
+        EXPECT_EQ(spans[i].name, (spans[i].span_id - root) % 2 ? "net.rx" : "disk.io");
+        EXPECT_EQ(spans[i].start, double(spans[i].span_id - root - 1)) << i;
+    }
+    EXPECT_EQ(spans.back().span_id, root);
+    EXPECT_EQ(spans.back().parent_id, 0u);
+    EXPECT_DOUBLE_EQ(spans.back().duration(), 1e9);
+}
+
+TEST(SpanName, InternsText) {
+    const SpanName a("disk.io");
+    const SpanName b(std::string("disk.") + "io");
+    EXPECT_EQ(a.id(), b.id());
+    EXPECT_EQ(a.str(), "disk.io");
+    EXPECT_NE(SpanName("net.rx"), a);
+    EXPECT_EQ(SpanName().id(), 0u);
+    EXPECT_EQ(SpanName().str(), "");
+    EXPECT_EQ(SpanName(""), SpanName());
+    const std::string bytes("nul\0and\xff", 8);
+    EXPECT_EQ(SpanName(bytes).str(), bytes);
+}
+
+TEST(SpanName, ConcurrentInterningAgrees) {
+    // Four threads each intern 1,000 names; the even ones are shared by
+    // all four, the odd ones are the thread's own.
+    constexpr int kThreads = 4;
+    constexpr int kNames = 1'000;
+    auto text = [](int thread, int i) {
+        return i % 2 == 0 ? "shared." + std::to_string(i)
+                          : "own." + std::to_string(thread) + "." + std::to_string(i);
+    };
+    std::vector<std::vector<std::uint32_t>> ids(kThreads);
+    std::vector<std::thread> threads;
+    for (int th = 0; th < kThreads; ++th)
+        threads.emplace_back([&, th] {
+            for (int i = 0; i < kNames; ++i)
+                ids[th].push_back(SpanName(text(th, i)).id());
+        });
+    for (auto& th : threads) th.join();
+    std::set<std::uint32_t> own;
+    for (int th = 0; th < kThreads; ++th)
+        for (int i = 0; i < kNames; ++i) {
+            const SpanName name(text(th, i));
+            EXPECT_EQ(name.id(), ids[th][i]);
+            EXPECT_EQ(name.str(), text(th, i));
+            if (i % 2 == 0)
+                EXPECT_EQ(ids[th][i], ids[0][i]);
+            else
+                EXPECT_TRUE(own.insert(ids[th][i]).second);
+        }
 }
 
 TEST(SpanTracer, ClearResets) {

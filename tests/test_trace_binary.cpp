@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -67,11 +68,12 @@ TraceSet random_traceset(std::uint64_t seed, std::size_t n,
         sp.parent_id = u64();
         static const char* kSafe[] = {"request", "net.rx", "cpu.verify",
                                       "disk.io", "repl.forward"};
-        static const char* kWild[] = {"a,b", "name with space", "crlf\r\n", "",
-                                      "q\"uote"};
+        static const std::string_view kWild[] = {
+            "a,b", "name with space", "crlf\r\n", "", "q\"uote",
+            {"nul\0byte", 8}, "\xce\xbc.\xff\xfe"};
         sp.name = csv_safe_names
-                      ? kSafe[std::size_t(rng.uniform_int(0, 4))]
-                      : kWild[std::size_t(rng.uniform_int(0, 4))];
+                      ? SpanName(kSafe[std::size_t(rng.uniform_int(0, 4))])
+                      : SpanName(kWild[std::size_t(rng.uniform_int(0, 6))]);
         sp.start = f64();
         sp.end = f64();
         ts.spans.push_back(sp);
