@@ -1,5 +1,5 @@
 // bench_engine — the event-core regression line: events/s of sim::Engine
-// (calendar queue + arena-allocated EventFn callbacks) against a faithful
+// (arena-allocated EventFn callbacks + an (at, seq) heap) against a faithful
 // copy of the pre-rebuild engine (std::function callbacks dispatched
 // through a std::push_heap binary heap with per-event atomic metric
 // updates), on ring and hold-model workloads over uniform, skewed, and
@@ -179,7 +179,6 @@ struct HoldActor {
 struct WorkloadResult {
     double events_per_s = 0.0;
     std::uint64_t order_hash = 0;
-    bool heap_fallback = false;
 };
 
 template <typename Eng>
@@ -202,8 +201,6 @@ WorkloadResult run_hold(std::size_t depth, std::uint64_t events, Dist dist,
     WorkloadResult r;
     r.events_per_s = double(ran) / wall;
     r.order_hash = hash;
-    if constexpr (std::is_same_v<Eng, sim::Engine>)
-        r.heap_fallback = eng.scheduler_heap_fallback();
     return r;
 }
 
@@ -247,7 +244,6 @@ struct Row {
     double engine_eps = 0.0;
     double speedup = 0.0;
     bool order_identical = false;
-    bool heap_fallback = false;
 };
 
 void write_json(const std::vector<Row>& rows, double accepted_speedup,
@@ -266,7 +262,6 @@ void write_json(const std::vector<Row>& rows, double accepted_speedup,
         f << ", \"speedup\": " << r.speedup;
         f.precision(0);
         f << ", \"order_identical\": " << (r.order_identical ? "true" : "false")
-          << ", \"heap_fallback\": " << (r.heap_fallback ? "true" : "false")
           << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     f.precision(3);
@@ -315,15 +310,15 @@ int main(int argc, char** argv) {
 
     const std::uint64_t events = smoke ? 100'000 : 1'000'000;
     kooza::bench::print_run_header(kSeed);
-    std::cout << "\nEvent core: calendar queue + EventFn arena vs "
+    std::cout << "\nEvent core: EventFn arena + (at, seq) heap vs "
                  "std::function binary heap ("
               << events << " events/workload" << (smoke ? ", --smoke" : "")
               << ")\n\n";
 
     std::vector<Row> rows;
-    Table table({26, 10, 14, 14, 9, 7, 10});
+    Table table({26, 10, 14, 14, 9, 7});
     table.row("workload", "events", "baseline ev/s", "engine ev/s", "speedup",
-              "order", "fallback");
+              "order");
     table.rule();
     double accepted_speedup = 0.0;
     // Best-of-N, interleaved: each rep is deterministic (same seed, same
@@ -358,14 +353,12 @@ int main(int argc, char** argv) {
         r.engine_eps = eng.events_per_s;
         r.speedup = eng.events_per_s / base.events_per_s;
         r.order_identical = base.order_hash == eng.order_hash;
-        r.heap_fallback = eng.heap_fallback;
         if (std::string_view(w.name) == acceptance_workload(smoke))
             accepted_speedup = r.speedup;
         rows.push_back(r);
         table.row(r.name, r.events, fmt(r.baseline_eps / 1e6, 2) + "M",
                   fmt(r.engine_eps / 1e6, 2) + "M", fmt(r.speedup, 2) + "x",
-                  r.order_identical ? "same" : "DIFF",
-                  r.heap_fallback ? "heap" : "cal");
+                  r.order_identical ? "same" : "DIFF");
     }
     table.rule();
 

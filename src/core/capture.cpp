@@ -114,6 +114,7 @@ namespace {
 /// i+1. Pending engine events stay O(in-flight) instead of O(schedule),
 /// which is what keeps a multi-million-request capture's memory flat.
 /// Used in both capture modes so they run the identical event sequence.
+/// An exhausted schedule ends the cluster's input (Cluster::end_input).
 struct SchedulePump {
     gfs::Cluster& cluster;
     std::unique_ptr<workloads::ScheduleStream> stream;
@@ -125,7 +126,7 @@ struct SchedulePump {
     }
 
     void arm(std::optional<gfs::RequestSpec> spec) {
-        if (!spec) return;
+        if (!spec) return cluster.end_input();
         cluster.engine().schedule_at(spec->time,
                                      [this, spec = std::move(*spec)]() mutable {
                                          cluster.submit(spec);
@@ -154,7 +155,8 @@ struct ClosedLoopDriver {
 
     void launch(std::uint32_t client, double now) {
         auto spec = pool.next(client, now);
-        if (!spec) return;  // budget spent: the window drains and run() ends
+        // Budget spent: the window drains and run() ends.
+        if (!spec) return cluster.end_input();
         cluster.submit(*spec, [this, client](double /*latency*/) {
             // Failures and rejections refill too — a closed-loop client
             // moves on to its next request either way.
@@ -217,10 +219,9 @@ CaptureResult run_capture(const CaptureOptions& opts) {
         cfg.faults.enabled = true;
         cfg.faults.mtbf = 1.0 / opts.fault_rate;
         cfg.faults.mttr = opts.mttr;
-        // horizon 0: faults follow the run until the cluster drains, so
-        // requests still in flight after the last arrival keep seeing
-        // crashes (the old `last arrival + 1s` horizon left the drain
-        // artificially fault-free).
+        // horizon 0: faults follow the run until the last client request
+        // finishes, so requests still in flight after the last arrival
+        // keep seeing crashes; repairs then finish without new crashes.
         cfg.faults.horizon = 0.0;
     }
     if (!opts.admission.empty()) {

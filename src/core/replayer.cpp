@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <deque>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "gfs/phase.hpp"
 #include "obs/metrics.hpp"
@@ -46,6 +48,16 @@ struct ServerStack {
           ingress(eng, cfg.net, trace::NetworkRecord::Direction::kRx, sink) {}
 };
 
+/// Rejects an arrival time no engine could schedule. Runs before any
+/// sort: a NaN would break the (time, index) order's comparator.
+void check_arrivals(const SyntheticWorkload& workload, const char* who) {
+    for (const auto& r : workload.requests)
+        if (!std::isfinite(r.time) || r.time < 0.0)
+            throw std::invalid_argument(std::string(who) + ": arrival time " +
+                                        std::to_string(r.time) +
+                                        " is negative or not finite");
+}
+
 /// One replay: the engine, the device stacks, the client port and one
 /// record per request. Device callbacks capture `this` and a record
 /// index, so a Run stays where it was built until finish() drains it.
@@ -64,12 +76,13 @@ public:
     Run(const Run&) = delete;
     Run& operator=(const Run&) = delete;
 
-    /// Record `r` (which must outlive the run) and schedule its arrival.
+    /// Record `r`, which must outlive the run.
     void add(const SyntheticRequest& r) {
         const std::size_t i = records_.size();
         Record& rec = records_.emplace_back();
         rec.req = &r;
         rec.id = first_id_ + i;
+        rec.arrival = r.time;
         rec.server = r.server % servers_.size();
         rec.first = phases_.size();
         for (const auto& name : r.phases) {
@@ -77,11 +90,19 @@ public:
             phases_.push_back(p);
             ++rec.count[std::size_t(p)];
         }
-        engine_.schedule_at(r.time, [this, i] { arrive(i); });
     }
 
-    /// Drain the engine and hand over what the run wrote.
+    /// Replay every added request and hand over what the run wrote. The
+    /// records are ordered once by (arrival, id), the order an up-front
+    /// schedule would dispatch them in (ids follow add() order), and the
+    /// first arrival starts the pump.
     ReplayResult finish() {
+        std::sort(records_.begin(), records_.end(), [](const Record& a, const Record& b) {
+            if (a.arrival != b.arrival) return a.arrival < b.arrival;
+            return a.id < b.id;
+        });
+        if (!records_.empty())
+            engine_.schedule_at(records_[0].arrival, [this] { arrive(0); });
         engine_.run();
         ReplayResult out;
         out.traces = std::move(traces_);
@@ -141,8 +162,11 @@ private:
     }
 
     void arrive(std::size_t i) {
-        Record& rec = records_[i];
-        rec.arrival = engine_.now();
+        // The pump: schedule the next arrival before this request steps,
+        // so pending events stay O(in-flight), as in capture.
+        if (i + 1 < records_.size())
+            engine_.schedule_at(records_[i + 1].arrival, [this, i] { arrive(i + 1); });
+        const Record& rec = records_[i];
         // A request with no phase list cannot be replayed in order —
         // fall back to concurrent stressing.
         if (mode_ == ReplayMode::kStructured && !rec.req->phases.empty())
@@ -274,6 +298,7 @@ ReplayResult Replayer::replay(const SyntheticWorkload& workload,
                               ReplayMode mode) const {
     if (workload.empty())
         throw std::invalid_argument("Replayer::replay: empty workload");
+    check_arrivals(workload, "Replayer::replay");
     Run run(cfg_, mode, 0, workload.requests.size());
     for (const auto& r : workload.requests) run.add(r);
     return run.finish();
@@ -283,6 +308,7 @@ ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
                                       ReplayMode mode) const {
     if (workload.empty())
         throw std::invalid_argument("Replayer::replay_sharded: empty workload");
+    check_arrivals(workload, "Replayer::replay_sharded");
     const std::size_t shards = cfg_.n_servers;
     if (shards <= 1) return replay(workload, mode);
 

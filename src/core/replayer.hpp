@@ -20,6 +20,15 @@
 // request's byte and busy-time budgets are split evenly across the
 // phases that spend them (a replicated write's repl.forward spends part
 // of its network and storage bytes, not a second copy).
+//
+// Arrivals are pumped the way capture's schedule pump feeds a cluster:
+// the requests are ordered once by (time, index in the workload), and
+// each arrival schedules the next one before its request steps, so the
+// engine holds O(in-flight) events instead of the whole workload. Tie
+// rule: events at one instant dispatch in the order they were scheduled,
+// so a device step that was scheduled before the previous arrival fired
+// and ends at exactly a request's arrival time runs before that arrival.
+// Arrival times must be finite and non-negative (std::invalid_argument).
 #pragma once
 
 #include <cstdint>

@@ -113,6 +113,7 @@ std::uint64_t Cluster::submit(const RequestSpec& spec,
                     if (cfg_.collect_latencies) latencies_.push_back(latency);
                     ++completed_;
                 }
+                stop_faults_if_settled();
                 // Cluster accounting settles before the callback so a
                 // closed-loop refill observes a consistent cluster.
                 if (on_complete) on_complete(latency);
@@ -123,6 +124,16 @@ std::uint64_t Cluster::submit(const RequestSpec& spec,
 
 void Cluster::submit_all(const std::vector<RequestSpec>& specs) {
     for (const auto& s : specs) submit(s);
+}
+
+void Cluster::end_input() {
+    input_ended_ = true;
+    stop_faults_if_settled();
+}
+
+void Cluster::stop_faults_if_settled() {
+    if (input_ended_ && injector_ && completed_ + failed_requests() == next_request_)
+        injector_->stop_lazy();
 }
 
 void Cluster::run() { engine_->run(); }

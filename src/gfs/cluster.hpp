@@ -65,6 +65,12 @@ public:
     /// Schedule many requests.
     void submit_all(const std::vector<RequestSpec>& specs);
 
+    /// Tell the cluster no further requests will be submitted. Once every
+    /// submitted request has completed or failed, lazy fault chains stop
+    /// (FaultInjector::stop_lazy): faults follow the run until the last
+    /// client request finishes, not for as long as repairs keep going.
+    void end_input();
+
     /// Run the engine until all scheduled work completes.
     void run();
 
@@ -123,6 +129,9 @@ public:
     [[nodiscard]] FaultInjector* fault_injector() noexcept { return injector_.get(); }
 
 private:
+    /// end_input()'s rule, checked whenever a request settles.
+    void stop_faults_if_settled();
+
     GfsConfig cfg_;
     std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<trace::TraceSet> sink_;  ///< client-side + request records
@@ -142,6 +151,7 @@ private:
     std::vector<double> latencies_;
     std::uint64_t next_request_ = 0;
     std::uint64_t completed_ = 0;
+    bool input_ended_ = false;
 };
 
 }  // namespace kooza::gfs

@@ -92,6 +92,7 @@ void FaultInjector::schedule_lazy(std::size_t n_servers, std::uint64_t cluster_s
 void FaultInjector::arm_lazy(std::uint32_t server, std::shared_ptr<sim::Rng> rng,
                              double at, bool fail) {
     engine_.schedule_daemon_at(at, [this, server, rng = std::move(rng), at, fail] {
+        if (lazy_stopped_) return;
         apply(FaultEvent{at, server, fail});
         const double mean = fail ? cfg_.faults.mttr : cfg_.faults.mtbf;
         const double next = at + rng->exponential(1.0 / mean);

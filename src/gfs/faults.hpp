@@ -69,6 +69,13 @@ public:
     /// regardless of how long the run drags on.
     void schedule_lazy(std::size_t n_servers, std::uint64_t cluster_seed);
 
+    /// End the lazy chains: a pending link neither applies its state flip
+    /// nor re-arms. Detection and repairs already under way still run.
+    /// Cluster calls this once its input has ended and every submitted
+    /// request has completed or failed, so repair work cannot keep
+    /// spawning crashes that spawn more repair work.
+    void stop_lazy() noexcept { lazy_stopped_ = true; }
+
     [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
     [[nodiscard]] std::uint64_t crashes() const noexcept { return crashes_; }
     [[nodiscard]] std::uint64_t recoveries() const noexcept { return recoveries_; }
@@ -95,6 +102,7 @@ private:
     trace::Sink* sink_;
     FaultPlan plan_;
     bool lazy_ = false;
+    bool lazy_stopped_ = false;
     std::uint64_t next_repair_id_ = kRepairRequestIdBase;
     std::uint64_t crashes_ = 0;
     std::uint64_t recoveries_ = 0;

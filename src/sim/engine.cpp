@@ -28,35 +28,36 @@ EngineMetrics& metrics() {
 
 Engine::~Engine() {
     // Unfired events (daemon chains, post-stop leftovers) still own arena
-    // nodes; destroy them before the arena goes away.
-    queue_.for_each([this](EventNode* n) {
-        n->~EventNode();
-        arena_.deallocate(n, sizeof(EventNode));
-    });
-    queue_.clear();
+    // blocks; destroy them before the arena goes away.
+    for (const Event& e : heap_) {
+        e.fn->~EventFn();
+        arena_.deallocate(e.fn, sizeof(EventFn));
+    }
     flush_metrics();
 }
 
 bool Engine::step() {
-    EventNode* n = queue_.pop();
-    if (!n) return false;
-    now_ = n->at;
-    if (!n->daemon) --live_;
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event e = heap_.back();
+    heap_.pop_back();
+    now_ = e.at;
+    if (!e.daemon()) --live_;
     ++executed_;
     ++tally_dispatched_;
-    // Invoke the callback straight out of the node — no relocation — and
-    // recycle the node after it returns (exception-safe via the guard).
+    // Invoke the callback straight out of its block — no relocation — and
+    // recycle the block after it returns (exception-safe via the guard).
     // The common schedule-from-an-event pattern then reuses the block
     // freed by the previous dispatch, keeping the arena footprint flat.
     struct Recycle {
         EventArena* arena;
-        EventNode* n;
+        EventFn* fn;
         ~Recycle() {
-            n->~EventNode();
-            arena->deallocate(n, sizeof(EventNode));
+            fn->~EventFn();
+            arena->deallocate(fn, sizeof(EventFn));
         }
-    } recycle{&arena_, n};
-    n->fn();
+    } recycle{&arena_, e.fn};
+    (*e.fn)();
     return true;
 }
 
@@ -72,8 +73,7 @@ std::uint64_t Engine::run_until(Time deadline) {
     stopped_ = false;
     std::uint64_t n = 0;
     while (!stopped_) {
-        EventNode* head = queue_.peek();
-        if (!head || head->at > deadline) break;
+        if (heap_.empty() || heap_.front().at > deadline) break;
         step();
         ++n;
     }

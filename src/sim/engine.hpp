@@ -7,20 +7,21 @@
 // deterministic for a fixed seed.
 //
 // Hot-path layout (see DESIGN.md "Event core"): callbacks are sim::EventFn
-// (48-byte inline small-buffer callables, no per-event heap allocation),
-// event nodes live in a slab/free-list EventArena and are recycled on
-// dispatch, and the queue is a calendar-queue scheduler with a binary-heap
-// fallback — all preserving the strict (at, seq) dispatch order, so runs
-// are byte-identical to the original std::function/binary-heap engine.
+// (48-byte inline small-buffer callables, no per-event heap allocation)
+// held in blocks of a slab/free-list EventArena and recycled on dispatch,
+// and the queue is one binary heap of (at, seq) entries. The pipeline's
+// sources (capture's and replay's schedule pumps) keep O(in-flight)
+// events pending, so the heap stays a few levels deep.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <new>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "sim/calendar.hpp"
 #include "sim/eventfn.hpp"
 
 namespace kooza::sim {
@@ -93,25 +94,19 @@ public:
     void stop() noexcept { stopped_ = true; }
 
     /// True if no events are pending.
-    [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
     /// Number of pending events.
-    [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
     /// Total events executed since construction.
     [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
-    /// The engine's slab allocator (event nodes, oversized EventFn
+    /// The engine's slab allocator (event callbacks, oversized EventFn
     /// captures). Components that stash continuations outside the queue
     /// (sim::Resource waiters) draw from it so their callbacks stay off
     /// the system heap too. Single-threaded, like the engine itself.
     [[nodiscard]] EventArena& arena() noexcept { return arena_; }
-
-    /// True once the scheduler abandoned the calendar queue for its
-    /// binary-heap fallback (pathological timestamp distribution).
-    [[nodiscard]] bool scheduler_heap_fallback() const noexcept {
-        return queue_.heap_fallback();
-    }
 
 private:
     /// std::function (and function pointers) carry an "empty" state the
@@ -126,9 +121,27 @@ private:
         }
     }
 
-    /// Allocate, construct, and enqueue the event node in one step. The
-    /// callable is materialized directly into the node's EventFn (a
-    /// prvalue member initializer, so guaranteed copy elision applies) —
+    /// One pending event. The heap orders entries by (at, seq); the
+    /// callback stays put in its arena block while entries move.
+    struct Event {
+        Time at;
+        /// seq << 1 | daemon. seq breaks ties FIFO among equal timestamps
+        /// and is unique, so the daemon bit never decides an order.
+        std::uint64_t key;
+        EventFn* fn;
+        [[nodiscard]] bool daemon() const noexcept { return key & 1; }
+    };
+    /// std::push_heap keeps the greatest element on top; "greatest" here
+    /// is the earliest (at, seq).
+    struct Later {
+        bool operator()(const Event& a, const Event& b) const noexcept {
+            if (a.at != b.at) return a.at > b.at;
+            return a.key > b.key;
+        }
+    };
+
+    /// Construct the callback in an arena block and enqueue it. The
+    /// callable is materialized directly into the block's EventFn, so
     /// steady-state scheduling performs zero relocations and zero heap
     /// allocations.
     template <typename F>
@@ -140,13 +153,13 @@ private:
             throw std::invalid_argument("Engine::schedule_at: non-finite time");
         if (at < now_)
             throw std::invalid_argument("Engine::schedule_at: time in the past");
-        auto* n = ::new (arena_.allocate(sizeof(EventNode)))
-            EventNode{at, next_seq_++, 0, nullptr, daemon ? 1u : 0u,
-                      EventFn(&arena_, std::forward<F>(action))};
-        queue_.push(n);
+        auto* fn = ::new (arena_.allocate(sizeof(EventFn)))
+            EventFn(&arena_, std::forward<F>(action));
+        heap_.push_back(Event{at, next_seq_++ << 1 | std::uint64_t(daemon), fn});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
         if (!daemon) ++live_;
         ++tally_scheduled_;
-        if (queue_.size() > depth_peak_) depth_peak_ = queue_.size();
+        if (heap_.size() > depth_peak_) depth_peak_ = heap_.size();
     }
 
     /// Fold the engine-local tallies into the process-wide obs registry.
@@ -165,8 +178,8 @@ private:
     std::uint64_t tally_dispatched_ = 0;
     std::size_t depth_peak_ = 0;  ///< lifetime queue-depth high-water mark
 
-    EventArena arena_;  ///< declared before queue_: nodes live in it
-    CalendarQueue queue_;
+    EventArena arena_;  ///< declared before heap_: callbacks live in it
+    std::vector<Event> heap_;
 };
 
 }  // namespace kooza::sim

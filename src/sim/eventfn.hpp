@@ -12,7 +12,7 @@
 //   sizeof(F)  <= kEventFnInlineBytes,
 //   alignof(F) <= alignof(std::max_align_t), and
 //   F is nothrow-move-constructible
-// (EventFn itself is relocated when event nodes are recycled, so a
+// (EventFn itself is relocated when a queued continuation moves, so a
 // throwing move could lose an event mid-flight).
 #pragma once
 
@@ -29,8 +29,8 @@ namespace kooza::sim {
 /// Inline capture capacity of EventFn, in bytes.
 inline constexpr std::size_t kEventFnInlineBytes = 48;
 
-/// Slab/free-list allocator for engine-owned allocations: calendar-queue
-/// event nodes and oversized EventFn captures. Blocks come from geometric
+/// Slab/free-list allocator for engine-owned allocations: queued event
+/// callbacks and oversized EventFn captures. Blocks come from geometric
 /// size classes (64 B .. 8 KiB) carved out of 64 KiB slabs; freed blocks
 /// return to a per-class intrusive free list, so a steady-state
 /// schedule/dispatch cycle touches the system heap zero times. Requests

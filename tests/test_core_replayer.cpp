@@ -1,9 +1,13 @@
 // Tests for the replayer: structured vs independent modes, trace output,
-// incast behaviour, and phase handling.
+// incast behaviour, phase handling, and the arrival pump.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
 
 #include "core/replayer.hpp"
 #include "digest.hpp"
+#include "obs/metrics.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/features.hpp"
 
@@ -252,6 +256,58 @@ TEST(Replayer, DeterministicAcrossRuns) {
     ASSERT_EQ(a.latencies.size(), b.latencies.size());
     for (std::size_t i = 0; i < a.latencies.size(); ++i)
         EXPECT_DOUBLE_EQ(a.latencies[i], b.latencies[i]);
+}
+
+TEST(Replayer, RejectsArrivalTimesNoEngineCanSchedule) {
+    // Checked before the arrivals are ordered: a NaN would break the sort.
+    ReplayConfig cfg;
+    cfg.n_servers = 2;
+    const Replayer rep(cfg);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -0.5,
+                             std::numeric_limits<double>::infinity()}) {
+        auto w = workload_of({basic_read(0.0), basic_read(bad), basic_read(0.1)});
+        w.requests[1].server = 1;
+        EXPECT_THROW((void)rep.replay(w), std::invalid_argument) << bad;
+        EXPECT_THROW((void)rep.replay_sharded(w), std::invalid_argument) << bad;
+    }
+}
+
+TEST(ReplayerPump, PendingEventsStayAtInFlight) {
+    // Arrivals are pumped one at a time, so the engine holds the requests
+    // in flight plus one arrival, not the whole workload. Each engine sets
+    // the depth gauge to its own peak when run() exits.
+    std::vector<SyntheticRequest> rs;
+    for (int i = 0; i < 20000; ++i) {
+        auto r = basic_read(double(i) * 0.01);
+        if (i % 4 == 0) r.type = r.storage_type = r.memory_type = IoType::kWrite;
+        rs.push_back(r);
+    }
+    const auto res = Replayer().replay(workload_of(std::move(rs)));
+    ASSERT_EQ(res.latencies.size(), 20000u);
+    EXPECT_LT(kooza::obs::gauge("sim.engine.queue_depth_peak").value(), 64.0);
+}
+
+TEST(ReplayerPump, DeviceStepEndingAtAnArrivalRunsFirst) {
+    // A's CPU step is scheduled at t = 0 and ends at exactly 0.25 s, B's
+    // arrival time. B's arrival is scheduled later, when C arrives at
+    // 0.1 s. Events at one instant dispatch in scheduling order, so A's
+    // step runs first and A completes (through its zero-delay unknown
+    // phase) before B. An up-front schedule ran B's arrival first, and B
+    // completed before A.
+    ReplayConfig cfg;
+    cfg.cpu_verify_fraction = 0.5;
+    auto request = [](double t, std::vector<std::string> phases) {
+        auto r = basic_read(t);
+        r.cpu_busy_seconds = 0.5;  // a 0.25 s cpu.verify burst
+        r.phases = std::move(phases);
+        return r;
+    };
+    const auto res = Replayer(cfg).replay(workload_of({
+        request(0.0, {"cpu.verify", "warp.drive"}),  // A
+        request(0.1, {"warp.drive"}),                // C
+        request(0.25, {"warp.drive"}),               // B
+    }));
+    EXPECT_EQ(res.latencies, (std::vector<double>{0.0, 0.25, 0.0}));
 }
 
 /// Everything a replay writes: latencies in completion order, every

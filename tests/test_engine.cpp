@@ -1,16 +1,17 @@
-// Event-core contracts: dispatch-order properties of the calendar-queue
-// scheduler against a reference priority queue, engine control-flow edge
-// cases (stop inside run_until, daemon-only queues, deadlines before the
-// first event, re-running after stop), non-finite timestamp rejection,
-// and the EventFn small-buffer callable.
+// Event-core contracts: dispatch-order properties of the engine's
+// (at, seq) heap against a stable sort and a reference priority queue,
+// engine control-flow edge cases (stop inside run_until, daemon-only
+// queues, deadlines before the first event, re-running after stop),
+// non-finite timestamp rejection, and the EventFn small-buffer callable.
 //
-// The order-property tests deliberately sweep distributions that push the
-// calendar through its internal modes — uniform (steady calendar),
-// bimodal-skewed (width re-estimation), all-equal and astronomically
-// spread timestamps (binary-heap fallback) — asserting the one contract
-// every mode must uphold: strict (at, seq) dispatch order.
+// The order-property tests sweep timestamp distributions that stress a
+// scheduler's tie-breaking and key range — uniform, bimodal-skewed,
+// all-equal (FIFO among ties), astronomically spread, and a narrow
+// cluster followed by a wide spread — asserting the one contract every
+// distribution must uphold: strict (at, seq) dispatch order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -42,86 +43,81 @@ double next_unit(std::uint64_t& s) { return double(next_u64(s) >> 11) * 0x1.0p-5
 // require the exact order a stable (at, insertion-order) sort prescribes.
 // ---------------------------------------------------------------------------
 
-void expect_dispatch_order(const std::vector<double>& ts,
-                           bool expect_fallback) {
+/// Indices of `ts` in a stable (at, insertion-order) sort.
+std::vector<std::size_t> stable_order(const std::vector<double>& ts) {
+    std::vector<std::size_t> want(ts.size());
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::size_t a, std::size_t b) { return ts[a] < ts[b]; });
+    return want;
+}
+
+void expect_dispatch_order(const std::vector<double>& ts) {
     Engine eng;
     std::vector<std::size_t> fired;
     for (std::size_t i = 0; i < ts.size(); ++i)
         eng.schedule_at(ts[i], [&fired, i] { fired.push_back(i); });
     eng.run();
-
-    std::vector<std::size_t> want(ts.size());
-    for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
-    std::stable_sort(want.begin(), want.end(),
-                     [&](std::size_t a, std::size_t b) { return ts[a] < ts[b]; });
-
-    ASSERT_EQ(fired, want);
-    EXPECT_EQ(eng.scheduler_heap_fallback(), expect_fallback);
+    ASSERT_EQ(fired, stable_order(ts));
 }
 
 TEST(EngineOrder, UniformTimestamps) {
     std::uint64_t s = 1;
     std::vector<double> ts(20000);
     for (auto& t : ts) t = next_unit(s);
-    expect_dispatch_order(ts, false);
+    expect_dispatch_order(ts);
 }
 
 TEST(EngineOrder, BimodalSkewedTimestamps) {
-    // 90% in [0, 0.1ms), 10% in [0, 100ms): the distribution that forces
-    // the calendar to re-estimate its bucket width.
+    // 90% in [0, 0.1ms), 10% in [0, 100ms).
     std::uint64_t s = 2;
     std::vector<double> ts(20000);
     for (auto& t : ts) {
         const double u = next_unit(s);
         t = u < 0.9 ? next_unit(s) * 0.1e-3 : next_unit(s) * 100e-3;
     }
-    expect_dispatch_order(ts, false);
+    expect_dispatch_order(ts);
 }
 
-TEST(EngineOrder, AllEqualTimestampsFallBackToHeap) {
-    // Degenerate: every event at one instant. No calendar width exists;
-    // the scheduler must fall back to its heap and keep FIFO order.
+TEST(EngineOrder, AllEqualTimestampsKeepFifoOrder) {
+    // Degenerate: every event at one instant, so seq alone decides.
     std::vector<double> ts(5000, 1.0);
-    expect_dispatch_order(ts, true);
+    expect_dispatch_order(ts);
 }
 
-TEST(EngineOrder, AstronomicalRangeFallsBackToHeap) {
-    // A quotient beyond any representable calendar layout trips the
-    // overflow guard.
+TEST(EngineOrder, AstronomicalRangeKeepsOrder) {
+    // Microseconds interleaved with times beyond 1e19 seconds.
     std::uint64_t s = 3;
     std::vector<double> ts(1000);
     for (std::size_t i = 0; i < ts.size(); ++i)
         ts[i] = (i % 2) ? next_unit(s) * 1e-6 : 1e19 + next_unit(s) * 1e19;
-    expect_dispatch_order(ts, true);
+    expect_dispatch_order(ts);
 }
 
-TEST(EngineOrder, NarrowWidthThenWideSpreadRecovers) {
-    // Fill with a dense microsecond-scale cluster (the width estimate
-    // lands tiny), drain it, then feed timestamps spread over hundreds of
-    // seconds: dispatch scans crawl until the long-scan trigger
-    // re-estimates the width. Order must hold throughout, without
-    // abandoning the calendar.
+TEST(EngineOrder, NarrowClusterThenWideSpreadKeepsOrder) {
+    // Fill with a dense microsecond-scale cluster, drain it, then feed
+    // timestamps spread over hundreds of seconds into the same engine.
+    // Every batch-two time is later than every batch-one time, so the
+    // whole run must follow one stable sort of all the timestamps.
     Engine eng;
-    std::vector<double> fired;
+    std::vector<double> ts;
+    std::vector<std::size_t> fired;
     std::uint64_t s = 4;
-    for (int i = 0; i < 5000; ++i)
-        eng.schedule_at(next_unit(s) * 1e-3,
-                        [&eng, &fired] { fired.push_back(eng.now()); });
-    eng.run();
-    for (int i = 0; i < 5000; ++i)
-        eng.schedule_at(1.0 + next_unit(s) * 200.0,
-                        [&eng, &fired] { fired.push_back(eng.now()); });
-    eng.run();
-    ASSERT_EQ(fired.size(), 10000u);
-    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
-    EXPECT_FALSE(eng.scheduler_heap_fallback());
+    for (const auto& [offset, span] : {std::pair{0.0, 1e-3}, std::pair{1.0, 200.0}}) {
+        for (int i = 0; i < 5000; ++i) {
+            const std::size_t k = ts.size();
+            ts.push_back(offset + next_unit(s) * span);
+            eng.schedule_at(ts.back(), [&fired, k] { fired.push_back(k); });
+        }
+        eng.run();
+    }
+    ASSERT_EQ(fired, stable_order(ts));
 }
 
 TEST(EngineOrder, InterleavedHoldModelMatchesReferenceQueue) {
-    // Hold model (every dispatch schedules one successor): the push/pop
-    // interleaving exercises the insert pipeline's staged nodes as live
-    // queue members. The reference is a plain std::priority_queue over
-    // (at, seq).
+    // Hold model (every dispatch schedules one successor): pushes and
+    // pops interleave at constant depth. The reference is a plain
+    // std::priority_queue over (at, seq).
     struct Ref {
         using Item = std::pair<double, std::uint64_t>;
         std::priority_queue<Item, std::vector<Item>, std::greater<>> q;
@@ -233,8 +229,8 @@ TEST(EngineControl, RunUntilDeadlineBeforeFirstEvent) {
 }
 
 TEST(EngineControl, PendingSeesJustScheduledEvents) {
-    // The insert pipeline stages the most recent pushes; they must still
-    // be fully visible to pending()/empty()/step().
+    // Events scheduled out of time order are visible to
+    // pending()/empty()/step() at once and dispatch in time order.
     Engine eng;
     std::vector<int> order;
     eng.schedule_at(2.0, [&] { order.push_back(2); });

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/capture.hpp"
 #include "core/characterize.hpp"
 #include "gfs/cluster.hpp"
 #include "gfs/faults.hpp"
@@ -451,6 +452,26 @@ TEST(FaultDrain, LazyFaultsFollowSlowTailPastOldHorizon) {
     // Every submitted request resolved one way or the other; the lazy
     // daemon chain itself never keeps the engine alive.
     EXPECT_EQ(cluster.completed() + cluster.failed_requests(), 5u);
+}
+
+// Three replicas on four servers: every crash re-replicates 64 MiB
+// chunks, and those copies used to be still running when the next crash
+// fired, so run() never saw zero live events and the capture ran
+// forever. Lazy faults now stop once the input has ended and the last
+// client request has finished; repairs already under way drain. The
+// binary's ctest TIMEOUT turns a regression into a failure.
+TEST(FaultDrain, ReplicatedFaultedCaptureTerminates) {
+    core::CaptureOptions opts;
+    opts.profile = "oltp";
+    opts.count = 300;
+    opts.seed = 7;
+    opts.n_servers = 4;
+    opts.replication = 3;
+    opts.fault_rate = 0.1;
+    opts.mttr = 1.0;
+    const auto res = core::run_capture(opts);
+    EXPECT_EQ(res.completed + res.failed, 300u);
+    EXPECT_GT(res.crashes, 0u);
 }
 
 }  // namespace
