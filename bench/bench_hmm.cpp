@@ -85,9 +85,7 @@ Result run(bool smoke) {
     const auto orig = trace::extract_features(ts);
     r.requests = orig.size();
 
-    const fs::path dir =
-        fs::temp_directory_path() /
-        ("kooza_bench_hmm_" + std::to_string(::getpid()));
+    const fs::path dir = bench::scratch_dir("kooza_bench_hmm");
     fs::remove_all(dir);
     trace::write_traces(ts, dir, trace::Format::kBinary);
     const auto ts_back = trace::read_traces(dir);

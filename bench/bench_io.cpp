@@ -139,7 +139,7 @@ const TraceSet& small_traces() {
 }
 
 void BM_ReadCsv(benchmark::State& state) {
-    const auto dir = fs::temp_directory_path() / "kooza_bench_io_bm_csv";
+    const auto dir = bench::scratch_dir("kooza_bench_io_bm_csv");
     trace::write_csv(small_traces(), dir);
     for (auto _ : state)
         benchmark::DoNotOptimize(trace::read_csv(dir));
@@ -150,7 +150,7 @@ void BM_ReadCsv(benchmark::State& state) {
 BENCHMARK(BM_ReadCsv)->Unit(benchmark::kMillisecond);
 
 void BM_ReadBinary(benchmark::State& state) {
-    const auto dir = fs::temp_directory_path() / "kooza_bench_io_bm_bin";
+    const auto dir = bench::scratch_dir("kooza_bench_io_bm_bin");
     trace::write_binary(small_traces(), dir);
     for (auto _ : state)
         benchmark::DoNotOptimize(trace::read_binary(dir));
@@ -180,9 +180,10 @@ int main(int argc, char** argv) {
         const auto ts = synthetic_traces(n, 17);
         SizeResult sr;
         sr.records = ts.total_records();
-        const auto base = fs::temp_directory_path();
-        sr.csv = run_format(ts, base / "kooza_bench_io_csv", trace::Format::kCsv);
-        sr.bin = run_format(ts, base / "kooza_bench_io_bin", trace::Format::kBinary);
+        const auto csv_dir = bench::scratch_dir("kooza_bench_io_csv");
+        const auto bin_dir = bench::scratch_dir("kooza_bench_io_bin");
+        sr.csv = run_format(ts, csv_dir, trace::Format::kCsv);
+        sr.bin = run_format(ts, bin_dir, trace::Format::kBinary);
         const double speedup = sr.csv.read_s / sr.bin.read_s;
         auto row = [&](const char* name, const FormatResult& r,
                        const std::string& x) {
@@ -194,8 +195,8 @@ int main(int argc, char** argv) {
         row("csv", sr.csv, "1.00");
         row("bin", sr.bin, fmt(speedup, 2));
         results.push_back(sr);
-        fs::remove_all(base / "kooza_bench_io_csv");
-        fs::remove_all(base / "kooza_bench_io_bin");
+        fs::remove_all(csv_dir);
+        fs::remove_all(bin_dir);
     }
     table.rule();
 

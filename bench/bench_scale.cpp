@@ -66,8 +66,7 @@ struct SweepPoint {
 /// never decreases within a process) and starts from the parent's small
 /// pre-sweep footprint.
 SweepPoint run_sweep_point(std::size_t requests) {
-    const auto dir =
-        fs::temp_directory_path() / ("kooza_bench_scale_" + std::to_string(requests));
+    const auto dir = bench::scratch_dir("kooza_bench_scale_" + std::to_string(requests));
     int pipe_fd[2];
     if (pipe(pipe_fd) != 0) throw std::runtime_error("bench_scale: pipe failed");
     const pid_t pid = fork();
@@ -149,10 +148,9 @@ IdentityResult check_identity() {
     o.write_size = 65536;
     o.format = trace::Format::kBinary;
 
-    const auto base = fs::temp_directory_path();
-    const auto mat_dir = base / "kooza_bench_scale_mat";
-    const auto st1_dir = base / "kooza_bench_scale_st1";
-    const auto st8_dir = base / "kooza_bench_scale_st8";
+    const auto mat_dir = bench::scratch_dir("kooza_bench_scale_mat");
+    const auto st1_dir = bench::scratch_dir("kooza_bench_scale_st1");
+    const auto st8_dir = bench::scratch_dir("kooza_bench_scale_st8");
 
     IdentityResult r;
     par::set_threads(1);
@@ -202,7 +200,7 @@ void write_json(const std::vector<SweepPoint>& sweep, double rss_ratio,
 // google-benchmark registration over a small streamed capture so the
 // usual --benchmark_* flags time the capture path here too.
 void BM_StreamedCapture(benchmark::State& state) {
-    const auto dir = fs::temp_directory_path() / "kooza_bench_scale_bm";
+    const auto dir = bench::scratch_dir("kooza_bench_scale_bm");
     for (auto _ : state) {
         auto o = scale_options(2000, dir);
         o.n_servers = 32;

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -72,6 +74,13 @@ public:
 private:
     std::vector<int> widths_;
 };
+
+/// `name` under the system temp directory, suffixed with the process id
+/// so two bench runs at once never share files.
+inline std::filesystem::path scratch_dir(const std::string& name) {
+    return std::filesystem::temp_directory_path() /
+           (name + "_" + std::to_string(::getpid()));
+}
 
 inline std::string fmt(double v, int precision = 2) {
     std::ostringstream os;

@@ -195,17 +195,17 @@ ServerModel Trainer::train_impl(TrainInputs in) const {
                 case 0:
                     storage = markov::AnnotatedMarkovChain::fit(
                         storage_arr, lbn_disc->n_states(), cfg_.laplace_alpha,
-                        cfg_.ks_threshold, cfg_.max_state_samples);
+                        cfg_.ks_threshold);
                     break;
                 case 1:
                     memory = markov::AnnotatedMarkovChain::fit(
                         memory_arr, bank_disc->n_states(), cfg_.laplace_alpha,
-                        cfg_.ks_threshold, cfg_.max_state_samples);
+                        cfg_.ks_threshold);
                     break;
                 case 2:
                     cpu = markov::AnnotatedMarkovChain::fit(
                         cpu_arr, util_disc->n_states(), cfg_.laplace_alpha,
-                        cfg_.ks_threshold, cfg_.max_state_samples);
+                        cfg_.ks_threshold);
                     break;
                 default:
                     // Structure from span trees of this type's requests.

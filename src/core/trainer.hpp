@@ -56,13 +56,6 @@ struct TrainerConfig {
     /// sampling), substitute the canonical GFS phase order instead of
     /// failing. Disable to require observed structure.
     bool fallback_structure = true;
-
-    /// Cap on the values retained per (state, feature) pair when fitting
-    /// the annotated chains (stats::CappedSample first-K retention).
-    /// 0 keeps every observation — byte-identical to the unbounded fit —
-    /// at O(requests) fitting memory; datacenter-scale streamed training
-    /// sets a cap to bound it.
-    std::size_t max_state_samples = 0;
 };
 
 class Trainer {
@@ -80,10 +73,10 @@ public:
     /// trace set (trace::FeatureAccumulator, core::StructureAccumulator
     /// and a few running sums), so training memory is O(requests +
     /// sampled spans) instead of O(records). The serialized model is
-    /// byte-identical to train() on the materialized trace set when
-    /// max_state_samples is 0. Throws std::runtime_error on a malformed
-    /// capture and std::invalid_argument when `chunk_rows` is 0 or the
-    /// capture holds no completed requests.
+    /// byte-identical to train() on the materialized trace set. Throws
+    /// std::runtime_error on a malformed capture and
+    /// std::invalid_argument when `chunk_rows` is 0 or the capture holds
+    /// no completed requests.
     [[nodiscard]] ServerModel train_streaming(
         const std::filesystem::path& dir,
         std::size_t chunk_rows = std::size_t(1) << 16) const;

@@ -1,13 +1,11 @@
 #include "markov/annotated.hpp"
 
-#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "stats/empirical.hpp"
 #include "stats/fitting.hpp"
-#include "stats/sample.hpp"
 
 namespace kooza::markov {
 
@@ -33,10 +31,7 @@ AnnotatedMarkovChain AnnotatedMarkovChain::from_parts(
 
 AnnotatedMarkovChain AnnotatedMarkovChain::fit(
     std::span<const AnnotatedSequence> sequences, std::size_t n_states, double alpha,
-    double ks_threshold, std::size_t max_state_samples) {
-    const std::size_t cap = max_state_samples == 0
-                                ? std::numeric_limits<std::size_t>::max()
-                                : max_state_samples;
+    double ks_threshold) {
     // Validate alignment, collect the feature-name universe, and count
     // transitions — sufficient statistics instead of copied sequences.
     std::set<std::string> names;
@@ -53,18 +48,14 @@ AnnotatedMarkovChain AnnotatedMarkovChain::fit(
     }
     MarkovChain chain = MarkovChain::fit_counts(chain_stats, alpha);
 
-    // Bucket feature values by state (first-`cap` retained per bucket).
-    std::vector<std::map<std::string, stats::CappedSample>> buckets(n_states);
-    std::map<std::string, stats::CappedSample> global;
-    const auto bucket_of = [cap](std::map<std::string, stats::CappedSample>& m,
-                                 const std::string& name) -> stats::CappedSample& {
-        return m.try_emplace(name, stats::CappedSample(cap)).first->second;
-    };
+    // Bucket feature values by state.
+    std::vector<std::map<std::string, std::vector<double>>> buckets(n_states);
+    std::map<std::string, std::vector<double>> global;
     for (const auto& seq : sequences)
         for (const auto& [name, vals] : seq.features)
             for (std::size_t i = 0; i < vals.size(); ++i) {
-                bucket_of(buckets[seq.states[i]], name).observe(vals[i]);
-                bucket_of(global, name).observe(vals[i]);
+                buckets[seq.states[i]][name].push_back(vals[i]);
+                global[name].push_back(vals[i]);
             }
 
     std::vector<std::map<std::string, std::unique_ptr<stats::Distribution>>> per_state(
@@ -73,8 +64,8 @@ AnnotatedMarkovChain AnnotatedMarkovChain::fit(
         for (const auto& name : names) {
             auto it = buckets[s].find(name);
             const auto& vals = (it != buckets[s].end() && !it->second.empty())
-                                   ? it->second.values()
-                                   : global.at(name).values();
+                                   ? it->second
+                                   : global.at(name);
             if (vals.empty())
                 throw std::invalid_argument(
                     "AnnotatedMarkovChain::fit: feature '" + name + "' has no data");

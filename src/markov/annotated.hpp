@@ -37,15 +37,11 @@ public:
     /// a distribution over the values observed while in that state
     /// (parametric if a family passes the KS threshold, else empirical).
     /// States never observed fall back to the feature's global fit.
-    /// The transition counts go through markov::ChainSuffStats and the
-    /// feature buckets through stats::CappedSample, so the fit memory for
-    /// huge captures is bounded by `max_state_samples` values per
-    /// (state, feature) pair — 0 keeps every observation, in which case
-    /// the result is byte-identical to the historical unbounded fit.
+    /// The transition counts go through markov::ChainSuffStats; every
+    /// observed feature value is kept for its (state, feature) fit.
     static AnnotatedMarkovChain fit(std::span<const AnnotatedSequence> sequences,
                                     std::size_t n_states, double alpha = 0.5,
-                                    double ks_threshold = 0.08,
-                                    std::size_t max_state_samples = 0);
+                                    double ks_threshold = 0.08);
 
     /// Reassemble from previously-fitted parts (deserialization).
     /// `per_state` must have chain.n_states() entries.

@@ -8,10 +8,10 @@
 #include <functional>
 #include <limits>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
+#include <variant>
 
 #include "obs/metrics.hpp"
 
@@ -41,60 +41,64 @@ BinMetrics& metrics() {
     return m;
 }
 
-/// Column value widths, used for both packing and validation.
-enum class Col : std::uint8_t { kF64, kU64, kU32, kU8 };
-
-constexpr std::size_t width(Col c) noexcept {
-    switch (c) {
-        case Col::kF64:
-        case Col::kU64: return 8;
-        case Col::kU32: return 4;
-        case Col::kU8: return 1;
-    }
-    return 0;
-}
-
-/// Per-stream schema: id, file stem, column spec string (hashed into the
-/// header — any layout change must bump it) and column widths.
-struct StreamSchema {
-    std::uint32_t id;
-    const char* stem;
-    const char* spec;
-    std::vector<Col> cols;
-};
-
-const std::array<StreamSchema, 7>& schemas() {
-    static const std::array<StreamSchema, 7> s{{
-        {0, "storage",
-         "time:f64,request_id:u64,lbn:u64,size_bytes:u64,type:u8,latency:f64",
-         {Col::kF64, Col::kU64, Col::kU64, Col::kU64, Col::kU8, Col::kF64}},
-        {1, "cpu", "time:f64,request_id:u64,busy_seconds:f64,utilization:f64",
-         {Col::kF64, Col::kU64, Col::kF64, Col::kF64}},
-        {2, "memory", "time:f64,request_id:u64,bank:u32,size_bytes:u64,type:u8",
-         {Col::kF64, Col::kU64, Col::kU32, Col::kU64, Col::kU8}},
-        {3, "network",
-         "time:f64,request_id:u64,size_bytes:u64,direction:u8,latency:f64",
-         {Col::kF64, Col::kU64, Col::kU64, Col::kU8, Col::kF64}},
-        {4, "requests", "request_id:u64,type:u8,arrival:f64,completion:f64,bytes:u64",
-         {Col::kU64, Col::kU8, Col::kF64, Col::kF64, Col::kU64}},
-        {5, "failures",
-         "time:f64,request_id:u64,server:u32,kind:u8,duration:f64",
-         {Col::kF64, Col::kU64, Col::kU32, Col::kU8, Col::kF64}},
-        {6, "spans",
-         "trace_id:u64,span_id:u64,parent_id:u64,name:strtab32,start:f64,end:f64",
-         {Col::kU64, Col::kU64, Col::kU64, Col::kU32, Col::kF64, Col::kF64}},
-    }};
-    return s;
-}
-
 /// FNV-1a 64-bit over the schema spec string.
-std::uint64_t schema_hash(const char* spec) noexcept {
+std::uint64_t schema_hash(std::string_view spec) noexcept {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char* p = spec; *p; ++p) {
-        h ^= std::uint8_t(*p);
+    for (const char c : spec) {
+        h ^= std::uint8_t(c);
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+/// The spec-string name of a field's column type, which the field's C++
+/// type picks (schema.hpp). A value is stored as its own little-endian
+/// bytes (a double as its IEEE-754 bits, an enum as its u8); a SpanName
+/// as a u32 index into the string table.
+template <typename T>
+constexpr const char* wire_name() {
+    if constexpr (std::is_same_v<T, double>) {
+        return "f64";
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        return "u64";
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+        return "u32";
+    } else if constexpr (std::is_same_v<T, SpanName>) {
+        return "strtab32";
+    } else {
+        static_assert(std::is_enum_v<T> && sizeof(T) == 1);
+        return "u8";
+    }
+}
+
+template <typename T>
+constexpr std::size_t wire_width = std::is_same_v<T, SpanName> ? 4 : sizeof(T);
+
+/// A stream's file layout, derived from its schema.hpp entry.
+struct Layout {
+    std::uint64_t hash = 0;           ///< schema_hash of the column spec
+    std::vector<std::size_t> widths;  ///< bytes per value, per column
+    bool strings = false;             ///< a string table follows the columns
+};
+
+const std::array<Layout, kStreamCount>& layouts() {
+    static const auto all = [] {
+        std::array<Layout, kStreamCount> out;
+        for_each_stream([&out](const auto& s) {
+            auto& layout = out[std::size_t(s.id)];
+            std::string spec;
+            for_each_field(s, [&](const auto& f) {
+                using T = typename std::remove_cvref_t<decltype(f)>::Type;
+                if (!spec.empty()) spec += ',';
+                spec += std::string(f.name) + ':' + wire_name<T>();
+                layout.widths.push_back(wire_width<T>);
+                layout.strings = layout.strings || std::is_same_v<T, SpanName>;
+            });
+            layout.hash = schema_hash(spec);
+        });
+        return out;
+    }();
+    return all;
 }
 
 template <typename T>
@@ -102,87 +106,6 @@ void put(std::vector<std::uint8_t>& b, T v) {
     const auto old = b.size();
     b.resize(old + sizeof(T));
     std::memcpy(b.data() + old, &v, sizeof(T));
-}
-
-/// A field's wire value: f64 as its IEEE-754 bits, enums as their u8,
-/// integers as themselves.
-template <typename T>
-auto wire(T v) noexcept {
-    if constexpr (std::is_same_v<T, double>)
-        return std::bit_cast<std::uint64_t>(v);
-    else if constexpr (std::is_enum_v<T>)
-        return static_cast<std::underlying_type_t<T>>(v);
-    else
-        return v;
-}
-
-/// Append a batch of records to one stream's columns, column by column:
-/// field c (a data member or a projection) of every record lands in
-/// cols[c] through a single resize and a tight fixed-stride store loop.
-template <typename Rec, typename... Field>
-void encode_columns(std::span<const Rec> rs, EncodedStream& out, Field... field) {
-    if (rs.empty()) return;
-    std::size_t c = 0;
-    auto column = [&](auto get) {
-        using V = decltype(wire(std::invoke(get, rs.front())));
-        auto& b = out.cols[c++];
-        const auto old = b.size();
-        b.resize(old + rs.size() * sizeof(V));
-        std::uint8_t* p = b.data() + old;
-        for (const Rec& r : rs) {
-            const V v = wire(std::invoke(get, r));
-            std::memcpy(p, &v, sizeof(V));
-            p += sizeof(V);
-        }
-    };
-    (column(field), ...);
-    out.count += rs.size();
-}
-
-EncodedStream& stream_of(EncodedStreams& streams, StreamId id) {
-    return streams[std::size_t(id)];
-}
-
-// The kooza.trace/1 encoder: one overload per numeric stream, fields in
-// schemas() order. BinaryWriter::append(TraceSet) calls it once per
-// stream, ColumnChunk::add with a batch of one record. Spans, whose name
-// column goes through the writer's string table, are encoded by
-// BinaryWriter::encode_spans below.
-
-void encode(std::span<const StorageRecord> rs, EncodedStreams& out) {
-    using R = StorageRecord;
-    encode_columns(rs, stream_of(out, StreamId::kStorage), &R::time, &R::request_id,
-                   &R::lbn, &R::size_bytes, &R::type, &R::latency);
-}
-
-void encode(std::span<const CpuRecord> rs, EncodedStreams& out) {
-    using R = CpuRecord;
-    encode_columns(rs, stream_of(out, StreamId::kCpu), &R::time, &R::request_id,
-                   &R::busy_seconds, &R::utilization);
-}
-
-void encode(std::span<const MemoryRecord> rs, EncodedStreams& out) {
-    using R = MemoryRecord;
-    encode_columns(rs, stream_of(out, StreamId::kMemory), &R::time, &R::request_id,
-                   &R::bank, &R::size_bytes, &R::type);
-}
-
-void encode(std::span<const NetworkRecord> rs, EncodedStreams& out) {
-    using R = NetworkRecord;
-    encode_columns(rs, stream_of(out, StreamId::kNetwork), &R::time, &R::request_id,
-                   &R::size_bytes, &R::direction, &R::latency);
-}
-
-void encode(std::span<const RequestRecord> rs, EncodedStreams& out) {
-    using R = RequestRecord;
-    encode_columns(rs, stream_of(out, StreamId::kRequests), &R::request_id, &R::type,
-                   &R::arrival, &R::completion, &R::bytes);
-}
-
-void encode(std::span<const FailureRecord> rs, EncodedStreams& out) {
-    using R = FailureRecord;
-    encode_columns(rs, stream_of(out, StreamId::kFailures), &R::time, &R::request_id,
-                   &R::server, &R::kind, &R::duration);
 }
 
 [[noreturn]] void bad_file(const fs::path& p, const std::string& why) {
@@ -194,39 +117,59 @@ void encode(std::span<const FailureRecord> rs, EncodedStreams& out) {
 /// hash + record count, then its CRC.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
 
-std::vector<std::uint8_t> make_header(const StreamSchema& s, std::uint64_t count) {
+std::vector<std::uint8_t> make_header(std::size_t stream_id, std::uint64_t count) {
     std::vector<std::uint8_t> h;
     h.insert(h.end(), std::begin(kBinaryMagic), std::end(kBinaryMagic));
     put(h, kBinaryVersion);
-    put(h, s.id);
-    put(h, schema_hash(s.spec));
+    put(h, std::uint32_t(stream_id));
+    put(h, layouts()[stream_id].hash);
     put(h, count);
     put(h, crc32(h.data(), h.size()));
     return h;
 }
 
+fs::path stream_path(const fs::path& dir, std::size_t stream_id, const char* ext) {
+    return dir / (std::string(kStreamStems[stream_id]) + ext);
+}
+
 }  // namespace
 
-void ColumnChunk::add(const StorageRecord& r) { encode(std::span(&r, 1), streams_); }
-void ColumnChunk::add(const CpuRecord& r) { encode(std::span(&r, 1), streams_); }
-void ColumnChunk::add(const MemoryRecord& r) { encode(std::span(&r, 1), streams_); }
-void ColumnChunk::add(const NetworkRecord& r) { encode(std::span(&r, 1), streams_); }
-void ColumnChunk::add(const RequestRecord& r) { encode(std::span(&r, 1), streams_); }
-void ColumnChunk::add(const FailureRecord& r) { encode(std::span(&r, 1), streams_); }
-
-void BinaryWriter::encode_spans(std::span<const Span> spans) {
-    static constexpr auto kNoIndex = std::numeric_limits<std::uint32_t>::max();
-    auto name = [this](const Span& s) {
-        if (s.name.id() >= name_ix_.size()) name_ix_.resize(s.name.id() + 1, kNoIndex);
-        auto& ix = name_ix_[s.name.id()];
-        if (ix == kNoIndex) {
-            ix = std::uint32_t(names_.size());
-            names_.push_back(s.name);
+/// Append a batch of records to one stream's columns, column by column:
+/// field c of every record lands in column c through a single resize
+/// and a tight fixed-stride store loop.
+template <typename S>
+void BinaryWriter::encode(const S& s, std::span<const typename S::Record> rs) {
+    if (rs.empty()) return;
+    auto& stream = streams_[std::size_t(s.id)];
+    std::size_t c = 0;
+    for_each_field(s, [&](const auto& f) {
+        using T = typename std::remove_cvref_t<decltype(f)>::Type;
+        auto& b = stream.cols[c++].bytes;
+        const auto old = b.size();
+        b.resize(old + rs.size() * wire_width<T>);
+        std::uint8_t* p = b.data() + old;
+        for (const auto& r : rs) {
+            if constexpr (std::is_same_v<T, SpanName>) {
+                const std::uint32_t ix = name_index(r.*f.member);
+                std::memcpy(p, &ix, sizeof ix);
+            } else {
+                std::memcpy(p, &(r.*f.member), sizeof(T));
+            }
+            p += wire_width<T>;
         }
-        return ix;
-    };
-    encode_columns(spans, stream_of(streams_, StreamId::kSpans), &Span::trace_id,
-                   &Span::span_id, &Span::parent_id, name, &Span::start, &Span::end);
+    });
+    stream.count += rs.size();
+}
+
+std::uint32_t BinaryWriter::name_index(SpanName name) {
+    static constexpr auto kNoIndex = std::numeric_limits<std::uint32_t>::max();
+    if (name.id() >= name_ix_.size()) name_ix_.resize(name.id() + 1, kNoIndex);
+    auto& ix = name_ix_[name.id()];
+    if (ix == kNoIndex) {
+        ix = std::uint32_t(names_.size());
+        names_.push_back(name);
+    }
+    return ix;
 }
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexcept {
@@ -271,61 +214,50 @@ BinaryWriter::BinaryWriter(std::filesystem::path dir,
 
 BinaryWriter::~BinaryWriter() {
     if (finished_) return;
-    for (auto& stream : spills_)
-        for (auto& spill : stream) {
-            if (spill.path.empty()) continue;
-            spill.file.close();
+    for (auto& stream : streams_)
+        for (auto& col : stream.cols) {
+            if (col.spill.path.empty()) continue;
+            col.spill.file.close();
             std::error_code ec;
-            fs::remove(spill.path, ec);
+            fs::remove(col.spill.path, ec);
         }
 }
 
+void BinaryWriter::check_open() const {
+    if (finished_)
+        throw std::logic_error("BinaryWriter::append: writer already finished");
+}
+
 void BinaryWriter::append(const TraceSet& chunk) {
-    if (finished_)
-        throw std::logic_error("BinaryWriter::append: writer already finished");
-    encode(chunk.storage, streams_);
-    encode(chunk.cpu, streams_);
-    encode(chunk.memory, streams_);
-    encode(chunk.network, streams_);
-    encode(chunk.requests, streams_);
-    encode(chunk.failures, streams_);
-    encode_spans(chunk.spans);
+    check_open();
+    for_each_stream([&](const auto& s) { encode(s, std::span(chunk.*s.records)); });
     records_ += chunk.total_records();
-    maybe_spill();
+    spill_full_columns();
 }
 
-void BinaryWriter::append(const ColumnChunk& chunk) {
-    if (finished_)
-        throw std::logic_error("BinaryWriter::append: writer already finished");
-    for (std::size_t id = 0; id < kStreamCount; ++id) {
-        const auto& src = chunk.streams_[id];
-        if (src.count == 0) continue;
-        auto& dst = streams_[id];
-        for (std::size_t c = 0; c < kMaxColumns; ++c)
-            dst.cols[c].insert(dst.cols[c].end(), src.cols[c].begin(),
-                               src.cols[c].end());
-        dst.count += src.count;
-    }
-    encode_spans(chunk.spans_);
-    records_ += chunk.records();
-    maybe_spill();
+void BinaryWriter::append(const AnyRecord& record) {
+    check_open();
+    visit_stream(StreamId(record.index()), [&](const auto& s) {
+        using Rec = typename std::remove_cvref_t<decltype(s)>::Record;
+        encode(s, std::span(std::get_if<Rec>(&record), 1));
+    });
+    ++records_;
 }
 
-void BinaryWriter::maybe_spill() {
+void BinaryWriter::spill_full_columns() {
     if (spill_buffer_bytes_ == 0) return;
     for (std::size_t id = 0; id < kStreamCount; ++id)
-        for (std::size_t c = 0; c < kMaxColumns; ++c)
-            if (streams_[id].cols[c].size() >= spill_buffer_bytes_)
+        for (std::size_t c = 0; c < kMaxFields; ++c)
+            if (streams_[id].cols[c].bytes.size() >= spill_buffer_bytes_)
                 spill_column(id, c);
 }
 
 void BinaryWriter::spill_column(std::size_t stream_id, std::size_t col_ix) {
-    auto& bytes = streams_[stream_id].cols[col_ix];
-    auto& spill = spills_[stream_id][col_ix];
+    auto& [bytes, spill] = streams_[stream_id].cols[col_ix];
     if (!spill.file.is_open()) {
         fs::create_directories(dir_);
-        spill.path = dir_ / (std::string(schemas()[stream_id].stem) + ".c" +
-                             std::to_string(col_ix) + ".spill");
+        spill.path = stream_path(dir_, stream_id,
+                                 (".c" + std::to_string(col_ix) + ".spill").c_str());
         spill.file.open(spill.path,
                         std::ios::binary | std::ios::trunc | std::ios::out);
         if (!spill.file)
@@ -343,9 +275,9 @@ void BinaryWriter::spill_column(std::size_t stream_id, std::size_t col_ix) {
 }
 
 void BinaryWriter::write_stream_file(std::size_t stream_id) {
-    const auto& schema = schemas()[stream_id];
+    const auto& layout = layouts()[stream_id];
     auto& stream = streams_[stream_id];
-    const auto path = dir_ / (std::string(schema.stem) + ".bin");
+    const auto path = stream_path(dir_, stream_id, ".bin");
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     if (!f)
         throw std::runtime_error("BinaryWriter: cannot open " + path.string());
@@ -402,10 +334,10 @@ void BinaryWriter::write_stream_file(std::size_t stream_id) {
         fs::remove(spill.path, ec);
     };
 
-    emit(make_header(schema, stream.count));
-    for (std::size_t c = 0; c < schema.cols.size(); ++c)
-        emit_column(stream.cols[c], spills_[stream_id][c]);
-    if (schema.id == 6) {
+    emit(make_header(stream_id, stream.count));
+    for (std::size_t c = 0; c < layout.widths.size(); ++c)
+        emit_column(stream.cols[c].bytes, stream.cols[c].spill);
+    if (layout.strings) {
         std::vector<std::uint8_t> tab;
         put(tab, std::uint32_t(names_.size()));
         for (const SpanName n : names_) {
@@ -437,11 +369,12 @@ void write_binary(const TraceSet& ts, const std::filesystem::path& dir) {
 }
 
 ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
-    files_.resize(schemas().size());
+    files_.resize(kStreamCount);
     std::vector<char> buf(1 << 20);
-    for (const auto& s : schemas()) {
-        auto& sf = files_[s.id];
-        sf.path = dir_ / (std::string(s.stem) + ".bin");
+    for (std::size_t id = 0; id < kStreamCount; ++id) {
+        const auto& layout = layouts()[id];
+        auto& sf = files_[id];
+        sf.path = stream_path(dir_, id, ".bin");
         if (!fs::exists(sf.path)) {
             metrics().missing_files.add();
             throw std::runtime_error("kooza.trace/1: missing stream file " +
@@ -477,9 +410,9 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             bad_file(sf.path, "header CRC32 mismatch");
         if (const auto ver = take32(); ver != kBinaryVersion)
             bad_file(sf.path, "unsupported version " + std::to_string(ver));
-        if (const auto id = take32(); id != s.id)
+        if (take32() != id)
             bad_file(sf.path, "stream id mismatch (file renamed?)");
-        if (take64() != schema_hash(s.spec))
+        if (take64() != layout.hash)
             bad_file(sf.path, "schema hash mismatch");
         sf.count = take64();
 
@@ -529,10 +462,9 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             off += len + 4;
             return payload;
         };
-        for (std::size_t c = 0; c < s.cols.size(); ++c)
-            sf.col_offsets.push_back(
-                check_section(width(s.cols[c]), "column", nullptr));
-        if (s.id == 6) {
+        for (const std::size_t width : layout.widths)
+            sf.col_offsets.push_back(check_section(width, "column", nullptr));
+        if (layout.strings) {
             // The string table is bounded by the number of distinct span
             // names, so it is safe to hold in memory.
             std::vector<std::uint8_t> tab;
@@ -575,7 +507,7 @@ std::uint64_t ChunkedReader::total_rows() const noexcept {
 void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                               TraceSet& out) {
     const auto id = std::size_t(s);
-    const auto& schema = schemas()[id];
+    const auto& widths = layouts()[id].widths;
     auto& sf = files_[id];
     if (begin + n < begin || begin + n > sf.count)
         throw std::out_of_range("ChunkedReader::read_rows: rows [" +
@@ -584,104 +516,53 @@ void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                                 sf.path.string());
     if (n == 0) return;
 
-    std::vector<std::vector<std::uint8_t>> cols(schema.cols.size());
-    for (std::size_t c = 0; c < schema.cols.size(); ++c) {
-        const auto w = width(schema.cols[c]);
-        cols[c].resize(std::size_t(n) * w);
+    std::array<std::vector<std::uint8_t>, kMaxFields> bufs;
+    std::array<const std::uint8_t*, kMaxFields> cols{};
+    for (std::size_t c = 0; c < widths.size(); ++c) {
+        auto& b = bufs[c];
+        b.resize(std::size_t(n) * widths[c]);
         sf.file.clear();
-        sf.file.seekg(std::streamoff(sf.col_offsets[c] + begin * w));
-        sf.file.read(reinterpret_cast<char*>(cols[c].data()),
-                     std::streamsize(cols[c].size()));
-        if (std::size_t(sf.file.gcount()) != cols[c].size())
-            bad_file(sf.path, "short read");
+        sf.file.seekg(std::streamoff(sf.col_offsets[c] + begin * widths[c]));
+        sf.file.read(reinterpret_cast<char*>(b.data()), std::streamsize(b.size()));
+        if (std::size_t(sf.file.gcount()) != b.size()) bad_file(sf.path, "short read");
+        cols[c] = b.data();
     }
-    auto u64 = [&](std::size_t c, std::size_t i) {
-        std::uint64_t v;
-        std::memcpy(&v, cols[c].data() + i * 8, 8);
-        return v;
-    };
-    auto u32 = [&](std::size_t c, std::size_t i) {
-        std::uint32_t v;
-        std::memcpy(&v, cols[c].data() + i * 4, 4);
-        return v;
-    };
-    auto f64 = [&](std::size_t c, std::size_t i) {
-        return std::bit_cast<double>(u64(c, i));
-    };
-    auto enum8 = [&](std::size_t c, std::size_t i, std::uint8_t max,
-                     const char* what) {
-        const auto v = cols[c][i];
-        if (v > max)
-            bad_file(sf.path, "record " + std::to_string(begin + i) +
-                                  ": invalid " + what + " value " +
-                                  std::to_string(v));
-        return v;
-    };
-    // One allocation for a whole-stream read (read_binary's drain);
-    // repeated appends into the same vector still grow geometrically.
-    auto append = [n](auto& vec, auto&& decode) {
-        vec.reserve(std::max<std::size_t>(vec.size() + n, 2 * vec.size()));
-        for (std::size_t i = 0; i < n; ++i) vec.push_back(decode(i));
-    };
-
-    switch (s) {
-        case StreamId::kStorage:
-            append(out.storage, [&](std::size_t i) {
-                return StorageRecord{f64(0, i), u64(1, i), u64(2, i), u64(3, i),
-                                     IoType(enum8(4, i, 1, "io type")),
-                                     f64(5, i)};
-            });
-            break;
-        case StreamId::kCpu:
-            append(out.cpu, [&](std::size_t i) {
-                return CpuRecord{f64(0, i), u64(1, i), f64(2, i), f64(3, i)};
-            });
-            break;
-        case StreamId::kMemory:
-            append(out.memory, [&](std::size_t i) {
-                return MemoryRecord{f64(0, i), u64(1, i), u32(2, i), u64(3, i),
-                                    IoType(enum8(4, i, 1, "io type"))};
-            });
-            break;
-        case StreamId::kNetwork:
-            append(out.network, [&](std::size_t i) {
-                return NetworkRecord{
-                    f64(0, i), u64(1, i), u64(2, i),
-                    NetworkRecord::Direction(enum8(3, i, 1, "direction")),
-                    f64(4, i)};
-            });
-            break;
-        case StreamId::kRequests:
-            append(out.requests, [&](std::size_t i) {
-                return RequestRecord{u64(0, i), IoType(enum8(1, i, 1, "io type")),
-                                     f64(2, i), f64(3, i), u64(4, i)};
-            });
-            break;
-        case StreamId::kFailures:
-            append(out.failures, [&](std::size_t i) {
-                return FailureRecord{
-                    f64(0, i), u64(1, i), u32(2, i),
-                    FailureRecord::Kind(enum8(3, i, 5, "failure kind")),
-                    f64(4, i)};
-            });
-            break;
-        case StreamId::kSpans:
-            append(out.spans, [&](std::size_t i) {
-                Span sp;
-                sp.trace_id = u64(0, i);
-                sp.span_id = u64(1, i);
-                sp.parent_id = u64(2, i);
-                const auto ix = u32(3, i);
-                if (ix >= names_.size())
+    // Value i of a column into `v`: the inverse of BinaryWriter::encode,
+    // with an enum checked against its enum_max and a name index against
+    // the string table.
+    auto decode = [&](auto& v, const std::uint8_t* col, std::size_t i,
+                      const char* field) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, SpanName>) {
+            std::uint32_t ix;
+            std::memcpy(&ix, col + i * sizeof ix, sizeof ix);
+            if (ix >= names_.size())
+                bad_file(sf.path, "record " + std::to_string(begin + i) +
+                                      ": name index out of range");
+            v = names_[ix];
+        } else {
+            std::memcpy(&v, col + i * sizeof(T), sizeof(T));
+            if constexpr (std::is_enum_v<T>)
+                if (v > enum_max(T{}))
                     bad_file(sf.path, "record " + std::to_string(begin + i) +
-                                          ": name index out of range");
-                sp.name = names_[ix];
-                sp.start = f64(4, i);
-                sp.end = f64(5, i);
-                return sp;
+                                          ": invalid " + field + " value " +
+                                          std::to_string(unsigned(v)));
+        }
+    };
+    visit_stream(s, [&](const auto& st) {
+        auto& vec = out.*st.records;
+        // One allocation for a whole-stream read (read_binary's drain);
+        // repeated appends into the same vector still grow geometrically.
+        vec.reserve(std::max<std::size_t>(vec.size() + n, 2 * vec.size()));
+        for (std::size_t i = 0; i < n; ++i) {
+            typename std::remove_cvref_t<decltype(st)>::Record rec;
+            std::size_t c = 0;
+            for_each_field(st, [&](const auto& f) {
+                decode(rec.*f.member, cols[c++], i, f.name);
             });
-            break;
-    }
+            vec.push_back(rec);
+        }
+    });
     metrics().rows.add(n);
 }
 

@@ -1,22 +1,23 @@
 // kooza.trace/1 — versioned binary columnar persistence for TraceSets,
 // the fast path next to the human-readable CSV layout (csv.hpp).
 //
-// Layout: one file per stream inside a directory —
-//   storage.bin, cpu.bin, memory.bin, network.bin, requests.bin,
-//   failures.bin, spans.bin
-// Each file is:
+// Layout: one file per stream inside a directory, `<stem>.bin` for each
+// stream of the table in schema.hpp, which also fixes each file's
+// columns. Each file is:
 //   [header]   magic "KOOZATR1", u32 version, u32 stream id,
-//              u64 schema hash (FNV-1a over the column spec string),
-//              u64 record count, u32 CRC32 of the header bytes
-//   [columns]  one section per column, in schema order: u64 byte length,
+//              u64 schema hash (FNV-1a over the column spec string,
+//              e.g. "time:f64,request_id:u64,busy_seconds:f64,
+//              utilization:f64" for cpu.bin), u64 record count,
+//              u32 CRC32 of the header bytes
+//   [columns]  one section per field, in table order: u64 byte length,
 //              the column's values packed little-endian fixed-width
 //              (f64 as IEEE-754 bits, u64/u32/u8), u32 CRC32 of the bytes
 //   [strings]  spans.bin only: a final section holding the deduplicated
 //              span-name table (u32 count, then u32 length + bytes each);
-//              the name column stores u32 indices into it
+//              the name column (strtab32) stores u32 indices into it
 // Every section is CRC-checked on read, every column section must hold
 // exactly the header's record count, enum columns are range-checked
-// (the strictness of the CSV readers), and doubles round-trip
+// against the same enum_max as the CSV reader, and doubles round-trip
 // bit-exactly — including NaN payloads — which text formats cannot
 // guarantee.
 #pragma once
@@ -31,8 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/columns.hpp"
-#include "trace/sink.hpp"
+#include "trace/schema.hpp"
 #include "trace/traceset.hpp"
 
 namespace kooza::trace {
@@ -49,17 +49,18 @@ inline constexpr std::uint32_t kBinaryVersion = 1;
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len,
                                   std::uint32_t seed = 0) noexcept;
 
-/// Buffered streaming writer: append record chunks as they are captured
-/// (no full-TraceSet materialization required by the caller), then
-/// finish() to lay the files down. Both append overloads encode through
-/// the same per-stream encoder and columns are buffered per stream, so
-/// the output is byte-identical however the records were chunked.
+/// Buffered streaming writer: append records as they are captured (no
+/// full-TraceSet materialization required by the caller), then finish()
+/// to lay the files down. Both append overloads encode through the one
+/// encoder the schema.hpp table drives, and columns are buffered per
+/// stream, so the output is byte-identical however the records were
+/// batched.
 ///
-/// With `spill_buffer_bytes > 0`, any column buffer reaching that size is
-/// flushed to a temp file next to the output (CRC chained across
-/// flushes), keeping the writer's memory flat for arbitrarily long
-/// captures; finish() splices the spill files into the final sections.
-/// The produced bytes are identical either way.
+/// With `spill_buffer_bytes > 0`, spill_full_columns() flushes every
+/// column buffer that has reached that size to a temp file next to the
+/// output (CRC chained across flushes), keeping the writer's memory flat
+/// for arbitrarily long captures; finish() splices the spill files into
+/// the final sections. The produced bytes are identical either way.
 ///
 /// Only finish() writes .bin files. A writer destroyed unfinished — its
 /// capture failed and the stack is unwinding — removes its spill files
@@ -72,15 +73,19 @@ public:
     BinaryWriter& operator=(const BinaryWriter&) = delete;
     ~BinaryWriter();
 
-    /// Append every record in `chunk`, one batch per stream. Throws
-    /// std::logic_error after finish().
+    /// Append every record in `chunk`, one batch per stream, then
+    /// spill_full_columns(). Throws std::logic_error after finish().
     void append(const TraceSet& chunk);
 
-    /// Append a struct-of-arrays chunk (trace/columns.hpp): the numeric
-    /// streams arrive encoded and are spliced in wholesale; spans are
-    /// encoded here (their name column indexes this writer's string
-    /// table). Produces bytes identical to the TraceSet overload.
-    void append(const ColumnChunk& chunk);
+    /// Append one record to its stream, a batch of one. Does not spill:
+    /// a caller appending record by record calls spill_full_columns()
+    /// now and then (StreamingSink does every chunk_records records).
+    /// Throws std::logic_error after finish().
+    void append(const AnyRecord& record);
+
+    /// Flush every column buffer holding at least spill_buffer_bytes to
+    /// its temp file; a no-op when spill_buffer_bytes is 0.
+    void spill_full_columns();
 
     /// Write all seven stream files (directory created if missing).
     /// Idempotent; throws std::runtime_error on I/O failure.
@@ -99,16 +104,25 @@ private:
         std::uint64_t bytes = 0;
         std::uint32_t crc = 0;
     };
+    struct Column {
+        std::vector<std::uint8_t> bytes;  ///< encoded, not yet spilled
+        Spill spill;
+    };
+    struct StreamColumns {
+        std::array<Column, kMaxFields> cols;
+        std::uint64_t count = 0;
+    };
 
-    void encode_spans(std::span<const Span> spans);
-    void maybe_spill();
+    void check_open() const;
+    template <typename S>
+    void encode(const S& stream, std::span<const typename S::Record> records);
+    std::uint32_t name_index(SpanName name);
     void spill_column(std::size_t stream_id, std::size_t col_ix);
     void write_stream_file(std::size_t stream_id);
 
     std::filesystem::path dir_;
     std::size_t spill_buffer_bytes_ = 0;
-    EncodedStreams streams_;  ///< buffered (not yet spilled) columns
-    std::array<std::array<Spill, kMaxColumns>, kStreamCount> spills_;
+    std::array<StreamColumns, kStreamCount> streams_;
     /// The span-name string table, in order of first appearance.
     std::vector<SpanName> names_;
     /// names_ index by SpanName id; UINT32_MAX for a name not yet seen.
@@ -149,7 +163,8 @@ public:
 
     /// Decode rows [begin, begin + n) of `s`, appending them to the
     /// matching stream of `out` (other streams untouched). Enum columns
-    /// are range-checked (std::runtime_error naming the file and record).
+    /// are range-checked (std::runtime_error naming the file, record and
+    /// field, e.g. "record 3: invalid direction value 7").
     /// Throws std::out_of_range when the range exceeds rows(s).
     void read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                    TraceSet& out);

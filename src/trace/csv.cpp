@@ -7,11 +7,13 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "trace/schema.hpp"
 
 namespace kooza::trace {
 
@@ -58,20 +60,16 @@ public:
         if (file_) std::fclose(file_);  // unwinding: the error is already thrown
     }
 
-    template <typename First, typename... Rest>
-    void row(const First& first, const Rest&... rest) {
-        field(first);
-        ((put(','), field(rest)), ...);
-        put('\n');
+    /// The header row: the field names of stream `s`.
+    template <typename S>
+    void header(const S& s) {
+        join(s, [this](const auto& f) { text(f.name); });
     }
 
-    void text(std::string_view s) {
-        if (std::size_t(end_ - pos_) < s.size()) {
-            flush();
-            if (s.size() > std::size_t(end_ - begin_)) return write_out(s.data(), s.size());
-        }
-        std::memcpy(pos_, s.data(), s.size());
-        pos_ += s.size();
+    /// One data row of stream `s`.
+    template <typename S>
+    void row(const S& s, const typename S::Record& r) {
+        join(s, [&](const auto& f) { field(r.*f.member); });
     }
 
     void close() {
@@ -82,6 +80,18 @@ public:
     }
 
 private:
+    /// each(field) for every field of `s`, comma-separated, then '\n'.
+    template <typename S, typename Each>
+    void join(const S& s, Each each) {
+        std::apply(
+            [&](const auto& first, const auto&... rest) {
+                each(first);
+                ((put(','), each(rest)), ...);
+            },
+            s.fields);
+        put('\n');
+    }
+
     template <typename T>
     void field(const T& v) {
         if constexpr (std::is_arithmetic_v<T>) {
@@ -90,9 +100,39 @@ private:
                 pos_ = std::to_chars(pos_, end_, v, std::chars_format::general, 17).ptr;
             else
                 pos_ = std::to_chars(pos_, end_, v).ptr;
+        } else if constexpr (std::is_enum_v<T>) {
+            text(to_string(v));
         } else {
-            text(v);
+            text(name_text(v));
         }
+    }
+
+    /// A span name's text, checked once per distinct name.
+    const std::string& name_text(SpanName name) {
+        if (name.id() >= names_.size()) names_.resize(name.id() + 1, nullptr);
+        const std::string*& checked = names_[name.id()];
+        if (checked == nullptr) {
+            checked = &name.str();
+            // The format has no quoting, so a ',' / CR / LF in a span
+            // name would silently shift every following field on
+            // read-back. Reject at the source; kooza.trace/1
+            // (binary.hpp) stores names in a string table and takes
+            // arbitrary bytes.
+            if (checked->find_first_of(",\r\n") != std::string::npos)
+                throw std::runtime_error(
+                    "write_csv: span name contains ',' or a line break "
+                    "(unrepresentable in spans.csv, use --format=bin): '" +
+                    *checked + "'");
+        }
+        return *checked;
+    }
+    void text(std::string_view s) {
+        if (std::size_t(end_ - pos_) < s.size()) {
+            flush();
+            if (s.size() > std::size_t(end_ - begin_)) return write_out(s.data(), s.size());
+        }
+        std::memcpy(pos_, s.data(), s.size());
+        pos_ += s.size();
     }
     void put(char c) {
         if (pos_ == end_) flush();
@@ -114,6 +154,7 @@ private:
     char* begin_;
     char* pos_;
     char* end_;
+    std::vector<const std::string*> names_;  ///< checked text, by SpanName id
 };
 
 /// Streams one stream file through the caller's window and splits each
@@ -164,32 +205,32 @@ public:
         return false;
     }
 
-    double num(std::string_view s, const char* what) const {
-        // from_chars must consume the whole field: a valid prefix
-        // ("1.5GB" -> 1.5) is corrupt data, not a number. It takes no
-        // leading whitespace, '+' or hex, and reads subnormals exactly.
-        double v = 0.0;
-        const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-        if (ec != std::errc{} || end != s.data() + s.size()) bad(what);
-        return v;
-    }
-    std::uint64_t id(std::string_view s, const char* what) const {
-        // IDs and sizes are unsigned decimal fields: from_chars for an
-        // unsigned type takes digits only (no sign, no whitespace) and
-        // reports overflow, so "-1" is an error rather than 2^64-1.
-        std::uint64_t v = 0;
-        const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-        if (ec != std::errc{} || end != s.data() + s.size()) bad(what);
-        return v;
-    }
-    /// Strict enum parse: an unknown name is a row error with file and
-    /// line, never a default value.
-    template <typename Parse>
-    auto enumerated(Parse parse, std::string_view s, const char* what) const {
-        try {
-            return parse(s);
-        } catch (const std::invalid_argument&) {
-            bad(what);
+    /// Parse one field into `out` by its type (schema.hpp). A number
+    /// must be the whole field: from_chars takes no leading whitespace,
+    /// '+' or hex, reads subnormals exactly, and for an unsigned type
+    /// takes digits only and reports a value above the type's maximum,
+    /// so "-1" and a u32 field above 2^32-1 are errors, not wrapped
+    /// values. An unknown enum name is an error too, never a default.
+    template <typename T>
+    void parse(std::string_view s, const char* what, T& out) {
+        if constexpr (std::is_arithmetic_v<T>) {
+            const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+            if (ec != std::errc{} || end != s.data() + s.size()) bad(what);
+        } else if constexpr (std::is_enum_v<T>) {
+            try {
+                out = enum_from_string<T>(s);
+            } catch (const std::invalid_argument&) {
+                bad(what);
+            }
+        } else {
+            // Each distinct name is interned once; the keys view the
+            // table's own copy of the text, which never moves.
+            auto it = names_.find(s);
+            if (it == names_.end()) {
+                const SpanName name(s);
+                it = names_.emplace(name.str(), name).first;
+            }
+            out = it->second;
         }
     }
 
@@ -260,6 +301,7 @@ private:
     std::size_t line_no_ = 0;
     std::size_t rows_ = 0;
     bool header_skipped_ = false;
+    std::unordered_map<std::string_view, SpanName> names_;
 };
 
 }  // namespace
@@ -267,178 +309,30 @@ private:
 void write_csv(const TraceSet& ts, const fs::path& dir) {
     fs::create_directories(dir);
     std::vector<char> buf(kWriteBufferBytes);
-    {
-        FileWriter f(dir / "storage.csv", buf);
-        f.text("time,request_id,lbn,size_bytes,type,latency\n");
-        for (const auto& r : ts.storage)
-            f.row(r.time, r.request_id, r.lbn, r.size_bytes, to_string(r.type), r.latency);
+    for_each_stream([&](const auto& s) {
+        FileWriter f(dir / (std::string(s.stem) + ".csv"), buf);
+        f.header(s);
+        for (const auto& r : ts.*s.records) f.row(s, r);
         f.close();
-    }
-    {
-        FileWriter f(dir / "cpu.csv", buf);
-        f.text("time,request_id,busy_seconds,utilization\n");
-        for (const auto& r : ts.cpu)
-            f.row(r.time, r.request_id, r.busy_seconds, r.utilization);
-        f.close();
-    }
-    {
-        FileWriter f(dir / "memory.csv", buf);
-        f.text("time,request_id,bank,size_bytes,type\n");
-        for (const auto& r : ts.memory)
-            f.row(r.time, r.request_id, r.bank, r.size_bytes, to_string(r.type));
-        f.close();
-    }
-    {
-        FileWriter f(dir / "network.csv", buf);
-        f.text("time,request_id,size_bytes,direction,latency\n");
-        for (const auto& r : ts.network)
-            f.row(r.time, r.request_id, r.size_bytes, to_string(r.direction), r.latency);
-        f.close();
-    }
-    {
-        FileWriter f(dir / "requests.csv", buf);
-        f.text("request_id,type,arrival,completion,bytes\n");
-        for (const auto& r : ts.requests)
-            f.row(r.request_id, to_string(r.type), r.arrival, r.completion, r.bytes);
-        f.close();
-    }
-    {
-        FileWriter f(dir / "failures.csv", buf);
-        f.text("time,request_id,server,kind,duration\n");
-        for (const auto& r : ts.failures)
-            f.row(r.time, r.request_id, r.server, to_string(r.kind), r.duration);
-        f.close();
-    }
-    {
-        FileWriter f(dir / "spans.csv", buf);
-        f.text("trace_id,span_id,parent_id,name,start,end\n");
-        std::vector<const std::string*> texts;  // by SpanName id, checked
-        for (const auto& s : ts.spans) {
-            if (s.name.id() >= texts.size()) texts.resize(s.name.id() + 1, nullptr);
-            const std::string*& text = texts[s.name.id()];
-            if (text == nullptr) {
-                text = &s.name.str();
-                // The format has no quoting, so a ',' / CR / LF in a span
-                // name would silently shift every following field on
-                // read-back. Reject at the source; kooza.trace/1
-                // (binary.hpp) stores names in a string table and takes
-                // arbitrary bytes.
-                if (text->find_first_of(",\r\n") != std::string::npos)
-                    throw std::runtime_error(
-                        "write_csv: span name contains ',' or a line break "
-                        "(unrepresentable in spans.csv, use --format=bin): '" +
-                        *text + "'");
-            }
-            f.row(s.trace_id, s.span_id, s.parent_id, std::string_view(*text), s.start,
-                  s.end);
-        }
-        f.close();
-    }
+    });
 }
 
 TraceSet read_csv(const fs::path& dir) {
     TraceSet ts;
     std::vector<char> window(kReadWindowBytes);
-    {
-        Reader r(dir / "storage.csv", window);
-        std::array<std::string_view, 6> f;
-        while (r.next(f)) {
-            StorageRecord rec;
-            rec.time = r.num(f[0], "time");
-            rec.request_id = r.id(f[1], "request_id");
-            rec.lbn = r.id(f[2], "lbn");
-            rec.size_bytes = r.id(f[3], "size_bytes");
-            rec.type = r.enumerated(iotype_from_string, f[4], "type");
-            rec.latency = r.num(f[5], "latency");
-            ts.storage.push_back(rec);
+    for_each_stream([&](const auto& s) {
+        Reader r(dir / (std::string(s.stem) + ".csv"), window);
+        std::array<std::string_view, std::tuple_size_v<decltype(s.fields)>> fields;
+        auto& out = ts.*s.records;
+        while (r.next(fields)) {
+            typename std::remove_cvref_t<decltype(s)>::Record rec;
+            std::size_t c = 0;
+            for_each_field(s, [&](const auto& f) {
+                r.parse(fields[c++], f.name, rec.*f.member);
+            });
+            out.push_back(rec);
         }
-    }
-    {
-        Reader r(dir / "cpu.csv", window);
-        std::array<std::string_view, 4> f;
-        while (r.next(f)) {
-            CpuRecord rec;
-            rec.time = r.num(f[0], "time");
-            rec.request_id = r.id(f[1], "request_id");
-            rec.busy_seconds = r.num(f[2], "busy_seconds");
-            rec.utilization = r.num(f[3], "utilization");
-            ts.cpu.push_back(rec);
-        }
-    }
-    {
-        Reader r(dir / "memory.csv", window);
-        std::array<std::string_view, 5> f;
-        while (r.next(f)) {
-            MemoryRecord rec;
-            rec.time = r.num(f[0], "time");
-            rec.request_id = r.id(f[1], "request_id");
-            rec.bank = std::uint32_t(r.id(f[2], "bank"));
-            rec.size_bytes = r.id(f[3], "size_bytes");
-            rec.type = r.enumerated(iotype_from_string, f[4], "type");
-            ts.memory.push_back(rec);
-        }
-    }
-    {
-        Reader r(dir / "network.csv", window);
-        std::array<std::string_view, 5> f;
-        while (r.next(f)) {
-            NetworkRecord rec;
-            rec.time = r.num(f[0], "time");
-            rec.request_id = r.id(f[1], "request_id");
-            rec.size_bytes = r.id(f[2], "size_bytes");
-            rec.direction = r.enumerated(direction_from_string, f[3], "direction");
-            rec.latency = r.num(f[4], "latency");
-            ts.network.push_back(rec);
-        }
-    }
-    {
-        Reader r(dir / "requests.csv", window);
-        std::array<std::string_view, 5> f;
-        while (r.next(f)) {
-            RequestRecord rec;
-            rec.request_id = r.id(f[0], "request_id");
-            rec.type = r.enumerated(iotype_from_string, f[1], "type");
-            rec.arrival = r.num(f[2], "arrival");
-            rec.completion = r.num(f[3], "completion");
-            rec.bytes = r.id(f[4], "bytes");
-            ts.requests.push_back(rec);
-        }
-    }
-    {
-        Reader r(dir / "failures.csv", window);
-        std::array<std::string_view, 5> f;
-        while (r.next(f)) {
-            FailureRecord rec;
-            rec.time = r.num(f[0], "time");
-            rec.request_id = r.id(f[1], "request_id");
-            rec.server = std::uint32_t(r.id(f[2], "server"));
-            rec.kind = r.enumerated(failure_kind_from_string, f[3], "kind");
-            rec.duration = r.num(f[4], "duration");
-            ts.failures.push_back(rec);
-        }
-    }
-    {
-        Reader r(dir / "spans.csv", window);
-        std::array<std::string_view, 6> f;
-        // Each distinct name is interned once; the keys view the table's
-        // own copy of the text, which never moves.
-        std::unordered_map<std::string_view, SpanName> names;
-        while (r.next(f)) {
-            Span s;
-            s.trace_id = r.id(f[0], "trace_id");
-            s.span_id = r.id(f[1], "span_id");
-            s.parent_id = r.id(f[2], "parent_id");
-            auto it = names.find(f[3]);
-            if (it == names.end()) {
-                const SpanName name(f[3]);
-                it = names.emplace(name.str(), name).first;
-            }
-            s.name = it->second;
-            s.start = r.num(f[4], "start");
-            s.end = r.num(f[5], "end");
-            ts.spans.push_back(s);
-        }
-    }
+    });
     return ts;
 }
 

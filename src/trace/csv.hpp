@@ -2,11 +2,11 @@
 // shared and re-trained on — the role production trace archives (SNIA,
 // IISWC traces) play for the papers the survey covers.
 //
-// Layout: one file per stream inside a directory —
-//   storage.csv, cpu.csv, memory.csv, network.csv, requests.csv,
-//   failures.csv, spans.csv
-// Each file has a header row; fields are comma-separated, no quoting
-// (span names must not contain commas or line breaks).
+// Layout: one file per stream inside a directory, `<stem>.csv` for each
+// stream of the table in schema.hpp, which also fixes each file's
+// columns. Each file has a header row of the field names; fields are
+// comma-separated, no quoting (span names must not contain commas or
+// line breaks). Enums are written as their to_string text.
 // Doubles are written at 17 significant digits (printf's "%.17g"), so
 // every value but a NaN's payload, subnormals included, reads back bit
 // for bit.
@@ -28,8 +28,9 @@ void write_csv(const TraceSet& ts, const std::filesystem::path& dir);
 /// per file. Every stream file must be present — a missing file means a
 /// partial capture and throws (counted in trace.csv.missing_files_total);
 /// a malformed row (wrong field count, a number or id that is not the
-/// whole field, an unknown enum name) throws std::runtime_error with the
-/// file and line number (counted in trace.csv.bad_rows_total).
+/// whole field or is out of range for its field's type, an unknown enum
+/// name) throws std::runtime_error naming the file, line and field
+/// (counted in trace.csv.bad_rows_total).
 [[nodiscard]] TraceSet read_csv(const std::filesystem::path& dir);
 
 }  // namespace kooza::trace

@@ -8,19 +8,14 @@
 // read as CSV.
 #pragma once
 
-#include <array>
 #include <filesystem>
 #include <optional>
 #include <string>
 
+#include "trace/schema.hpp"
 #include "trace/traceset.hpp"
 
 namespace kooza::trace {
-
-/// File stems of the seven per-stream files, shared by both layouts
-/// (`<stem>.csv` / `<stem>.bin`).
-inline constexpr std::array<const char*, 7> kStreamStems = {
-    "storage", "cpu", "memory", "network", "requests", "failures", "spans"};
 
 enum class Format : std::uint8_t { kCsv = 0, kBinary = 1 };
 

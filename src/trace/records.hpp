@@ -5,17 +5,24 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace kooza::trace {
 
+// Every record enum runs from 0 to the value its enum_max overload
+// returns: both trace readers reject anything above it, and the CSV text
+// of a value is its to_string.
+
 /// Read/write tag used by storage and memory records.
 enum class IoType : std::uint8_t { kRead = 0, kWrite = 1 };
 
-[[nodiscard]] const char* to_string(IoType t) noexcept;
-[[nodiscard]] IoType iotype_from_string(std::string_view s);
+[[nodiscard]] constexpr IoType enum_max(IoType) noexcept { return IoType::kWrite; }
+[[nodiscard]] constexpr const char* to_string(IoType t) noexcept {
+    return t == IoType::kRead ? "read" : "write";
+}
 
 /// One disk I/O: when it was issued, where (logical block number), how
 /// big, which way, and how long the device took.
@@ -57,8 +64,13 @@ struct NetworkRecord {
     double latency = 0.0;
 };
 
-[[nodiscard]] const char* to_string(NetworkRecord::Direction d) noexcept;
-[[nodiscard]] NetworkRecord::Direction direction_from_string(std::string_view s);
+[[nodiscard]] constexpr NetworkRecord::Direction enum_max(
+    NetworkRecord::Direction) noexcept {
+    return NetworkRecord::Direction::kTx;
+}
+[[nodiscard]] constexpr const char* to_string(NetworkRecord::Direction d) noexcept {
+    return d == NetworkRecord::Direction::kRx ? "rx" : "tx";
+}
 
 /// One failure-path event: a chunkserver crash or recovery, a client
 /// failover wait (with its backoff duration), a master-driven chunk
@@ -82,8 +94,29 @@ struct FailureRecord {
     double duration = 0.0;  ///< backoff wait / repair latency; 0 otherwise
 };
 
-[[nodiscard]] const char* to_string(FailureRecord::Kind k) noexcept;
-[[nodiscard]] FailureRecord::Kind failure_kind_from_string(std::string_view s);
+[[nodiscard]] constexpr FailureRecord::Kind enum_max(FailureRecord::Kind) noexcept {
+    return FailureRecord::Kind::kAdmissionReject;
+}
+[[nodiscard]] constexpr const char* to_string(FailureRecord::Kind k) noexcept {
+    switch (k) {
+        case FailureRecord::Kind::kCrash: return "crash";
+        case FailureRecord::Kind::kRecover: return "recover";
+        case FailureRecord::Kind::kFailover: return "failover";
+        case FailureRecord::Kind::kRepair: return "repair";
+        case FailureRecord::Kind::kRequestFailed: return "request_failed";
+        case FailureRecord::Kind::kAdmissionReject: return "admission_reject";
+    }
+    return "crash";
+}
+
+/// The record enum value whose to_string is `s`; std::invalid_argument
+/// for any other text.
+template <typename E>
+[[nodiscard]] E enum_from_string(std::string_view s) {
+    for (unsigned v = 0; v <= unsigned(enum_max(E{})); ++v)
+        if (s == to_string(E(v))) return E(v);
+    throw std::invalid_argument("enum_from_string: '" + std::string(s) + "'");
+}
 
 /// End-to-end view of one user request.
 struct RequestRecord {

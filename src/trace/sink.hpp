@@ -4,9 +4,10 @@
 // Two implementations exist:
 //   - MemorySink (here): appends into a caller-owned TraceSet, the
 //     original materialize-then-write collector.
-//   - StreamingSink (streaming.hpp): orders records online and flushes
-//     fixed-size chunks straight into per-stream BinaryWriters, so a
-//     capture's peak memory stays flat however long the run is.
+//   - StreamingSink (streaming.hpp): orders records online and appends
+//     each released record straight into a BinaryWriter that spills its
+//     columns to disk, so a capture's peak memory stays flat however
+//     long the run is.
 //
 // The hold protocol: device records are *keyed* at issue time but only
 // *emitted* at completion, so a streaming sink cannot flush a timestamp
@@ -18,23 +19,10 @@
 
 #include <cstddef>
 
+#include "trace/schema.hpp"
 #include "trace/traceset.hpp"
 
 namespace kooza::trace {
-
-/// The seven capture streams, numbered identically to the kooza.trace/1
-/// binary stream ids (binary.cpp's schema table).
-enum class StreamId : std::uint8_t {
-    kStorage = 0,
-    kCpu = 1,
-    kMemory = 2,
-    kNetwork = 3,
-    kRequests = 4,
-    kFailures = 5,
-    kSpans = 6,
-};
-
-inline constexpr std::size_t kStreamCount = 7;
 
 class Sink {
 public:

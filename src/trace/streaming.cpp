@@ -30,13 +30,13 @@ public:
     StreamingShard(StreamingSink& owner, std::uint32_t group) noexcept
         : owner_(&owner), group_(group) {}
 
-    void append(const StorageRecord& r) override { push(StreamId::kStorage, r); }
-    void append(const CpuRecord& r) override { push(StreamId::kCpu, r); }
-    void append(const MemoryRecord& r) override { push(StreamId::kMemory, r); }
-    void append(const NetworkRecord& r) override { push(StreamId::kNetwork, r); }
-    void append(const RequestRecord& r) override { push(StreamId::kRequests, r); }
-    void append(const FailureRecord& r) override { push(StreamId::kFailures, r); }
-    void append(const Span& s) override { push(StreamId::kSpans, s); }
+    void append(const StorageRecord& r) override { push(r); }
+    void append(const CpuRecord& r) override { push(r); }
+    void append(const MemoryRecord& r) override { push(r); }
+    void append(const NetworkRecord& r) override { push(r); }
+    void append(const RequestRecord& r) override { push(r); }
+    void append(const FailureRecord& r) override { push(r); }
+    void append(const Span& s) override { push(s); }
 
     void open_hold(StreamId stream, double key) override {
         owner_->open(stream, key);
@@ -47,9 +47,10 @@ public:
 
 private:
     template <typename R>
-    void push(StreamId stream, const R& rec) {
-        owner_->push(stream, group_, seq_[std::size_t(stream)]++, sort_key(rec),
-                     StreamingSink::AnyRecord(rec));
+    void push(const R& rec) {
+        AnyRecord any(rec);
+        const auto seq = seq_[any.index()]++;
+        owner_->push(group_, seq, sort_key(rec), std::move(any));
     }
 
     StreamingSink* owner_;
@@ -75,11 +76,11 @@ Sink& StreamingSink::group(std::size_t g) {
     return *shards_[g];
 }
 
-void StreamingSink::push(StreamId stream, std::uint32_t group,
-                         std::uint64_t seq, double key, AnyRecord rec) {
+void StreamingSink::push(std::uint32_t group, std::uint64_t seq, double key,
+                         AnyRecord rec) {
     if (finished_)
         throw std::logic_error("StreamingSink: append after finish()");
-    auto& st = streams_[std::size_t(stream)];
+    auto& st = streams_[rec.index()];
     st.heap.push(Pending{key, group, seq, std::move(rec)});
     ++seen_;
     ++pending_;
@@ -112,14 +113,11 @@ void StreamingSink::release(StreamState& st, bool drain_all) {
     }
     while (!st.heap.empty() &&
            (drain_all || st.heap.top().key < watermark)) {
-        std::visit([&st](const auto& r) { st.chunk.add(r); },
-                   st.heap.top().rec);
+        writer_.append(st.heap.top().rec);
         st.heap.pop();
         --pending_;
-        ++st.chunk_count;
-        if (st.chunk_count >= opts_.chunk_records) {
-            writer_.append(st.chunk);
-            st.chunk.clear();
+        if (++st.chunk_count >= opts_.chunk_records) {
+            writer_.spill_full_columns();
             st.chunk_count = 0;
             metrics().chunks.add();
         }
@@ -137,8 +135,6 @@ void StreamingSink::finish() {
     for (auto& st : streams_) {
         release(st, /*drain_all=*/true);
         if (st.chunk_count > 0) {
-            writer_.append(st.chunk);
-            st.chunk.clear();
             st.chunk_count = 0;
             metrics().chunks.add();
         }

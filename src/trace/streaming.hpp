@@ -16,9 +16,10 @@
 //   - a record leaves the heap only once its key is strictly below the
 //     stream's watermark = min(earliest open hold, simulation now) — at
 //     that point no earlier-keyed record can still arrive.
-// Drained records are encoded into a ColumnChunk that is appended to the
-// BinaryWriter every `chunk_records` records (the writer spills column
-// payloads to temp files, so it is flat too).
+// Each drained record is appended straight into the BinaryWriter, a
+// batch of one through the encoder every kooza.trace/1 file is written
+// with; every `chunk_records` records of a stream the writer spills its
+// full column buffers to temp files, so it is flat too.
 #pragma once
 
 #include <array>
@@ -28,11 +29,9 @@
 #include <memory>
 #include <queue>
 #include <set>
-#include <variant>
 #include <vector>
 
 #include "trace/binary.hpp"
-#include "trace/columns.hpp"
 #include "trace/sink.hpp"
 
 namespace kooza::trace {
@@ -41,7 +40,9 @@ class StreamingSink final : public SinkProvider {
 public:
     struct Options {
         std::filesystem::path dir;            ///< output trace directory
-        std::size_t chunk_records = 1 << 16;  ///< records per writer flush
+        /// Records of one stream between the writer's spill checks
+        /// (each check counts in trace.stream.chunks_flushed_total).
+        std::size_t chunk_records = 1 << 16;
         /// Per-column writer buffer before spilling to a temp file
         /// (BinaryWriter's spill_buffer_bytes).
         std::size_t spill_buffer_bytes = 1 << 20;
@@ -71,10 +72,6 @@ public:
 private:
     friend class StreamingShard;
 
-    using AnyRecord = std::variant<StorageRecord, CpuRecord, MemoryRecord,
-                                   NetworkRecord, RequestRecord, FailureRecord,
-                                   Span>;
-
     struct Pending {
         double key = 0.0;
         std::uint32_t group = 0;
@@ -91,19 +88,16 @@ private:
     struct StreamState {
         std::priority_queue<Pending, std::vector<Pending>, Later> heap;
         std::multiset<double> holds;
-        // Released records are encoded immediately (struct-of-arrays, in
-        // wire encoding) so the writer flush is a column splice.
-        ColumnChunk chunk;
-        std::size_t chunk_count = 0;
+        std::size_t chunk_count = 0;  ///< released since the last spill check
     };
 
-    void push(StreamId stream, std::uint32_t group, std::uint64_t seq,
-              double key, AnyRecord rec);
+    /// Queue `rec` on its stream (the AnyRecord index).
+    void push(std::uint32_t group, std::uint64_t seq, double key, AnyRecord rec);
     void open(StreamId stream, double key);
     void close(StreamId stream, double key);
-    /// Pop every record below the stream's watermark into the chunk
-    /// buffer; flush full chunks to the writer. `drain_all` ignores the
-    /// watermark (finish()).
+    /// Pop every record below the stream's watermark into the writer,
+    /// asking it to spill every chunk_records records. `drain_all`
+    /// ignores the watermark (finish()).
     void release(StreamState& st, bool drain_all);
 
     Options opts_;

@@ -1,7 +1,8 @@
 // TraceSet: everything one monitored server (or cluster) emitted — the
 // four per-subsystem record streams, end-to-end request records, and the
 // Dapper-style span collection. This is the sole training input for every
-// model in the library.
+// model in the library. The per-stream functions below iterate the stream
+// table in schema.hpp.
 #pragma once
 
 #include <cstddef>

@@ -23,9 +23,9 @@ using namespace kooza::trace;
 TEST(Records, IoTypeRoundTrip) {
     EXPECT_STREQ(to_string(IoType::kRead), "read");
     EXPECT_STREQ(to_string(IoType::kWrite), "write");
-    EXPECT_EQ(iotype_from_string("read"), IoType::kRead);
-    EXPECT_EQ(iotype_from_string("write"), IoType::kWrite);
-    EXPECT_THROW((void)iotype_from_string("bogus"), std::invalid_argument);
+    EXPECT_EQ(enum_from_string<IoType>("read"), IoType::kRead);
+    EXPECT_EQ(enum_from_string<IoType>("write"), IoType::kWrite);
+    EXPECT_THROW((void)enum_from_string<IoType>("bogus"), std::invalid_argument);
 }
 
 TEST(Records, RequestLatency) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -293,30 +294,40 @@ TEST(Binary, CorruptHeaderRejected) {
 }
 
 TEST(Binary, OutOfRangeEnumRejected) {
-    // A CRC-valid file whose enum column holds a byte outside the enum's
-    // range must still be rejected — strictness mirroring the CSV
-    // readers' direction/io-type parsing.
+    // A CRC-valid file whose enum column holds a byte above the enum's
+    // enum_max must still be rejected — strictness mirroring the CSV
+    // readers' enum parsing. The error names the record and the field.
     const auto dir = fresh_dir("kooza_bin_badenum");
-    TraceSet ts;
+    TraceSet network;
     NetworkRecord r;
     r.time = 1.0;
     r.request_id = 1;
     r.size_bytes = 10;
     r.direction = static_cast<NetworkRecord::Direction>(7);  // corrupt source
     r.latency = 0.1;
-    ts.network.push_back(r);
-    write_binary(ts, dir);
-    EXPECT_THROW(
-        {
-            try {
-                (void)read_binary(dir);
-            } catch (const std::runtime_error& e) {
-                EXPECT_NE(std::string(e.what()).find("direction"),
-                          std::string::npos);
-                throw;
-            }
-        },
-        std::runtime_error);
+    network.network.push_back(r);
+    TraceSet storage;
+    storage.storage.push_back(StorageRecord{});
+    storage.storage.push_back(StorageRecord{});
+    storage.storage.back().type = static_cast<IoType>(2);
+    TraceSet failures;
+    failures.failures.push_back(FailureRecord{});
+    failures.failures.back().kind = static_cast<FailureRecord::Kind>(6);
+    const std::pair<const TraceSet*, const char*> cases[] = {
+        {&network, "network.bin: record 0: invalid direction value 7"},
+        {&storage, "storage.bin: record 1: invalid type value 2"},
+        {&failures, "failures.bin: record 0: invalid kind value 6"},
+    };
+    for (const auto& [ts, message] : cases) {
+        write_binary(*ts, dir);
+        try {
+            (void)read_binary(dir);
+            ADD_FAILURE() << message << ": loaded";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+                << e.what();
+        }
+    }
     fs::remove_all(dir);
 }
 

@@ -232,17 +232,26 @@ TEST(CsvEdges, WrongFieldCountThrows) {
     std::filesystem::remove_all(dir);
 }
 
-TEST(CsvEdges, BadIoTypeThrows) {
+TEST(CsvEdges, BadEnumOrU32FieldThrows) {
     // An unknown I/O type or failure kind is a row error like any other:
-    // it names the file and line and counts as a bad row.
+    // it names the file, line and field and counts as a bad row. So is a
+    // memory bank or failure server above 2^32-1, which kooza.trace/1
+    // stores as u32: it used to load truncated (bank 1, server 2).
     struct Case {
         const char* file;
         const char* header;
         const char* row;
+        const char* field;
     };
     const Case cases[] = {
-        {"memory.csv", "time,request_id,bank,size_bytes,type", "1.0,1,0,4096,sideways"},
-        {"failures.csv", "time,request_id,server,kind,duration", "1.0,1,0,sideways,0.5"},
+        {"memory.csv", "time,request_id,bank,size_bytes,type", "1.0,1,0,4096,sideways",
+         "type"},
+        {"failures.csv", "time,request_id,server,kind,duration", "1.0,1,0,sideways,0.5",
+         "kind"},
+        {"memory.csv", "time,request_id,bank,size_bytes,type",
+         "1.0,1,4294967297,4096,read", "bank"},
+        {"failures.csv", "time,request_id,server,kind,duration",
+         "1.0,1,4294967298,crash,0.5", "server"},
     };
     const auto& bad_rows = kooza::obs::counter("trace.csv.bad_rows_total");
     for (const auto& c : cases) {
@@ -253,11 +262,11 @@ TEST(CsvEdges, BadIoTypeThrows) {
             (void)read_csv(dir);
             ADD_FAILURE() << c.file << " loaded";
         } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find(std::string(c.file) + ":2"),
+            EXPECT_NE(std::string(e.what()).find(std::string(c.file) + ":2: " + c.field),
                       std::string::npos)
                 << e.what();
         }
-        EXPECT_EQ(bad_rows.value(), before + 1) << c.file;
+        EXPECT_EQ(bad_rows.value(), before + 1) << c.file << " " << c.field;
         std::filesystem::remove_all(dir);
     }
 }
@@ -536,11 +545,12 @@ TEST(CsvEdges, UnknownDirectionThrows) {
 }
 
 TEST(Records, DirectionFromStringStrict) {
-    EXPECT_EQ(direction_from_string("rx"), NetworkRecord::Direction::kRx);
-    EXPECT_EQ(direction_from_string("tx"), NetworkRecord::Direction::kTx);
-    EXPECT_THROW((void)direction_from_string("sideways"), std::invalid_argument);
-    EXPECT_THROW((void)direction_from_string(""), std::invalid_argument);
-    EXPECT_THROW((void)direction_from_string("TX"), std::invalid_argument);
+    using Direction = NetworkRecord::Direction;
+    EXPECT_EQ(enum_from_string<Direction>("rx"), Direction::kRx);
+    EXPECT_EQ(enum_from_string<Direction>("tx"), Direction::kTx);
+    EXPECT_THROW((void)enum_from_string<Direction>("sideways"), std::invalid_argument);
+    EXPECT_THROW((void)enum_from_string<Direction>(""), std::invalid_argument);
+    EXPECT_THROW((void)enum_from_string<Direction>("TX"), std::invalid_argument);
 }
 
 TEST(CsvEdges, SpanNameWithCommaRejectedOnWrite) {

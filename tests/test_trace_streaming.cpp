@@ -1,7 +1,8 @@
 // StreamingSink / ChunkedReader / train_streaming — the streamed capture
 // path's unit contracts: canonical record ordering under the hold
 // protocol, chunk-size and spill-buffer invariance of the produced
-// bytes, bounded-memory row-range reads agreeing with read_binary, and
+// bytes, kooza.trace/1 bytes pinned absolutely for three captures,
+// bounded-memory row-range reads agreeing with read_binary, and
 // Trainer::train_streaming producing a byte-identical model to training
 // on the materialized TraceSet.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "core/capture.hpp"
@@ -20,6 +22,8 @@
 #include "trace/binary.hpp"
 #include "trace/io.hpp"
 #include "trace/streaming.hpp"
+
+#include "digest.hpp"
 
 namespace {
 
@@ -43,6 +47,39 @@ void expect_dirs_byte_equal(const fs::path& a, const fs::path& b) {
         const auto name = std::string(stem) + ".bin";
         EXPECT_EQ(slurp(a / name), slurp(b / name)) << name;
     }
+}
+
+/// A kooza.trace/1 capture's digest, with its failure and span row
+/// counts so a case can insist the streams it pins are populated.
+struct BinDigest {
+    std::uint64_t value = 0;
+    std::uint64_t failures = 0;
+    std::uint64_t spans = 0;
+};
+
+/// FNV-1a over the seven .bin files the capture `o` writes, in stream
+/// order, each file's name before its bytes.
+BinDigest bin_capture_digest(core::CaptureOptions o, const std::string& tag) {
+    const auto dir = fs::temp_directory_path() /
+                     ("kooza_bin_pin_" + tag + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    o.out_dir = dir.string();
+    o.format = Format::kBinary;
+    (void)core::run_capture(o);
+    testutil::Fnv d;
+    for (const auto* stem : kStreamStems) {
+        const auto name = std::string(stem) + ".bin";
+        d.add_bytes(name);
+        d.add_bytes(slurp(dir / name));
+    }
+    BinDigest out{d.value(), 0, 0};
+    {
+        ChunkedReader reader(dir);
+        out.failures = reader.rows(StreamId::kFailures);
+        out.spans = reader.rows(StreamId::kSpans);
+    }
+    fs::remove_all(dir);
+    return out;
 }
 
 StorageRecord storage_at(double t, std::uint64_t id) {
@@ -239,6 +276,60 @@ TEST(Streaming, ReplayOfNonFiniteArrivalLeavesNoCapture) {
     EXPECT_THROW(ChunkedReader{out}, std::runtime_error);
     fs::remove_all(src);
     fs::remove_all(out);
+}
+
+// Pins every byte of three kooza.trace/1 captures, each written once
+// materialized and once streamed in 333-record chunks. The relative
+// checks (chunked == one-shot, streamed == materialized, 1 vs 8 threads)
+// cannot see a layout change that moves both sides; these constants
+// can. Recorded from the hand-written per-stream encoder, before the
+// layouts were declared in one table.
+TEST(Streaming, BinaryCaptureBytesPinned) {
+    auto both_ways = [](core::CaptureOptions o, const std::string& tag) {
+        const auto materialized = bin_capture_digest(o, tag);
+        o.stream = true;
+        o.chunk_records = 333;
+        const auto streamed = bin_capture_digest(o, tag + "_stream");
+        EXPECT_EQ(streamed.value, materialized.value) << tag;
+        return materialized;
+    };
+
+    core::CaptureOptions oltp;
+    oltp.profile = "oltp";
+    oltp.count = 2000;
+    oltp.seed = 7;
+    const auto oltp_digest = both_ways(oltp, "oltp").value;
+    EXPECT_EQ(oltp_digest, 0xb6b6a269912fca76ull) << std::hex << oltp_digest;
+
+    // Faults on five servers with two replicas: failures.bin has rows.
+    core::CaptureOptions faulted;
+    faulted.profile = "micro";
+    faulted.count = 400;
+    faulted.rate = 50.0;
+    faulted.seed = 77;
+    faulted.n_servers = 5;
+    faulted.replication = 2;
+    faulted.fault_rate = 0.2;
+    faulted.mttr = 1.0;
+    const auto faulted_digest = both_ways(faulted, "faulted");
+    EXPECT_GT(faulted_digest.failures, 0u);
+    EXPECT_EQ(faulted_digest.value, 0x4c130fb46d48aa77ull)
+        << std::hex << faulted_digest.value;
+
+    // Three replicas and 1-in-7 sampling: the span-name string table is
+    // built from the sampled traces only.
+    core::CaptureOptions sampled;
+    sampled.profile = "micro";
+    sampled.count = 400;
+    sampled.rate = 50.0;
+    sampled.seed = 7;
+    sampled.n_servers = 4;
+    sampled.replication = 3;
+    sampled.span_sample_every = 7;
+    const auto sampled_digest = both_ways(sampled, "sampled");
+    EXPECT_GT(sampled_digest.spans, 0u);
+    EXPECT_EQ(sampled_digest.value, 0xc327d34bf4a304e5ull)
+        << std::hex << sampled_digest.value;
 }
 
 TEST(Streaming, WriterSpillPathBytesIdentical) {
