@@ -21,7 +21,7 @@ core::SyntheticWorkload InBreadthModel::generate(std::size_t count,
     core::SyntheticWorkload w = gen.generate(count, rng);
     w.model_name = "in-breadth:" + model_.workload_name();
     // No time dependencies: drop the placeholder phase lists.
-    for (auto& r : w.requests) r.phases.clear();
+    for (auto& r : w.requests) r.phases = {};
     return w;
 }
 

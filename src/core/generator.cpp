@@ -33,12 +33,11 @@ SyntheticWorkload Generator::generate(std::size_t count, sim::Rng& rng,
     out.requests.reserve(count);
 
     detail::ModelWalker walker(model_, start);
-    for (std::size_t i = 0; i < count; ++i) {
-        SyntheticRequest r = walker.next(rng);
-        metrics().generated.add();
-        metrics().bytes.add(r.storage_bytes);
-        out.requests.push_back(std::move(r));
-    }
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        bytes += out.requests.emplace_back(walker.next(rng)).storage_bytes;
+    metrics().generated.add(count);
+    metrics().bytes.add(bytes);
     return out;
 }
 

@@ -84,12 +84,7 @@ public:
         rec.id = first_id_ + i;
         rec.arrival = r.time;
         rec.server = r.server % servers_.size();
-        rec.first = phases_.size();
-        for (const auto& name : r.phases) {
-            const Phase p = gfs::phase_of(name);
-            phases_.push_back(p);
-            ++rec.count[std::size_t(p)];
-        }
+        for (const Phase p : r.phases.ids()) ++rec.count[std::size_t(p)];
     }
 
     /// Replay every added request and hand over what the run wrote. The
@@ -129,7 +124,6 @@ private:
         std::uint64_t id = 0;
         double arrival = 0.0;
         std::size_t server = 0;
-        std::size_t first = 0;  ///< the request's first entry in phases_
         /// Structured: index of the next phase to run. Independent: the
         /// subsystem parts still outstanding.
         std::size_t next = 0;
@@ -180,7 +174,7 @@ private:
         Record& rec = records_[i];
         const SyntheticRequest& r = *rec.req;
         if (rec.next == r.phases.size()) return complete(i);
-        const Phase phase = phases_[rec.first + rec.next++];
+        const Phase phase = r.phases.ids()[rec.next++];
         ServerStack& st = servers_[rec.server];
         const auto then = [this, i] { step(i); };
         switch (phase) {
@@ -281,7 +275,6 @@ private:
     std::deque<ServerStack> servers_;
     hw::SwitchPort client_port_;
     std::vector<Record> records_;
-    std::vector<Phase> phases_;  ///< every request's phases, in record order
     std::vector<double> latencies_;
     std::size_t unknown_phases_ = 0;
 };

@@ -14,9 +14,10 @@
 // One replay is one run: an engine, one device stack per server built
 // from the hardware of a gfs::GfsConfig (the cluster the traces came
 // from), and one record per request that steps through its phases. The
-// phase vocabulary is gfs::phase's: each name is mapped once, when the
-// run is built, to the device step it drives; any other name counts in
-// ReplayResult::unknown_phases and costs one zero-delay event. A
+// phase vocabulary is gfs::phase's: a request's interned PhaseOrder
+// carries the gfs::Phase id of each name, the device step it drives; any
+// other name counts in ReplayResult::unknown_phases and costs one
+// zero-delay event. A
 // request's byte and busy-time budgets are split evenly across the
 // phases that spend them (a replicated write's repl.forward spends part
 // of its network and storage bytes, not a second copy).

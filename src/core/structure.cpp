@@ -115,6 +115,7 @@ StructureQueue StructureQueue::from_parts(
     for (auto& v : q.variants_) {
         v.probability = double(v.count) / double(total);
         q.weights_.push_back(double(v.count));
+        q.orders_.emplace_back(v.phases);
     }
     q.durations_ = std::move(durations);
     for (const auto& v : q.variants_)
@@ -135,6 +136,7 @@ StructureQueue StructureQueue::canonical(std::vector<std::string> phases) {
     v.probability = 1.0;
     q.variants_.push_back(std::move(v));
     q.weights_.push_back(1.0);
+    q.orders_.emplace_back(phases);
     for (const auto& p : phases)
         q.durations_.emplace(p, std::make_unique<stats::Deterministic>(0.0));
     return q;
@@ -145,9 +147,9 @@ const std::vector<std::string>& StructureQueue::dominant() const {
     return variants_.front().phases;
 }
 
-const std::vector<std::string>& StructureQueue::sample(sim::Rng& rng) const {
+PhaseOrder StructureQueue::sample(sim::Rng& rng) const {
     if (variants_.empty()) throw std::logic_error("StructureQueue: untrained");
-    return variants_[rng.weighted_index(weights_)].phases;
+    return orders_[rng.weighted_index(weights_)];
 }
 
 const stats::Distribution& StructureQueue::phase_duration(

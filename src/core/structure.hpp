@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/synthetic.hpp"
 #include "sim/rng.hpp"
 #include "stats/distributions.hpp"
 #include "trace/span.hpp"
@@ -62,8 +63,9 @@ public:
     /// Most frequent phase ordering.
     [[nodiscard]] const std::vector<std::string>& dominant() const;
 
-    /// Sample a phase ordering.
-    [[nodiscard]] const std::vector<std::string>& sample(sim::Rng& rng) const;
+    /// Sample a phase ordering. Each variant is interned once, when the
+    /// queue is built, so a sample copies a handle.
+    [[nodiscard]] PhaseOrder sample(sim::Rng& rng) const;
 
     /// Duration distribution of a phase (over all variants). Throws on an
     /// unknown phase name.
@@ -85,7 +87,8 @@ private:
     StructureQueue() = default;
 
     std::vector<Variant> variants_;
-    std::vector<double> weights_;  ///< aligned with variants_, for sampling
+    std::vector<double> weights_;     ///< aligned with variants_, for sampling
+    std::vector<PhaseOrder> orders_;  ///< aligned with variants_, interned
     std::map<std::string, std::unique_ptr<stats::Distribution>> durations_;
     std::size_t trained_on_ = 0;
 };

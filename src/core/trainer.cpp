@@ -96,6 +96,7 @@ struct Trainer::TrainInputs {
 
 ServerModel Trainer::train(const trace::TraceSet& ts) const {
     TrainInputs in;
+    in.features.reserve(ts.requests.size());
     in.observe(ts);
     return train_impl(std::move(in));
 }
@@ -104,6 +105,7 @@ ServerModel Trainer::train_streaming(const std::filesystem::path& dir,
                                      std::size_t chunk_rows) const {
     trace::ChunkedReader reader(dir);
     TrainInputs in;
+    in.features.reserve(std::size_t(reader.rows(trace::StreamId::kRequests)));
     reader.for_each_chunk(chunk_rows,
                           [&](const trace::TraceSet& c) { in.observe(c); });
     return train_impl(std::move(in));
@@ -161,26 +163,42 @@ ServerModel Trainer::train_impl(TrainInputs in) const {
 
     auto build_type_model = [&](trace::IoType type) -> std::optional<TypeModel> {
         std::vector<const trace::RequestFeatures*> fs;
+        fs.reserve(type == trace::IoType::kRead ? n_reads : features.size() - n_reads);
         for (const auto& f : features)
             if (f.storage_type == type) fs.push_back(&f);
         if (fs.empty()) return std::nullopt;
 
+        // Each sequence and feature column is sized once and looked up
+        // once, not per request.
         markov::AnnotatedSequence storage_seq, memory_seq, cpu_seq;
+        for (auto* seq : {&storage_seq, &memory_seq, &cpu_seq})
+            seq->states.reserve(fs.size());
+        auto column = [&fs](markov::AnnotatedSequence& seq,
+                            const char* name) -> std::vector<double>& {
+            auto& values = seq.features[name];
+            values.reserve(fs.size());
+            return values;
+        };
+        auto& storage_size = column(storage_seq, feature::kSize);
+        auto& storage_net = column(storage_seq, feature::kNet);
+        auto& memory_size = column(memory_seq, feature::kSize);
+        auto& memory_type = column(memory_seq, feature::kType);
+        auto& cpu_busy = column(cpu_seq, feature::kBusy);
         for (const auto* f : fs) {
             storage_seq.states.push_back(lbn_disc->state_of(double(f->first_lbn)));
-            storage_seq.features[feature::kSize].push_back(double(f->storage_bytes));
-            storage_seq.features[feature::kNet].push_back(double(f->network_bytes));
+            storage_size.push_back(double(f->storage_bytes));
+            storage_net.push_back(double(f->network_bytes));
             memory_seq.states.push_back(bank_disc->state_of(double(f->first_bank)));
-            memory_seq.features[feature::kSize].push_back(double(f->memory_bytes));
-            memory_seq.features[feature::kType].push_back(
-                f->memory_type == trace::IoType::kWrite ? 1.0 : 0.0);
+            memory_size.push_back(double(f->memory_bytes));
+            memory_type.push_back(f->memory_type == trace::IoType::kWrite ? 1.0 : 0.0);
             cpu_seq.states.push_back(util_disc->state_of(f->cpu_utilization));
-            cpu_seq.features[feature::kBusy].push_back(f->cpu_busy_seconds);
+            cpu_busy.push_back(f->cpu_busy_seconds);
         }
         const markov::AnnotatedSequence storage_arr[] = {std::move(storage_seq)};
         const markov::AnnotatedSequence memory_arr[] = {std::move(memory_seq)};
         const markov::AnnotatedSequence cpu_arr[] = {std::move(cpu_seq)};
         std::vector<trace::TraceId> ids;
+        ids.reserve(fs.size());
         for (const auto* f : fs) ids.push_back(f->request_id);
 
         // The three Markov sub-models and the structure queue are fitted

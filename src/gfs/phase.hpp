@@ -1,8 +1,9 @@
 // The GFS request path of the paper's Figure 1, spelled once: the phase
 // names, the Phase ids, and the read and write paths as constant tables.
 // gfs::ChunkServer steps each piece through its table with one span per
-// phase, core::canonical_phases returns the tables' names, and the
-// replayer maps a synthetic request's phase names back with phase_of.
+// phase, core::canonical_phases returns the tables' names, and
+// core::PhaseOrder maps each interned phase name back with phase_of once,
+// for the replayer.
 #pragma once
 
 #include <algorithm>

@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "markov/chain.hpp"
@@ -44,25 +45,33 @@ public:
                                     double ks_threshold = 0.08);
 
     /// Reassemble from previously-fitted parts (deserialization).
-    /// `per_state` must have chain.n_states() entries.
+    /// `per_state` must have chain.n_states() entries, each naming the
+    /// same features; std::invalid_argument otherwise.
     static AnnotatedMarkovChain from_parts(
         MarkovChain chain,
         std::vector<std::map<std::string, std::unique_ptr<stats::Distribution>>>
             per_state);
 
     [[nodiscard]] const MarkovChain& chain() const noexcept { return chain_; }
-    [[nodiscard]] std::vector<std::string> feature_names() const;
+    /// Feature names in sorted order, the order sample_features draws in.
+    [[nodiscard]] const std::vector<std::string>& feature_names() const noexcept {
+        return names_;
+    }
+    /// Position of `name` in feature_names(); std::out_of_range if absent.
+    [[nodiscard]] std::size_t feature_index(std::string_view name) const;
 
     /// Distribution of `feature` while in `state`.
     [[nodiscard]] const stats::Distribution& feature(std::size_t state,
                                                      const std::string& name) const;
 
+    /// Draw every feature of `state` into `out`, in feature_names() order:
+    /// the one place a chain samples features. `out` must hold
+    /// feature_names().size() values (std::invalid_argument otherwise).
+    void sample_features(std::size_t state, sim::Rng& rng, std::span<double> out) const;
+
     /// Sample a path of `length` steps with features.
     [[nodiscard]] std::vector<AnnotatedStep> generate(std::size_t length,
                                                       sim::Rng& rng) const;
-
-    /// Continue from a given state (for incremental generation).
-    [[nodiscard]] AnnotatedStep step_from(std::size_t state, sim::Rng& rng) const;
 
     /// Sample features for a known state (no transition).
     [[nodiscard]] AnnotatedStep annotate(std::size_t state, sim::Rng& rng) const;
@@ -75,14 +84,13 @@ public:
     [[nodiscard]] std::string describe() const;
 
 private:
-    AnnotatedMarkovChain(MarkovChain chain,
-                         std::vector<std::map<std::string,
-                                              std::unique_ptr<stats::Distribution>>>
-                             per_state);
+    AnnotatedMarkovChain(MarkovChain chain, std::vector<std::string> names,
+                         std::vector<std::unique_ptr<stats::Distribution>> dists);
 
     MarkovChain chain_;
-    /// per_state_[s][feature] -> distribution
-    std::vector<std::map<std::string, std::unique_ptr<stats::Distribution>>> per_state_;
+    std::vector<std::string> names_;  ///< sorted
+    /// dists_[state * names_.size() + f]: feature f's distribution in state.
+    std::vector<std::unique_ptr<stats::Distribution>> dists_;
 };
 
 }  // namespace kooza::markov

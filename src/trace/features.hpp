@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,19 @@ struct RequestFeatures {
 /// chunk. Each accumulator field is written by exactly one stream, so
 /// chunks of different streams may arrive in any order; within a stream
 /// they must arrive in record order.
+///
+/// The accumulators sit in one vector in first-seen order, reached
+/// through an open-addressed table from request id to index: a record
+/// costs a hash and a probe, and no heap allocation once the table has
+/// room. Ids are hashed, never used as offsets, so any 64-bit id costs
+/// one slot.
 class FeatureAccumulator {
 public:
+    /// Make room for `requests` distinct request ids before the table
+    /// has to grow; more still fit. A hint, for callers that know the
+    /// count (a TraceSet's requests, a capture header's row count).
+    void reserve(std::size_t requests);
+
     /// Every feature-bearing stream of `chunk`, in record order. Throws
     /// std::invalid_argument naming the request when a CPU record's busy
     /// time is NaN or infinite.
@@ -68,6 +78,7 @@ private:
     void observe(const StorageRecord& r);
 
     struct PerRequest {
+        std::uint64_t id = 0;
         std::uint64_t rx = 0, tx = 0;
         double cpu_busy = 0.0;
         std::uint64_t mem_read = 0, mem_write = 0;
@@ -78,7 +89,19 @@ private:
         std::uint32_t first_bank = 0;
     };
 
-    std::map<std::uint64_t, PerRequest> acc_;
+    /// The bucket of index_ holding `id`, or the empty one it would take.
+    [[nodiscard]] std::size_t bucket(std::uint64_t id) const;
+    /// The accumulator of request `id`, appended on its first record.
+    PerRequest& slot(std::uint64_t id);
+    /// The accumulator of request `id`, or nullptr if no record named it.
+    [[nodiscard]] const PerRequest* find(std::uint64_t id) const;
+    /// Rebuild index_ with `capacity` buckets (a power of two).
+    void rehash(std::size_t capacity);
+
+    std::vector<PerRequest> slots_;  ///< one per request id, first-seen order
+    /// Linear-probing table over slots_: bucket = slot index + 1, 0 = empty.
+    /// Its size is a power of two, kept at least twice the slot count.
+    std::vector<std::uint32_t> index_;
     std::vector<RequestRecord> requests_;
 };
 

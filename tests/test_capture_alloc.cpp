@@ -1,5 +1,7 @@
 // Capture allocation audit: global operator new counting hooks around one
-// run_capture bound the system-heap allocations a captured request costs.
+// run_capture bound the system-heap allocations a captured request costs,
+// and around each model-stage call on a capture (train, generate, feature
+// extraction, structured replay) bound what a modelled request costs.
 // Device and GFS continuations are sim::EventFn drawing overflow blocks
 // from the engine's arena, each request and request piece is one
 // recycled record, and a span is a plain record in the tracer's flat
@@ -15,8 +17,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <vector>
 
 #include "core/capture.hpp"
+#include "core/generator.hpp"
+#include "core/replayer.hpp"
+#include "core/trainer.hpp"
+#include "par/pool.hpp"
+#include "trace/features.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define KOOZA_ALLOC_HOOKS_DISABLED 1
@@ -117,6 +126,67 @@ TEST(CaptureAlloc, OltpTracedRequestPathStaysOffTheHeap) {
 
 TEST(CaptureAlloc, SaturatedClosedLoopTracedRequestPathStaysOffTheHeap) {
     expect_at_most_one_alloc_per_request(saturated_closed_loop());
+}
+
+#ifndef KOOZA_ALLOC_HOOKS_DISABLED
+/// Heap allocations per captured request made while `stage` runs.
+template <typename Stage>
+double allocations_per_request(const char* name, Stage&& stage) {
+    g_new_calls = 0;
+    g_counting = true;
+    stage();
+    g_counting = false;
+    const double per_request = double(g_new_calls) / double(kRequests);
+    std::printf("%s: %llu allocations over %zu requests: %.4f per request\n", name,
+                static_cast<unsigned long long>(g_new_calls), kRequests, per_request);
+    return per_request;
+}
+#endif
+
+// The per-request paths of the model stage hold no map, string or vector
+// of their own: the chains sample into a buffer, a request's phase order
+// is an interned handle and the feature fold keeps one flat table. What
+// remains is each call's output and set-up. Training is reported, not
+// bounded: the structure fold still keeps a vector per sampled trace.
+TEST(ModelStageAlloc, GenerateExtractAndReplayStayOffTheHeap) {
+#ifdef KOOZA_ALLOC_HOOKS_DISABLED
+    GTEST_SKIP() << "allocator hooks disabled under sanitizers";
+#else
+    // One lane: every stage runs on this thread, as the plain counters need.
+    kooza::par::set_threads(1);
+    auto o = oltp();
+    o.count = kRequests;
+    o.seed = 7;
+    const auto cap = kooza::core::run_capture(o);
+    ASSERT_EQ(cap.completed, kRequests);
+
+    std::optional<kooza::core::ServerModel> model;
+    (void)allocations_per_request("train", [&] {
+        model.emplace(kooza::core::Trainer().train(cap.traces));
+    });
+    kooza::core::SyntheticWorkload synth;
+    kooza::sim::Rng rng(7);
+    EXPECT_LE(allocations_per_request("generate",
+                                      [&] {
+                                          synth = kooza::core::Generator(*model).generate(
+                                              kRequests, rng);
+                                      }),
+              0.01);
+    std::vector<kooza::trace::RequestFeatures> features;
+    EXPECT_LE(allocations_per_request(
+                  "extract_features",
+                  [&] { features = kooza::trace::extract_features(cap.traces); }),
+              0.01);
+    EXPECT_EQ(features.size(), kRequests);
+    kooza::core::ReplayConfig rc;
+    rc.cpu_verify_fraction = model->cpu_verify_fraction();
+    kooza::core::ReplayResult replayed;
+    EXPECT_LE(allocations_per_request(
+                  "structured replay",
+                  [&] { replayed = kooza::core::Replayer(rc).replay(synth); }),
+              0.1);
+    EXPECT_EQ(replayed.latencies.size(), kRequests);
+#endif
 }
 
 }  // namespace

@@ -119,4 +119,23 @@ TEST(CliArgs, ErrorNamesTheFlag) {
     }
 }
 
+TEST(CliArgs, UnknownFlagNamesTheFirstFlagNotListed) {
+    // "kooza_capture oltp DIR --coutn 50" parsed and ran at the default
+    // count; the tools now reject every flag they do not list.
+    const std::set<std::string> known{"count", "seed", "stream"};
+    auto typo = make({"oltp", "dir", "--coutn", "50", "--seed", "7"}, {"stream"});
+    EXPECT_EQ(typo.unknown_flag(known), "coutn");
+    EXPECT_EQ(typo.positional(), (std::vector<std::string>{"oltp", "dir"}));
+    EXPECT_EQ(make({"dir", "--count", "5", "--stream"}, {"stream"}).unknown_flag(known),
+              std::nullopt);
+    EXPECT_EQ(make({"dir"}).unknown_flag(known), std::nullopt);
+    // A switch the tool does not know is a flag like any other.
+    EXPECT_EQ(make({"dir", "--help"}).unknown_flag(known), "help");
+    // Several unknown flags: the first in name order.
+    EXPECT_EQ(make({"--zeta", "1", "--alpha", "2", "--count", "3"}).unknown_flag(known),
+              "alpha");
+    // "--" alone is the flag with the empty name.
+    EXPECT_EQ(make({"dir", "--", "x"}).unknown_flag(known), "");
+}
+
 }  // namespace

@@ -8,8 +8,10 @@
 #include <limits>
 #include <sstream>
 
+#include "baselines/indepth.hpp"
 #include "core/capture.hpp"
 #include "core/generator.hpp"
+#include "core/model_replay.hpp"
 #include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "core/validator.hpp"
@@ -259,6 +261,85 @@ TEST(Generator, DeterministicBySeed) {
         EXPECT_DOUBLE_EQ(wa.requests[i].time, wb.requests[i].time);
         EXPECT_EQ(wa.requests[i].storage_bytes, wb.requests[i].storage_bytes);
     }
+}
+
+/// Folds every field of `w`'s requests into `d`, phase names as text.
+void add_requests(kooza::testutil::Fnv& d, const SyntheticWorkload& w) {
+    for (const auto& r : w.requests) {
+        d.add(r.time);
+        d.add(r.type);
+        d.add(r.network_bytes);
+        d.add(r.cpu_busy_seconds);
+        d.add(r.memory_bytes);
+        d.add(r.memory_type);
+        d.add(r.bank);
+        d.add(r.storage_bytes);
+        d.add(r.storage_type);
+        d.add(r.lbn);
+        d.add(r.server);
+        d.add(std::size_t(r.phases.size()));
+        for (const std::string& p : r.phases) {
+            d.add(p.size());
+            d.add_bytes(p);
+        }
+    }
+}
+
+/// Folds every field of the specs `s` pulls until it is exhausted.
+void add_specs(kooza::testutil::Fnv& d, kooza::workloads::ScheduleStream& s) {
+    while (const auto r = s.next()) {
+        d.add(r->time);
+        d.add(r->file.size());
+        d.add_bytes(r->file);
+        d.add(r->offset);
+        d.add(r->size);
+        d.add(r->type);
+        d.add(r->client);
+        d.add(r->append);
+    }
+}
+
+TEST(Generator, SyntheticDigestPinned) {
+    // Pins every field the trained models generate, draw for draw, against
+    // constants recorded before the chains sampled into flat tables and
+    // phase orders were interned: Generator::generate on the two models
+    // Trainer.SavedModelDigestPinned trains, the specs ModelReplayGenerator
+    // pulls from them, and the in-depth baseline's requests, whose phase
+    // orders come from the same structure queue.
+    CaptureOptions oltp;
+    oltp.profile = "oltp";
+    oltp.count = 3000;
+    oltp.seed = 7;
+    CaptureOptions closed;
+    closed.closed_loop = true;
+    closed.count = 3000;
+    closed.seed = 7;
+    const auto oltp_ts = run_capture(oltp).traces;
+    const auto closed_ts = run_capture(closed).traces;
+    auto oltp_model = Trainer({.workload_name = "oltp"}).train(oltp_ts);
+    auto closed_model = Trainer({.workload_name = "closed"}).train(closed_ts);
+
+    kooza::testutil::Fnv generated;
+    Rng rng(11);
+    add_requests(generated, Generator(oltp_model).generate(2000, rng));
+    add_requests(generated, Generator(closed_model).generate(2000, rng, 5.0));
+    EXPECT_EQ(generated.value(), 0x48e4b7586251f7b0ull) << std::hex << generated.value();
+
+    kooza::testutil::Fnv specs;
+    ModelReplayGenerator oltp_replay(std::move(oltp_model), {.count = 2000, .seed = 12});
+    add_specs(specs, oltp_replay);
+    ModelReplayGenerator closed_replay(std::move(closed_model),
+                                       {.count = 2000, .seed = 13});
+    add_specs(specs, closed_replay);
+    EXPECT_EQ(specs.value(), 0x1d926f20a2aa9277ull) << std::hex << specs.value();
+
+    kooza::testutil::Fnv in_depth;
+    Rng depth_rng(14);
+    add_requests(in_depth,
+                 kooza::baselines::InDepthModel::train(oltp_ts).generate(2000, depth_rng));
+    add_requests(in_depth, kooza::baselines::InDepthModel::train(closed_ts).generate(
+                               2000, depth_rng));
+    EXPECT_EQ(in_depth.value(), 0xaabb74f0c067a845ull) << std::hex << in_depth.value();
 }
 
 TEST(Generator, ZeroCountRejected) {

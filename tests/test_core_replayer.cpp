@@ -1,13 +1,16 @@
 // Tests for the replayer: structured vs independent modes, trace output,
-// incast behaviour, phase handling, and the arrival pump.
+// incast behaviour, phase handling, the arrival pump, and the interned
+// phase orders replay reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 #include "core/replayer.hpp"
 #include "digest.hpp"
 #include "obs/metrics.hpp"
+#include "par/pool.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/features.hpp"
 
@@ -79,7 +82,7 @@ TEST(Replayer, IndependentFasterThanStructured) {
 
 TEST(Replayer, EmptyPhasesFallBackToIndependent) {
     auto r = basic_read(0.0);
-    r.phases.clear();
+    r.phases = {};
     Replayer rep;
     const auto res = rep.replay(workload_of({r}), ReplayMode::kStructured);
     ASSERT_EQ(res.latencies.size(), 1u);
@@ -141,7 +144,8 @@ TEST(Replayer, ReplForwardSharesTheByteBudgets) {
 
 TEST(Replayer, MasterLookupPhaseSupported) {
     auto r = basic_read(0.0);
-    r.phases.insert(r.phases.begin(), "master.lookup");
+    r.phases = {"master.lookup", "net.rx",        "cpu.verify", "mem.buffer",
+                "disk.io",       "cpu.aggregate", "net.tx"};
     Replayer rep;
     const auto res = rep.replay(workload_of({r}));
     EXPECT_EQ(res.unknown_phases, 0u);
@@ -299,7 +303,7 @@ TEST(ReplayerPump, DeviceStepEndingAtAnArrivalRunsFirst) {
     auto request = [](double t, std::vector<std::string> phases) {
         auto r = basic_read(t);
         r.cpu_busy_seconds = 0.5;  // a 0.25 s cpu.verify burst
-        r.phases = std::move(phases);
+        r.phases = PhaseOrder(phases);
         return r;
     };
     const auto res = Replayer(cfg).replay(workload_of({
@@ -360,7 +364,7 @@ SyntheticWorkload pinned_workload() {
         r.lbn = 4096 * (rs.size() * 37 % 11);
         r.bank = std::uint32_t(rs.size() % 5);
         r.server = server;
-        r.phases = std::move(phases);
+        r.phases = PhaseOrder(phases);
         rs.push_back(r);
     };
     const std::vector<std::string> read = {"net.rx",  "cpu.verify",    "mem.buffer",
@@ -396,6 +400,57 @@ TEST(Replayer, ReplayDigestPinned) {
     EXPECT_EQ(digest(rep.replay(w, kIndependent)), 0xcc30eef856abe096ull);
     EXPECT_EQ(digest(rep.replay_sharded(w, kStructured)), 0x0cd72834c12e231full);
     EXPECT_EQ(digest(rep.replay_sharded(w, kIndependent)), 0xba55fb2d90d6d3a9ull);
+}
+
+TEST(PhaseOrder, InternsNamesAndPhaseIds) {
+    const PhaseOrder a{"net.rx", "warp.drive", "disk.io"};
+    const std::vector<std::string> names{"net.rx", "warp.drive", "disk.io"};
+    EXPECT_EQ(a, PhaseOrder(names));
+    EXPECT_EQ(std::vector<std::string>(a.begin(), a.end()), names);
+    using kooza::gfs::Phase;
+    EXPECT_EQ(std::vector<Phase>(a.ids().begin(), a.ids().end()),
+              (std::vector<Phase>{Phase::kNetRx, Phase::kUnknown, Phase::kDiskIo}));
+    EXPECT_FALSE(a == (PhaseOrder{"net.rx", "disk.io"}));
+    EXPECT_EQ(PhaseOrder{}, PhaseOrder(std::vector<std::string>{}));
+    EXPECT_TRUE(PhaseOrder().empty());
+    EXPECT_EQ(PhaseOrder().ids().size(), 0u);
+    const std::string bytes("nul\0and\xff", 8);
+    EXPECT_EQ(*PhaseOrder{bytes}.begin(), bytes);
+}
+
+TEST(PhaseOrder, ConcurrentInterningAgrees) {
+    // Four pool tasks intern the same 300 orders, each starting at another
+    // one, and read every name back while the others insert.
+    constexpr std::size_t kTasks = 4;
+    constexpr std::size_t kOrders = 300;
+    auto names = [](std::size_t i) {
+        return std::vector<std::string>{"net.rx", "order." + std::to_string(i),
+                                        i % 2 == 0 ? "disk.io" : "warp.drive"};
+    };
+    kooza::par::set_threads(kTasks);
+    std::vector<std::vector<PhaseOrder>> got(kTasks, std::vector<PhaseOrder>(kOrders));
+    std::vector<std::size_t> misread(kTasks, 0);
+    kooza::par::pool().parallel_for(kTasks, [&](std::size_t task) {
+        for (std::size_t k = 0; k < kOrders; ++k) {
+            const std::size_t i = (k + task * kOrders / kTasks) % kOrders;
+            const auto want = names(i);
+            got[task][i] = PhaseOrder(want);
+            const PhaseOrder& order = got[task][i];
+            if (!std::equal(order.begin(), order.end(), want.begin(), want.end()))
+                ++misread[task];
+        }
+    });
+    kooza::par::set_threads(0);
+    EXPECT_EQ(misread, std::vector<std::size_t>(kTasks, 0));
+    using kooza::gfs::Phase;
+    for (std::size_t i = 0; i < kOrders; ++i) {
+        const PhaseOrder again(names(i));
+        for (std::size_t task = 0; task < kTasks; ++task)
+            EXPECT_EQ(got[task][i], again) << "order " << i << ", task " << task;
+        ASSERT_EQ(again.ids().size(), 3u);
+        EXPECT_EQ(again.ids()[1], Phase::kUnknown);
+        EXPECT_EQ(again.ids()[2], i % 2 == 0 ? Phase::kDiskIo : Phase::kUnknown);
+    }
 }
 
 }  // namespace

@@ -151,6 +151,31 @@ TEST(ModelRoundTrip, HostileCountsRejected) {
     }
 }
 
+TEST(ModelRoundTrip, FeatureTablesMustAgreeAcrossStates) {
+    // A chain keeps one [state][feature] table, so every state of a
+    // loaded chain must name the same features; a state that repeats
+    // another's line in place of its own is rejected on load, not when a
+    // request first reaches it.
+    std::stringstream ss;
+    save_model(train_micro(5), ss);
+    const std::string text = ss.str();
+    const auto mutated = std::regex_replace(text, std::regex("feature 1 size"),
+                                            "feature 1 sizf",
+                                            std::regex_constants::format_first_only);
+    ASSERT_NE(mutated, text);
+    std::stringstream in(mutated);
+    EXPECT_THROW((void)load_model(in), std::invalid_argument);
+
+    // Consistent but without the CPU busy-time feature the generator
+    // reads: the model loads, and the model walk is refused when it is
+    // built, before any request is drawn.
+    std::stringstream renamed(
+        std::regex_replace(text, std::regex(R"((feature \d+) busy)"), "$1 idle"));
+    const auto model = load_model(renamed);
+    sim::Rng rng(1);
+    EXPECT_THROW((void)Generator(model).generate(10, rng), std::out_of_range);
+}
+
 TEST(DistributionSerialize, UnknownFamilyRejected) {
     std::stringstream ss("dist klingon 1 2 3");
     EXPECT_THROW((void)load_distribution(ss), std::runtime_error);

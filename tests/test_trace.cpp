@@ -2,8 +2,11 @@
 // request-feature extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -311,6 +314,171 @@ TEST(Features, ColumnsAligned) {
 TEST(Features, ToStringReadable) {
     const auto fs = extract_features(make_sample_traceset());
     EXPECT_NE(fs[0].to_string().find("req 1"), std::string::npos);
+}
+
+/// The reference fold: per-request sums in a std::map keyed by request
+/// id, rows in request-record order, then sorted by arrival as
+/// FeatureAccumulator::finish sorts them.
+std::vector<RequestFeatures> map_fold(const TraceSet& ts) {
+    struct Sums {
+        std::uint64_t rx = 0, tx = 0;
+        double busy = 0.0;
+        std::uint64_t mem_read = 0, mem_write = 0, sto_read = 0, sto_write = 0;
+        double first_mem = -1.0, first_sto = -1.0;
+        std::uint32_t bank = 0;
+        std::uint64_t lbn = 0;
+    };
+    std::map<std::uint64_t, Sums> acc;
+    for (const auto& r : ts.network)
+        (r.direction == NetworkRecord::Direction::kRx ? acc[r.request_id].rx
+                                                      : acc[r.request_id].tx) +=
+            r.size_bytes;
+    for (const auto& r : ts.cpu) acc[r.request_id].busy += r.busy_seconds;
+    for (const auto& r : ts.memory) {
+        auto& a = acc[r.request_id];
+        (r.type == IoType::kRead ? a.mem_read : a.mem_write) += r.size_bytes;
+        if (a.first_mem < 0.0 || r.time < a.first_mem) {
+            a.first_mem = r.time;
+            a.bank = r.bank;
+        }
+    }
+    for (const auto& r : ts.storage) {
+        auto& a = acc[r.request_id];
+        (r.type == IoType::kRead ? a.sto_read : a.sto_write) += r.size_bytes;
+        if (a.first_sto < 0.0 || r.time < a.first_sto) {
+            a.first_sto = r.time;
+            a.lbn = r.lbn;
+        }
+    }
+    std::vector<RequestFeatures> out;
+    for (const auto& req : ts.requests) {
+        RequestFeatures f;
+        f.request_id = req.request_id;
+        f.arrival = req.arrival;
+        f.latency = req.latency();
+        if (const auto it = acc.find(req.request_id); it != acc.end()) {
+            const Sums& a = it->second;
+            f.network_bytes = std::max(a.rx, a.tx);
+            f.cpu_utilization = f.latency > 0.0 ? a.busy / f.latency : 0.0;
+            f.memory_bytes = a.mem_read + a.mem_write;
+            f.memory_type = a.mem_write > a.mem_read ? IoType::kWrite : IoType::kRead;
+            f.storage_bytes = a.sto_read + a.sto_write;
+            f.storage_type = a.sto_write > a.sto_read ? IoType::kWrite : IoType::kRead;
+            f.cpu_busy_seconds = a.busy;
+            f.first_lbn = a.lbn;
+            f.first_bank = a.bank;
+        }
+        out.push_back(f);
+    }
+    std::sort(out.begin(), out.end(), [](const RequestFeatures& a, const RequestFeatures& b) {
+        return a.arrival < b.arrival;
+    });
+    return out;
+}
+
+void expect_same_rows(const std::vector<RequestFeatures>& got,
+                      const std::vector<RequestFeatures>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("row " + std::to_string(i) + ", request " +
+                     std::to_string(want[i].request_id));
+        EXPECT_EQ(got[i].request_id, want[i].request_id);
+        EXPECT_EQ(got[i].arrival, want[i].arrival);
+        EXPECT_EQ(got[i].latency, want[i].latency);
+        EXPECT_EQ(got[i].network_bytes, want[i].network_bytes);
+        EXPECT_EQ(got[i].cpu_utilization, want[i].cpu_utilization);
+        EXPECT_EQ(got[i].cpu_busy_seconds, want[i].cpu_busy_seconds);
+        EXPECT_EQ(got[i].memory_bytes, want[i].memory_bytes);
+        EXPECT_EQ(got[i].memory_type, want[i].memory_type);
+        EXPECT_EQ(got[i].storage_bytes, want[i].storage_bytes);
+        EXPECT_EQ(got[i].storage_type, want[i].storage_type);
+        EXPECT_EQ(got[i].first_lbn, want[i].first_lbn);
+        EXPECT_EQ(got[i].first_bank, want[i].first_bank);
+    }
+}
+
+/// Requests whose ids sit at the edges of the id space and 10,000 more
+/// spaced 2^40 apart. Every fourth id has device records but no request
+/// record, every fifth a request record but no device records.
+TraceSet edge_id_traceset() {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> ids{0, 1ull << 32, 1ull << 63, kMax - 1, kMax};
+    for (std::uint64_t i = 1; i <= 10'000; ++i) ids.push_back(i << 40);
+    TraceSet ts;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        const std::uint64_t id = ids[k];
+        const double t = double(k % 977) * 0.01;  // repeats: ties in arrival
+        if (k % 4 != 3)
+            ts.requests.push_back(
+                {id, k % 3 == 0 ? IoType::kWrite : IoType::kRead, t, t + 0.002 * double(k % 7 + 1),
+                 4096 * (k % 5 + 1)});
+        if (k % 5 == 4) continue;
+        ts.network.push_back({t, id, 100 + k, NetworkRecord::Direction::kRx, 0.001});
+        ts.network.push_back({t + 0.001, id, 200 + 3 * (k % 11), NetworkRecord::Direction::kTx, 0.001});
+        ts.cpu.push_back({t, id, 1e-5 * double(k % 13 + 1), 1.0});
+        ts.cpu.push_back({t + 0.001, id, 2e-5, 1.0});
+        // Out of time order: the later record is seen first.
+        ts.memory.push_back({t + 0.0015, id, std::uint32_t(k % 4), 512 * (k % 3 + 1),
+                             IoType::kRead});
+        ts.memory.push_back({t + 0.0005, id, std::uint32_t((k + 1) % 4), 1024,
+                             k % 2 == 0 ? IoType::kWrite : IoType::kRead});
+        ts.storage.push_back({t + 0.0012, id, id ^ 0xffff, 65536, IoType::kRead, 0.001});
+        ts.storage.push_back({t + 0.0011, id, id >> 3, 65536 * (k % 2 + 1),
+                              IoType::kWrite, 0.001});
+    }
+    return ts;
+}
+
+TEST(Features, EdgeIdsFoldLikeAMap) {
+    const TraceSet ts = edge_id_traceset();
+    const auto want = map_fold(ts);
+    ASSERT_EQ(want.size(), ts.requests.size());
+    expect_same_rows(extract_features(ts), want);
+
+    // Per-stream chunks, streams in another order and each cut in three.
+    FeatureAccumulator acc;
+    auto cut = [&acc](const auto& records, auto member) {
+        const std::size_t n = records.size();
+        for (std::size_t part = 0; part < 3; ++part) {
+            TraceSet chunk;
+            (chunk.*member).assign(records.begin() + std::ptrdiff_t(n * part / 3),
+                                   records.begin() + std::ptrdiff_t(n * (part + 1) / 3));
+            acc.observe(chunk);
+        }
+    };
+    cut(ts.storage, &TraceSet::storage);
+    cut(ts.requests, &TraceSet::requests);
+    cut(ts.cpu, &TraceSet::cpu);
+    cut(ts.memory, &TraceSet::memory);
+    cut(ts.network, &TraceSet::network);
+    expect_same_rows(acc.finish(), want);
+}
+
+TEST(Features, NonFiniteValuesNameTheRequest) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::string name = "request " + std::to_string(kMax);
+    TraceSet busy = edge_id_traceset();
+    busy.cpu[7].request_id = kMax;
+    busy.cpu[7].busy_seconds = std::numeric_limits<double>::quiet_NaN();
+    try {
+        (void)extract_features(busy);
+        ADD_FAILURE() << "NaN busy time accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+    }
+    TraceSet arrival = edge_id_traceset();
+    const auto last = std::find_if(arrival.requests.begin(), arrival.requests.end(),
+                                   [](const RequestRecord& r) { return r.request_id == kMax; });
+    ASSERT_NE(last, arrival.requests.end());
+    last->arrival = std::numeric_limits<double>::quiet_NaN();
+    try {
+        (void)extract_features(arrival);
+        ADD_FAILURE() << "NaN arrival accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+    }
 }
 
 TEST(Csv, RoundTrip) {

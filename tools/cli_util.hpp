@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -14,7 +15,9 @@ namespace kooza::cli {
 /// A flag followed by another "--" token (or the end of the line) is a
 /// boolean switch; query those with has(). Names in `switches` never
 /// consume a value, so "--closed-loop <output-dir>" keeps the directory
-/// as a positional instead of swallowing it as the switch's value.
+/// as a positional instead of swallowing it as the switch's value. The
+/// parser accepts any flag name; a tool checks the names against the
+/// flags it reads with unknown_flag().
 class Args {
 public:
     Args(int argc, char** argv, std::set<std::string> switches = {}) {
@@ -35,6 +38,16 @@ public:
 
     [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
         return positional_;
+    }
+
+    /// The first flag, in name order, that is not in `known`: a tool
+    /// lists every flag it reads, so a misspelt "--coutn" fails instead
+    /// of leaving the count at its default.
+    [[nodiscard]] std::optional<std::string> unknown_flag(
+        const std::set<std::string>& known) const {
+        for (const auto& [name, value] : flags_)
+            if (known.count(name) == 0) return name;
+        return std::nullopt;
     }
 
     /// True if the flag appeared at all (with or without a value).

@@ -59,11 +59,39 @@
 #include "trace/io.hpp"
 #include "workloads/scenarios.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: kooza_capture <micro|oltp|websearch|streaming|logappend> "
+    "<output-dir> [--count N] [--rate R] [--seed S] [--servers N] "
+    "[--replication N] [--sample-every N] [--threads N] [--format csv|bin] "
+    "[--faults R] [--mttr S] [--metrics FILE] [--stream] [--chunk-records N] "
+    "[--read-size B] [--write-size B] [--no-latencies]\n"
+    "   or: kooza_capture --scenario NAME <output-dir> [--period S] [options]\n"
+    "   or: kooza_capture --model MODEL-FILE <output-dir> [options]\n"
+    "   or: kooza_capture --replay TRACE-DIR <output-dir> [options]\n"
+    "   or: kooza_capture --closed-loop <output-dir> [--clients N] "
+    "[--outstanding N] [--think-time S] [--admission queue|reject] "
+    "[--admission-tickets N] [options]\n"
+    "   or: kooza_capture --list-scenarios\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace kooza;
     try {
         cli::Args args(argc, argv,
                        {"closed-loop", "stream", "no-latencies", "list-scenarios"});
+        if (const auto flag = args.unknown_flag(
+                {"admission", "admission-tickets", "chunk-records", "clients",
+                 "closed-loop", "count", "faults", "format", "list-scenarios",
+                 "metrics", "model", "mttr", "no-latencies", "outstanding", "period",
+                 "rate", "read-size", "replay", "replication", "sample-every",
+                 "scenario", "seed", "servers", "stream", "think-time", "threads",
+                 "write-size"})) {
+            std::cerr << "kooza_capture: unknown flag --" << *flag << "\n" << kUsage;
+            return 2;
+        }
         if (args.has("list-scenarios")) {
             for (const auto& name : workloads::scenario_names())
                 std::cout << name << "  " << workloads::describe_scenario(name)
@@ -82,25 +110,7 @@ int main(int argc, char** argv) {
         // With an explicit workload source the profile positional drops out.
         const std::size_t want_positional = has_source ? 1 : 2;
         if (args.positional().size() != want_positional) {
-            std::cerr << "usage: kooza_capture "
-                         "<micro|oltp|websearch|streaming|logappend> "
-                         "<output-dir> [--count N] [--rate R] [--seed S] "
-                         "[--servers N] [--replication N] [--sample-every N] "
-                         "[--threads N] [--format csv|bin] [--faults R] "
-                         "[--mttr S] [--metrics FILE] [--stream] "
-                         "[--chunk-records N] [--read-size B] [--write-size B] "
-                         "[--no-latencies]\n"
-                         "   or: kooza_capture --scenario NAME <output-dir> "
-                         "[--period S] [options]\n"
-                         "   or: kooza_capture --model MODEL-FILE <output-dir> "
-                         "[options]\n"
-                         "   or: kooza_capture --replay TRACE-DIR <output-dir> "
-                         "[options]\n"
-                         "   or: kooza_capture --closed-loop <output-dir> "
-                         "[--clients N] [--outstanding N] [--think-time S] "
-                         "[--admission queue|reject] [--admission-tickets N] "
-                         "[options]\n"
-                         "   or: kooza_capture --list-scenarios\n";
+            std::cerr << kUsage;
             return 2;
         }
         const auto& out_dir = args.positional()[has_source ? 0 : 1];

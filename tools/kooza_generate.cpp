@@ -19,13 +19,24 @@
 #include "trace/features.hpp"
 #include "trace/io.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: kooza_generate <model-file> [--count N] [--seed S] [--out DIR] "
+    "[--format csv|bin]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace kooza;
     try {
         cli::Args args(argc, argv);
+        if (const auto flag = args.unknown_flag({"count", "format", "out", "seed"})) {
+            std::cerr << "kooza_generate: unknown flag --" << *flag << "\n" << kUsage;
+            return 2;
+        }
         if (args.positional().size() != 1) {
-            std::cerr << "usage: kooza_generate <model-file> [--count N] [--seed S] "
-                         "[--out DIR] [--format csv|bin]\n";
+            std::cerr << kUsage;
             return 2;
         }
         const auto fmt = trace::format_from_string(args.get("format", "csv"));

@@ -23,19 +23,29 @@
 #include "trace/features.hpp"
 #include "trace/io.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: kooza_inspect <trace-dir> [--window SECONDS] [--metrics FILE]\n"
+    "       kooza_inspect <trace-dir> --convert OUT-DIR [--format csv|bin]\n"
+    "       kooza_inspect --metrics FILE\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace kooza;
     try {
         cli::Args args(argc, argv);
+        if (const auto flag =
+                args.unknown_flag({"convert", "format", "metrics", "window"})) {
+            std::cerr << "kooza_inspect: unknown flag --" << *flag << "\n" << kUsage;
+            return 2;
+        }
         const auto metrics_path = args.get("metrics", "");
         const auto convert_dir = args.get("convert", "");
         if (args.positional().size() != 1 &&
             !(args.positional().empty() && !metrics_path.empty())) {
-            std::cerr << "usage: kooza_inspect <trace-dir> [--window SECONDS] "
-                         "[--metrics FILE]\n"
-                         "       kooza_inspect <trace-dir> --convert OUT-DIR "
-                         "[--format csv|bin]\n"
-                         "       kooza_inspect --metrics FILE\n";
+            std::cerr << kUsage;
             return 2;
         }
         if (!args.positional().empty() && !convert_dir.empty()) {

@@ -35,17 +35,27 @@
 #include "trace/features.hpp"
 #include "trace/io.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: kooza_model <trace-dir> [--baseline kooza|hmm] [--generate N] "
+    "[--seed S] [--lbn-ranges N] [--util-levels N] [--hmm-states N] [--out DIR] "
+    "[--format csv|bin] [--save MODEL-FILE] [--threads N] [--metrics FILE]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace kooza;
     try {
         cli::Args args(argc, argv);
+        if (const auto flag = args.unknown_flag(
+                {"baseline", "format", "generate", "hmm-states", "lbn-ranges",
+                 "metrics", "out", "save", "seed", "threads", "util-levels"})) {
+            std::cerr << "kooza_model: unknown flag --" << *flag << "\n" << kUsage;
+            return 2;
+        }
         if (args.positional().size() != 1) {
-            std::cerr << "usage: kooza_model <trace-dir> [--baseline kooza|hmm] "
-                         "[--generate N] [--seed S] "
-                         "[--lbn-ranges N] [--util-levels N] [--hmm-states N] "
-                         "[--out DIR] "
-                         "[--format csv|bin] [--save MODEL-FILE] [--threads N] "
-                         "[--metrics FILE]\n";
+            std::cerr << kUsage;
             return 2;
         }
         const auto fmt = trace::format_from_string(args.get("format", "csv"));
