@@ -118,20 +118,22 @@ namespace {
 struct SchedulePump {
     gfs::Cluster& cluster;
     std::unique_ptr<workloads::ScheduleStream> stream;
+    gfs::RequestSpec pending{};  ///< the one request armed, due at its time
 
     void start() {
         for (const auto& [name, size] : stream->files())
             cluster.create_file(name, size);
-        arm(stream->next());
+        arm();
     }
 
-    void arm(std::optional<gfs::RequestSpec> spec) {
+    void arm() {
+        auto spec = stream->next();
         if (!spec) return cluster.end_input();
-        cluster.engine().schedule_at(spec->time,
-                                     [this, spec = std::move(*spec)]() mutable {
-                                         cluster.submit(spec);
-                                         arm(stream->next());
-                                     });
+        pending = std::move(*spec);
+        cluster.engine().schedule_at(pending.time, [this] {
+            cluster.submit(pending);
+            arm();
+        });
     }
 };
 

@@ -4,11 +4,15 @@
 
 #include "core/model_walk.hpp"
 #include "core/serialize.hpp"
+#include "hw/disk.hpp"
 
 namespace kooza::core {
 
 namespace {
 constexpr const char* kReplayFile = "model-replay.dat";
+constexpr hw::DiskParams kDisk{};
+/// The simulated disk's bytes: the replay file maps onto all of it.
+constexpr std::uint64_t kReplayFileBytes = kDisk.lbn_count * kDisk.block_size;
 }  // namespace
 
 struct ModelReplayGenerator::Impl {
@@ -24,7 +28,7 @@ struct ModelReplayGenerator::Impl {
 
 ModelReplayGenerator::ModelReplayGenerator(ServerModel model, Params p)
     : impl_(std::make_unique<Impl>(std::move(model), p)) {
-    files_.emplace_back(kReplayFile, impl_->p.file_size);
+    files_.emplace_back(kReplayFile, kReplayFileBytes);
 }
 
 ModelReplayGenerator::ModelReplayGenerator(const std::filesystem::path& model_file,
@@ -38,16 +42,15 @@ std::optional<gfs::RequestSpec> ModelReplayGenerator::poll() {
     ++impl_->emitted;
     const SyntheticRequest s = impl_->walker.next(impl_->rng);
 
-    const std::uint64_t file_size = impl_->p.file_size;
     gfs::RequestSpec r;
     r.time = s.time;
     r.type = s.type;
     r.file = kReplayFile;
-    r.size = std::min(s.storage_bytes, file_size);
-    // The model's LBN is a disk-address sample; fold it into the replay
-    // file's byte range, 4 KB-aligned, and keep the request in bounds.
-    r.offset = workloads::clamp_offset(workloads::align4k(s.lbn % file_size), r.size,
-                                       file_size);
+    r.size = std::min(s.storage_bytes, kReplayFileBytes);
+    // The model's LBN counts disk blocks: its byte address in the
+    // disk-sized file, 4 KB-aligned and kept in bounds.
+    r.offset = workloads::clamp_offset(workloads::align4k(s.lbn * kDisk.block_size),
+                                       r.size, kReplayFileBytes);
     return r;
 }
 

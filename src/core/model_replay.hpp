@@ -4,7 +4,10 @@
 // Generator::generate — see model_walk.hpp) and maps each synthetic
 // request onto a gfs::RequestSpec, so captured-and-trained workloads can
 // be re-driven through the capture pipeline and cross-examined against
-// the originals.
+// the originals. The one replay file is as large as the simulated disk
+// (hw::DiskParams), and a request sits at its LBN times the block size:
+// on one server, whose only file it is, the request reaches the disk at
+// its own LBN (rounded down to 4 KB).
 #pragma once
 
 #include <cstdint>
@@ -19,9 +22,8 @@ namespace kooza::core {
 class ModelReplayGenerator final : public workloads::ScheduleStream {
 public:
     struct Params {
-        std::size_t count = 500;   ///< requests to emit before exhaustion
-        std::uint64_t seed = 7;    ///< model-walk RNG seed
-        std::uint64_t file_size = 1ull << 30;  ///< replay target file bytes
+        std::size_t count = 500;  ///< requests to emit before exhaustion
+        std::uint64_t seed = 7;   ///< model-walk RNG seed
     };
 
     /// Replay an in-memory model (takes ownership).

@@ -1,7 +1,9 @@
 #include "core/structure.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,6 +21,11 @@ StructureQueue StructureQueue::fit(const std::vector<trace::Span>& spans,
 }
 
 void StructureAccumulator::observe(const trace::Span& s) {
+    // fit() sorts on the start: a NaN would break its strict weak order.
+    if (!std::isfinite(s.start))
+        throw std::invalid_argument("StructureAccumulator::observe: span " +
+                                    std::to_string(s.span_id) + " of trace " +
+                                    std::to_string(s.trace_id) + " has a non-finite start");
     constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
     if (s.name.id() >= phases_.size()) phases_.resize(s.name.id() + 1, kNone);
     auto& phase = phases_[s.name.id()];
@@ -26,11 +33,13 @@ void StructureAccumulator::observe(const trace::Span& s) {
         phase = std::uint32_t(names_.size());
         names_.push_back(s.name.str());
     }
-    traces_[s.trace_id].push_back(
-        Record{s.start, s.end, s.span_id, phase, s.parent_id == 0});
+    records_.push_back(
+        Record{s.trace_id, s.start, s.end, s.span_id, phase, s.parent_id == 0});
 }
 
 void StructureAccumulator::observe(const std::vector<trace::Span>& spans) {
+    // A whole capture's spans arrive in one call: size the fold once.
+    if (records_.empty()) records_.reserve(spans.size());
     for (const auto& s : spans) observe(s);
 }
 
@@ -41,27 +50,57 @@ StructureQueue StructureAccumulator::fit(std::span<const trace::TraceId> trace_i
     std::vector<trace::TraceId> wanted(trace_ids.begin(), trace_ids.end());
     std::sort(wanted.begin(), wanted.end());
     wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+    // A counting sort on each record's rank in `wanted` groups the records
+    // by trace, in arrival order: trace t's are order[begin[t], begin[t+1]).
+    constexpr auto kUnwanted = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> rank(records_.size(), kUnwanted);
+    std::vector<std::uint32_t> begin(wanted.size() + 1, 0);
+    std::size_t hit = wanted.size();  // the previous record's rank, if wanted
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+        const trace::TraceId id = records_[i].trace_id;
+        // A trace's spans tend to arrive together: try the last hit first.
+        if (hit == wanted.size() || wanted[hit] != id) {
+            hit = std::size_t(std::lower_bound(wanted.begin(), wanted.end(), id) -
+                              wanted.begin());
+            if (hit == wanted.size() || wanted[hit] != id) {
+                hit = wanted.size();
+                continue;
+            }
+        }
+        rank[i] = std::uint32_t(hit);
+        ++begin[hit + 1];
+    }
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+    std::vector<std::uint32_t> order(begin.back());
+    std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < records_.size(); ++i)
+        if (rank[i] != kUnwanted) order[next[rank[i]]++] = std::uint32_t(i);
+    // SpanTree's order within a trace: start time, ties by span id (a
+    // parent before the children it opened at the same instant), then
+    // arrival, which is index order.
+    const auto before = [this](std::uint32_t i, std::uint32_t j) {
+        const Record& a = records_[i];
+        const Record& b = records_[j];
+        if (a.start != b.start) return a.start < b.start;
+        if (a.span_id != b.span_id) return a.span_id < b.span_id;
+        return i < j;
+    };
     // Phase-id sequence -> count; phase id -> durations.
     std::map<std::vector<std::uint32_t>, std::size_t> counts;
     std::vector<std::vector<double>> durations(names_.size());
-    std::vector<Record> tree;
     std::vector<std::uint32_t> seq;
     std::size_t used = 0;
-    for (const trace::TraceId id : wanted) {
-        const auto it = traces_.find(id);
-        if (it == traces_.end()) continue;
-        // SpanTree's order: start time, ties by span id (a parent before
-        // the children it opened at the same instant), then arrival.
-        tree.assign(it->second.begin(), it->second.end());
-        std::stable_sort(tree.begin(), tree.end(), [](const Record& a, const Record& b) {
-            if (a.start != b.start) return a.start < b.start;
-            return a.span_id < b.span_id;
-        });
-        if (std::none_of(tree.begin(), tree.end(), [](const Record& r) { return r.root; }))
-            throw std::invalid_argument("StructureQueue::fit: trace " + std::to_string(id) +
-                                        " has no root span");
+    for (std::size_t t = 0; t < wanted.size(); ++t) {
+        const auto first = order.begin() + begin[t];
+        const auto last = order.begin() + begin[t + 1];
+        if (first == last) continue;
+        std::sort(first, last, before);
+        if (std::none_of(first, last, [this](std::uint32_t i) { return records_[i].root; }))
+            throw std::invalid_argument("StructureQueue::fit: trace " +
+                                        std::to_string(wanted[t]) + " has no root span");
         seq.clear();
-        for (const Record& r : tree) {
+        for (auto it = first; it != last; ++it) {
+            const Record& r = records_[*it];
             if (r.root) continue;  // the "request" span itself
             seq.push_back(r.phase);
             durations[r.phase].push_back(r.end - r.start);

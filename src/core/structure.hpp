@@ -13,7 +13,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/synthetic.hpp"
@@ -95,10 +94,11 @@ private:
 
 /// Chunk-feedable span collector behind StructureQueue::fit. Spans arrive
 /// in any order, one record or one chunk at a time. Each is kept as a
-/// compact record under its trace, its name interned to a phase id;
-/// fit() then visits the traces in ascending id and orders each one as
-/// trace::SpanTree does, so a queue fitted from chunked reads is
-/// identical to one fitted from the full span vector.
+/// compact record carrying its trace id, in one flat vector in arrival
+/// order, its name interned to a phase id; fit() groups the wanted
+/// traces' record indices by trace, visits the traces in ascending id
+/// and orders each one as trace::SpanTree does, so a queue fitted from
+/// chunked reads is identical to one fitted from the full span vector.
 /// Memory is O(buffered spans): captures bound it with span sampling
 /// (GfsConfig::span_sample_every), not with record caps.
 class StructureAccumulator {
@@ -114,6 +114,7 @@ public:
 private:
     /// What the fold keeps of a span.
     struct Record {
+        trace::TraceId trace_id = 0;
         double start = 0.0;
         double end = 0.0;
         trace::SpanId span_id = 0;  ///< breaks start-time ties
@@ -121,7 +122,7 @@ private:
         bool root = false;
     };
 
-    std::unordered_map<trace::TraceId, std::vector<Record>> traces_;
+    std::vector<Record> records_;  ///< arrival order
     std::vector<std::string> names_;     ///< phase id -> name
     std::vector<std::uint32_t> phases_;  ///< SpanName id -> phase id, or UINT32_MAX
 };

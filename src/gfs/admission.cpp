@@ -52,7 +52,7 @@ bool AdmissionController::admit(sim::EventFn op, sim::EventFn on_reject) {
     }
     ++rejected_;
     metrics().rejected.add();
-    engine_.schedule_after(0.0, [on_reject = std::move(on_reject)]() mutable { on_reject(); });
+    engine_.schedule_after(0.0, std::move(on_reject));
     return false;
 }
 

@@ -96,30 +96,44 @@ std::uint64_t Cluster::submit(const RequestSpec& spec,
     if (spec.client >= clients_.size())
         throw std::invalid_argument("Cluster::submit: unknown client");
     const std::uint64_t id = next_request_++;
-    engine_->schedule_at(spec.time, [this, id, spec,
-                                     on_complete = std::move(on_complete)]() mutable {
-        // Record appends resolve their offset at issue time, serializing
-        // on the master's append cursor.
-        const std::uint64_t offset =
-            spec.append ? master_->allocate_append(spec.file, spec.size)
-                        : spec.offset;
-        const auto type = spec.append ? trace::IoType::kWrite : spec.type;
-        Client& client = *clients_[spec.client];
-        client.issue(
-            id, spec.file, offset, spec.size, type,
-            [this, &client, on_complete = std::move(on_complete)] {
-                const double latency = client.last_latency();
-                if (latency >= 0.0) {
-                    if (cfg_.collect_latencies) latencies_.push_back(latency);
-                    ++completed_;
-                }
-                stop_faults_if_settled();
-                // Cluster accounting settles before the callback so a
-                // closed-loop refill observes a consistent cluster.
-                if (on_complete) on_complete(latency);
-            });
-    });
+    const std::uint32_t slot = submissions_.acquire();
+    Submission& sub = submissions_[slot];
+    sub.id = id;
+    sub.spec = spec;
+    sub.on_complete = std::move(on_complete);
+    try {
+        engine_->schedule_at(spec.time, [this, slot] { start(slot); });
+    } catch (...) {
+        // A time the engine refuses leaves no record behind.
+        submissions_[slot].on_complete = nullptr;
+        submissions_.release(slot);
+        throw;
+    }
     return id;
+}
+
+void Cluster::start(std::uint32_t slot) {
+    const Submission& sub = submissions_[slot];
+    const RequestSpec& spec = sub.spec;
+    // Record appends resolve their offset at issue time, serializing on
+    // the master's append cursor.
+    const std::uint64_t offset =
+        spec.append ? master_->allocate_append(spec.file, spec.size) : spec.offset;
+    const auto type = spec.append ? trace::IoType::kWrite : spec.type;
+    Client& client = *clients_[spec.client];
+    client.issue(sub.id, spec.file, offset, spec.size, type, [this, &client, slot] {
+        const double latency = client.last_latency();
+        if (latency >= 0.0) {
+            if (cfg_.collect_latencies) latencies_.push_back(latency);
+            ++completed_;
+        }
+        stop_faults_if_settled();
+        // Cluster accounting settles before the callback so a
+        // closed-loop refill observes a consistent cluster.
+        const auto on_complete = std::move(submissions_[slot].on_complete);
+        submissions_.release(slot);
+        if (on_complete) on_complete(latency);
+    });
 }
 
 void Cluster::submit_all(const std::vector<RequestSpec>& specs) {

@@ -15,6 +15,7 @@
 #include "gfs/config.hpp"
 #include "gfs/faults.hpp"
 #include "sim/engine.hpp"
+#include "sim/slots.hpp"
 #include "trace/records.hpp"
 #include "trace/sink.hpp"
 #include "trace/traceset.hpp"
@@ -132,6 +133,16 @@ private:
     /// end_input()'s rule, checked whenever a request settles.
     void stop_faults_if_settled();
 
+    /// One submitted request, from submit() until it settles.
+    struct Submission {
+        std::uint64_t id = 0;
+        RequestSpec spec;
+        std::function<void(double latency)> on_complete;
+    };
+
+    /// Issue submission `slot` to its client, at the spec's time.
+    void start(std::uint32_t slot);
+
     GfsConfig cfg_;
     std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<trace::TraceSet> sink_;  ///< client-side + request records
@@ -148,6 +159,7 @@ private:
     std::vector<std::unique_ptr<AdmissionController>> admission_;
     std::vector<std::unique_ptr<Client>> clients_;
     std::unique_ptr<FaultInjector> injector_;
+    sim::Slots<Submission> submissions_;
     std::vector<double> latencies_;
     std::uint64_t next_request_ = 0;
     std::uint64_t completed_ = 0;

@@ -151,41 +151,39 @@ std::uint64_t FaultInjector::chunk_base_lbn(ChunkHandle handle) const {
 
 void FaultInjector::run_repair(const RepairTask& task) {
     ChunkServer* source = servers_.at(task.source).get();
-    ChunkServer* dest = servers_.at(task.dest).get();
-    if (source->failed() || dest->failed()) {
+    if (source->failed() || servers_.at(task.dest)->failed()) {
         master_.abort_repair(task.handle);
         return;
     }
-    const std::uint64_t id = next_repair_id_++;
-    const std::uint64_t lbn = chunk_base_lbn(task.handle);
-    const double started = engine_.now();
+    const std::uint32_t slot = repairs_in_flight_.acquire();
+    repairs_in_flight_[slot] =
+        Repair{task, next_repair_id_++, chunk_base_lbn(task.handle), engine_.now()};
+    const Repair& r = repairs_in_flight_[slot];
     // Copy path: read the chunk off the source's disk, push it through the
     // destination's ingress port, write it to the destination's disk. Each
     // stage emits its usual device record, so repair traffic is part of
     // the captured workload.
-    source->disk().io(id, lbn, task.bytes, trace::IoType::kRead,
-                      [this, task, dest, id, lbn, started] {
-                          dest->ingress().transfer(
-                              id, task.bytes,
-                              [this, task, dest, id, lbn, started] {
-                                  dest->disk().io(
-                                      id, lbn, task.bytes, trace::IoType::kWrite,
-                                      [this, task, dest, id, started] {
-                                          if (dest->failed()) {
-                                              master_.abort_repair(task.handle);
-                                              return;
-                                          }
-                                          master_.commit_repair(task.handle, task.dead,
-                                                                task.dest);
-                                          ++repairs_;
-                                          metrics().repairs.add();
-                                          metrics().repair_bytes.add(task.bytes);
-                                          record(trace::FailureRecord::Kind::kRepair,
-                                                 task.dest, id,
-                                                 engine_.now() - started);
-                                      });
-                              });
-                      });
+    source->disk().io(r.id, r.lbn, task.bytes, trace::IoType::kRead, [this, slot] {
+        const Repair& r = repairs_in_flight_[slot];
+        servers_.at(r.task.dest)->ingress().transfer(r.id, r.task.bytes, [this, slot] {
+            const Repair& r = repairs_in_flight_[slot];
+            servers_.at(r.task.dest)->disk().io(
+                r.id, r.lbn, r.task.bytes, trace::IoType::kWrite, [this, slot] {
+                    const Repair r = repairs_in_flight_[slot];
+                    repairs_in_flight_.release(slot);
+                    if (servers_.at(r.task.dest)->failed()) {
+                        master_.abort_repair(r.task.handle);
+                        return;
+                    }
+                    master_.commit_repair(r.task.handle, r.task.dead, r.task.dest);
+                    ++repairs_;
+                    metrics().repairs.add();
+                    metrics().repair_bytes.add(r.task.bytes);
+                    record(trace::FailureRecord::Kind::kRepair, r.task.dest, r.id,
+                           engine_.now() - r.started);
+                });
+        });
+    });
 }
 
 }  // namespace kooza::gfs

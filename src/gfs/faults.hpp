@@ -24,6 +24,7 @@
 #include "gfs/master.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
+#include "sim/slots.hpp"
 #include "trace/sink.hpp"
 
 namespace kooza::gfs {
@@ -95,11 +96,20 @@ private:
     void record(trace::FailureRecord::Kind kind, std::uint32_t server,
                 std::uint64_t request_id, double duration);
 
+    /// One re-replication in flight, from its source read to its commit.
+    struct Repair {
+        RepairTask task;
+        std::uint64_t id = 0;   ///< request id its device records carry
+        std::uint64_t lbn = 0;  ///< the chunk's base block, on both disks
+        double started = 0.0;
+    };
+
     sim::Engine& engine_;
     const GfsConfig& cfg_;
     Master& master_;
     std::vector<std::unique_ptr<ChunkServer>>& servers_;
     trace::Sink* sink_;
+    sim::Slots<Repair> repairs_in_flight_;
     FaultPlan plan_;
     bool lazy_ = false;
     bool lazy_stopped_ = false;

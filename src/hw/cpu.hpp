@@ -9,10 +9,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/slots.hpp"
+#include "trace/records.hpp"
 #include "trace/sink.hpp"
 
 namespace kooza::hw {
@@ -31,12 +32,8 @@ public:
     Cpu(sim::Engine& engine, CpuParams params, trace::Sink* sink = nullptr);
 
     /// Run a burst of `busy_seconds` of single-core work for a request;
-    /// `on_done` runs when it completes (a sim::EventFn in the engine's arena).
-    template <typename F>
-    void execute(std::uint64_t request_id, double busy_seconds, F&& on_done) {
-        execute_fn(request_id, busy_seconds,
-                   sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
-    }
+    /// `on_done` runs when it completes.
+    void execute(std::uint64_t request_id, double busy_seconds, sim::EventFn on_done);
 
     /// Convenience: burst sized from bytes processed + per-request overhead.
     [[nodiscard]] double work_for_bytes(std::uint64_t bytes) const noexcept;
@@ -45,12 +42,18 @@ public:
     [[nodiscard]] double utilization() const noexcept { return cores_->utilization(); }
 
 private:
-    void execute_fn(std::uint64_t request_id, double busy_seconds, sim::EventFn on_done);
+    /// One burst in flight: its record, filled in as it goes, and the
+    /// continuation. Its core waiter and completion event capture its slot.
+    struct Burst {
+        trace::CpuRecord rec;
+        sim::EventFn on_done;
+    };
 
     sim::Engine& engine_;
     CpuParams params_;
     trace::Sink* sink_;
     std::unique_ptr<sim::Resource> cores_;
+    sim::Slots<Burst> bursts_;
 };
 
 }  // namespace kooza::hw

@@ -49,40 +49,38 @@ Disk::Disk(sim::Engine& engine, DiskParams params, trace::Sink* sink)
     queue_ = std::make_unique<sim::Resource>(engine_, 1);
 }
 
-void Disk::io_fn(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
-                 trace::IoType type, sim::EventFn on_done) {
+void Disk::io(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
+              trace::IoType type, sim::EventFn on_done) {
     if (lbn >= params_.lbn_count) throw std::invalid_argument("Disk::io: lbn range");
     const double issued = engine_.now();
     // The record is keyed at issue but emitted at completion: hold the
     // storage stream so a streaming sink cannot flush past `issued`.
     if (sink_ != nullptr) sink_->open_hold(trace::StreamId::kStorage, issued);
     metrics().queue_depth.set(double(queue_->queue_length()));
-    queue_->acquire([this, request_id, lbn, size_bytes, type, issued,
-                     on_done = std::move(on_done)]() mutable {
-        const double service = disk_service_time(params_, head_, lbn, size_bytes);
+    const std::uint32_t slot = ops_.acquire();
+    ops_[slot].rec = trace::StorageRecord{issued, request_id, lbn, size_bytes, type, 0.0};
+    ops_[slot].on_done = std::move(on_done);
+    queue_->acquire([this, slot] {
+        const trace::StorageRecord& rec = ops_[slot].rec;
+        const double service = disk_service_time(params_, head_, rec.lbn, rec.size_bytes);
         metrics().service_ns.observe_seconds(service);
-        head_ = lbn + size_bytes / params_.block_size;
+        head_ = rec.lbn + rec.size_bytes / params_.block_size;
         if (head_ >= params_.lbn_count) head_ = params_.lbn_count - 1;
-        engine_.schedule_after(service, [this, request_id, lbn, size_bytes, type, issued,
-                                         on_done = std::move(on_done)]() mutable {
+        engine_.schedule_after(service, [this, slot] {
             queue_->release();
             ++completed_;
-            const double latency = engine_.now() - issued;
+            Op& op = ops_[slot];
+            op.rec.latency = engine_.now() - op.rec.time;
             auto& m = metrics();
             m.ios.add();
-            m.bytes.add(size_bytes);
-            m.latency_ns.observe_seconds(latency);
+            m.bytes.add(op.rec.size_bytes);
+            m.latency_ns.observe_seconds(op.rec.latency);
             if (sink_ != nullptr) {
-                trace::StorageRecord rec;
-                rec.time = issued;
-                rec.request_id = request_id;
-                rec.lbn = lbn;
-                rec.size_bytes = size_bytes;
-                rec.type = type;
-                rec.latency = latency;
-                sink_->append(rec);
-                sink_->close_hold(trace::StreamId::kStorage, issued);
+                sink_->append(op.rec);
+                sink_->close_hold(trace::StreamId::kStorage, op.rec.time);
             }
+            sim::EventFn on_done = std::move(op.on_done);
+            ops_.release(slot);
             on_done();
         });
     });

@@ -9,10 +9,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/slots.hpp"
 #include "trace/records.hpp"
 #include "trace/sink.hpp"
 
@@ -42,14 +42,9 @@ public:
     /// @param sink optional trace sink; a StorageRecord per completed I/O
     Disk(sim::Engine& engine, DiskParams params, trace::Sink* sink = nullptr);
 
-    /// Issue an I/O; `on_done` runs once it is queued and served (a
-    /// sim::EventFn in the engine's arena).
-    template <typename F>
+    /// Issue an I/O; `on_done` runs once it is queued and served.
     void io(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
-            trace::IoType type, F&& on_done) {
-        io_fn(request_id, lbn, size_bytes, type,
-              sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
-    }
+            trace::IoType type, sim::EventFn on_done);
 
     [[nodiscard]] const DiskParams& params() const noexcept { return params_; }
     [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
@@ -57,13 +52,18 @@ public:
     [[nodiscard]] std::uint64_t head_position() const noexcept { return head_; }
 
 private:
-    void io_fn(std::uint64_t request_id, std::uint64_t lbn, std::uint64_t size_bytes,
-               trace::IoType type, sim::EventFn on_done);
+    /// One I/O in flight: its record, filled in as it goes, and the
+    /// continuation. Its queue waiter and service event capture its slot.
+    struct Op {
+        trace::StorageRecord rec;
+        sim::EventFn on_done;
+    };
 
     sim::Engine& engine_;
     DiskParams params_;
     trace::Sink* sink_;
     std::unique_ptr<sim::Resource> queue_;
+    sim::Slots<Op> ops_;
     std::uint64_t head_ = 0;
     std::uint64_t completed_ = 0;
 };

@@ -35,33 +35,29 @@ std::uint32_t Memory::bank_of(std::uint64_t address) const noexcept {
     return std::uint32_t((address / 4096) % params_.banks);
 }
 
-void Memory::access_fn(std::uint64_t request_id, std::uint32_t bank,
-                       std::uint64_t size_bytes, trace::IoType type,
-                       sim::EventFn on_done) {
+void Memory::access(std::uint64_t request_id, std::uint32_t bank,
+                    std::uint64_t size_bytes, trace::IoType type, sim::EventFn on_done) {
     if (bank >= params_.banks) throw std::invalid_argument("Memory::access: bank range");
     const double issued = engine_.now();
     // Keyed at issue, emitted at completion (see sink.hpp hold protocol).
     if (sink_ != nullptr) sink_->open_hold(trace::StreamId::kMemory, issued);
-    auto& res = *banks_[bank];
-    res.acquire([this, &res, request_id, bank, size_bytes, type, issued,
-                 on_done = std::move(on_done)]() mutable {
-        const double service =
-            params_.access_latency + double(size_bytes) / params_.bank_bandwidth;
-        engine_.schedule_after(service, [this, &res, request_id, bank, size_bytes, type,
-                                         issued, on_done = std::move(on_done)]() mutable {
-            res.release();
+    const std::uint32_t slot = accesses_.acquire();
+    accesses_[slot].rec = trace::MemoryRecord{issued, request_id, bank, size_bytes, type};
+    accesses_[slot].on_done = std::move(on_done);
+    banks_[bank]->acquire([this, slot] {
+        const double bytes = double(accesses_[slot].rec.size_bytes);
+        const double service = params_.access_latency + bytes / params_.bank_bandwidth;
+        engine_.schedule_after(service, [this, slot] {
+            Access& a = accesses_[slot];
+            banks_[a.rec.bank]->release();
             metrics().accesses.add();
-            metrics().bytes.add(size_bytes);
+            metrics().bytes.add(a.rec.size_bytes);
             if (sink_ != nullptr) {
-                trace::MemoryRecord rec;
-                rec.time = issued;
-                rec.request_id = request_id;
-                rec.bank = bank;
-                rec.size_bytes = size_bytes;
-                rec.type = type;
-                sink_->append(rec);
-                sink_->close_hold(trace::StreamId::kMemory, issued);
+                sink_->append(a.rec);
+                sink_->close_hold(trace::StreamId::kMemory, a.rec.time);
             }
+            sim::EventFn on_done = std::move(a.on_done);
+            accesses_.release(slot);
             on_done();
         });
     });

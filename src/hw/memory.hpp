@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/slots.hpp"
 #include "trace/records.hpp"
 #include "trace/sink.hpp"
 
@@ -30,13 +30,9 @@ public:
     Memory(sim::Engine& engine, MemoryParams params, trace::Sink* sink = nullptr);
 
     /// Access `size_bytes` in `bank`; `on_done` runs once it is queued and
-    /// served (a sim::EventFn in the engine's arena).
-    template <typename F>
+    /// served.
     void access(std::uint64_t request_id, std::uint32_t bank, std::uint64_t size_bytes,
-                trace::IoType type, F&& on_done) {
-        access_fn(request_id, bank, size_bytes, type,
-                  sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
-    }
+                trace::IoType type, sim::EventFn on_done);
 
     /// Bank an address maps to (simple interleave on 4 KB frames).
     [[nodiscard]] std::uint32_t bank_of(std::uint64_t address) const noexcept;
@@ -44,13 +40,18 @@ public:
     [[nodiscard]] const MemoryParams& params() const noexcept { return params_; }
 
 private:
-    void access_fn(std::uint64_t request_id, std::uint32_t bank, std::uint64_t size_bytes,
-                   trace::IoType type, sim::EventFn on_done);
+    /// One access in flight: its record and the continuation. Its bank
+    /// waiter and completion event capture its slot.
+    struct Access {
+        trace::MemoryRecord rec;
+        sim::EventFn on_done;
+    };
 
     sim::Engine& engine_;
     MemoryParams params_;
     trace::Sink* sink_;
     std::vector<std::unique_ptr<sim::Resource>> banks_;
+    sim::Slots<Access> accesses_;
 };
 
 }  // namespace kooza::hw

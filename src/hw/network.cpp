@@ -33,8 +33,8 @@ SwitchPort::SwitchPort(sim::Engine& engine, SwitchParams params,
     port_ = std::make_unique<sim::Resource>(engine_, 1);
 }
 
-void SwitchPort::start(std::uint64_t request_id, std::uint64_t size_bytes, bool record,
-                       sim::EventFn on_done) {
+void SwitchPort::transfer(std::uint64_t request_id, std::uint64_t size_bytes,
+                          sim::EventFn on_done, bool record) {
     const double started = engine_.now();
     // Recorded transfers are keyed at `started` but emitted when deliver()
     // runs; hold the stream until then.

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -43,15 +42,11 @@ public:
                trace::Sink* sink = nullptr);
 
     /// Send `size_bytes`; `on_done` runs once the last frame is delivered
-    /// or the retries ran out (a sim::EventFn in the engine's arena).
+    /// or the retries ran out.
     /// @param record  false for control messages (headers, acks): they
     ///        cost time on the port but are not payload traffic
-    template <typename F>
-    void transfer(std::uint64_t request_id, std::uint64_t size_bytes, F&& on_done,
-                  bool record = true) {
-        start(request_id, size_bytes, record,
-              sim::EventFn(&engine_.arena(), std::forward<F>(on_done)));
-    }
+    void transfer(std::uint64_t request_id, std::uint64_t size_bytes,
+                  sim::EventFn on_done, bool record = true);
 
     [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
     [[nodiscard]] std::uint64_t timeouts() const noexcept { return timeouts_; }
@@ -60,7 +55,7 @@ public:
 
 private:
     /// One transfer in flight. Exactly one waiter or event at a time
-    /// holds its slot, and that capture fits inline in a sim::EventFn.
+    /// holds its slot.
     struct Transfer {
         std::uint64_t request_id = 0;
         std::uint64_t remaining = 0;  ///< bytes not yet serialized
@@ -71,8 +66,6 @@ private:
         sim::EventFn on_done;
     };
 
-    void start(std::uint64_t request_id, std::uint64_t size_bytes, bool record,
-               sim::EventFn on_done);
     void send_tail(std::uint32_t slot);
     /// Count, record and call back a finished transfer: the last frame
     /// arrived, or the retries ran out.

@@ -31,7 +31,7 @@ Engine::~Engine() {
     // blocks; destroy them before the arena goes away.
     for (const Event& e : heap_) {
         e.fn->~EventFn();
-        arena_.deallocate(e.fn, sizeof(EventFn));
+        arena_.deallocate(e.fn);
     }
     flush_metrics();
 }
@@ -54,7 +54,7 @@ bool Engine::step() {
         EventFn* fn;
         ~Recycle() {
             fn->~EventFn();
-            arena->deallocate(fn, sizeof(EventFn));
+            arena->deallocate(fn);
         }
     } recycle{&arena_, e.fn};
     (*e.fn)();

@@ -7,11 +7,11 @@
 // deterministic for a fixed seed.
 //
 // Hot-path layout (see DESIGN.md "Event core"): callbacks are sim::EventFn
-// (48-byte inline small-buffer callables, no per-event heap allocation)
-// held in blocks of a slab/free-list EventArena and recycled on dispatch,
-// and the queue is one binary heap of (at, seq) entries. The pipeline's
-// sources (capture's and replay's schedule pumps) keep O(in-flight)
-// events pending, so the heap stays a few levels deep.
+// (48-byte inline callables, no per-event heap allocation) held in blocks
+// of a slab/free-list EventArena and recycled on dispatch, and the queue
+// is one binary heap of (at, seq) entries. The pipeline's sources
+// (capture's and replay's schedule pumps) keep O(in-flight) events
+// pending, so the heap stays a few levels deep.
 #pragma once
 
 #include <algorithm>
@@ -102,11 +102,8 @@ public:
     /// Total events executed since construction.
     [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
-    /// The engine's slab allocator (event callbacks, oversized EventFn
-    /// captures). Components that stash continuations outside the queue
-    /// (sim::Resource waiters) draw from it so their callbacks stay off
-    /// the system heap too. Single-threaded, like the engine itself.
-    [[nodiscard]] EventArena& arena() noexcept { return arena_; }
+    /// The slab allocator the queued callbacks live in (observability).
+    [[nodiscard]] const EventArena& arena() const noexcept { return arena_; }
 
 private:
     /// std::function (and function pointers) carry an "empty" state the
@@ -153,8 +150,7 @@ private:
             throw std::invalid_argument("Engine::schedule_at: non-finite time");
         if (at < now_)
             throw std::invalid_argument("Engine::schedule_at: time in the past");
-        auto* fn = ::new (arena_.allocate(sizeof(EventFn)))
-            EventFn(&arena_, std::forward<F>(action));
+        auto* fn = ::new (arena_.allocate()) EventFn(std::forward<F>(action));
         heap_.push_back(Event{at, next_seq_++ << 1 | std::uint64_t(daemon), fn});
         std::push_heap(heap_.begin(), heap_.end(), Later{});
         if (!daemon) ++live_;

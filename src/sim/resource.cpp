@@ -16,7 +16,8 @@ void Resource::settle() const noexcept {
     last_change_ = now;
 }
 
-void Resource::acquire_fn(EventFn on_granted) {
+void Resource::acquire(EventFn on_granted) {
+    if (!on_granted) throw std::invalid_argument("Resource::acquire: empty continuation");
     if (in_use_ < capacity_) {
         grant(std::move(on_granted));
     } else {
@@ -36,10 +37,15 @@ void Resource::release() {
     settle();
     --in_use_;
     if (!waiters_.empty()) {
-        EventFn next = std::move(waiters_.front());
+        const std::uint32_t slot = handed_.acquire();
+        handed_[slot] = std::move(waiters_.front());
         waiters_.pop_front();
         // Defer the grant so release() never runs the waiter inline.
-        engine_.schedule_after(0.0, [this, next = std::move(next)]() mutable {
+        engine_.schedule_after(0.0, [this, slot] {
+            // Out of the record before it runs: a granted waiter may
+            // release, handing off more slots and growing handed_.
+            EventFn next = std::move(handed_[slot]);
+            handed_.release(slot);
             if (in_use_ < capacity_) {
                 grant(std::move(next));
             } else {

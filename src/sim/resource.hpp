@@ -7,11 +7,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <stdexcept>
-#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/eventfn.hpp"
+#include "sim/slots.hpp"
 
 namespace kooza::sim {
 
@@ -29,17 +28,8 @@ public:
 
     /// Request a slot; `on_granted` runs (possibly immediately) once a slot
     /// is held. The holder must call release() exactly once when done.
-    /// Continuations are stored as sim::EventFn drawing overflow blocks
-    /// from the owning engine's arena, so queueing stays off the system
-    /// heap just like event scheduling.
-    template <typename F>
-    void acquire(F&& on_granted) {
-        if constexpr (requires { static_cast<bool>(on_granted); }) {
-            if (!static_cast<bool>(on_granted))
-                throw std::invalid_argument("Resource::acquire: empty continuation");
-        }
-        acquire_fn(EventFn(&engine_.arena(), std::forward<F>(on_granted)));
-    }
+    /// Throws std::invalid_argument on an empty continuation.
+    void acquire(EventFn on_granted);
 
     /// Return a held slot. Throws std::logic_error if nothing is held.
     void release();
@@ -58,7 +48,6 @@ public:
     [[nodiscard]] std::uint64_t total_grants() const noexcept { return grants_; }
 
 private:
-    void acquire_fn(EventFn on_granted);
     void grant(EventFn on_granted);
 
     Engine& engine_;
@@ -66,6 +55,9 @@ private:
     std::uint32_t in_use_ = 0;
     std::uint64_t grants_ = 0;
     std::deque<EventFn> waiters_;
+    /// Waiters release() handed a slot to, until their deferred grant
+    /// runs. Not queued: queue_length() leaves them out.
+    Slots<EventFn> handed_;
 
     // busy-time integral bookkeeping
     mutable double busy_accum_ = 0.0;

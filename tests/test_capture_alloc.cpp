@@ -2,10 +2,10 @@
 // run_capture bound the system-heap allocations a captured request costs,
 // and around each model-stage call on a capture (train, generate, feature
 // extraction, structured replay) bound what a modelled request costs.
-// Device and GFS continuations are sim::EventFn drawing overflow blocks
-// from the engine's arena, each request and request piece is one
-// recycled record, and a span is a plain record in the tracer's flat
-// open-span table with its name interned once. So the request path
+// Device and GFS continuations are inline sim::EventFns that capture an
+// index into a recycled record (one per request, request piece and device
+// operation), and a span is a plain record in the tracer's flat open-span
+// table with its name interned once. So the request path
 // should not touch the heap at all, with every request traced or with
 // spans sampled away; what remains is set-up, trace vectors growing, and
 // the occasional queue block.
@@ -145,9 +145,8 @@ double allocations_per_request(const char* name, Stage&& stage) {
 
 // The per-request paths of the model stage hold no map, string or vector
 // of their own: the chains sample into a buffer, a request's phase order
-// is an interned handle and the feature fold keeps one flat table. What
-// remains is each call's output and set-up. Training is reported, not
-// bounded: the structure fold still keeps a vector per sampled trace.
+// is an interned handle, and the feature fold and the structure fold each
+// keep one flat table. What remains is each call's output and set-up.
 TEST(ModelStageAlloc, GenerateExtractAndReplayStayOffTheHeap) {
 #ifdef KOOZA_ALLOC_HOOKS_DISABLED
     GTEST_SKIP() << "allocator hooks disabled under sanitizers";
@@ -161,9 +160,12 @@ TEST(ModelStageAlloc, GenerateExtractAndReplayStayOffTheHeap) {
     ASSERT_EQ(cap.completed, kRequests);
 
     std::optional<kooza::core::ServerModel> model;
-    (void)allocations_per_request("train", [&] {
-        model.emplace(kooza::core::Trainer().train(cap.traces));
-    });
+    EXPECT_LE(allocations_per_request("train",
+                                      [&] {
+                                          model.emplace(
+                                              kooza::core::Trainer().train(cap.traces));
+                                      }),
+              1.0);
     kooza::core::SyntheticWorkload synth;
     kooza::sim::Rng rng(7);
     EXPECT_LE(allocations_per_request("generate",

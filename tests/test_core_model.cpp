@@ -305,7 +305,8 @@ TEST(Generator, SyntheticDigestPinned) {
     // phase orders were interned: Generator::generate on the two models
     // Trainer.SavedModelDigestPinned trains, the specs ModelReplayGenerator
     // pulls from them, and the in-depth baseline's requests, whose phase
-    // orders come from the same structure queue.
+    // orders come from the same structure queue. The specs constant holds
+    // offsets at each request's LBN times the disk's block size.
     CaptureOptions oltp;
     oltp.profile = "oltp";
     oltp.count = 3000;
@@ -331,7 +332,7 @@ TEST(Generator, SyntheticDigestPinned) {
     ModelReplayGenerator closed_replay(std::move(closed_model),
                                        {.count = 2000, .seed = 13});
     add_specs(specs, closed_replay);
-    EXPECT_EQ(specs.value(), 0x1d926f20a2aa9277ull) << std::hex << specs.value();
+    EXPECT_EQ(specs.value(), 0xeafec98bb45e87e4ull) << std::hex << specs.value();
 
     kooza::testutil::Fnv in_depth;
     Rng depth_rng(14);

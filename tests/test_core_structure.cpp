@@ -1,6 +1,8 @@
 // Tests for the structure queue (KOOZA's time-dependencies model).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -160,6 +162,43 @@ TEST(StructureAccumulator, ObservationOrderIsIrrelevant) {
     acc.observe(odd);
     acc.observe(even);
     expect_same_queue(q, acc.fit(ids));
+}
+
+TEST(StructureAccumulator, OrdersSpansByStartThenSpanId) {
+    // A trace of 40 phases observed last span first, with every two
+    // phases starting together, fits as one variant in (start, span id)
+    // order.
+    SpanTracer t(1);
+    const auto root = t.start_span(0, 0, "request", 0.0);
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < 40; ++i) {
+        names.push_back(std::to_string(i));
+        const auto s = t.start_span(0, root, names.back(), double(i / 2));
+        t.end_span(s, double(i / 2) + 0.5);
+    }
+    t.end_span(root, 40.0);
+    const auto spans = t.spans();
+    const std::vector<Span> reversed(spans.rbegin(), spans.rend());
+    const auto q = StructureQueue::fit(reversed, all_ids(1));
+    ASSERT_EQ(q.variants().size(), 1u);
+    EXPECT_EQ(q.dominant(), names);
+}
+
+TEST(StructureAccumulator, RejectsNonFiniteStart) {
+    SpanTracer t(1);
+    const auto root = t.start_span(7, 0, "request", 0.0);
+    const auto s = t.start_span(7, root, "disk.io", 0.1);
+    t.end_span(s, 0.2);
+    t.end_span(root, 0.3);
+    auto spans = t.spans();
+    spans.back().start = std::numeric_limits<double>::quiet_NaN();
+    kooza::core::StructureAccumulator acc;
+    try {
+        acc.observe(spans);
+        FAIL() << "a NaN start was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("trace 7"), std::string::npos) << e.what();
+    }
 }
 
 TEST(StructureQueue, KeepsPhaseNamesOutsideGfsPaths) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -289,39 +290,45 @@ TEST(EventFnTest, MoveTransfersCallable) {
     EXPECT_EQ(hits, 2);
 }
 
-TEST(EventFnTest, OversizedCaptureSpillsAndWorks) {
+TEST(EventFnTest, FitsOnlyCapturesOfOwnerAndSlot) {
+    // The rule EventFn's constructor asserts: an (owner, slot) capture
+    // fits, and state beyond 48 bytes belongs in a sim::Slots record.
+    struct Owner {};
+    Owner* owner = nullptr;
+    std::uint32_t slot = 0;
+    const auto small = [owner, slot] { (void)owner, (void)slot; };
+    static_assert(kooza::sim::kFitsEventFn<decltype(small)>);
     struct Big {
         char payload[96];
     };
-    static_assert(sizeof(Big) > kooza::sim::kEventFnInlineBytes);
-    Big big{};
-    big.payload[0] = 42;
-    int got = 0;
-    EventFn fn([big, &got] { got = big.payload[0]; });
-    fn();
-    EXPECT_EQ(got, 42);
+    const Big big{};
+    const auto oversized = [big] { (void)big; };
+    static_assert(sizeof(oversized) > kooza::sim::kEventFnInlineBytes);
+    static_assert(!kooza::sim::kFitsEventFn<decltype(oversized)>);
+    struct alignas(2 * alignof(std::max_align_t)) Overaligned {
+        char c;
+    };
+    static_assert(sizeof(Overaligned) <= kooza::sim::kEventFnInlineBytes);
+    static_assert(!kooza::sim::kFitsEventFn<Overaligned>);
+    struct ThrowingMove {
+        ThrowingMove() = default;
+        ThrowingMove(ThrowingMove&&) noexcept(false) {}
+    };
+    static_assert(!kooza::sim::kFitsEventFn<ThrowingMove>);
 }
 
 TEST(EventFnTest, ArenaReusesFreedBlocks) {
+    static_assert(EventArena::kBlockBytes == sizeof(EventFn));
     EventArena arena;
-    void* p1 = arena.allocate(100);
-    arena.deallocate(p1, 100);
-    void* p2 = arena.allocate(100);
-    EXPECT_EQ(p1, p2);  // LIFO free list hands the block straight back
-    arena.deallocate(p2, 100);
-}
-
-TEST(EventFnTest, EngineRunsOversizedCaptures) {
-    Engine eng;
-    struct Big {
-        char payload[128];
-    };
-    Big big{};
-    big.payload[127] = 7;
-    int got = 0;
-    eng.schedule_at(1.0, [big, &got] { got = big.payload[127]; });
-    eng.run();
-    EXPECT_EQ(got, 7);
+    void* p1 = arena.allocate();
+    void* p2 = arena.allocate();
+    EXPECT_NE(p1, p2);
+    EXPECT_EQ(arena.slab_count(), 1u);
+    arena.deallocate(p1);
+    void* p3 = arena.allocate();
+    EXPECT_EQ(p1, p3);  // LIFO free list hands the block straight back
+    arena.deallocate(p3);
+    arena.deallocate(p2);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Steady-state allocation audit: global operator new/delete counting
 // hooks prove that a schedule/dispatch cycle at constant queue depth
 // touches the system heap zero times — event nodes come from the engine's
-// slab arena, EventFn captures live inline (or in recycled arena blocks
-// when oversized), and metrics are batched into engine-local tallies.
+// slab arena, EventFn captures live inline, and metrics are batched into
+// engine-local tallies.
 //
 // Skipped under sanitizers: their interceptors own the allocator and the
 // replacement operators below would fight them.
@@ -101,26 +101,6 @@ TEST(EngineAlloc, InlineCaptureHoldModelIsAllocationFree) {
     };
     expect_zero_steady_state_allocs([](Engine& eng, std::uint64_t& s) {
         Actor actor{&eng, &s};
-        return [actor] { actor.fire(); };
-    });
-}
-
-TEST(EngineAlloc, OversizedCaptureHoldModelReusesArenaBlocks) {
-    // The capture exceeds kEventFnInlineBytes, so every schedule draws an
-    // overflow block — which must come from the arena free list, not the
-    // system heap, once the depth-sized working set exists.
-    struct FatActor {
-        Engine* eng;
-        std::uint64_t* s;
-        char ballast[72] = {};
-        void fire() const {
-            FatActor self = *this;
-            eng->schedule_after(next_unit(*s) * 1e-3, [self] { self.fire(); });
-        }
-    };
-    static_assert(sizeof(FatActor) > kooza::sim::kEventFnInlineBytes);
-    expect_zero_steady_state_allocs([](Engine& eng, std::uint64_t& s) {
-        FatActor actor{&eng, &s};
         return [actor] { actor.fire(); };
     });
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <set>
 
 #include "gfs/cluster.hpp"
@@ -239,6 +241,26 @@ TEST(Cluster, CompletedCountsRequests) {
     cluster.run();
     EXPECT_EQ(cluster.completed(), 5u);
     EXPECT_EQ(cluster.latencies().size(), 5u);
+}
+
+TEST(Cluster, RefusedSubmitKeepsNoCallback) {
+    // A time the engine refuses throws from submit() and drops the
+    // callback there; the cluster still runs what it accepts.
+    Cluster cluster(small_config());
+    cluster.create_file("f", 64ull << 20);
+    const auto held = std::make_shared<int>(0);
+    for (const double t : {-1.0, std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_THROW(cluster.submit({.time = t, .file = "f", .offset = 0, .size = 4096,
+                                     .type = IoType::kRead},
+                                    [held](double) { ++*held; }),
+                     std::invalid_argument);
+    EXPECT_EQ(held.use_count(), 1);
+    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+                    .type = IoType::kRead},
+                   [held](double) { ++*held; });
+    cluster.run();
+    EXPECT_EQ(cluster.completed(), 1u);
+    EXPECT_EQ(*held, 1);
 }
 
 TEST(FailureInjection, ReadFailsOverToReplica) {

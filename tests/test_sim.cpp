@@ -274,6 +274,63 @@ TEST(Resource, QueueingDelaysSerializeWork) {
     EXPECT_NEAR(completions[2], 3.0, 1e-9);
 }
 
+TEST(Resource, CompetingAcquireKeepsWaiterAtHead) {
+    // release() hands the slot to the queue head in a zero-delay event; an
+    // acquire in between takes the slot, and the handed-off waiter goes
+    // back to the head of the queue, ahead of everyone still waiting.
+    // Every holder lets go one second after its grant.
+    std::vector<char> order;
+    const auto holder = [&order](Engine& eng, Resource& res, char name) {
+        return [&order, &eng, &res, name] {
+            order.push_back(name);
+            eng.schedule_after(1.0, [&res] { res.release(); });
+        };
+    };
+    {
+        // X holds the slot; A and B wait. X's release and C's acquire
+        // share one event: C, then A, then B.
+        Engine eng;
+        Resource res(eng, 1);
+        res.acquire([] {});  // X
+        res.acquire(holder(eng, res, 'A'));
+        res.acquire(holder(eng, res, 'B'));
+        eng.schedule_at(1.0, [&] {
+            res.release();
+            res.acquire(holder(eng, res, 'C'));
+            // A is handed off: only B still counts as queued.
+            EXPECT_EQ(res.in_use(), 1u);
+            EXPECT_EQ(res.queue_length(), 1u);
+        });
+        eng.run();
+        EXPECT_EQ(order, (std::vector<char>{'C', 'A', 'B'}));
+        EXPECT_EQ(res.in_use(), 0u);
+        EXPECT_EQ(res.total_grants(), 4u);
+    }
+    order.clear();
+    {
+        // Two holders let go in one event, handing the slots to A and B;
+        // C's acquire in the same event takes one. A gets the other, and
+        // B goes back to the head, ahead of D.
+        Engine eng;
+        Resource res(eng, 2);
+        res.acquire([] {});  // X1
+        res.acquire([] {});  // X2
+        res.acquire(holder(eng, res, 'A'));
+        res.acquire(holder(eng, res, 'B'));
+        res.acquire(holder(eng, res, 'D'));
+        eng.schedule_at(1.0, [&] {
+            res.release();
+            res.release();
+            res.acquire(holder(eng, res, 'C'));
+            EXPECT_EQ(res.queue_length(), 1u);
+        });
+        eng.run();
+        EXPECT_EQ(order, (std::vector<char>{'C', 'A', 'B', 'D'}));
+        EXPECT_EQ(res.in_use(), 0u);
+        EXPECT_EQ(res.total_grants(), 6u);
+    }
+}
+
 TEST(Resource, TotalGrantsCounts) {
     Engine eng;
     Resource res(eng, 1);

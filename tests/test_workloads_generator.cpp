@@ -8,12 +8,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <tuple>
 
 #include "core/capture.hpp"
 #include "core/generator.hpp"
 #include "core/model_replay.hpp"
+#include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "core/validator.hpp"
 #include "digest.hpp"
@@ -397,6 +399,43 @@ TEST(ModelReplayGenerator, MatchesBatchGeneratorDraws) {
         EXPECT_LE(ops[i].offset + ops[i].size, file_size) << i;
     }
     fs::remove_all(dir);
+}
+
+TEST(ModelReplayGenerator, OneServerCaptureReachesEachRequestsLbn) {
+    // A model's LBN counts 512-byte disk blocks. Replayed through a
+    // one-server capture, each request's first storage record starts at
+    // its synthetic request's own LBN, rounded down to 4 KB.
+    core::CaptureOptions co;
+    co.profile = "oltp";
+    co.count = 400;
+    co.seed = 7;
+    const auto model =
+        core::Trainer({.workload_name = "lbn"}).train(core::run_capture(co).traces);
+    const auto path = fs::temp_directory_path() / "kooza_gen_model_lbn.model";
+    core::save_model(model, path);
+
+    const std::size_t n = 300;
+    const std::uint64_t seed = 21;
+    sim::Rng rng(seed);
+    const auto batch = core::Generator(model).generate(n, rng);
+
+    core::CaptureOptions replay;
+    replay.model_file = path.string();
+    replay.count = n;
+    replay.seed = seed;
+    replay.n_servers = 1;
+    const auto cap = core::run_capture(replay);
+    fs::remove(path);
+    ASSERT_EQ(cap.completed, n);
+    // Request ids count submissions: id i is synthetic request i, and its
+    // first chunk holds its lowest block.
+    std::vector<std::uint64_t> first(n, std::numeric_limits<std::uint64_t>::max());
+    for (const auto& rec : cap.traces.storage) {
+        ASSERT_LT(rec.request_id, n);
+        first[rec.request_id] = std::min(first[rec.request_id], rec.lbn);
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(first[i], batch.requests[i].lbn & ~std::uint64_t(7)) << i;
 }
 
 // ---- Capture integration: byte identity across modes and threads ------
