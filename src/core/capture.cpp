@@ -159,7 +159,7 @@ struct ClosedLoopDriver {
         auto spec = pool.next(client, now);
         // Budget spent: the window drains and run() ends.
         if (!spec) return cluster.end_input();
-        cluster.submit(*spec, [this, client](double /*latency*/) {
+        cluster.submit(*spec, [this, client] {
             // Failures and rejections refill too — a closed-loop client
             // moves on to its next request either way.
             launch(client, cluster.engine().now());

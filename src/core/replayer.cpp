@@ -59,18 +59,20 @@ void check_arrivals(const SyntheticWorkload& workload, const char* who) {
 }
 
 /// One replay: the engine, the device stacks, the client port and one
-/// record per request. Device callbacks capture `this` and a record
-/// index, so a Run stays where it was built until finish() drains it.
+/// record per request, recording into `sink`. Device callbacks capture
+/// `this` and a record index, so a Run stays where it was built until
+/// finish() drains it.
 class Run {
 public:
     Run(const ReplayConfig& cfg, ReplayMode mode, std::uint64_t first_id,
-        std::size_t n_requests)
+        std::size_t n_requests, trace::Sink& sink)
         : cfg_(cfg),
           mode_(mode),
           first_id_(first_id),
-          client_port_(engine_, cfg.net, trace::NetworkRecord::Direction::kTx, &sink_) {
+          sink_(sink),
+          client_port_(engine_, cfg.net, trace::NetworkRecord::Direction::kTx, &sink) {
         for (std::size_t s = 0; s < cfg.n_servers; ++s)
-            servers_.emplace_back(engine_, cfg, &sink_);
+            servers_.emplace_back(engine_, cfg, &sink);
         records_.reserve(n_requests);
     }
     Run(const Run&) = delete;
@@ -87,10 +89,10 @@ public:
         for (const Phase p : r.phases.ids()) ++rec.count[std::size_t(p)];
     }
 
-    /// Replay every added request and hand over what the run wrote. The
-    /// records are ordered once by (arrival, id), the order an up-front
-    /// schedule would dispatch them in (ids follow add() order), and the
-    /// first arrival starts the pump.
+    /// Replay every added request and hand over the run's statistics;
+    /// its records went to the sink. The requests are ordered once by
+    /// (arrival, id), the order an up-front schedule would dispatch them
+    /// in (ids follow add() order), and the first arrival starts the pump.
     ReplayResult finish() {
         std::sort(records_.begin(), records_.end(), [](const Record& a, const Record& b) {
             if (a.arrival != b.arrival) return a.arrival < b.arrival;
@@ -100,8 +102,6 @@ public:
             engine_.schedule_at(records_[0].arrival, [this] { arrive(0); });
         engine_.run();
         ReplayResult out;
-        out.traces = std::move(traces_);
-        out.traces.sort_by_time();
         out.latencies = std::move(latencies_);
         out.network_drops = client_port_.drops();
         out.network_timeouts = client_port_.timeouts();
@@ -260,7 +260,7 @@ private:
         const Record& rec = records_[i];
         const trace::RequestRecord out{rec.id, rec.req->type, rec.arrival, engine_.now(),
                                        rec.req->network_bytes};
-        traces_.requests.push_back(out);
+        sink_.append(out);
         latencies_.push_back(out.latency());
         metrics().replayed.add();
         metrics().latency_ns.observe_seconds(out.latency());
@@ -269,9 +269,8 @@ private:
     const ReplayConfig& cfg_;
     const ReplayMode mode_;
     const std::uint64_t first_id_;
+    trace::Sink& sink_;
     sim::Engine engine_;
-    trace::TraceSet traces_;
-    trace::MemorySink sink_{traces_};
     std::deque<ServerStack> servers_;
     hw::SwitchPort client_port_;
     std::vector<Record> records_;
@@ -292,9 +291,12 @@ ReplayResult Replayer::replay(const SyntheticWorkload& workload,
     if (workload.empty())
         throw std::invalid_argument("Replayer::replay: empty workload");
     check_arrivals(workload, "Replayer::replay");
-    Run run(cfg_, mode, 0, workload.requests.size());
+    trace::MemoryCapture capture(1);
+    Run run(cfg_, mode, 0, workload.requests.size(), capture.group(0));
     for (const auto& r : workload.requests) run.add(r);
-    return run.finish();
+    ReplayResult out = run.finish();
+    out.traces = capture.take();
+    return out;
 }
 
 ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
@@ -316,10 +318,12 @@ ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
 
     ReplayConfig shard_cfg = cfg_;
     shard_cfg.n_servers = 1;
+    // Each pool thread writes only its own shard's group.
+    trace::MemoryCapture capture(shards);
     std::vector<std::optional<ReplayResult>> results(shards);
     par::pool().parallel_for(shards, [&](std::size_t s) {
         if (parts[s].empty()) return;  // idle server: nothing to run
-        Run run(shard_cfg, mode, first_id[s], parts[s].size());
+        Run run(shard_cfg, mode, first_id[s], parts[s].size(), capture.group(s));
         for (const auto* r : parts[s]) run.add(*r);
         results[s] = run.finish();
     });
@@ -329,7 +333,6 @@ ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
     for (std::size_t s = 0; s < shards; ++s) {
         if (!results[s]) continue;
         ReplayResult& r = *results[s];
-        out.traces.merge(r.traces);
         out.latencies.insert(out.latencies.end(), r.latencies.begin(),
                              r.latencies.end());
         out.network_drops += r.network_drops;
@@ -341,7 +344,7 @@ ReplayResult Replayer::replay_sharded(const SyntheticWorkload& workload,
     }
     out.mean_cpu_utilization /= double(shards);
     out.mean_disk_utilization /= double(shards);
-    out.traces.sort_by_time();
+    out.traces = capture.take();
     return out;
 }
 

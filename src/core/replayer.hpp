@@ -86,9 +86,10 @@ public:
                                       ReplayMode mode = ReplayMode::kStructured) const;
 
     /// Sharded replay: requests are partitioned by their `server` tag and
-    /// each server runs as an independent shard with its own sim::Engine
-    /// and TraceSet, executed across the thread pool and merged by shard
-    /// index — so results are bit-identical at any thread count. Unlike
+    /// each server runs as an independent shard with its own sim::Engine,
+    /// recording into its own group of one trace::MemoryCapture, executed
+    /// across the thread pool and merged by shard index — so results are
+    /// bit-identical at any thread count. Unlike
     /// replay(), shards share nothing: no client-port fan-in contention
     /// and no cross-server replica forwarding (repl.forward stays on the
     /// shard). Use replay() when those couplings are the point (incast).

@@ -32,13 +32,13 @@ constexpr std::span<const Phase> kReplicaWrite = std::span(kWritePath).subspan(1
 }  // namespace
 
 ChunkServer::ChunkServer(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
-                         trace::Sink* sink, trace::SpanTracer* tracer)
-    : id_(id), engine_(engine), cfg_(cfg), sink_(sink), tracer_(tracer) {
-    disk_ = std::make_unique<hw::Disk>(engine_, cfg_.disk, sink_);
-    cpu_ = std::make_unique<hw::Cpu>(engine_, cfg_.cpu, sink_);
-    memory_ = std::make_unique<hw::Memory>(engine_, cfg_.memory, sink_);
+                         trace::Sink& sink, trace::SpanTracer* tracer)
+    : id_(id), engine_(engine), cfg_(cfg), tracer_(tracer) {
+    disk_ = std::make_unique<hw::Disk>(engine_, cfg_.disk, &sink);
+    cpu_ = std::make_unique<hw::Cpu>(engine_, cfg_.cpu, &sink);
+    memory_ = std::make_unique<hw::Memory>(engine_, cfg_.memory, &sink);
     ingress_ = std::make_unique<hw::SwitchPort>(
-        engine_, cfg_.net, trace::NetworkRecord::Direction::kRx, sink_);
+        engine_, cfg_.net, trace::NetworkRecord::Direction::kRx, &sink);
 }
 
 std::uint64_t ChunkServer::mem_bytes(std::uint64_t size, trace::IoType t) const {

@@ -29,7 +29,7 @@ class AdmissionController;
 class ChunkServer {
 public:
     ChunkServer(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
-                trace::Sink* sink, trace::SpanTracer* tracer);
+                trace::Sink& sink, trace::SpanTracer* tracer);
 
     /// Serve one piece: a `type` I/O of `size` bytes at `lbn`, under the
     /// client's root span `parent`, answered on `client_port`. A write
@@ -102,7 +102,6 @@ private:
     std::uint32_t id_;
     sim::Engine& engine_;
     const GfsConfig& cfg_;
-    trace::Sink* sink_;
     trace::SpanTracer* tracer_;
     std::unique_ptr<hw::Disk> disk_;
     std::unique_ptr<hw::Cpu> cpu_;

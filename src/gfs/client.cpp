@@ -38,7 +38,7 @@ MasterNode::MasterNode(sim::Engine& engine, const GfsConfig& cfg) {
 Client::Client(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
                Master& master, MasterNode& master_node,
                std::vector<std::unique_ptr<ChunkServer>>& servers,
-               trace::Sink* sink, trace::SpanTracer* tracer)
+               trace::Sink& sink, trace::SpanTracer* tracer)
     : id_(id),
       engine_(engine),
       cfg_(cfg),
@@ -48,7 +48,7 @@ Client::Client(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
       sink_(sink),
       tracer_(tracer) {
     ingress_ = std::make_unique<hw::SwitchPort>(
-        engine_, cfg_.net, trace::NetworkRecord::Direction::kTx, sink_);
+        engine_, cfg_.net, trace::NetworkRecord::Direction::kTx, &sink_);
 }
 
 std::uint64_t Client::lbn_of(ChunkHandle handle, std::uint64_t offset_in_chunk) const {
@@ -99,7 +99,7 @@ void Client::issue(std::uint64_t request_id, const std::string& file,
     const double arrival = engine_.now();
     // The RequestRecord is keyed at arrival but only emitted (or dropped,
     // on failure) at completion: hold the requests stream until then.
-    if (sink_ != nullptr) sink_->open_hold(trace::StreamId::kRequests, arrival);
+    sink_.open_hold(trace::StreamId::kRequests, arrival);
     const std::uint64_t chunk = master_.chunk_size();
     const std::uint32_t r = requests_.acquire();
     Request& req = requests_[r];
@@ -132,13 +132,11 @@ void Client::issue(std::uint64_t request_id, const std::string& file,
 void Client::lookup(std::uint32_t s) {
     Piece& p = pieces_[s];
     const Request& req = requests_[p.request];
-    if (cfg_.client_caches_locations) {
-        const auto it = location_cache_.find(CacheKey(req.file, p.chunk_index));
-        if (it != location_cache_.end()) {
-            metrics().cache_hits.add();
-            p.loc = it->second;
-            return try_replica(s);
-        }
+    const auto it = location_cache_.find(CacheKey(req.file, p.chunk_index));
+    if (it != location_cache_.end()) {
+        metrics().cache_hits.add();
+        p.loc = it->second;
+        return try_replica(s);
     }
     metrics().cache_misses.add();
     // Pay the master round trip: control to master, CPU work, control back.
@@ -164,15 +162,11 @@ void Client::located(std::uint32_t s) {
     finish_span(tracer_, p.span, engine_.now());
     // locate() lists replicas the master believes alive first.
     const std::uint64_t offset = p.chunk_index * master_.chunk_size() + p.offset_in_chunk;
-    if (cfg_.client_caches_locations) {
-        // Overwrite (never emplace) so a refreshed location replaces a
-        // stale one.
-        ChunkLocation& cached = location_cache_[CacheKey(req.file, p.chunk_index)];
-        cached = master_.locate(req.file, offset);
-        p.loc = cached;
-    } else {
-        p.loc = master_.locate(req.file, offset);
-    }
+    // Overwrite (never emplace) so a refreshed location replaces a stale
+    // one.
+    ChunkLocation& cached = location_cache_[CacheKey(req.file, p.chunk_index)];
+    cached = master_.locate(req.file, offset);
+    p.loc = cached;
     try_replica(s);
 }
 
@@ -187,8 +181,7 @@ void Client::try_replica(std::uint32_t s) {
         // have re-replicated the chunk onto live servers by now.
         if (p.round < cfg_.client_retry_rounds) {
             metrics().retry_rounds.add();
-            if (cfg_.client_caches_locations)
-                location_cache_.erase(CacheKey(req.file, p.chunk_index));
+            location_cache_.erase(CacheKey(req.file, p.chunk_index));
             const double wait = backoff_wait(p.backoff_step);
             p.span = begin_span(tracer_, req.id, req.root, span_names().failover,
                                 engine_.now());
@@ -213,12 +206,10 @@ void Client::try_replica(std::uint32_t s) {
         const double wait = backoff_wait(p.backoff_step);
         ++failovers_;
         metrics().failovers.add();
-        if (sink_ != nullptr)
-            sink_->append(trace::FailureRecord{engine_.now(), req.id, target->id(),
-                                               trace::FailureRecord::Kind::kFailover, wait});
-        if (cfg_.client_caches_locations)
-            demote_cached_replica(CacheKey(req.file, p.chunk_index),
-                                  p.loc.servers[p.attempt]);
+        sink_.append(trace::FailureRecord{engine_.now(), req.id, target->id(),
+                                          trace::FailureRecord::Kind::kFailover, wait});
+        demote_cached_replica(CacheKey(req.file, p.chunk_index),
+                              p.loc.servers[p.attempt]);
         p.span =
             begin_span(tracer_, req.id, req.root, span_names().failover, engine_.now());
         ++p.attempt;
@@ -252,10 +243,8 @@ void Client::reject(std::uint32_t s) {
     Request& req = requests_[p.request];
     ++rejections_;
     metrics().rejected.add();
-    if (sink_ != nullptr)
-        sink_->append(trace::FailureRecord{engine_.now(), req.id, p.loc.servers[p.attempt],
-                                           trace::FailureRecord::Kind::kAdmissionReject,
-                                           0.0});
+    sink_.append(trace::FailureRecord{engine_.now(), req.id, p.loc.servers[p.attempt],
+                                      trace::FailureRecord::Kind::kAdmissionReject, 0.0});
     req.failed = true;
     piece_done(s);
 }
@@ -277,16 +266,14 @@ void Client::finish(std::uint32_t r) {
         metrics().requests.add();
         metrics().latency_ns.observe_seconds(last_latency_);
     }
-    if (sink_ != nullptr) {
-        // A failed request emits a FailureRecord instead of its RequestRecord.
-        if (req.failed)
-            sink_->append(trace::FailureRecord{now, req.id, 0,
-                                               trace::FailureRecord::Kind::kRequestFailed,
-                                               now - req.arrival});
-        else
-            sink_->append(trace::RequestRecord{req.id, req.type, req.arrival, now, req.size});
-        sink_->close_hold(trace::StreamId::kRequests, req.arrival);
-    }
+    // A failed request emits a FailureRecord instead of its RequestRecord.
+    if (req.failed)
+        sink_.append(trace::FailureRecord{now, req.id, 0,
+                                          trace::FailureRecord::Kind::kRequestFailed,
+                                          now - req.arrival});
+    else
+        sink_.append(trace::RequestRecord{req.id, req.type, req.arrival, now, req.size});
+    sink_.close_hold(trace::StreamId::kRequests, req.arrival);
     finish_span(tracer_, req.root, now);
     sim::EventFn on_done = std::move(req.on_done);
     requests_.release(r);

@@ -43,7 +43,7 @@ class Client {
 public:
     Client(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg, Master& master,
            MasterNode& master_node, std::vector<std::unique_ptr<ChunkServer>>& servers,
-           trace::Sink* sink, trace::SpanTracer* tracer);
+           trace::Sink& sink, trace::SpanTracer* tracer);
 
     /// Issue one user request (read or write of `size` bytes at `offset`
     /// of `file`). Multi-chunk requests fan out to all owning servers in
@@ -133,7 +133,7 @@ private:
     Master& master_;
     MasterNode& master_node_;
     std::vector<std::unique_ptr<ChunkServer>>& servers_;
-    trace::Sink* sink_;
+    trace::Sink& sink_;
     trace::SpanTracer* tracer_;
     std::unique_ptr<hw::SwitchPort> ingress_;
     std::map<CacheKey, ChunkLocation> location_cache_;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "gfs/config.hpp"
 #include "gfs/faults.hpp"
 #include "sim/engine.hpp"
+#include "sim/eventfn.hpp"
 #include "sim/slots.hpp"
 #include "trace/records.hpp"
 #include "trace/sink.hpp"
@@ -38,14 +38,14 @@ struct RequestSpec {
 
 class Cluster {
 public:
-    /// Without a provider the cluster records into internal TraceSets and
-    /// traces()/take_traces() hand them back (memory mode). With a
-    /// provider, every record goes straight to provider->group(g) as it
-    /// is emitted — group 0 for cluster-level streams (requests,
-    /// client-side network, failures, spans), group 1+s for chunkserver
-    /// s — and traces() is unavailable: the provider (e.g. a
-    /// trace::StreamingSink) owns the data. The provider must outlive the
-    /// cluster and have group_count() == 1 + n_chunkservers.
+    /// Every record goes to a trace::SinkProvider as it is emitted: group
+    /// 0 for cluster-level streams (requests, client-side network,
+    /// failures, spans), group 1+s for chunkserver s. Without a caller's
+    /// provider the cluster records into a trace::MemoryCapture of its
+    /// own, which traces()/take_traces() read back. A caller's provider
+    /// (e.g. a trace::StreamingSink) owns the data, so traces() is then
+    /// unavailable; it must outlive the cluster and have
+    /// group_count() == 1 + n_chunkservers.
     explicit Cluster(GfsConfig cfg, std::size_t n_clients = 1,
                      trace::SinkProvider* provider = nullptr);
 
@@ -53,18 +53,11 @@ public:
     void create_file(const std::string& name, std::uint64_t size);
 
     /// Schedule one request (time must not precede the current sim time).
-    /// Returns the request id it will run under.
-    std::uint64_t submit(const RequestSpec& spec);
-
-    /// Like submit(), but fires `on_complete` when the request finishes:
-    /// the successful latency in seconds, or a negative value when it
-    /// failed (every replica down, or bounced by admission control).
-    /// Closed-loop sources use this to refill a client's window.
-    std::uint64_t submit(const RequestSpec& spec,
-                         std::function<void(double latency)> on_complete);
-
-    /// Schedule many requests.
-    void submit_all(const std::vector<RequestSpec>& specs);
+    /// Returns the request id it will run under. `on_complete`, if set,
+    /// runs when the request finishes and reads last_latency(); closed-
+    /// loop sources use it to refill a client's window. A refused time
+    /// throws and keeps nothing of the request.
+    std::uint64_t submit(const RequestSpec& spec, sim::EventFn on_complete = {});
 
     /// Tell the cluster no further requests will be submitted. Once every
     /// submitted request has completed or failed, lazy fault chains stop
@@ -75,16 +68,20 @@ public:
     /// Run the engine until all scheduled work completes.
     void run();
 
-    /// Traces captured so far; span records are copied in from the tracer.
+    /// Latency of the request whose `on_complete` is running: seconds
+    /// from issue to completion, or negative when it failed (every
+    /// replica down, or bounced by admission control).
+    [[nodiscard]] double last_latency() const noexcept { return last_latency_; }
+
+    /// Traces captured so far, in canonical order (MemoryCapture::copy).
     /// The cluster keeps accumulating (call traces() again after more
-    /// submits+run). Memory mode only: throws std::logic_error when a
-    /// SinkProvider was attached.
+    /// submits+run). Throws std::logic_error when the caller supplied
+    /// the SinkProvider.
     [[nodiscard]] trace::TraceSet traces() const;
 
-    /// Like traces(), but *moves* the records out instead of copying,
-    /// leaving the cluster's sinks empty. Peak memory stays ~one server's
-    /// records above the captured total, instead of doubling it the way
-    /// `TraceSet copy = traces()` does. Memory mode only.
+    /// Like traces(), but *moves* the records out instead of copying
+    /// (MemoryCapture::take), so peak memory does not double the way
+    /// `TraceSet copy = traces()` does.
     [[nodiscard]] trace::TraceSet take_traces();
 
     /// Per-server view: the device records chunkserver `i` emitted, plus
@@ -133,11 +130,15 @@ private:
     /// end_input()'s rule, checked whenever a request settles.
     void stop_faults_if_settled();
 
+    /// Throws std::logic_error naming `who` unless the cluster records
+    /// into its own MemoryCapture.
+    void require_capture(const char* who) const;
+
     /// One submitted request, from submit() until it settles.
     struct Submission {
         std::uint64_t id = 0;
         RequestSpec spec;
-        std::function<void(double latency)> on_complete;
+        sim::EventFn on_complete;
     };
 
     /// Issue submission `slot` to its client, at the spec's time.
@@ -145,13 +146,9 @@ private:
 
     GfsConfig cfg_;
     std::unique_ptr<sim::Engine> engine_;
-    std::unique_ptr<trace::TraceSet> sink_;  ///< client-side + request records
-    std::vector<std::unique_ptr<trace::TraceSet>> server_sinks_;
-    /// Memory mode: Sink adapters over sink_/server_sinks_ ([0] = cluster,
-    /// [1+s] = server s). Empty when a provider supplies the sinks.
-    std::vector<std::unique_ptr<trace::MemorySink>> memory_sinks_;
-    trace::SinkProvider* provider_ = nullptr;
-    trace::Sink* cluster_sink_ = nullptr;  ///< group-0 sink, either mode
+    /// Records without a caller's provider; null when one was supplied.
+    std::unique_ptr<trace::MemoryCapture> capture_;
+    trace::SinkProvider* provider_;  ///< the caller's or capture_
     std::unique_ptr<trace::SpanTracer> tracer_;
     std::unique_ptr<Master> master_;
     std::unique_ptr<MasterNode> master_node_;
@@ -161,6 +158,7 @@ private:
     std::unique_ptr<FaultInjector> injector_;
     sim::Slots<Submission> submissions_;
     std::vector<double> latencies_;
+    double last_latency_ = 0.0;
     std::uint64_t next_request_ = 0;
     std::uint64_t completed_ = 0;
     bool input_ended_ = false;

@@ -89,9 +89,6 @@ struct GfsConfig {
     /// aggregate (post-I/O) phases of Fig. 1.
     double cpu_verify_fraction = 0.4;
 
-    /// Clients cache chunk locations after the first lookup (GFS clients do).
-    bool client_caches_locations = true;
-
     /// How long a client waits on an unresponsive chunkserver before
     /// failing over to the next replica (the first-attempt RPC timeout).
     double failover_timeout = 0.5;

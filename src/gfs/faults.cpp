@@ -59,7 +59,7 @@ FaultPlan make_fault_plan(const FaultConfig& cfg, std::size_t n_servers,
 
 FaultInjector::FaultInjector(sim::Engine& engine, const GfsConfig& cfg, Master& master,
                              std::vector<std::unique_ptr<ChunkServer>>& servers,
-                             trace::Sink* sink)
+                             trace::Sink& sink)
     : engine_(engine), cfg_(cfg), master_(master), servers_(servers), sink_(sink) {}
 
 void FaultInjector::schedule(FaultPlan plan) {
@@ -102,14 +102,13 @@ void FaultInjector::arm_lazy(std::uint32_t server, std::shared_ptr<sim::Rng> rng
 
 void FaultInjector::record(trace::FailureRecord::Kind kind, std::uint32_t server,
                            std::uint64_t request_id, double duration) {
-    if (sink_ == nullptr) return;
     trace::FailureRecord rec;
     rec.time = engine_.now();
     rec.request_id = request_id;
     rec.server = server;
     rec.kind = kind;
     rec.duration = duration;
-    sink_->append(rec);
+    sink_.append(rec);
 }
 
 void FaultInjector::apply(const FaultEvent& ev) {

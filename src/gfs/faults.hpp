@@ -55,7 +55,7 @@ class FaultInjector {
 public:
     FaultInjector(sim::Engine& engine, const GfsConfig& cfg, Master& master,
                   std::vector<std::unique_ptr<ChunkServer>>& servers,
-                  trace::Sink* sink);
+                  trace::Sink& sink);
 
     /// Schedule every event of the plan on the engine. Call before run();
     /// may be called once per injector.
@@ -108,7 +108,7 @@ private:
     const GfsConfig& cfg_;
     Master& master_;
     std::vector<std::unique_ptr<ChunkServer>>& servers_;
-    trace::Sink* sink_;
+    trace::Sink& sink_;
     sim::Slots<Repair> repairs_in_flight_;
     FaultPlan plan_;
     bool lazy_ = false;

@@ -18,11 +18,12 @@ void Resource::settle() const noexcept {
 
 void Resource::acquire(EventFn on_granted) {
     if (!on_granted) throw std::invalid_argument("Resource::acquire: empty continuation");
-    if (in_use_ < capacity_) {
-        grant(std::move(on_granted));
-    } else {
-        waiters_.push_back(std::move(on_granted));
-    }
+    if (in_use_ < capacity_) return grant(std::move(on_granted));
+    const std::uint32_t w = waiters_.acquire();
+    waiters_[w] = Waiter{std::move(on_granted), kNone};
+    (tail_ == kNone ? head_ : waiters_[tail_].next) = w;
+    tail_ = w;
+    ++queued_;
 }
 
 void Resource::grant(EventFn on_granted) {
@@ -36,25 +37,28 @@ void Resource::release() {
     if (in_use_ == 0) throw std::logic_error("Resource::release: nothing held");
     settle();
     --in_use_;
-    if (!waiters_.empty()) {
-        const std::uint32_t slot = handed_.acquire();
-        handed_[slot] = std::move(waiters_.front());
-        waiters_.pop_front();
-        // Defer the grant so release() never runs the waiter inline.
-        engine_.schedule_after(0.0, [this, slot] {
-            // Out of the record before it runs: a granted waiter may
-            // release, handing off more slots and growing handed_.
-            EventFn next = std::move(handed_[slot]);
-            handed_.release(slot);
-            if (in_use_ < capacity_) {
-                grant(std::move(next));
-            } else {
-                // A competing acquire won the slot between release and the
-                // deferred grant; put the waiter back at the head.
-                waiters_.push_front(std::move(next));
-            }
-        });
-    }
+    if (head_ == kNone) return;
+    const std::uint32_t w = head_;
+    head_ = waiters_[w].next;
+    if (head_ == kNone) tail_ = kNone;
+    --queued_;
+    // Defer the grant so release() never runs the waiter inline.
+    engine_.schedule_after(0.0, [this, w] {
+        if (in_use_ == capacity_) {
+            // A competing acquire won the slot between release and the
+            // deferred grant; the waiter goes back to the head.
+            waiters_[w].next = head_;
+            if (head_ == kNone) tail_ = w;
+            head_ = w;
+            ++queued_;
+            return;
+        }
+        // Out of the record before it runs: a granted waiter may acquire
+        // again and grow the pool.
+        EventFn next = std::move(waiters_[w].on_granted);
+        waiters_.release(w);
+        grant(std::move(next));
+    });
 }
 
 double Resource::busy_time() const noexcept {

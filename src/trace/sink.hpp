@@ -1,9 +1,11 @@
 // The pluggable trace sink — where simulation layers (hw devices, gfs
-// cluster, span tracer, fault injector) deliver capture records.
+// cluster, span tracer, fault injector) deliver capture records. Every
+// emitter writes through a Sink, and a simulation's records leave it
+// through a SinkProvider, one Sink per server group.
 //
-// Two implementations exist:
-//   - MemorySink (here): appends into a caller-owned TraceSet, the
-//     original materialize-then-write collector.
+// Two providers exist:
+//   - MemoryCapture (here): one in-memory TraceSet per group, put in
+//     canonical order when the capture is read back.
 //   - StreamingSink (streaming.hpp): orders records online and appends
 //     each released record straight into a BinaryWriter that spills its
 //     columns to disk, so a capture's peak memory stays flat however
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "trace/schema.hpp"
 #include "trace/traceset.hpp"
@@ -48,7 +51,7 @@ public:
 };
 
 /// The in-memory collector: records land in a caller-owned TraceSet in
-/// emission order (callers sort afterwards, see TraceSet::sort_by_time).
+/// emission order.
 class MemorySink final : public Sink {
 public:
     explicit MemorySink(TraceSet& ts) noexcept : ts_(&ts) {}
@@ -60,8 +63,6 @@ public:
     void append(const RequestRecord& r) override { ts_->requests.push_back(r); }
     void append(const FailureRecord& r) override { ts_->failures.push_back(r); }
     void append(const Span& s) override { ts_->spans.push_back(s); }
-
-    [[nodiscard]] const TraceSet& traces() const noexcept { return *ts_; }
 
 private:
     TraceSet* ts_;
@@ -79,6 +80,37 @@ public:
 
     virtual Sink& group(std::size_t g) = 0;
     [[nodiscard]] virtual std::size_t group_count() const = 0;
+};
+
+/// The in-memory provider: group g is a MemorySink over its own TraceSet.
+/// A materialized capture is put in canonical order here and only here:
+/// the groups concatenated in index order, then TraceSet::sort_by_time's
+/// stable per-stream sort, which is the order StreamingSink writes.
+class MemoryCapture final : public SinkProvider {
+public:
+    /// `n_groups` >= 1 (std::invalid_argument otherwise).
+    explicit MemoryCapture(std::size_t n_groups);
+
+    Sink& group(std::size_t g) override { return groups_.at(g).sink; }
+    [[nodiscard]] std::size_t group_count() const override { return groups_.size(); }
+
+    /// Group `g`'s records in emission order.
+    [[nodiscard]] const TraceSet& records(std::size_t g) const { return groups_.at(g).ts; }
+
+    /// Every group's records in canonical order; the groups keep theirs.
+    [[nodiscard]] TraceSet copy() const;
+
+    /// Like copy(), but moves the records out and empties each group as
+    /// it is merged, so peak memory stays about one group above the
+    /// captured total. The groups keep recording afterwards.
+    [[nodiscard]] TraceSet take();
+
+private:
+    struct Group {
+        TraceSet ts;
+        MemorySink sink{ts};
+    };
+    std::vector<Group> groups_;
 };
 
 }  // namespace kooza::trace

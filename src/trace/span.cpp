@@ -59,7 +59,8 @@ const std::string& SpanName::str() const { return names().text(id_); }
 
 std::ostream& operator<<(std::ostream& os, SpanName name) { return os << name.str(); }
 
-SpanTracer::SpanTracer(std::uint64_t sample_every) : every_(sample_every) {
+SpanTracer::SpanTracer(std::uint64_t sample_every, Sink& sink)
+    : every_(sample_every), sink_(sink) {
     if (sample_every == 0)
         throw std::invalid_argument("SpanTracer: sample_every must be >= 1");
 }
@@ -74,9 +75,9 @@ SpanId SpanTracer::start_span(TraceId trace, SpanId parent, SpanName name,
     const SpanId id = next_id_++;
     open_.push_back(
         Slot{Span{trace, id, parent, name, now, now}, &phase_histogram(name)});
-    // Streaming mode: the span is keyed at its start but only appended
-    // when it closes, so hold the spans stream until then.
-    if (sink_) sink_->open_hold(StreamId::kSpans, now);
+    // The span is keyed at its start but only appended when it closes,
+    // so hold the spans stream until then.
+    sink_.open_hold(StreamId::kSpans, now);
     return id;
 }
 
@@ -90,12 +91,8 @@ void SpanTracer::end_span(SpanId span, double now) {
     slot.span.end = now;
     slot.hist->observe_seconds(now - slot.span.start);
     slot.hist = nullptr;
-    if (sink_) {
-        sink_->append(slot.span);
-        sink_->close_hold(StreamId::kSpans, slot.span.start);
-    } else {
-        done_.push_back(slot.span);
-    }
+    sink_.append(slot.span);
+    sink_.close_hold(StreamId::kSpans, slot.span.start);
     // Move the head past closed slots; drop them once they are at least
     // half the table, so each slot is moved at most once on average.
     while (head_ < open_.size() && open_[head_].hist == nullptr) ++head_;
@@ -113,20 +110,6 @@ obs::Histogram& SpanTracer::phase_histogram(SpanName name) {
         h = &obs::histogram("trace.phase." + name.str() + ".duration_ns",
                             obs::Unit::kNanoseconds);
     return *h;
-}
-
-std::size_t SpanTracer::sampled_trace_count() const {
-    std::set<TraceId> ids;
-    for (const auto& s : done_) ids.insert(s.trace_id);
-    return ids.size();
-}
-
-void SpanTracer::clear() {
-    open_.clear();
-    head_ = 0;
-    base_ = next_id_;
-    done_.clear();
-    ops_req_ = ops_rec_ = 0;
 }
 
 SpanTree::SpanTree(const std::vector<Span>& all, TraceId trace) : trace_(trace) {

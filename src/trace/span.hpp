@@ -72,12 +72,16 @@ static_assert(sizeof(Span) == 48);
 /// Spans are ordered by start time (the sort_key set in records.hpp).
 [[nodiscard]] inline double sort_key(const Span& s) noexcept { return s.start; }
 
-/// Collects spans with deterministic 1-in-N head sampling (a trace is
-/// either fully recorded or fully dropped, as in Dapper).
+/// Records spans with deterministic 1-in-N head sampling (a trace is
+/// either fully recorded or fully dropped, as in Dapper). Each closed
+/// span goes to the tracer's sink, on the spans stream, held from start
+/// to close per the sink hold protocol (sink.hpp), so the tracer keeps
+/// only the open spans.
 class SpanTracer {
 public:
     /// @param sample_every record 1 out of `sample_every` traces (>= 1)
-    explicit SpanTracer(std::uint64_t sample_every = 1);
+    /// @param sink         receives every closed span; must outlive the tracer
+    SpanTracer(std::uint64_t sample_every, Sink& sink);
 
     /// Head-sampling decision for a trace id (deterministic: id % N == 0).
     [[nodiscard]] bool sampled(TraceId trace) const noexcept;
@@ -90,30 +94,10 @@ public:
     /// unknown/closed non-zero handle.
     void end_span(SpanId span, double now);
 
-    /// Route closed spans into `sink` (spans stream, held from start to
-    /// close per the sink hold protocol) instead of retaining them in
-    /// spans() — the streaming-capture mode, where span memory must stay
-    /// bounded by the in-flight set. Pass nullptr to restore collection.
-    void set_sink(Sink* sink) noexcept { sink_ = sink; }
-
-    /// All closed spans, in completion order (empty while a sink is set).
-    [[nodiscard]] const std::vector<Span>& spans() const noexcept { return done_; }
-
-    /// Move the closed spans out (the tracer keeps running but starts
-    /// empty) — lets one-shot captures avoid a full copy.
-    [[nodiscard]] std::vector<Span> take_spans() noexcept {
-        return std::move(done_);
-    }
-
     /// Bookkeeping for the overhead ablation: how many span operations
     /// were requested vs actually recorded.
     [[nodiscard]] std::uint64_t operations_requested() const noexcept { return ops_req_; }
     [[nodiscard]] std::uint64_t operations_recorded() const noexcept { return ops_rec_; }
-
-    /// Distinct sampled trace ids with at least one closed span.
-    [[nodiscard]] std::size_t sampled_trace_count() const;
-
-    void clear();
 
 private:
     /// An open span and the phase histogram its duration goes to; a
@@ -131,7 +115,7 @@ private:
 
     std::uint64_t every_;
     SpanId next_id_ = 1;
-    Sink* sink_ = nullptr;
+    Sink& sink_;
     std::vector<obs::Histogram*> phase_hist_;  ///< by SpanName id
     /// Span ids are dense (only sampled spans take one), so open_[i] is
     /// span base_ + i. Slots before head_ are closed; the rest run from
@@ -139,7 +123,6 @@ private:
     std::vector<Slot> open_;
     std::size_t head_ = 0;
     SpanId base_ = 1;
-    std::vector<Span> done_;
     std::uint64_t ops_req_ = 0;
     std::uint64_t ops_rec_ = 0;
 };

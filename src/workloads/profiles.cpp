@@ -49,7 +49,8 @@ std::size_t FilePicker::pick(sim::Rng& rng) const {
 
 void Workload::install(gfs::Cluster& cluster) const {
     for (const auto& [name, size] : files) cluster.create_file(name, size);
-    cluster.submit_all(requests);
+    for (const auto& r : requests) cluster.submit(r);
+    cluster.end_input();
 }
 
 Workload Profile::generate(sim::Rng rng) const {

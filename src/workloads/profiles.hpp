@@ -26,7 +26,8 @@ struct Workload {
     std::vector<std::pair<std::string, std::uint64_t>> files;  ///< name, bytes
     std::vector<gfs::RequestSpec> requests;
 
-    /// Create the files and submit every request to a cluster.
+    /// Create the files, submit every request to a cluster and end its
+    /// input (Cluster::end_input).
     void install(gfs::Cluster& cluster) const;
 };
 

@@ -8,7 +8,7 @@
 // table with its name interned once. So the request path
 // should not touch the heap at all, with every request traced or with
 // spans sampled away; what remains is set-up, trace vectors growing, and
-// the occasional queue block.
+// record pools growing to their peak concurrency.
 //
 // Skipped under sanitizers: their interceptors own the allocator and the
 // replacement operators below would fight them.
@@ -67,9 +67,10 @@ constexpr std::size_t kRequests = 20'000;
 // Only request 0 is sampled: the count leaves the span tracer out.
 constexpr std::uint64_t kSampleEvery = 1'000'000'000;
 
-void expect_at_most_one_alloc_per_request(CaptureOptions opts) {
+void expect_allocs_per_request_at_most(CaptureOptions opts, double bound) {
 #ifdef KOOZA_ALLOC_HOOKS_DISABLED
     (void)opts;
+    (void)bound;
     GTEST_SKIP() << "allocator hooks disabled under sanitizers";
 #else
     opts.count = kRequests;
@@ -84,7 +85,7 @@ void expect_at_most_one_alloc_per_request(CaptureOptions opts) {
     std::printf("%llu allocations over %llu requests: %.2f per request\n",
                 static_cast<unsigned long long>(g_new_calls),
                 static_cast<unsigned long long>(requests), per_request);
-    EXPECT_LE(per_request, 1.0);
+    EXPECT_LE(per_request, bound);
 #endif
 }
 
@@ -110,22 +111,22 @@ CaptureOptions saturated_closed_loop() {
 TEST(CaptureAlloc, OltpRequestPathStaysOffTheHeap) {
     auto o = oltp();
     o.span_sample_every = kSampleEvery;
-    expect_at_most_one_alloc_per_request(o);
+    expect_allocs_per_request_at_most(o, 0.05);
 }
 
 TEST(CaptureAlloc, SaturatedClosedLoopRequestPathStaysOffTheHeap) {
     auto o = saturated_closed_loop();
     o.span_sample_every = kSampleEvery;
-    expect_at_most_one_alloc_per_request(o);
+    expect_allocs_per_request_at_most(o, 0.5);
 }
 
 // The default sampling traces every request: spans cost no heap either.
 TEST(CaptureAlloc, OltpTracedRequestPathStaysOffTheHeap) {
-    expect_at_most_one_alloc_per_request(oltp());
+    expect_allocs_per_request_at_most(oltp(), 0.05);
 }
 
 TEST(CaptureAlloc, SaturatedClosedLoopTracedRequestPathStaysOffTheHeap) {
-    expect_at_most_one_alloc_per_request(saturated_closed_loop());
+    expect_allocs_per_request_at_most(saturated_closed_loop(), 0.5);
 }
 
 #ifndef KOOZA_ALLOC_HOOKS_DISABLED
@@ -186,7 +187,7 @@ TEST(ModelStageAlloc, GenerateExtractAndReplayStayOffTheHeap) {
     EXPECT_LE(allocations_per_request(
                   "structured replay",
                   [&] { replayed = kooza::core::Replayer(rc).replay(synth); }),
-              0.1);
+              0.02);
     EXPECT_EQ(replayed.latencies.size(), kRequests);
 #endif
 }

@@ -8,19 +8,24 @@
 
 #include "core/structure.hpp"
 #include "sim/rng.hpp"
+#include "trace/sink.hpp"
 #include "trace/span.hpp"
 
 namespace {
 
 using kooza::core::StructureQueue;
 using kooza::sim::Rng;
+using kooza::trace::MemorySink;
 using kooza::trace::Span;
 using kooza::trace::SpanTracer;
 using kooza::trace::TraceId;
+using kooza::trace::TraceSet;
 
 // Build spans for `n` traces: 80% A->B->C, 20% A->C.
 std::vector<Span> make_spans(std::size_t n) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     for (TraceId id = 0; id < n; ++id) {
         const double base = double(id);
         const auto root = t.start_span(id, 0, "request", base);
@@ -34,7 +39,7 @@ std::vector<Span> make_spans(std::size_t n) {
         t.end_span(c, base + 0.4);
         t.end_span(root, base + 0.4);
     }
-    return t.spans();
+    return recorded.spans;
 }
 
 std::vector<TraceId> all_ids(std::size_t n) {
@@ -115,7 +120,9 @@ TEST(StructureQueue, WantedTraceWithoutRootThrows) {
 /// Spans for `n` traces with random phase durations, so that every
 /// duration fit depends on the order the fold visits its values in.
 std::vector<Span> random_spans(std::size_t n) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     Rng rng(3);
     for (TraceId id = 0; id < n; ++id) {
         double now = double(id);
@@ -130,7 +137,7 @@ std::vector<Span> random_spans(std::size_t n) {
         phase("C", 10.0);
         t.end_span(root, now);
     }
-    return t.spans();
+    return recorded.spans;
 }
 
 void expect_same_queue(const StructureQueue& a, const StructureQueue& b) {
@@ -168,7 +175,9 @@ TEST(StructureAccumulator, OrdersSpansByStartThenSpanId) {
     // A trace of 40 phases observed last span first, with every two
     // phases starting together, fits as one variant in (start, span id)
     // order.
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(0, 0, "request", 0.0);
     std::vector<std::string> names;
     for (std::size_t i = 0; i < 40; ++i) {
@@ -177,7 +186,7 @@ TEST(StructureAccumulator, OrdersSpansByStartThenSpanId) {
         t.end_span(s, double(i / 2) + 0.5);
     }
     t.end_span(root, 40.0);
-    const auto spans = t.spans();
+    const auto spans = recorded.spans;
     const std::vector<Span> reversed(spans.rbegin(), spans.rend());
     const auto q = StructureQueue::fit(reversed, all_ids(1));
     ASSERT_EQ(q.variants().size(), 1u);
@@ -185,12 +194,14 @@ TEST(StructureAccumulator, OrdersSpansByStartThenSpanId) {
 }
 
 TEST(StructureAccumulator, RejectsNonFiniteStart) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(7, 0, "request", 0.0);
     const auto s = t.start_span(7, root, "disk.io", 0.1);
     t.end_span(s, 0.2);
     t.end_span(root, 0.3);
-    auto spans = t.spans();
+    auto spans = recorded.spans;
     spans.back().start = std::numeric_limits<double>::quiet_NaN();
     kooza::core::StructureAccumulator acc;
     try {
@@ -202,7 +213,9 @@ TEST(StructureAccumulator, RejectsNonFiniteStart) {
 }
 
 TEST(StructureQueue, KeepsPhaseNamesOutsideGfsPaths) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     for (TraceId id = 0; id < 20; ++id) {
         const double base = double(id);
         const auto root = t.start_span(id, 0, "request", base);
@@ -214,7 +227,7 @@ TEST(StructureQueue, KeepsPhaseNamesOutsideGfsPaths) {
         t.end_span(d, base + 0.06);
         t.end_span(root, base + 0.06);
     }
-    const auto q = StructureQueue::fit(t.spans(), all_ids(20));
+    const auto q = StructureQueue::fit(recorded.spans, all_ids(20));
     EXPECT_EQ(q.dominant(),
               (std::vector<std::string>{"master.lookup", "failover", "disk.io"}));
     EXPECT_NEAR(q.phase_duration("failover").mean(), 0.04, 1e-9);

@@ -13,6 +13,7 @@
 #include <new>
 
 #include "sim/engine.hpp"
+#include "sim/resource.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define KOOZA_ALLOC_HOOKS_DISABLED 1
@@ -103,6 +104,27 @@ TEST(EngineAlloc, InlineCaptureHoldModelIsAllocationFree) {
         Actor actor{&eng, &s};
         return [actor] { actor.fire(); };
     });
+}
+
+// A Resource keeps its waiters in a pool that grows only when one
+// queues: building one and holding it uncontended touch no heap.
+TEST(ResourceAlloc, IdleResourceAllocatesNothing) {
+#ifdef KOOZA_ALLOC_HOOKS_DISABLED
+    GTEST_SKIP() << "allocator hooks disabled under sanitizers";
+#else
+    Engine eng;
+    g_new_calls = 0;
+    g_counting = true;
+    {
+        kooza::sim::Resource disk(eng, 1);
+        bool granted = false;
+        disk.acquire([&granted] { granted = true; });
+        disk.release();
+        EXPECT_TRUE(granted);
+    }
+    g_counting = false;
+    EXPECT_EQ(g_new_calls, 0u);
+#endif
 }
 
 }  // namespace

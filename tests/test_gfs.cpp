@@ -145,18 +145,6 @@ TEST(Cluster, LocationCachingSkipsSecondLookup) {
         EXPECT_NE(name, "master.lookup");
 }
 
-TEST(Cluster, NoCachingRepaysLookup) {
-    auto cfg = small_config();
-    cfg.client_caches_locations = false;
-    Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
-    const auto second = cluster.submit({.time = 1.0, .file = "f", .offset = 0,
-                                        .size = 4096, .type = IoType::kRead});
-    cluster.run();
-    SpanTree tree(cluster.traces().spans, second);
-    EXPECT_EQ(tree.phase_sequence()[1], "master.lookup");
-}
-
 TEST(Cluster, ReplicationWritesAllReplicas) {
     GfsConfig cfg;
     cfg.n_chunkservers = 3;
@@ -245,19 +233,22 @@ TEST(Cluster, CompletedCountsRequests) {
 
 TEST(Cluster, RefusedSubmitKeepsNoCallback) {
     // A time the engine refuses throws from submit() and drops the
-    // callback there; the cluster still runs what it accepts.
+    // callback there, and it takes no request id (end_input() counts
+    // settled requests against the ids handed out); the cluster still
+    // runs what it accepts.
     Cluster cluster(small_config());
     cluster.create_file("f", 64ull << 20);
     const auto held = std::make_shared<int>(0);
     for (const double t : {-1.0, std::numeric_limits<double>::quiet_NaN()})
         EXPECT_THROW(cluster.submit({.time = t, .file = "f", .offset = 0, .size = 4096,
                                      .type = IoType::kRead},
-                                    [held](double) { ++*held; }),
+                                    [held] { ++*held; }),
                      std::invalid_argument);
     EXPECT_EQ(held.use_count(), 1);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
-                    .type = IoType::kRead},
-                   [held](double) { ++*held; });
+    const auto id = cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+                                    .type = IoType::kRead},
+                                   [held] { ++*held; });
+    EXPECT_EQ(id, 0u);
     cluster.run();
     EXPECT_EQ(cluster.completed(), 1u);
     EXPECT_EQ(*held, 1);

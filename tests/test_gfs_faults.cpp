@@ -5,6 +5,7 @@
 // chunk->LBN mapping, and the retries-exhausted network record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -88,7 +89,6 @@ TEST(FailoverRegression, CachedDeadPrimaryTimeoutPaidOnce) {
     GfsConfig cfg;
     cfg.n_chunkservers = 3;
     cfg.replication = 2;
-    ASSERT_TRUE(cfg.client_caches_locations);
     Cluster cluster(cfg);
     cluster.create_file("f", 64ull << 20);  // one chunk on servers {0, 1}
     cluster.server(0).set_failed(true);
@@ -472,6 +472,38 @@ TEST(FaultDrain, ReplicatedFaultedCaptureTerminates) {
     const auto res = core::run_capture(opts);
     EXPECT_EQ(res.completed + res.failed, 300u);
     EXPECT_GT(res.crashes, 0u);
+}
+
+// The same configuration installed as a whole Workload: install() ends
+// the cluster's input, so the lazy fault chains stop once the last
+// request has settled. run_until bounds the run, so an input that never
+// ends shows as crashes after the last request instead of a hang.
+TEST(FaultDrain, InstalledWorkloadStopsFaultsAfterLastRequest) {
+    GfsConfig cfg;
+    cfg.n_chunkservers = 4;
+    cfg.replication = 3;
+    cfg.seed = 7;
+    cfg.faults.enabled = true;
+    cfg.faults.mtbf = 10.0;
+    cfg.faults.mttr = 1.0;
+    cfg.faults.horizon = 0.0;
+    Cluster cluster(cfg);
+    workloads::OltpProfile({.count = 300, .base_rate = 20.0})
+        .generate(sim::Rng(7))
+        .install(cluster);
+    cluster.engine().run_until(200.0);
+    ASSERT_EQ(cluster.completed() + cluster.failed_requests(), 300u);
+    ASSERT_GT(cluster.fault_injector()->crashes(), 0u);
+    const auto ts = cluster.traces();
+    double last_settled = 0.0;
+    for (const auto& r : ts.requests) last_settled = std::max(last_settled, r.completion);
+    for (const auto& f : ts.failures)
+        if (f.kind == FailureRecord::Kind::kRequestFailed)
+            last_settled = std::max(last_settled, f.time);
+    std::size_t late_crashes = 0;
+    for (const auto& f : ts.failures)
+        if (f.kind == FailureRecord::Kind::kCrash && f.time > last_settled) ++late_crashes;
+    EXPECT_EQ(late_crashes, 0u) << "last request settled at " << last_settled;
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "trace/csv.hpp"
 #include "trace/features.hpp"
 #include "trace/records.hpp"
+#include "trace/sink.hpp"
 #include "trace/span.hpp"
 #include "trace/traceset.hpp"
 
@@ -39,26 +40,30 @@ TEST(Records, RequestLatency) {
 }
 
 TEST(SpanTracer, RecordsWhenSampled) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(0, 0, "request", 0.0);
     const auto child = t.start_span(0, root, "disk.io", 0.1);
     t.end_span(child, 0.2);
     t.end_span(root, 0.3);
-    ASSERT_EQ(t.spans().size(), 2u);
-    EXPECT_EQ(t.spans()[0].name, "disk.io");
-    EXPECT_DOUBLE_EQ(t.spans()[1].duration(), 0.3);
+    ASSERT_EQ(recorded.spans.size(), 2u);
+    EXPECT_EQ(recorded.spans[0].name, "disk.io");
+    EXPECT_DOUBLE_EQ(recorded.spans[1].duration(), 0.3);
 }
 
 TEST(SpanTracer, HeadSamplingDropsWholeTraces) {
     const auto& hist = kooza::obs::histogram("trace.phase.request.duration_ns",
                                              kooza::obs::Unit::kNanoseconds);
     const auto observed = hist.count();
-    SpanTracer t(10);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(10, sink);
     for (TraceId id = 0; id < 100; ++id) {
         const auto s = t.start_span(id, 0, "request", 0.0);
         t.end_span(s, 1.0);
     }
-    EXPECT_EQ(t.sampled_trace_count(), 10u);  // ids 0,10,...,90
+    EXPECT_EQ(SpanTree::trace_ids(recorded.spans).size(), 10u);  // ids 0,10,...,90
     EXPECT_EQ(t.operations_requested(), 200u);
     EXPECT_EQ(t.operations_recorded(), 20u);
     // The phase histograms see the sampled traces only.
@@ -66,28 +71,34 @@ TEST(SpanTracer, HeadSamplingDropsWholeTraces) {
 }
 
 TEST(SpanTracer, UnsampledHandleIsNoop) {
-    SpanTracer t(2);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(2, sink);
     const auto s = t.start_span(1, 0, "request", 0.0);  // id 1 not sampled
     EXPECT_EQ(s, 0u);
     EXPECT_NO_THROW(t.end_span(s, 1.0));
-    EXPECT_TRUE(t.spans().empty());
+    EXPECT_TRUE(recorded.spans.empty());
 }
 
 TEST(SpanTracer, UnknownHandleThrows) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     EXPECT_THROW(t.end_span(99, 1.0), std::logic_error);
-    EXPECT_THROW(SpanTracer(0), std::invalid_argument);
+    EXPECT_THROW(SpanTracer(0, sink), std::invalid_argument);
 }
 
 TEST(SpanTracer, EndingTwiceThrows) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(1, 0, "request", 0.0);
     const auto child = t.start_span(1, root, "disk.io", 0.1);
     t.end_span(child, 0.2);
     EXPECT_THROW(t.end_span(child, 0.3), std::logic_error);  // behind an open root
     t.end_span(root, 0.4);
     EXPECT_THROW(t.end_span(root, 0.5), std::logic_error);  // table empty
-    EXPECT_EQ(t.spans().size(), 2u);
+    EXPECT_EQ(recorded.spans.size(), 2u);
 }
 
 TEST(SpanTracer, LongLivedRootOutlivesManyChildren) {
@@ -95,7 +106,9 @@ TEST(SpanTracer, LongLivedRootOutlivesManyChildren) {
     // that stays open pins every later slot until it closes. Odd children
     // close after the next child, out of opening order.
     constexpr SpanId kChildren = 10'000;
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(3, 0, "request", 0.0);
     std::vector<SpanId> completed;
     SpanId held = 0;
@@ -118,7 +131,7 @@ TEST(SpanTracer, LongLivedRootOutlivesManyChildren) {
     t.end_span(held, 1e6);
     completed.push_back(held);
     t.end_span(root, 1e9);
-    const auto& spans = t.spans();
+    const auto& spans = recorded.spans;
     ASSERT_EQ(spans.size(), kChildren + 1);
     for (std::size_t i = 0; i < completed.size(); ++i) {
         ASSERT_EQ(spans[i].span_id, completed[i]) << i;
@@ -175,17 +188,10 @@ TEST(SpanName, ConcurrentInterningAgrees) {
         }
 }
 
-TEST(SpanTracer, ClearResets) {
-    SpanTracer t(1);
-    const auto s = t.start_span(0, 0, "request", 0.0);
-    t.end_span(s, 1.0);
-    t.clear();
-    EXPECT_TRUE(t.spans().empty());
-    EXPECT_EQ(t.operations_requested(), 0u);
-}
-
 std::vector<Span> make_tree_spans() {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(7, 0, "request", 0.0);
     const auto rx = t.start_span(7, root, "net.rx", 0.0);
     t.end_span(rx, 0.1);
@@ -194,7 +200,7 @@ std::vector<Span> make_tree_spans() {
     const auto io = t.start_span(7, root, "disk.io", 0.2);
     t.end_span(io, 0.8);
     t.end_span(root, 1.0);
-    return t.spans();
+    return recorded.spans;
 }
 
 TEST(SpanTree, BuildsAndOrders) {

@@ -16,6 +16,7 @@
 #include "trace/binary.hpp"
 #include "trace/csv.hpp"
 #include "trace/features.hpp"
+#include "trace/sink.hpp"
 #include "trace/span.hpp"
 #include "trace/traceset.hpp"
 
@@ -119,12 +120,14 @@ TraceSet busy_traceset(std::size_t n) {
 TEST(SpanEdges, MultipleRootsPerTraceTolerated) {
     // A trace with two root spans (e.g. client retried and re-rooted):
     // the tree picks the first root by start time and still renders.
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto r1 = t.start_span(5, 0, "request", 0.0);
     t.end_span(r1, 1.0);
     const auto r2 = t.start_span(5, 0, "request", 2.0);
     t.end_span(r2, 3.0);
-    SpanTree tree(t.spans(), 5);
+    SpanTree tree(recorded.spans, 5);
     EXPECT_EQ(tree.root().start, 0.0);
     EXPECT_FALSE(tree.render().empty());
 }
@@ -132,21 +135,25 @@ TEST(SpanEdges, MultipleRootsPerTraceTolerated) {
 TEST(SpanEdges, OrphanParentTreatedAsLeaf) {
     // A child whose parent was never recorded (partial trace) is still in
     // the tree's span list; render starts from the root that exists.
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto root = t.start_span(7, 0, "request", 0.0);
     const auto orphan = t.start_span(7, 9999, "lost.child", 0.1);
     t.end_span(orphan, 0.2);
     t.end_span(root, 1.0);
-    SpanTree tree(t.spans(), 7);
+    SpanTree tree(recorded.spans, 7);
     EXPECT_EQ(tree.spans().size(), 2u);
     EXPECT_EQ(tree.children_of(tree.root().span_id).size(), 0u);
 }
 
 TEST(SpanEdges, ZeroDurationSpans) {
-    SpanTracer t(1);
+    TraceSet recorded;
+    MemorySink sink(recorded);
+    SpanTracer t(1, sink);
     const auto s = t.start_span(1, 0, "instant", 5.0);
     t.end_span(s, 5.0);
-    SpanTree tree(t.spans(), 1);
+    SpanTree tree(recorded.spans, 1);
     EXPECT_DOUBLE_EQ(tree.total_duration(), 0.0);
     EXPECT_DOUBLE_EQ(tree.phase_durations()[0], 0.0);
 }

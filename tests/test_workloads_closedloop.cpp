@@ -400,7 +400,7 @@ TEST(ClosedLoopCapture, SubmitCallbackReportsFailureAsNegativeLatency) {
         s.file = "cb.dat";
         s.size = 64ull << 10;
         s.client = client;
-        cluster.submit(s, [&latencies](double l) { latencies.push_back(l); });
+        cluster.submit(s, [&] { latencies.push_back(cluster.last_latency()); });
     };
     submit(0.0, 0);
     submit(0.0, 1);  // same instant: one admitted, one bounced
