@@ -11,9 +11,13 @@
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
-#include <variant>
+#include <utility>
 
 #include "obs/metrics.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 // The column payloads are written and bulk-loaded as native integers;
 // the on-disk spec is little-endian, so a big-endian port would need
@@ -136,7 +140,9 @@ fs::path stream_path(const fs::path& dir, std::size_t stream_id, const char* ext
 
 /// Append a batch of records to one stream's columns, column by column:
 /// field c of every record lands in column c through a single resize
-/// and a tight fixed-stride store loop.
+/// and a tight fixed-stride store loop. With spilling on, a column's
+/// first append reserves the whole spill buffer, so it fills up to its
+/// first spill without a reallocation.
 template <typename S>
 void BinaryWriter::encode(const S& s, std::span<const typename S::Record> rs) {
     if (rs.empty()) return;
@@ -145,6 +151,7 @@ void BinaryWriter::encode(const S& s, std::span<const typename S::Record> rs) {
     for_each_field(s, [&](const auto& f) {
         using T = typename std::remove_cvref_t<decltype(f)>::Type;
         auto& b = stream.cols[c++].bytes;
+        if (b.capacity() < spill_buffer_bytes_) b.reserve(spill_buffer_bytes_);
         const auto old = b.size();
         b.resize(old + rs.size() * wire_width<T>);
         std::uint8_t* p = b.data() + old;
@@ -172,6 +179,77 @@ std::uint32_t BinaryWriter::name_index(SpanName name) {
     return ix;
 }
 
+namespace {
+
+#if defined(__x86_64__)
+#define KOOZA_CLMUL __attribute__((target("pclmul,sse4.1")))
+
+/// x folded over k (x's low qword times k's low, high times high) plus
+/// the next 16 bytes y.
+KOOZA_CLMUL __m128i fold16(__m128i x, __m128i k, __m128i y) noexcept {
+    return _mm_xor_si128(
+        _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11)),
+        y);
+}
+
+KOOZA_CLMUL __m128i load16(const std::uint8_t* p) noexcept {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Fold `len` bytes at `p` (a multiple of 16, at least 64) into the CRC
+/// register `c`, which holds the pre-inverted running value, and return
+/// the register. Four 128-bit lanes are folded 64 bytes at a time by
+/// carry-less multiplies with x^(512±32) mod P, then folded into one lane
+/// (x^(128±32) mod P) and 16 bytes at a time, reduced to 64 bits and
+/// Barrett-reduced to 32 (Intel's PCLMULQDQ CRC paper, 2009). The
+/// constants are those of the bit-reflected polynomial 0xEDB88320, as in
+/// zlib's and Linux's x86 paths: k1..k5, then P' and mu for the
+/// reduction.
+KOOZA_CLMUL std::uint32_t crc32_fold(const std::uint8_t* p, std::size_t len,
+                                     std::uint32_t c) noexcept {
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);  // mu, P'
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+    __m128i x1 = _mm_xor_si128(load16(p), _mm_cvtsi32_si128(int(c)));
+    __m128i x2 = load16(p + 16);
+    __m128i x3 = load16(p + 32);
+    __m128i x4 = load16(p + 48);
+    for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+        x1 = fold16(x1, k1k2, load16(p));
+        x2 = fold16(x2, k1k2, load16(p + 16));
+        x3 = fold16(x3, k1k2, load16(p + 32));
+        x4 = fold16(x4, k1k2, load16(p + 48));
+    }
+    x1 = fold16(x1, k3k4, x2);
+    x1 = fold16(x1, k3k4, x3);
+    x1 = fold16(x1, k3k4, x4);
+    for (; len >= 16; p += 16, len -= 16) x1 = fold16(x1, k3k4, load16(p));
+
+    // 128 -> 64 bits, then 64 -> 32 via k5.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+    // Barrett reduction to the 32-bit remainder.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return std::uint32_t(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+#undef KOOZA_CLMUL
+
+bool has_clmul() noexcept {
+    static const bool yes = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+    }();
+    return yes;
+}
+#endif
+
+}  // namespace
+
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexcept {
     // Slicing-by-8: table[0] is the classic byte-at-a-time table; table[s]
     // advances a byte s extra positions through the shift register, so the
@@ -193,6 +271,14 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexc
     const auto& t = tables;
     std::uint32_t c = seed ^ 0xFFFFFFFFu;
     const auto* p = static_cast<const std::uint8_t*>(data);
+#if defined(__x86_64__)
+    if (len >= 64 && has_clmul()) {
+        const std::size_t n = len & ~std::size_t(15);
+        c = crc32_fold(p, n, c);
+        p += n;
+        len -= n;
+    }
+#endif
     while (len >= 8) {
         std::uint32_t lo, hi;
         std::memcpy(&lo, p, 4);
@@ -229,20 +315,27 @@ void BinaryWriter::check_open() const {
 }
 
 void BinaryWriter::append(const TraceSet& chunk) {
-    check_open();
-    for_each_stream([&](const auto& s) { encode(s, std::span(chunk.*s.records)); });
-    records_ += chunk.total_records();
+    for_each_stream([&](const auto& s) { append(std::span(std::as_const(chunk.*s.records))); });
     spill_full_columns();
 }
 
-void BinaryWriter::append(const AnyRecord& record) {
+template <typename R>
+void BinaryWriter::append(std::span<const R> records) {
     check_open();
-    visit_stream(StreamId(record.index()), [&](const auto& s) {
-        using Rec = typename std::remove_cvref_t<decltype(s)>::Record;
-        encode(s, std::span(std::get_if<Rec>(&record), 1));
+    for_each_stream([&](const auto& s) {
+        if constexpr (std::is_same_v<typename std::remove_cvref_t<decltype(s)>::Record, R>)
+            encode(s, records);
     });
-    ++records_;
+    records_ += records.size();
 }
+
+template void BinaryWriter::append(std::span<const StorageRecord>);
+template void BinaryWriter::append(std::span<const CpuRecord>);
+template void BinaryWriter::append(std::span<const MemoryRecord>);
+template void BinaryWriter::append(std::span<const NetworkRecord>);
+template void BinaryWriter::append(std::span<const RequestRecord>);
+template void BinaryWriter::append(std::span<const FailureRecord>);
+template void BinaryWriter::append(std::span<const Span>);
 
 void BinaryWriter::spill_full_columns() {
     if (spill_buffer_bytes_ == 0) return;

@@ -46,21 +46,29 @@ inline constexpr std::uint32_t kBinaryVersion = 1;
 /// previous return value as `seed` continues the checksum, so
 /// crc32(b, nb, crc32(a, na)) == crc32(a || b) — the chaining the spill
 /// path relies on.
+///
+/// On an x86-64 CPU that reports PCLMULQDQ and SSE4.1 (checked once, at
+/// run time) the 16-byte-multiple prefix of a buffer of 64 bytes or more
+/// is folded by carry-less multiplies, four 128-bit lanes at a time, and
+/// Barrett-reduced (Intel, "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ", 2009); slicing-by-8 tables take the tail and every
+/// other CPU. Both give the same value.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len,
                                   std::uint32_t seed = 0) noexcept;
 
 /// Buffered streaming writer: append records as they are captured (no
 /// full-TraceSet materialization required by the caller), then finish()
 /// to lay the files down. Both append overloads encode through the one
-/// encoder the schema.hpp table drives, and columns are buffered per
-/// stream, so the output is byte-identical however the records were
-/// batched.
+/// encoder the schema.hpp table drives, a batch at a time with one
+/// resize per column, and columns are buffered per stream, so the output
+/// is byte-identical however the records were batched.
 ///
-/// With `spill_buffer_bytes > 0`, spill_full_columns() flushes every
-/// column buffer that has reached that size to a temp file next to the
-/// output (CRC chained across flushes), keeping the writer's memory flat
-/// for arbitrarily long captures; finish() splices the spill files into
-/// the final sections. The produced bytes are identical either way.
+/// With `spill_buffer_bytes > 0`, each column buffer is reserved to that
+/// size at its first append, and spill_full_columns() flushes every
+/// column buffer that has reached it to a temp file next to the output
+/// (CRC chained across flushes), keeping the writer's memory flat for
+/// arbitrarily long captures; finish() splices the spill files into the
+/// final sections. The produced bytes are identical either way.
 ///
 /// Only finish() writes .bin files. A writer destroyed unfinished — its
 /// capture failed and the stack is unwinding — removes its spill files
@@ -77,11 +85,13 @@ public:
     /// spill_full_columns(). Throws std::logic_error after finish().
     void append(const TraceSet& chunk);
 
-    /// Append one record to its stream, a batch of one. Does not spill:
-    /// a caller appending record by record calls spill_full_columns()
-    /// now and then (StreamingSink does every chunk_records records).
-    /// Throws std::logic_error after finish().
-    void append(const AnyRecord& record);
+    /// Append `records` to the stream of their type (a schema.hpp record
+    /// type), one batch. Does not spill: a caller appending batch by
+    /// batch calls spill_full_columns() now and then (StreamingSink does
+    /// every chunk_records records of a stream). Throws std::logic_error
+    /// after finish().
+    template <typename R>
+    void append(std::span<const R> records);
 
     /// Flush every column buffer holding at least spill_buffer_bytes to
     /// its temp file; a no-op when spill_buffer_bytes is 0.

@@ -3,8 +3,9 @@
 // TraceSet member and its fields in column order. Everything that lays
 // out a stream reads this table: write_csv's header and rows and
 // read_csv's parser (csv.cpp); kooza.trace/1's column spec, schema hash,
-// widths, encoder and decoder (binary.cpp); and TraceSet's per-stream
-// functions (traceset.cpp).
+// widths, encoder and decoder (binary.cpp); TraceSet's per-stream
+// functions (traceset.cpp); and StreamingSink's typed per-stream queues
+// (PerStream, streaming.hpp).
 //
 // A field's C++ type picks its encoding in both formats, so both readers
 // enforce the same ranges:
@@ -24,7 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <tuple>
-#include <variant>
+#include <type_traits>
 #include <vector>
 
 #include "trace/traceset.hpp"
@@ -146,16 +147,29 @@ inline constexpr std::size_t kMaxFields = std::apply(
     [](const auto&... s) { return std::max({std::tuple_size_v<decltype(s.fields)>...}); },
     kStreams);
 
+/// The stream whose records are of type R.
+template <typename R>
+constexpr StreamId stream_of() {
+    StreamId id{};
+    for_each_stream([&id](const auto& s) {
+        if constexpr (std::is_same_v<typename std::remove_cvref_t<decltype(s)>::Record, R>)
+            id = s.id;
+    });
+    return id;
+}
+
 namespace detail {
-template <typename... S>
-std::variant<typename S::Record...> any_record_of(const std::tuple<S...>&);
+template <template <typename> class T, typename... S>
+std::tuple<T<typename S::Record>...> per_stream_of(const std::tuple<S...>&);
 }  // namespace detail
 
-/// One record of any stream; the alternative index is its StreamId.
-using AnyRecord = decltype(detail::any_record_of(kStreams));
+/// One T<Record> per stream, in StreamId order: element i belongs to
+/// stream i, and std::get<T<R>> reaches R's stream.
+template <template <typename> class T>
+using PerStream = decltype(detail::per_stream_of<T>(kStreams));
 
 // Entry i is stream i: kStreamStems, the writer's and reader's per-stream
-// arrays and AnyRecord's alternative index all rely on it.
+// arrays and PerStream's element index all rely on it.
 static_assert([] {
     std::size_t i = 0;
     bool ok = true;

@@ -6,17 +6,22 @@
 // Two providers exist:
 //   - MemoryCapture (here): one in-memory TraceSet per group, put in
 //     canonical order when the capture is read back.
-//   - StreamingSink (streaming.hpp): orders records online and appends
-//     each released record straight into a BinaryWriter that spills its
-//     columns to disk, so a capture's peak memory stays flat however
-//     long the run is.
+//   - StreamingSink (streaming.hpp): orders records online in typed
+//     per-stream heaps and appends the released ones, in batches, to a
+//     BinaryWriter that spills its columns to disk, so a capture's peak
+//     memory stays flat however long the run is.
 //
 // The hold protocol: device records are *keyed* at issue time but only
 // *emitted* at completion, so a streaming sink cannot flush a timestamp
 // until every I/O issued at-or-before it has landed. An emitter that
 // knows a record with key `k` is coming calls open_hold(stream, k) at
 // issue and close_hold(stream, k) after the matching append (or after
-// deciding no record will be emitted). MemorySink ignores holds.
+// deciding no record will be emitted). Every emitter opens at the
+// engine clock, which StreamingSink's sorted hold runs make an append;
+// any key the stream's watermark has not passed is allowed. Closing a
+// hold that is not open is an error (StreamingSink throws
+// std::logic_error naming the stream and the key). MemorySink ignores
+// holds.
 #pragma once
 
 #include <cstddef>

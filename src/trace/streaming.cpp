@@ -1,8 +1,12 @@
 #include "trace/streaming.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 
@@ -19,6 +23,24 @@ struct StreamMetrics {
 StreamMetrics& metrics() {
     static StreamMetrics m;
     return m;
+}
+
+/// Min-heap order on (sort_key, group, seq): std::push_heap keeps the
+/// *largest* element first, so "later" is "larger".
+struct Later {
+    template <typename W>
+    bool operator()(const W& a, const W& b) const noexcept {
+        const double ka = sort_key(a.rec), kb = sort_key(b.rec);
+        if (ka != kb) return ka > kb;
+        if (a.group != b.group) return a.group > b.group;
+        return a.seq > b.seq;
+    }
+};
+
+/// `v` in its shortest round-trip form.
+std::string shortest(double v) {
+    char buf[32];
+    return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
 }
 
 }  // namespace
@@ -48,9 +70,7 @@ public:
 private:
     template <typename R>
     void push(const R& rec) {
-        AnyRecord any(rec);
-        const auto seq = seq_[any.index()]++;
-        owner_->push(group_, seq, sort_key(rec), std::move(any));
+        owner_->push(group_, seq_[std::size_t(stream_of<R>())]++, rec);
     }
 
     StreamingSink* owner_;
@@ -58,12 +78,57 @@ private:
     std::array<std::uint64_t, kStreamCount> seq_{};
 };
 
+void StreamingSink::Holds::open(double key) {
+    if (runs.empty() || runs.back().key < key) {
+        runs.push_back({key, 1});
+    } else if (runs.back().key == key) {
+        ++runs.back().count;
+    } else {
+        const auto it = std::lower_bound(
+            runs.begin() + std::ptrdiff_t(head), runs.end(), key,
+            [](const Run& r, double k) { return r.key < k; });
+        if (it != runs.end() && it->key == key)
+            ++it->count;
+        else
+            runs.insert(it, Run{key, 1});
+    }
+}
+
+bool StreamingSink::Holds::close(double key) {
+    const auto it = std::lower_bound(
+        runs.begin() + std::ptrdiff_t(head), runs.end(), key,
+        [](const Run& r, double k) { return r.key < k; });
+    if (it == runs.end() || it->key != key || it->count == 0) return false;
+    if (--it->count > 0) return true;
+    // Move the head past closed runs; drop them once they are at least
+    // half the vector (all of it when every hold is closed), so each run
+    // is moved at most once on average.
+    while (head < runs.size() && runs[head].count == 0) ++head;
+    if (2 * head >= runs.size()) {
+        runs.erase(runs.begin(), runs.begin() + std::ptrdiff_t(head));
+        head = 0;
+    }
+    return true;
+}
+
+double StreamingSink::Holds::earliest() const noexcept {
+    return head < runs.size() ? runs[head].key
+                              : std::numeric_limits<double>::infinity();
+}
+
+std::uint64_t StreamingSink::Holds::open_count() const noexcept {
+    std::uint64_t n = 0;
+    for (std::size_t i = head; i < runs.size(); ++i) n += runs[i].count;
+    return n;
+}
+
 StreamingSink::StreamingSink(Options opts, std::size_t n_groups)
     : opts_(std::move(opts)), writer_(opts_.dir, opts_.spill_buffer_bytes) {
     if (n_groups == 0)
         throw std::invalid_argument("StreamingSink: need at least one group");
     if (opts_.chunk_records == 0)
         throw std::invalid_argument("StreamingSink: chunk_records must be > 0");
+    std::apply([](auto&... q) { (q.batch.reserve(kBatchRecords), ...); }, queues_);
     shards_.reserve(n_groups);
     for (std::size_t g = 0; g < n_groups; ++g)
         shards_.push_back(
@@ -76,72 +141,91 @@ Sink& StreamingSink::group(std::size_t g) {
     return *shards_[g];
 }
 
-void StreamingSink::push(std::uint32_t group, std::uint64_t seq, double key,
-                         AnyRecord rec) {
+template <typename R>
+void StreamingSink::push(std::uint32_t group, std::uint64_t seq, const R& rec) {
     if (finished_)
         throw std::logic_error("StreamingSink: append after finish()");
-    auto& st = streams_[rec.index()];
-    st.heap.push(Pending{key, group, seq, std::move(rec)});
+    auto& q = std::get<Queue<R>>(queues_);
+    q.heap.push_back(Waiting<R>{group, seq, rec});
+    std::push_heap(q.heap.begin(), q.heap.end(), Later{});
     ++seen_;
-    ++pending_;
-    metrics().records.add();
-    metrics().pending.set(double(pending_));
-    release(st, /*drain_all=*/false);
+    pending_peak_ = std::max(pending_peak_, ++pending_);
+    release(q, /*drain_all=*/false);
 }
 
 void StreamingSink::open(StreamId stream, double key) {
-    streams_[std::size_t(stream)].holds.insert(key);
+    holds_[std::size_t(stream)].open(key);
 }
 
 void StreamingSink::close(StreamId stream, double key) {
-    auto& st = streams_[std::size_t(stream)];
-    const auto it = st.holds.find(key);
-    if (it == st.holds.end())
-        throw std::logic_error("StreamingSink: close_hold without open_hold");
-    st.holds.erase(it);
-    release(st, /*drain_all=*/false);
+    if (!holds_[std::size_t(stream)].close(key))
+        throw std::logic_error("StreamingSink: close_hold(" +
+                               std::string(kStreamStems[std::size_t(stream)]) +
+                               ", " + shortest(key) + ") without open_hold");
+    visit_stream(stream, [this](const auto& s) {
+        using R = typename std::remove_cvref_t<decltype(s)>::Record;
+        release(std::get<Queue<R>>(queues_), /*drain_all=*/false);
+    });
 }
 
-void StreamingSink::release(StreamState& st, bool drain_all) {
+template <typename R>
+void StreamingSink::release(Queue<R>& q, bool drain_all) {
+    auto& heap = q.heap;
+    if (heap.empty()) return;
     double watermark = std::numeric_limits<double>::infinity();
     if (!drain_all) {
         // A held key can still receive its record; the simulation clock
         // bounds streams with no open holds (an emitter can only produce
         // new records keyed at or after now).
-        if (!st.holds.empty()) watermark = *st.holds.begin();
+        watermark = holds_[std::size_t(stream_of<R>())].earliest();
+        if (!(sort_key(heap.front().rec) < watermark)) return;
         if (clock_) watermark = std::min(watermark, clock_());
     }
-    while (!st.heap.empty() &&
-           (drain_all || st.heap.top().key < watermark)) {
-        writer_.append(st.heap.top().rec);
-        st.heap.pop();
+    while (!heap.empty() && (drain_all || sort_key(heap.front().rec) < watermark)) {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        q.batch.push_back(heap.back().rec);
+        heap.pop_back();
         --pending_;
-        if (++st.chunk_count >= opts_.chunk_records) {
+        if (++q.chunk_count >= opts_.chunk_records) {
+            flush(q);
             writer_.spill_full_columns();
-            st.chunk_count = 0;
-            metrics().chunks.add();
+            q.chunk_count = 0;
+            ++chunks_;
+        } else if (q.batch.size() == kBatchRecords) {
+            flush(q);
         }
     }
 }
 
+template <typename R>
+void StreamingSink::flush(Queue<R>& q) {
+    writer_.append(std::span<const R>(q.batch));
+    q.batch.clear();
+}
+
 void StreamingSink::finish() {
     if (finished_) return;
-    for (std::size_t i = 0; i < streams_.size(); ++i)
-        if (!streams_[i].holds.empty())
+    for (std::size_t i = 0; i < holds_.size(); ++i)
+        if (const auto open = holds_[i].open_count(); open > 0)
             throw std::logic_error(
                 "StreamingSink::finish: stream " + std::to_string(i) + " has " +
-                std::to_string(streams_[i].holds.size()) +
-                " open holds (emitter leaked a hold)");
-    for (auto& st : streams_) {
-        release(st, /*drain_all=*/true);
-        if (st.chunk_count > 0) {
-            st.chunk_count = 0;
-            metrics().chunks.add();
+                std::to_string(open) + " open holds (emitter leaked a hold)");
+    auto drain = [this](auto& q) {
+        release(q, /*drain_all=*/true);
+        flush(q);
+        if (q.chunk_count > 0) {
+            q.chunk_count = 0;
+            ++chunks_;
         }
-    }
-    metrics().pending.set(0.0);
+    };
+    std::apply([&drain](auto&... q) { (drain(q), ...); }, queues_);
     writer_.finish();
     finished_ = true;
+    auto& m = metrics();
+    m.records.add(seen_);
+    m.chunks.add(chunks_);
+    m.pending.set(double(pending_peak_));
+    m.pending.set(0.0);
 }
 
 }  // namespace kooza::trace

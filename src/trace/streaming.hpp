@@ -10,16 +10,20 @@
 // TraceSet::sort_by_time's stable per-stream sort also uses — so that
 // sort over the group-concatenated collectors yields exactly this order.
 // StreamingSink emits records in that order online:
-//   - every record enters a per-stream min-heap keyed (sort_key, group, seq);
+//   - every record enters its stream's typed min-heap keyed
+//     (sort_key, group, seq), one heap per stream of schema.hpp's table;
 //   - emitters open a *hold* at issue time for records that are keyed in
-//     the past but not yet appended (sink.hpp's hold protocol);
+//     the past but not yet appended (sink.hpp's hold protocol); a
+//     stream's open holds are (key, count) runs in ascending key order;
 //   - a record leaves the heap only once its key is strictly below the
 //     stream's watermark = min(earliest open hold, simulation now) — at
 //     that point no earlier-keyed record can still arrive.
-// Each drained record is appended straight into the BinaryWriter, a
-// batch of one through the encoder every kooza.trace/1 file is written
-// with; every `chunk_records` records of a stream the writer spills its
-// full column buffers to temp files, so it is flat too.
+// Released records collect in a typed batch per stream, which goes to
+// the BinaryWriter in one append (the encoder every kooza.trace/1 file
+// is written with) when it holds kBatchRecords records, before every
+// spill check and at finish(). Every `chunk_records` records of a stream
+// the writer spills its full column buffers to temp files, so it is flat
+// too. The sink's tallies are published once, at finish().
 #pragma once
 
 #include <array>
@@ -27,8 +31,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <set>
 #include <vector>
 
 #include "trace/binary.hpp"
@@ -60,10 +62,14 @@ public:
     /// its engine's now().
     void set_clock(std::function<double()> now) { clock_ = std::move(now); }
 
-    /// Drain every heap and finalize the seven .bin files. Throws
+    /// Drain every heap, finalize the seven .bin files and publish the
+    /// sink's tallies (trace.stream.records_total,
+    /// trace.stream.chunks_flushed_total and the
+    /// trace.stream.pending_records high-water mark). Throws
     /// std::logic_error if any hold is still open (an emitter leak) and
     /// std::runtime_error on I/O failure. Idempotent. A sink destroyed
-    /// unfinished (its capture threw) writes no .bin file at all.
+    /// unfinished (its capture threw) writes no .bin file and publishes
+    /// nothing.
     void finish();
 
     /// Records accepted so far (all streams).
@@ -72,41 +78,70 @@ public:
 private:
     friend class StreamingShard;
 
-    struct Pending {
-        double key = 0.0;
-        std::uint32_t group = 0;
-        std::uint64_t seq = 0;
-        AnyRecord rec;
+    /// Released records a stream batches before one writer append (about
+    /// 48 KB for the widest record).
+    static constexpr std::size_t kBatchRecords = 1024;
+
+    /// A stream's open holds: (key, open count) runs in ascending key
+    /// order from `head`. Emitters open at the engine clock, so an open
+    /// almost always appends a run or bumps the last one; a key below the
+    /// last run is inserted at its place. Runs before `head` are closed,
+    /// and they are dropped once they are at least half the vector.
+    struct Holds {
+        struct Run {
+            double key;
+            std::uint64_t count;
+        };
+        std::vector<Run> runs;
+        std::size_t head = 0;
+
+        void open(double key);
+        /// False when no hold at `key` is open.
+        bool close(double key);
+        /// The earliest open key; +inf when none is open.
+        [[nodiscard]] double earliest() const noexcept;
+        [[nodiscard]] std::uint64_t open_count() const noexcept;
     };
-    struct Later {  // min-heap on (key, group, seq)
-        bool operator()(const Pending& a, const Pending& b) const noexcept {
-            if (a.key != b.key) return a.key > b.key;
-            if (a.group != b.group) return a.group > b.group;
-            return a.seq > b.seq;
-        }
+
+    /// A record waiting for the watermark, with its tie-breakers.
+    template <typename R>
+    struct Waiting {
+        std::uint32_t group;
+        std::uint64_t seq;
+        R rec;
     };
-    struct StreamState {
-        std::priority_queue<Pending, std::vector<Pending>, Later> heap;
-        std::multiset<double> holds;
+    /// One stream's records: the min-heap on (sort_key, group, seq) of
+    /// those still waiting, and the released batch not yet encoded.
+    template <typename R>
+    struct Queue {
+        std::vector<Waiting<R>> heap;
+        std::vector<R> batch;
         std::size_t chunk_count = 0;  ///< released since the last spill check
     };
 
-    /// Queue `rec` on its stream (the AnyRecord index).
-    void push(std::uint32_t group, std::uint64_t seq, double key, AnyRecord rec);
+    template <typename R>
+    void push(std::uint32_t group, std::uint64_t seq, const R& rec);
     void open(StreamId stream, double key);
     void close(StreamId stream, double key);
-    /// Pop every record below the stream's watermark into the writer,
-    /// asking it to spill every chunk_records records. `drain_all`
-    /// ignores the watermark (finish()).
-    void release(StreamState& st, bool drain_all);
+    /// Pop every record below the stream's watermark into its batch,
+    /// flushing the batch and asking the writer to spill every
+    /// chunk_records records. `drain_all` ignores the watermark
+    /// (finish()).
+    template <typename R>
+    void release(Queue<R>& q, bool drain_all);
+    template <typename R>
+    void flush(Queue<R>& q);
 
     Options opts_;
     BinaryWriter writer_;
     std::function<double()> clock_;
-    std::array<StreamState, kStreamCount> streams_;
+    PerStream<Queue> queues_;
+    std::array<Holds, kStreamCount> holds_;
     std::vector<std::unique_ptr<Sink>> shards_;
     std::uint64_t seen_ = 0;
-    std::uint64_t pending_ = 0;  ///< records currently heap-buffered
+    std::uint64_t pending_ = 0;       ///< records currently heap-buffered
+    std::uint64_t pending_peak_ = 0;  ///< high-water mark of pending_
+    std::uint64_t chunks_ = 0;        ///< spill checks, as chunks_flushed_total
     bool finished_ = false;
 };
 

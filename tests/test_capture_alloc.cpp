@@ -10,14 +10,24 @@
 // spans sampled away; what remains is set-up, trace vectors growing, and
 // record pools growing to their peak concurrency.
 //
+// A streamed capture adds trace::StreamingSink's path: a stream's holds
+// are (key, count) runs in one vector, waiting records sit in a typed
+// heap per stream, released ones in a fixed-size batch, and the writer's
+// column buffers are reserved to the spill size once. Those vectors grow
+// to their peak and stay there, so the streamed request path stays off
+// the heap too; what remains is the spill and output files.
+//
 // Skipped under sanitizers: their interceptors own the allocator and the
 // replacement operators below would fight them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <optional>
+#include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "core/capture.hpp"
@@ -127,6 +137,27 @@ TEST(CaptureAlloc, OltpTracedRequestPathStaysOffTheHeap) {
 
 TEST(CaptureAlloc, SaturatedClosedLoopTracedRequestPathStaysOffTheHeap) {
     expect_allocs_per_request_at_most(saturated_closed_loop(), 0.5);
+}
+
+// bench_pipeline's dc-stream shape at a fifth of its size: 100 servers,
+// 8 KiB requests, one trace in 100 sampled, streamed to disk.
+TEST(CaptureAlloc, StreamedRequestPathStaysOffTheHeap) {
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("kooza_alloc_stream_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    CaptureOptions o;
+    o.profile = "micro";
+    o.n_servers = 100;
+    o.rate = 1000.0;
+    o.read_size = 8192;
+    o.write_size = 8192;
+    o.span_sample_every = 100;
+    o.collect_latencies = false;
+    o.stream = true;
+    o.out_dir = dir.string();
+    o.format = kooza::trace::Format::kBinary;
+    expect_allocs_per_request_at_most(o, 0.25);
+    std::filesystem::remove_all(dir);
 }
 
 #ifndef KOOZA_ALLOC_HOOKS_DISABLED

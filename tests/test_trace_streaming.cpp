@@ -1,12 +1,14 @@
 // StreamingSink / ChunkedReader / train_streaming — the streamed capture
 // path's unit contracts: canonical record ordering under the hold
-// protocol, chunk-size and spill-buffer invariance of the produced
-// bytes, kooza.trace/1 bytes pinned absolutely for three captures,
-// bounded-memory row-range reads agreeing with read_binary, and
-// Trainer::train_streaming producing a byte-identical model to training
-// on the materialized TraceSet.
+// protocol (holds opened out of clock order and sharing keys included),
+// chunk-size and spill-buffer invariance of the produced bytes, the
+// sink's tallies, kooza.trace/1 bytes pinned absolutely for three
+// captures, bounded-memory row-range reads agreeing with read_binary,
+// and Trainer::train_streaming producing a byte-identical model to
+// training on the materialized TraceSet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,8 +21,11 @@
 #include "core/capture.hpp"
 #include "core/serialize.hpp"
 #include "core/trainer.hpp"
+#include "obs/metrics.hpp"
+#include "sim/rng.hpp"
 #include "trace/binary.hpp"
 #include "trace/io.hpp"
+#include "trace/sink.hpp"
 #include "trace/streaming.hpp"
 
 #include "digest.hpp"
@@ -127,6 +132,149 @@ TEST(Streaming, HoldsReorderLateArrivalsCanonically) {
     expect_dirs_byte_equal(dir, mat);
     fs::remove_all(dir);
     fs::remove_all(mat);
+}
+
+// The Sink contract allows a hold at any key the stream's watermark has
+// not passed, not only at the clock: below the newest open key, on a key
+// other holds share, closed in any order. Seeded schedules over three
+// groups and two streams must still lay records down exactly as the
+// materialized path does. A second close of a closed key is an emitter
+// bug, and its error names the stream and the key.
+TEST(Streaming, HoldsBelowTheNewestKeyKeepCanonicalOrder) {
+    struct Hold {
+        StreamId stream;
+        std::size_t group;
+        double key;
+    };
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        sim::Rng rng(seed);
+        const auto dir = fresh_dir("kooza_stream_runs");
+        const auto mat = fresh_dir("kooza_stream_runs_mat");
+        double now = 0.0;
+        StreamingSink sink({.dir = dir, .chunk_records = 7, .spill_buffer_bytes = 256},
+                           /*n_groups=*/3);
+        sink.set_clock([&now] { return now; });
+        MemoryCapture expected(3);
+        std::vector<Hold> open;
+        std::uint64_t next_id = 0;
+
+        auto append = [&](StreamId stream, std::size_t group, double key) {
+            const std::uint64_t id = next_id++;
+            for (Sink* s : {&sink.group(group), &expected.group(group)}) {
+                if (stream == StreamId::kStorage)
+                    s->append(storage_at(key, id));
+                else
+                    s->append(CpuRecord{key, id, 1e-4, 0.5});
+            }
+        };
+        // The lowest key a new hold or record may take: the stream's
+        // watermark, min(earliest open hold, now).
+        auto floor_of = [&](StreamId stream) {
+            double w = now;
+            for (const auto& h : open)
+                if (h.stream == stream) w = std::min(w, h.key);
+            return w;
+        };
+        auto newest_of = [&](StreamId stream) {
+            double k = -1.0;
+            for (const auto& h : open)
+                if (h.stream == stream) k = std::max(k, h.key);
+            return k;
+        };
+
+        for (int step = 0; step < 3000; ++step) {
+            const auto stream = rng.uniform() < 0.5 ? StreamId::kStorage : StreamId::kCpu;
+            const auto group = std::size_t(rng.uniform_int(0, 2));
+            const double u = rng.uniform();
+            if (u < 0.15) {
+                now += double(rng.uniform_int(0, 3)) * 0.25;
+            } else if (u < 0.55 || open.empty()) {
+                double key = now;
+                const double lo = floor_of(stream), hi = newest_of(stream);
+                const double v = rng.uniform();
+                if (v < 0.3 && hi > lo)  // below the newest open key
+                    key = lo + double(rng.uniform_int(0, std::int64_t((hi - lo) / 0.25))) * 0.25;
+                else if (v < 0.5 && hi >= lo)  // on a key another hold has
+                    key = hi;
+                else if (v < 0.6)  // ahead of the clock
+                    key = now + 0.25 * double(rng.uniform_int(1, 4));
+                open.push_back({stream, group, key});
+                sink.group(group).open_hold(stream, key);
+            } else if (u < 0.9) {
+                // Close a random open hold, usually after its record.
+                const auto i = std::size_t(rng.uniform_int(0, std::int64_t(open.size()) - 1));
+                const Hold h = open[i];
+                open.erase(open.begin() + std::ptrdiff_t(i));
+                if (rng.uniform() < 0.9) append(h.stream, h.group, h.key);
+                sink.group(h.group).close_hold(h.stream, h.key);
+            } else {
+                append(stream, group, now);  // no hold: keyed at the clock
+            }
+        }
+        for (const Hold& h : open) {
+            append(h.stream, h.group, h.key);
+            sink.group(h.group).close_hold(h.stream, h.key);
+        }
+        sink.finish();
+        write_binary(expected.take(), mat);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expect_dirs_byte_equal(dir, mat);
+        fs::remove_all(dir);
+        fs::remove_all(mat);
+    }
+
+    const auto dir = fresh_dir("kooza_stream_reclose");
+    StreamingSink sink({.dir = dir}, 2);
+    sink.group(1).open_hold(StreamId::kStorage, 2.5);
+    sink.group(1).close_hold(StreamId::kStorage, 2.5);
+    try {
+        sink.group(1).close_hold(StreamId::kStorage, 2.5);
+        ADD_FAILURE() << "a second close of a closed hold did not throw";
+    } catch (const std::logic_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("storage"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("2.5"), std::string::npos) << msg;
+    }
+    sink.finish();
+    fs::remove_all(dir);
+}
+
+// The sink counts its records, spill checks and heap high-water mark
+// itself and publishes them once, at finish(): the totals are what a
+// per-record tally would have reached.
+TEST(Streaming, TalliesPublishedAtFinish) {
+    auto& records = obs::counter("trace.stream.records_total");
+    auto& chunks = obs::counter("trace.stream.chunks_flushed_total");
+    auto& pending = obs::gauge("trace.stream.pending_records");
+    const std::uint64_t records_before = records.value();
+    const std::uint64_t chunks_before = chunks.value();
+    pending.reset();
+
+    const auto dir = fs::temp_directory_path() /
+                     ("kooza_stream_tallies_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    core::CaptureOptions o;
+    o.profile = "oltp";
+    o.count = 2000;
+    o.seed = 7;
+    o.out_dir = dir.string();
+    o.format = Format::kBinary;
+    o.stream = true;
+    o.chunk_records = 333;
+    const auto res = core::run_capture(o);
+    ASSERT_GT(res.records, 0u);
+
+    std::uint64_t expected_chunks = 0;
+    {
+        ChunkedReader reader(dir);
+        for (std::size_t s = 0; s < kStreamCount; ++s)
+            expected_chunks += (reader.rows(StreamId(s)) + 332) / 333;
+    }
+    EXPECT_EQ(records.value() - records_before, res.records);
+    EXPECT_EQ(chunks.value() - chunks_before, expected_chunks);
+    EXPECT_EQ(pending.value(), 0.0);
+    EXPECT_GE(pending.max(), 1.0);
+    fs::remove_all(dir);
 }
 
 TEST(Streaming, TiesBreakByGroupThenSequence) {
