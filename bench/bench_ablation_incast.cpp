@@ -38,8 +38,8 @@ Point run_point(std::size_t fan_in) {
     cfg.net.buffer_frames = 16;
     cfg.net.retry_timeout = 0.05;
     gfs::Cluster cluster(cfg);
-    cluster.create_file("wide", kStripe * fan_in);
-    cluster.submit({0.0, "wide", 0, kStripe * fan_in, IoType::kRead, 0});
+    const gfs::FileId wide = cluster.create_file("wide", kStripe * fan_in);
+    cluster.submit({0.0, wide, 0, kStripe * fan_in, IoType::kRead, 0});
     cluster.run();
     p.sim_latency = cluster.latencies().at(0);
 

@@ -26,11 +26,11 @@ void print_fig1() {
     cfg.n_chunkservers = 3;
     cfg.replication = 3;
     gfs::Cluster cluster(cfg);
-    cluster.create_file("fig1.dat", 64ull << 20);
-    const auto read_id = cluster.submit(
-        {0.0, "fig1.dat", 0, 64ull << 10, IoType::kRead, 0});
-    const auto write_id = cluster.submit(
-        {1.0, "fig1.dat", 8ull << 20, 4ull << 20, IoType::kWrite, 0});
+    const gfs::FileId fig1 = cluster.create_file("fig1.dat", 64ull << 20);
+    const auto read_id =
+        cluster.submit({0.0, fig1, 0, 64ull << 10, IoType::kRead, 0});
+    const auto write_id =
+        cluster.submit({1.0, fig1, 8ull << 20, 4ull << 20, IoType::kWrite, 0});
     cluster.run();
     const auto ts = cluster.traces();
 
@@ -48,8 +48,8 @@ void BM_TraceOneRequest(benchmark::State& state) {
     for (auto _ : state) {
         gfs::GfsConfig cfg;
         gfs::Cluster cluster(cfg);
-        cluster.create_file("f", 64ull << 20);
-        cluster.submit({0.0, "f", 0, 64ull << 10, IoType::kRead, 0});
+        const gfs::FileId f = cluster.create_file("f", 64ull << 20);
+        cluster.submit({0.0, f, 0, 64ull << 10, IoType::kRead, 0});
         cluster.run();
         benchmark::DoNotOptimize(cluster.traces().spans.size());
     }

@@ -31,11 +31,9 @@ workloads::Workload training_workload(std::size_t repetitions) {
     workloads::Workload w;
     w.files.emplace_back("validate.dat", 64ull << 20);
     for (std::size_t i = 0; i < repetitions; ++i) {
+        w.requests.push_back({double(i), 0, 0, 64ull << 10, IoType::kRead, 0});
         w.requests.push_back(
-            {double(i), "validate.dat", 0, 64ull << 10, IoType::kRead, 0});
-        w.requests.push_back(
-            {double(i) + 0.5, "validate.dat", 8ull << 20, 4ull << 20, IoType::kWrite,
-             0});
+            {double(i) + 0.5, 0, 8ull << 20, 4ull << 20, IoType::kWrite, 0});
     }
     return w;
 }

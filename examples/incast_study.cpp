@@ -31,8 +31,8 @@ double simulate_gfs(std::size_t fan_in, std::uint64_t& drops) {
     cfg.net.buffer_frames = 16;
     cfg.net.retry_timeout = 0.05;
     gfs::Cluster cluster(cfg);
-    cluster.create_file("wide", kStripe * fan_in);
-    cluster.submit({0.0, "wide", 0, kStripe * fan_in, IoType::kRead, 0});
+    const gfs::FileId wide = cluster.create_file("wide", kStripe * fan_in);
+    cluster.submit({0.0, wide, 0, kStripe * fan_in, IoType::kRead, 0});
     cluster.run();
     drops = 0;  // cluster-side drops are inside the client port; count via latency
     return cluster.latencies().at(0);

@@ -118,18 +118,19 @@ namespace {
 struct SchedulePump {
     gfs::Cluster& cluster;
     std::unique_ptr<workloads::ScheduleStream> stream;
-    gfs::RequestSpec pending{};  ///< the one request armed, due at its time
+    std::vector<gfs::FileId> ids{};  ///< the cluster's id for each stream file
+    gfs::RequestSpec pending{};      ///< the one request armed, due at its time
 
     void start() {
-        for (const auto& [name, size] : stream->files())
-            cluster.create_file(name, size);
+        ids = workloads::create_files(cluster, stream->files());
         arm();
     }
 
     void arm() {
         auto spec = stream->next();
         if (!spec) return cluster.end_input();
-        pending = std::move(*spec);
+        pending = *spec;
+        pending.file = ids[pending.file];
         cluster.engine().schedule_at(pending.time, [this] {
             cluster.submit(pending);
             arm();
@@ -146,10 +147,10 @@ struct SchedulePump {
 struct ClosedLoopDriver {
     gfs::Cluster& cluster;
     workloads::ClosedLoopPool pool;
+    std::vector<gfs::FileId> ids{};  ///< the cluster's id for each pool file
 
     void start() {
-        for (const auto& [name, size] : pool.files())
-            cluster.create_file(name, size);
+        ids = workloads::create_files(cluster, pool.files());
         const auto& p = pool.params();
         for (std::uint32_t c = 0; c < p.clients; ++c)
             for (std::size_t w = 0; w < p.outstanding; ++w) launch(c, 0.0);
@@ -159,6 +160,7 @@ struct ClosedLoopDriver {
         auto spec = pool.next(client, now);
         // Budget spent: the window drains and run() ends.
         if (!spec) return cluster.end_input();
+        spec->file = ids[spec->file];
         cluster.submit(*spec, [this, client] {
             // Failures and rejections refill too — a closed-loop client
             // moves on to its next request either way.

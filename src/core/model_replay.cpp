@@ -45,7 +45,6 @@ std::optional<gfs::RequestSpec> ModelReplayGenerator::poll() {
     gfs::RequestSpec r;
     r.time = s.time;
     r.type = s.type;
-    r.file = kReplayFile;
     r.size = std::min(s.storage_bytes, kReplayFileBytes);
     // The model's LBN counts disk blocks: its byte address in the
     // disk-sized file, 4 KB-aligned and kept in bounds.

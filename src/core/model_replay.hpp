@@ -4,10 +4,11 @@
 // Generator::generate — see model_walk.hpp) and maps each synthetic
 // request onto a gfs::RequestSpec, so captured-and-trained workloads can
 // be re-driven through the capture pipeline and cross-examined against
-// the originals. The one replay file is as large as the simulated disk
-// (hw::DiskParams), and a request sits at its LBN times the block size:
-// on one server, whose only file it is, the request reaches the disk at
-// its own LBN (rounded down to 4 KB).
+// the originals. The one replay file (index 0 of files()) is as large as
+// the simulated disk (hw::DiskParams), and a request sits at its LBN
+// times the block size: on one server, whose only file it is, chunk c
+// starts at block c × blocks per chunk (gfs::chunk_base_lbn), so the
+// request reaches the disk at its own LBN (rounded down to 4 KB).
 #pragma once
 
 #include <cstdint>

@@ -51,22 +51,6 @@ Client::Client(std::uint32_t id, sim::Engine& engine, const GfsConfig& cfg,
         engine_, cfg_.net, trace::NetworkRecord::Direction::kTx, &sink_);
 }
 
-std::uint64_t Client::lbn_of(ChunkHandle handle, std::uint64_t offset_in_chunk) const {
-    const std::uint64_t blocks_per_chunk =
-        std::max<std::uint64_t>(1, cfg_.chunk_size / cfg_.disk.block_size);
-    if (cfg_.disk.lbn_count <= blocks_per_chunk)
-        throw std::invalid_argument("Client: disk smaller than one chunk");
-    // Chunks map to disjoint chunk-aligned block ranges: the disk holds
-    // `slots` whole chunks and handles wrap onto aligned slots, so two
-    // live handles never straddle each other's range (the old
-    // `(handle*bpc) % (lbn_count-bpc)` produced overlapping, unaligned
-    // ranges once handles wrapped, corrupting the storage model's
-    // block-range states).
-    const std::uint64_t slots = cfg_.disk.lbn_count / blocks_per_chunk;
-    const std::uint64_t base = (handle % slots) * blocks_per_chunk;
-    return base + offset_in_chunk / cfg_.disk.block_size;
-}
-
 double Client::backoff_wait(std::uint32_t step) const {
     // A backoff factor <= 1 cannot grow the wait, so short-circuit: the
     // old loop ran all `step` iterations shrinking the wait toward zero,
@@ -82,20 +66,19 @@ double Client::backoff_wait(std::uint32_t step) const {
     return std::min(wait, cfg_.failover_timeout_max);
 }
 
-void Client::demote_cached_replica(const CacheKey& key, std::uint32_t failed_server) {
-    const auto it = location_cache_.find(key);
-    if (it == location_cache_.end()) return;
-    auto& servers = it->second.servers;
-    const auto pos = std::find(servers.begin(), servers.end(), failed_server);
-    if (pos != servers.end()) std::rotate(pos, pos + 1, servers.end());
+ChunkLocation* Client::cached(FileId file, std::uint64_t chunk) {
+    if (file >= location_cache_.size() || chunk >= location_cache_[file].size())
+        return nullptr;
+    ChunkLocation& loc = location_cache_[file][chunk];
+    return loc.servers.empty() ? nullptr : &loc;
 }
 
-void Client::issue(std::uint64_t request_id, const std::string& file,
-                   std::uint64_t offset, std::uint64_t size, trace::IoType type,
-                   sim::EventFn on_done) {
+void Client::issue(std::uint64_t request_id, FileId file, std::uint64_t offset,
+                   std::uint64_t size, trace::IoType type, sim::EventFn on_done) {
     if (size == 0) throw std::invalid_argument("Client::issue: size 0");
     if (offset + size > master_.file_size(file))
-        throw std::invalid_argument("Client::issue: beyond end of file " + file);
+        throw std::invalid_argument("Client::issue: beyond end of file " +
+                                    master_.name(file));
     const double arrival = engine_.now();
     // The RequestRecord is keyed at arrival but only emitted (or dropped,
     // on failure) at completion: hold the requests stream until then.
@@ -132,10 +115,9 @@ void Client::issue(std::uint64_t request_id, const std::string& file,
 void Client::lookup(std::uint32_t s) {
     Piece& p = pieces_[s];
     const Request& req = requests_[p.request];
-    const auto it = location_cache_.find(CacheKey(req.file, p.chunk_index));
-    if (it != location_cache_.end()) {
+    if (const ChunkLocation* loc = cached(req.file, p.chunk_index)) {
         metrics().cache_hits.add();
-        p.loc = it->second;
+        p.loc = *loc;
         return try_replica(s);
     }
     metrics().cache_misses.add();
@@ -161,12 +143,17 @@ void Client::located(std::uint32_t s) {
     const Request& req = requests_[p.request];
     finish_span(tracer_, p.span, engine_.now());
     // locate() lists replicas the master believes alive first.
-    const std::uint64_t offset = p.chunk_index * master_.chunk_size() + p.offset_in_chunk;
-    // Overwrite (never emplace) so a refreshed location replaces a stale
-    // one.
-    ChunkLocation& cached = location_cache_[CacheKey(req.file, p.chunk_index)];
-    cached = master_.locate(req.file, offset);
-    p.loc = cached;
+    const std::uint64_t chunk = master_.chunk_size();
+    const std::uint64_t offset = p.chunk_index * chunk + p.offset_in_chunk;
+    if (location_cache_.size() <= req.file) location_cache_.resize(req.file + 1);
+    auto& row = location_cache_[req.file];
+    // A slot for every chunk the file has now; record appends add more.
+    if (row.size() <= p.chunk_index)
+        row.resize(std::max(p.chunk_index + 1,
+                            (master_.file_size(req.file) + chunk - 1) / chunk));
+    // Overwrite so a refreshed location replaces a stale one.
+    row[p.chunk_index] = master_.locate(req.file, offset);
+    p.loc = row[p.chunk_index];
     try_replica(s);
 }
 
@@ -181,7 +168,8 @@ void Client::try_replica(std::uint32_t s) {
         // have re-replicated the chunk onto live servers by now.
         if (p.round < cfg_.client_retry_rounds) {
             metrics().retry_rounds.add();
-            location_cache_.erase(CacheKey(req.file, p.chunk_index));
+            if (ChunkLocation* loc = cached(req.file, p.chunk_index))
+                loc->servers.clear();
             const double wait = backoff_wait(p.backoff_step);
             p.span = begin_span(tracer_, req.id, req.root, span_names().failover,
                                 engine_.now());
@@ -202,14 +190,19 @@ void Client::try_replica(std::uint32_t s) {
     ChunkServer* target = servers_.at(p.loc.servers[p.attempt]).get();
     if (target->failed()) {
         // Wait out the (backed-off) RPC timeout, demote the dead replica
-        // in the cached location, then fail over to the next replica.
+        // to the back of the cached location (later requests try live
+        // replicas first), then fail over to the next replica.
         const double wait = backoff_wait(p.backoff_step);
         ++failovers_;
         metrics().failovers.add();
         sink_.append(trace::FailureRecord{engine_.now(), req.id, target->id(),
                                           trace::FailureRecord::Kind::kFailover, wait});
-        demote_cached_replica(CacheKey(req.file, p.chunk_index),
-                              p.loc.servers[p.attempt]);
+        if (ChunkLocation* loc = cached(req.file, p.chunk_index)) {
+            auto& servers = loc->servers;
+            const auto pos =
+                std::find(servers.begin(), servers.end(), p.loc.servers[p.attempt]);
+            if (pos != servers.end()) std::rotate(pos, pos + 1, servers.end());
+        }
         p.span =
             begin_span(tracer_, req.id, req.root, span_names().failover, engine_.now());
         ++p.attempt;
@@ -230,9 +223,10 @@ void Client::try_replica(std::uint32_t s) {
             if (!rep->failed()) chain_.push_back(rep);
         }
     }
-    target->handle(req.id, req.type, lbn_of(p.loc.handle, p.offset_in_chunk), p.size,
-                   req.root, *ingress_, chain_, [this, s] { piece_done(s); },
-                   [this, s] { reject(s); });
+    const std::uint64_t lbn =
+        chunk_base_lbn(cfg_, p.loc.handle) + p.offset_in_chunk / cfg_.disk.block_size;
+    target->handle(req.id, req.type, lbn, p.size, req.root, *ingress_, chain_,
+                   [this, s] { piece_done(s); }, [this, s] { reject(s); });
 }
 
 void Client::reject(std::uint32_t s) {

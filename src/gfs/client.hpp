@@ -1,7 +1,9 @@
 // GFS client: splits user requests into per-chunk operations, resolves
 // chunk locations at the master (with client-side caching, as GFS clients
 // do), issues them to the primary chunkservers, and records the
-// end-to-end RequestRecord plus the root "request" span.
+// end-to-end RequestRecord plus the root "request" span. A request names
+// its file by the master's FileId, and the location cache is one vector
+// per file indexed by chunk, so no file name travels the request path.
 //
 // Failover policy (GFS semantics): a dead replica costs an RPC timeout
 // that backs off exponentially across successive failovers of one piece
@@ -14,9 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gfs/chunkserver.hpp"
@@ -52,7 +52,9 @@ public:
     /// replica of some piece is failed, or a server bounced a piece, the
     /// request fails: no RequestRecord, and last_latency() is negative
     /// while `on_done` runs.
-    void issue(std::uint64_t request_id, const std::string& file, std::uint64_t offset,
+    /// An unknown file id, or a range beyond the file's end, throws
+    /// std::invalid_argument.
+    void issue(std::uint64_t request_id, FileId file, std::uint64_t offset,
                std::uint64_t size, trace::IoType type, sim::EventFn on_done);
 
     /// Latency of the request whose `on_done` is running: seconds from
@@ -80,12 +82,10 @@ public:
     [[nodiscard]] std::uint64_t rejections() const noexcept { return rejections_; }
 
 private:
-    using CacheKey = std::pair<std::string, std::uint64_t>;  ///< file, chunk index
-
     /// One user request in flight.
     struct Request {
         std::uint64_t id = 0;
-        std::string file;
+        FileId file = 0;
         trace::IoType type = trace::IoType::kRead;
         double arrival = 0.0;
         std::uint64_t size = 0;
@@ -116,13 +116,11 @@ private:
     void reject(std::uint32_t piece);
     void piece_done(std::uint32_t piece);
     void finish(std::uint32_t request);
-    /// Move a failed server to the back of the cached location for `key`
-    /// so later requests try live replicas first.
-    void demote_cached_replica(const CacheKey& key, std::uint32_t failed_server);
+    /// The cached location of chunk `chunk` of `file`, or nullptr when
+    /// none is cached.
+    [[nodiscard]] ChunkLocation* cached(FileId file, std::uint64_t chunk);
     /// Timeout of the step-th failover wait of one piece.
     [[nodiscard]] double backoff_wait(std::uint32_t step) const;
-    [[nodiscard]] std::uint64_t lbn_of(ChunkHandle handle,
-                                       std::uint64_t offset_in_chunk) const;
     [[nodiscard]] Request& request_of(std::uint32_t piece) {
         return requests_[pieces_[piece].request];
     }
@@ -136,7 +134,10 @@ private:
     trace::Sink& sink_;
     trace::SpanTracer* tracer_;
     std::unique_ptr<hw::SwitchPort> ingress_;
-    std::map<CacheKey, ChunkLocation> location_cache_;
+    /// [file][chunk index] -> location; an empty replica list is not
+    /// cached. A file's row is sized at its first miss and grows when
+    /// record appends have added chunks.
+    std::vector<std::vector<ChunkLocation>> location_cache_;
     sim::Slots<Request> requests_;
     sim::Slots<Piece> pieces_;
     std::vector<ChunkServer*> chain_;  ///< a write's forwarding chain, reused

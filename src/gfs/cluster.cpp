@@ -11,6 +11,14 @@ Cluster::Cluster(GfsConfig cfg, std::size_t n_clients, trace::SinkProvider* prov
     if (cfg_.n_chunkservers == 0)
         throw std::invalid_argument("Cluster: need >= 1 chunkserver");
     if (n_clients == 0) throw std::invalid_argument("Cluster: need >= 1 client");
+    if (cfg_.disk.block_size == 0)
+        throw std::invalid_argument("Cluster: disk.block_size must be > 0");
+    // chunk_base_lbn places whole chunks on the disk.
+    if (cfg_.disk.lbn_count < blocks_per_chunk(cfg_))
+        throw std::invalid_argument(
+            "Cluster: disk.lbn_count (" + std::to_string(cfg_.disk.lbn_count) +
+            ") is below the " + std::to_string(blocks_per_chunk(cfg_)) +
+            " blocks per chunk: the disk cannot hold a chunk");
     if (provider_ == nullptr) {
         capture_ = std::make_unique<trace::MemoryCapture>(1 + cfg_.n_chunkservers);
         provider_ = capture_.get();
@@ -68,13 +76,16 @@ std::uint64_t Cluster::failovers() const {
     return n;
 }
 
-void Cluster::create_file(const std::string& name, std::uint64_t size) {
-    master_->create_file(name, size);
+FileId Cluster::create_file(const std::string& name, std::uint64_t size) {
+    return master_->create_file(name, size);
 }
 
 std::uint64_t Cluster::submit(const RequestSpec& spec, sim::EventFn on_complete) {
     if (spec.client >= clients_.size())
         throw std::invalid_argument("Cluster::submit: unknown client");
+    if (spec.file >= master_->file_count())
+        throw std::invalid_argument("Cluster::submit: unknown file id " +
+                                    std::to_string(spec.file));
     const std::uint32_t slot = submissions_.acquire();
     Submission& sub = submissions_[slot];
     sub.id = next_request_;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gfs/admission.hpp"
@@ -22,10 +23,13 @@
 
 namespace kooza::gfs {
 
-/// One scheduled user request.
+/// One scheduled user request. A workload source names the file by its
+/// index in the source's own files() list; the driver that created those
+/// files submits the request under the FileId create_file returned for
+/// that index.
 struct RequestSpec {
     double time = 0.0;  ///< absolute issue time (seconds)
-    std::string file;
+    FileId file = 0;
     std::uint64_t offset = 0;
     std::uint64_t size = 0;
     trace::IoType type = trace::IoType::kRead;
@@ -35,6 +39,7 @@ struct RequestSpec {
     /// `type` is forced to write.
     bool append = false;
 };
+static_assert(std::is_trivially_copyable_v<RequestSpec>);
 
 class Cluster {
 public:
@@ -49,14 +54,17 @@ public:
     explicit Cluster(GfsConfig cfg, std::size_t n_clients = 1,
                      trace::SinkProvider* provider = nullptr);
 
-    /// Create a file before submitting requests against it.
-    void create_file(const std::string& name, std::uint64_t size);
+    /// Create a file before submitting requests against it; returns the
+    /// id requests name it by (Master::create_file: the number of files
+    /// created before it).
+    FileId create_file(const std::string& name, std::uint64_t size);
 
     /// Schedule one request (time must not precede the current sim time).
     /// Returns the request id it will run under. `on_complete`, if set,
     /// runs when the request finishes and reads last_latency(); closed-
-    /// loop sources use it to refill a client's window. A refused time
-    /// throws and keeps nothing of the request.
+    /// loop sources use it to refill a client's window. A refused time,
+    /// client or file id (one create_file never returned) throws and
+    /// keeps nothing of the request: no request id, no callback.
     std::uint64_t submit(const RequestSpec& spec, sim::EventFn on_complete = {});
 
     /// Tell the cluster no further requests will be submitted. Once every

@@ -120,4 +120,21 @@ struct GfsConfig {
     std::uint64_t seed = 123;
 };
 
+/// Disk blocks one chunk spans (at least one).
+[[nodiscard]] constexpr std::uint64_t blocks_per_chunk(const GfsConfig& cfg) noexcept {
+    const std::uint64_t blocks = cfg.chunk_size / cfg.disk.block_size;
+    return blocks == 0 ? 1 : blocks;
+}
+
+/// First disk block of chunk `handle` on every chunkserver that holds
+/// it. A disk holds lbn_count / blocks_per_chunk whole chunks, and
+/// handles wrap onto those aligned slots, so two chunks' block ranges
+/// never partly overlap. Needs a disk that holds at least one chunk,
+/// which the gfs::Cluster constructor checks.
+[[nodiscard]] constexpr std::uint64_t chunk_base_lbn(const GfsConfig& cfg,
+                                                     std::uint64_t handle) noexcept {
+    const std::uint64_t blocks = blocks_per_chunk(cfg);
+    return handle % (cfg.disk.lbn_count / blocks) * blocks;
+}
+
 }  // namespace kooza::gfs

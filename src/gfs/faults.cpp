@@ -139,15 +139,6 @@ void FaultInjector::detect_and_repair() {
     for (const auto& task : master_.plan_repairs()) run_repair(task);
 }
 
-std::uint64_t FaultInjector::chunk_base_lbn(ChunkHandle handle) const {
-    // Same chunk -> block-range mapping as Client::lbn_of: the disk holds
-    // `slots` whole chunks, handles wrap onto aligned slots.
-    const std::uint64_t blocks_per_chunk =
-        std::max<std::uint64_t>(1, cfg_.chunk_size / cfg_.disk.block_size);
-    const std::uint64_t slots = cfg_.disk.lbn_count / blocks_per_chunk;
-    return (handle % slots) * blocks_per_chunk;
-}
-
 void FaultInjector::run_repair(const RepairTask& task) {
     ChunkServer* source = servers_.at(task.source).get();
     if (source->failed() || servers_.at(task.dest)->failed()) {
@@ -156,7 +147,7 @@ void FaultInjector::run_repair(const RepairTask& task) {
     }
     const std::uint32_t slot = repairs_in_flight_.acquire();
     repairs_in_flight_[slot] =
-        Repair{task, next_repair_id_++, chunk_base_lbn(task.handle), engine_.now()};
+        Repair{task, next_repair_id_++, chunk_base_lbn(cfg_, task.handle), engine_.now()};
     const Repair& r = repairs_in_flight_[slot];
     // Copy path: read the chunk off the source's disk, push it through the
     // destination's ingress port, write it to the destination's disk. Each

@@ -92,7 +92,6 @@ private:
     /// Ask the master for repair work and execute it.
     void detect_and_repair();
     void run_repair(const RepairTask& task);
-    [[nodiscard]] std::uint64_t chunk_base_lbn(ChunkHandle handle) const;
     void record(trace::FailureRecord::Kind kind, std::uint32_t server,
                 std::uint64_t request_id, double duration);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -33,83 +34,91 @@ Master::Master(std::size_t n_servers, std::size_t replication, std::uint64_t chu
     if (chunk_size == 0) throw std::invalid_argument("Master: chunk_size must be > 0");
 }
 
-ChunkHandle Master::allocate_chunk(const std::string& name, std::size_t idx,
-                                   std::vector<ChunkLocation>& locs) {
+const Master::File& Master::entry(FileId file, const char* who) const {
+    if (file >= files_.size())
+        throw std::invalid_argument(std::string(who) + ": unknown file id " +
+                                    std::to_string(file));
+    return files_[file];
+}
+
+void Master::allocate_chunk(File& file) {
     metrics().chunks.add();
-    ChunkLocation loc;
-    loc.handle = next_handle_++;
+    Chunk chunk;
+    chunk.loc.handle = chunks_.size();
     for (std::size_t r = 0; r < replication_; ++r)
-        loc.servers.push_back(std::uint32_t((next_server_ + r) % n_servers_));
+        chunk.loc.servers.push_back(std::uint32_t((next_server_ + r) % n_servers_));
     next_server_ = (next_server_ + 1) % n_servers_;
-    chunk_of_.emplace(loc.handle, std::make_pair(name, idx));
-    locs.push_back(std::move(loc));
-    return locs.back().handle;
+    file.chunks.push_back(chunk.loc.handle);
+    chunks_.push_back(std::move(chunk));
 }
 
-void Master::create_file(const std::string& name, std::uint64_t size) {
+FileId Master::create_file(const std::string& name, std::uint64_t size) {
     if (size == 0) throw std::invalid_argument("Master::create_file: empty file");
-    if (files_.count(name) != 0)
+    const auto [it, created] = names_.try_emplace(name, FileId(files_.size()));
+    if (!created)
         throw std::invalid_argument("Master::create_file: file exists: " + name);
+    File& file = files_.emplace_back();
+    file.name = name;
+    file.size = size;
     const std::uint64_t n_chunks = (size + chunk_size_ - 1) / chunk_size_;
-    std::vector<ChunkLocation> locs;
-    locs.reserve(n_chunks);
-    for (std::uint64_t c = 0; c < n_chunks; ++c)
-        allocate_chunk(name, std::size_t(c), locs);
-    files_.emplace(name, std::move(locs));
-    sizes_.emplace(name, size);
+    file.chunks.reserve(n_chunks);
+    for (std::uint64_t c = 0; c < n_chunks; ++c) allocate_chunk(file);
+    return it->second;
 }
 
-std::uint64_t Master::allocate_append(const std::string& name, std::uint64_t size) {
+std::optional<FileId> Master::find(const std::string& name) const {
+    const auto it = names_.find(name);
+    if (it == names_.end()) return std::nullopt;
+    return it->second;
+}
+
+const std::string& Master::name(FileId file) const {
+    return entry(file, "Master::name").name;
+}
+
+std::uint64_t Master::allocate_append(FileId file, std::uint64_t size) {
     if (size == 0) throw std::invalid_argument("Master::allocate_append: size 0");
     if (size > chunk_size_)
         throw std::invalid_argument(
             "Master::allocate_append: record larger than a chunk");
-    auto fit = files_.find(name);
-    if (fit == files_.end())
-        throw std::invalid_argument("Master::allocate_append: unknown file: " + name);
-    std::uint64_t offset = sizes_.at(name);
+    (void)entry(file, "Master::allocate_append");
+    File& f = files_[file];
+    std::uint64_t offset = f.size;
     // Pad to the next chunk if the record would straddle a boundary.
     const std::uint64_t in_chunk = offset % chunk_size_;
     if (in_chunk + size > chunk_size_) offset += chunk_size_ - in_chunk;
     // Allocate chunks to cover [offset, offset + size).
     const std::uint64_t last_chunk = (offset + size - 1) / chunk_size_;
-    auto& locs = fit->second;
-    while (locs.size() <= last_chunk)
-        allocate_chunk(name, locs.size(), locs);
-    sizes_[name] = offset + size;
+    while (f.chunks.size() <= last_chunk) allocate_chunk(f);
+    f.size = offset + size;
     return offset;
 }
 
-bool Master::has_file(const std::string& name) const { return files_.count(name) != 0; }
-
-std::uint64_t Master::file_size(const std::string& name) const {
-    auto it = sizes_.find(name);
-    if (it == sizes_.end())
-        throw std::invalid_argument("Master::file_size: unknown file: " + name);
-    return it->second;
+std::uint64_t Master::file_size(FileId file) const {
+    return entry(file, "Master::file_size").size;
 }
 
-const ChunkLocation& Master::lookup(const std::string& name, std::uint64_t offset) const {
-    const auto& locs = chunks(name);
+const ChunkLocation& Master::lookup(FileId file, std::uint64_t offset) const {
+    const File& f = entry(file, "Master::lookup");
     const std::uint64_t idx = offset / chunk_size_;
-    if (idx >= locs.size())
-        throw std::out_of_range("Master::lookup: offset beyond file: " + name);
-    return locs[idx];
+    if (idx >= f.chunks.size())
+        throw std::out_of_range("Master::lookup: offset beyond file: " + name(file));
+    return chunks_[f.chunks[idx]].loc;
 }
 
-ChunkLocation Master::locate(const std::string& name, std::uint64_t offset) const {
+ChunkLocation Master::locate(FileId file, std::uint64_t offset) const {
     metrics().lookups.add();
-    ChunkLocation loc = lookup(name, offset);
+    ChunkLocation loc = lookup(file, offset);
     std::stable_partition(loc.servers.begin(), loc.servers.end(),
                           [this](std::uint32_t s) { return !down_[s]; });
     return loc;
 }
 
-const std::vector<ChunkLocation>& Master::chunks(const std::string& name) const {
-    auto it = files_.find(name);
-    if (it == files_.end())
-        throw std::invalid_argument("Master::chunks: unknown file: " + name);
-    return it->second;
+std::vector<ChunkLocation> Master::chunks(FileId file) const {
+    std::vector<ChunkLocation> out;
+    for (const ChunkHandle h : entry(file, "Master::chunks").chunks)
+        out.push_back(chunks_[h].loc);
+    return out;
 }
 
 void Master::mark_server_down(std::uint32_t server) {
@@ -132,19 +141,22 @@ bool Master::server_down(std::uint32_t server) const {
     return server < n_servers_ && down_[server];
 }
 
-std::uint64_t Master::chunk_payload(const std::string& name, std::size_t idx) const {
-    const std::uint64_t size = sizes_.at(name);
+std::uint64_t Master::chunk_payload(const File& file, std::size_t idx) const {
     const std::uint64_t start = std::uint64_t(idx) * chunk_size_;
-    if (start >= size) return 0;
-    return std::min(chunk_size_, size - start);
+    if (start >= file.size) return 0;
+    return std::min(chunk_size_, file.size - start);
 }
 
 std::vector<RepairTask> Master::plan_repairs() {
     std::vector<RepairTask> tasks;
-    for (const auto& [name, locs] : files_) {
-        for (std::size_t idx = 0; idx < locs.size(); ++idx) {
-            const auto& loc = locs[idx];
-            if (repairing_.count(loc.handle) != 0) continue;
+    // Name order, not creation order: the repair cursor below advances
+    // with every planned task, so the walk order decides destinations.
+    for (const auto& [name, id] : names_) {
+        const File& file = files_[id];
+        for (std::size_t idx = 0; idx < file.chunks.size(); ++idx) {
+            Chunk& chunk = chunks_[file.chunks[idx]];
+            if (chunk.repairing) continue;
+            const auto& loc = chunk.loc;
             // One dead replica per pass: losing several replicas of the
             // same chunk at once is repaired over successive passes.
             const auto dead_it =
@@ -172,9 +184,9 @@ std::vector<RepairTask> Master::plan_repairs() {
                 break;
             }
             if (!found) continue;  // cluster too degraded to re-replicate
-            const std::uint64_t bytes = chunk_payload(name, idx);
+            const std::uint64_t bytes = chunk_payload(file, idx);
             if (bytes == 0) continue;
-            repairing_.insert(loc.handle);
+            chunk.repairing = true;
             tasks.push_back(RepairTask{loc.handle, *src_it, dest, *dead_it, bytes});
         }
     }
@@ -182,19 +194,21 @@ std::vector<RepairTask> Master::plan_repairs() {
 }
 
 void Master::commit_repair(ChunkHandle handle, std::uint32_t dead, std::uint32_t dest) {
-    repairing_.erase(handle);
-    const auto it = chunk_of_.find(handle);
-    if (it == chunk_of_.end())
+    if (handle >= chunks_.size())
         throw std::invalid_argument("Master::commit_repair: unknown chunk");
-    auto& loc = files_.at(it->second.first).at(it->second.second);
-    const auto dit = std::find(loc.servers.begin(), loc.servers.end(), dead);
-    if (dit == loc.servers.end())
+    Chunk& chunk = chunks_[handle];
+    chunk.repairing = false;
+    auto& servers = chunk.loc.servers;
+    const auto dit = std::find(servers.begin(), servers.end(), dead);
+    if (dit == servers.end())
         throw std::logic_error("Master::commit_repair: dead replica not listed");
     *dit = dest;
     ++re_replications_;
     metrics().re_replications.add();
 }
 
-void Master::abort_repair(ChunkHandle handle) { repairing_.erase(handle); }
+void Master::abort_repair(ChunkHandle handle) {
+    if (handle < chunks_.size()) chunks_[handle].repairing = false;
+}
 
 }  // namespace kooza::gfs

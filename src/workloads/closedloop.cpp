@@ -45,7 +45,7 @@ std::optional<gfs::RequestSpec> ClosedLoopPool::next(std::uint32_t client,
     r.time = now + think;
     r.client = client;
 
-    r.file = files_[picker_.pick(rng)].first;
+    r.file = gfs::FileId(picker_.pick(rng));
     r.type = rng.bernoulli(p_.read_fraction) ? trace::IoType::kRead
                                              : trace::IoType::kWrite;
     r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;

@@ -51,7 +51,7 @@ public:
     explicit ClosedLoopPool(ClosedLoopParams p);
 
     /// Files the cluster must create before the pool runs (same contract
-    /// as ScheduleStream::files()).
+    /// as ScheduleStream::files(): a request's `file` indexes this list).
     [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>& files()
         const noexcept {
         return files_;

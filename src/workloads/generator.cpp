@@ -32,7 +32,7 @@ std::optional<gfs::RequestSpec> MixGenerator::poll() {
 
     gfs::RequestSpec r;
     r.time = t_;
-    r.file = files_[picker_.pick(rng_)].first;
+    r.file = gfs::FileId(picker_.pick(rng_));
     r.type = rng_.bernoulli(p_.read_fraction) ? trace::IoType::kRead
                                               : trace::IoType::kWrite;
     r.size = r.type == trace::IoType::kRead ? p_.read_size : p_.write_size;
@@ -85,7 +85,7 @@ void CheckpointGenerator::refill() {
                 for (std::size_t r = 0; r < p_.ranks; ++r) {
                     gfs::RequestSpec op;
                     op.time = f + double(k) * seg_time;
-                    op.file = files_[r].first;
+                    op.file = gfs::FileId(r);
                     op.offset = std::uint64_t(k) * p_.segment;
                     op.size = p_.segment;
                     op.type = trace::IoType::kRead;
@@ -114,7 +114,7 @@ void CheckpointGenerator::refill() {
         for (std::size_t r = 0; r < p_.ranks; ++r) {
             gfs::RequestSpec op;
             op.time = wt;
-            op.file = files_[r].first;
+            op.file = gfs::FileId(r);
             op.offset = std::uint64_t(k) * p_.segment;
             op.size = p_.segment;
             op.type = trace::IoType::kWrite;
@@ -178,7 +178,6 @@ TraceReplayGenerator::TraceReplayGenerator(const std::filesystem::path& trace_di
     const std::uint64_t file_size = std::max(p.file_size, 2 * max_size);
     files_.emplace_back("replay.dat", file_size);
     for (auto& r : ops_)
-        r.file = "replay.dat",
         r.offset = clamp_offset(align4k(r.offset % file_size), r.size, file_size);
 
     // Request records land in completion order; replay needs arrival
@@ -203,6 +202,7 @@ MergeGenerator::MergeGenerator(std::vector<std::unique_ptr<ScheduleStream>> part
     std::set<std::string> seen;
     for (const auto& part : parts_) {
         if (!part) throw std::invalid_argument("MergeGenerator: null sub-generator");
+        first_file_.push_back(gfs::FileId(files_.size()));
         for (const auto& f : part->files()) {
             if (!seen.insert(f.first).second)
                 throw std::invalid_argument(
@@ -221,7 +221,8 @@ std::optional<gfs::RequestSpec> MergeGenerator::poll() {
         if (heads_[i] && (best == heads_.size() || heads_[i]->time < heads_[best]->time))
             best = i;
     if (best == heads_.size()) return std::nullopt;
-    auto op = std::move(heads_[best]);
+    auto op = heads_[best];
+    op->file += first_file_[best];
     heads_[best] = parts_[best]->next();
     return op;
 }

@@ -148,8 +148,10 @@ private:
 };
 
 /// Time-merge of sub-streams into one nondecreasing op stream (ties
-/// break by sub-stream index, so the merge is deterministic). The
-/// sub-streams' file sets must not collide.
+/// break by sub-stream index, so the merge is deterministic). files() is
+/// the parts' lists concatenated in part order, and a part's file index
+/// is offset by the number of files before its list. The sub-streams'
+/// file names must not collide.
 class MergeGenerator final : public ScheduleStream {
 public:
     explicit MergeGenerator(std::vector<std::unique_ptr<ScheduleStream>> parts);
@@ -166,6 +168,7 @@ private:
     std::vector<std::unique_ptr<ScheduleStream>> parts_;
     std::vector<std::optional<gfs::RequestSpec>> heads_;
     std::vector<std::pair<std::string, std::uint64_t>> files_;
+    std::vector<gfs::FileId> first_file_;  ///< part i's first index in files_
 };
 
 }  // namespace kooza::workloads

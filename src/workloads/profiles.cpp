@@ -22,6 +22,11 @@ std::optional<gfs::RequestSpec> ScheduleStream::next() {
            << spec->time << " after t=" << last_time_;
         throw std::logic_error(os.str());
     }
+    if (spec->file >= files().size())
+        throw std::logic_error("ScheduleStream: file-index contract violated: request "
+                               "names file " + std::to_string(spec->file) +
+                               " of a " + std::to_string(files().size()) +
+                               "-file list");
     last_time_ = spec->time;
     return spec;
 }
@@ -47,9 +52,21 @@ std::size_t FilePicker::pick(sim::Rng& rng) const {
     return files_ > 1 ? std::size_t(rng.uniform_int(0, std::int64_t(files_) - 1)) : 0;
 }
 
+std::vector<gfs::FileId> create_files(
+    gfs::Cluster& cluster,
+    const std::vector<std::pair<std::string, std::uint64_t>>& files) {
+    std::vector<gfs::FileId> ids;
+    ids.reserve(files.size());
+    for (const auto& [name, size] : files) ids.push_back(cluster.create_file(name, size));
+    return ids;
+}
+
 void Workload::install(gfs::Cluster& cluster) const {
-    for (const auto& [name, size] : files) cluster.create_file(name, size);
-    for (const auto& r : requests) cluster.submit(r);
+    const auto ids = create_files(cluster, files);
+    for (gfs::RequestSpec r : requests) {
+        r.file = ids.at(r.file);
+        cluster.submit(r);
+    }
     cluster.end_input();
 }
 
@@ -125,7 +142,6 @@ std::unique_ptr<ScheduleStream> MicroProfile::open_stream(sim::Rng rng) const {
             t += rng.exponential(p.arrival_rate);
             gfs::RequestSpec r;
             r.time = t;
-            r.file = "micro.dat";
             r.type = rng.bernoulli(p.read_fraction) ? trace::IoType::kRead
                                                     : trace::IoType::kWrite;
             r.size = r.type == trace::IoType::kRead ? p.read_size : p.write_size;
@@ -163,7 +179,6 @@ std::unique_ptr<ScheduleStream> OltpProfile::open_stream(sim::Rng rng) const {
             }
             gfs::RequestSpec r;
             r.time = t;
-            r.file = "table.db";
             r.type = rng.bernoulli(p.read_fraction) ? trace::IoType::kRead
                                                     : trace::IoType::kWrite;
             // Page-sized accesses: 4, 8 or 16 KB.
@@ -184,7 +199,7 @@ std::unique_ptr<ScheduleStream> WebSearchProfile::open_stream(sim::Rng rng) cons
         t += rng.exponential(p_.arrival_rate);
         gfs::RequestSpec r;
         r.time = t;
-        r.file = "shard." + std::to_string(popularity.sample(rng));
+        r.file = gfs::FileId(popularity.sample(rng));
         r.type = rng.bernoulli(p_.read_fraction) ? trace::IoType::kRead
                                                  : trace::IoType::kWrite;
         const double bytes = rng.lognormal(p_.size_log_mean, p_.size_log_sigma);
@@ -203,7 +218,7 @@ std::unique_ptr<ScheduleStream> StreamingProfile::open_stream(sim::Rng rng) cons
     double session_start = 0.0;
     for (std::size_t s = 0; s < p_.sessions; ++s) {
         session_start += rng.exponential(p_.session_rate);
-        const std::string file = "media." + std::to_string(popularity.sample(rng));
+        const auto file = gfs::FileId(popularity.sample(rng));
         // Geometric session length (>= 1 segment).
         const std::size_t segments =
             1 + std::size_t(rng.geometric(1.0 / double(p_.mean_segments)));
@@ -236,8 +251,7 @@ std::unique_ptr<ScheduleStream> LogAppendProfile::open_stream(sim::Rng rng) cons
         t += rng.exponential(p.arrival_rate);
         gfs::RequestSpec r;
         r.time = t;
-        r.file = "log." + std::to_string(std::size_t(
-                     rng.uniform_int(0, std::int64_t(p.logs) - 1)));
+        r.file = gfs::FileId(rng.uniform_int(0, std::int64_t(p.logs) - 1));
         r.type = trace::IoType::kWrite;
         r.append = true;
         r.size = align4k(std::uint64_t(

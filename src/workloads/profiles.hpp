@@ -22,14 +22,23 @@
 namespace kooza::workloads {
 
 /// A generated workload: files to create plus a timed request schedule.
+/// A request's `file` is an index into `files`.
 struct Workload {
     std::vector<std::pair<std::string, std::uint64_t>> files;  ///< name, bytes
     std::vector<gfs::RequestSpec> requests;
 
-    /// Create the files, submit every request to a cluster and end its
-    /// input (Cluster::end_input).
+    /// Create the files, submit every request under the id its file got
+    /// and end the cluster's input (Cluster::end_input). Throws
+    /// std::out_of_range for a request whose file is not in `files`.
     void install(gfs::Cluster& cluster) const;
 };
+
+/// Create `files` on `cluster` in list order; element i of the result is
+/// the FileId the cluster gave files[i]. A driver submits a source's
+/// request under result[request.file].
+[[nodiscard]] std::vector<gfs::FileId> create_files(
+    gfs::Cluster& cluster,
+    const std::vector<std::pair<std::string, std::uint64_t>>& files);
 
 /// Align an offset down to 4 KB (block-friendly I/O).
 [[nodiscard]] constexpr std::uint64_t align4k(std::uint64_t offset) noexcept {
@@ -69,11 +78,12 @@ private:
 /// profile, a scenario generator (generator.hpp), a trace or model
 /// replay — is a pull-based stream of timed requests. The file list
 /// comes up front, then requests one at a time in nondecreasing time
-/// order. core::run_capture pumps one request at a time in both capture
-/// modes, so streamed and in-memory runs see the exact same request
-/// sequence and a multi-million-request schedule is never materialized.
-/// Streams are single-pass: open a fresh one (same config + seed) to
-/// re-read the same sequence.
+/// order, each naming its file by its index in files() (as CODES names
+/// a file by a numeric id). core::run_capture pumps one request at a
+/// time in both capture modes, so streamed and in-memory runs see the
+/// exact same request sequence and a multi-million-request schedule is
+/// never materialized. Streams are single-pass: open a fresh one (same
+/// config + seed) to re-read the same sequence.
 class ScheduleStream {
 public:
     virtual ~ScheduleStream() = default;
@@ -89,7 +99,9 @@ public:
     /// not trusted to each implementation: StreamingSink's open_hold/
     /// close_hold watermark ordering silently corrupts if a misbehaving
     /// generator ever steps time backwards, so that bug must die loudly at
-    /// its source. Throws std::logic_error naming both timestamps.
+    /// its source. Throws std::logic_error naming both timestamps, or
+    /// naming the index and the list's size when a request's file is not
+    /// in files().
     [[nodiscard]] std::optional<gfs::RequestSpec> next();
 
 protected:

@@ -10,6 +10,12 @@
 // spans sampled away; what remains is set-up, trace vectors growing, and
 // record pools growing to their peak concurrency.
 //
+// A request names its file by the master's FileId from the generator's
+// draw to the disk: no file name travels the request path, and the
+// client's location cache is one vector per file indexed by chunk. A
+// --model capture's request path is as free of the heap as oltp's once
+// the model file is loaded.
+//
 // A streamed capture adds trace::StreamingSink's path: a stream's holds
 // are (key, count) runs in one vector, waiting records sit in a typed
 // heap per stream, released ones in a fixed-size batch, and the writer's
@@ -33,6 +39,7 @@
 #include "core/capture.hpp"
 #include "core/generator.hpp"
 #include "core/replayer.hpp"
+#include "core/serialize.hpp"
 #include "core/trainer.hpp"
 #include "par/pool.hpp"
 #include "trace/features.hpp"
@@ -158,6 +165,47 @@ TEST(CaptureAlloc, StreamedRequestPathStaysOffTheHeap) {
     o.format = kooza::trace::Format::kBinary;
     expect_allocs_per_request_at_most(o, 0.25);
     std::filesystem::remove_all(dir);
+}
+
+// A --model capture replays a trained model through the simulator. What
+// loading the model file costs is set-up; what is left per request must
+// be as small as an oltp capture's.
+TEST(CaptureAlloc, ModelReplayRequestPathStaysOffTheHeap) {
+#ifdef KOOZA_ALLOC_HOOKS_DISABLED
+    GTEST_SKIP() << "allocator hooks disabled under sanitizers";
+#else
+    auto o = oltp();
+    o.count = kRequests;
+    o.seed = 7;
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("kooza_alloc_model_" + std::to_string(::getpid()) + ".model");
+    const auto cap = kooza::core::run_capture(o);
+    kooza::core::save_model(kooza::core::Trainer().train(cap.traces), path);
+
+    g_new_calls = 0;
+    g_counting = true;
+    (void)kooza::core::load_model(path);
+    g_counting = false;
+    const std::uint64_t load = g_new_calls;
+
+    CaptureOptions replay;
+    replay.model_file = path.string();
+    replay.count = kRequests;
+    replay.seed = 7;
+    replay.span_sample_every = kSampleEvery;
+    g_new_calls = 0;
+    g_counting = true;
+    const auto res = kooza::core::run_capture(replay);
+    g_counting = false;
+    const std::uint64_t capture = g_new_calls;
+    std::filesystem::remove(path);
+    ASSERT_EQ(res.completed + res.failed, kRequests);
+    const double per_request = (double(capture) - double(load)) / double(kRequests);
+    std::printf("model load %llu, capture %llu allocations: %.3f per request\n",
+                static_cast<unsigned long long>(load),
+                static_cast<unsigned long long>(capture), per_request);
+    EXPECT_LE(per_request, 0.1);
+#endif
 }
 
 #ifndef KOOZA_ALLOC_HOOKS_DISABLED

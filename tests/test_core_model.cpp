@@ -285,12 +285,14 @@ void add_requests(kooza::testutil::Fnv& d, const SyntheticWorkload& w) {
     }
 }
 
-/// Folds every field of the specs `s` pulls until it is exhausted.
+/// Folds every field of the specs `s` pulls until it is exhausted, the
+/// file by the name it has in `s`'s list.
 void add_specs(kooza::testutil::Fnv& d, kooza::workloads::ScheduleStream& s) {
     while (const auto r = s.next()) {
+        const std::string& file = s.files().at(r->file).first;
         d.add(r->time);
-        d.add(r->file.size());
-        d.add_bytes(r->file);
+        d.add(file.size());
+        d.add_bytes(file);
         d.add(r->offset);
         d.add(r->size);
         d.add(r->type);

@@ -19,8 +19,8 @@ using kooza::trace::SpanTree;
 
 TEST(Master, PlacesChunksRoundRobin) {
     Master m(4, 1, 1 << 20);
-    m.create_file("a", 4u << 20);  // 4 chunks
-    const auto& chunks = m.chunks("a");
+    const FileId a = m.create_file("a", 4u << 20);  // 4 chunks
+    const auto chunks = m.chunks(a);
     ASSERT_EQ(chunks.size(), 4u);
     std::set<std::uint32_t> servers;
     for (const auto& c : chunks) servers.insert(c.servers.at(0));
@@ -29,8 +29,8 @@ TEST(Master, PlacesChunksRoundRobin) {
 
 TEST(Master, ReplicationDistinctServers) {
     Master m(4, 3, 1 << 20);
-    m.create_file("a", 1u << 20);
-    const auto& loc = m.chunks("a").front();
+    const FileId a = m.create_file("a", 1u << 20);
+    const auto& loc = m.lookup(a, 0);
     std::set<std::uint32_t> reps(loc.servers.begin(), loc.servers.end());
     EXPECT_EQ(reps.size(), 3u);
 }
@@ -42,22 +42,43 @@ TEST(Master, ReplicationClampedToServers) {
 
 TEST(Master, LookupByOffset) {
     Master m(2, 1, 1 << 20);
-    m.create_file("a", 3u << 20);
-    const auto& c0 = m.lookup("a", 0);
-    const auto& c2 = m.lookup("a", (2u << 20) + 5);
+    const FileId a = m.create_file("a", 3u << 20);
+    const auto& c0 = m.lookup(a, 0);
+    const auto& c2 = m.lookup(a, (2u << 20) + 5);
     EXPECT_NE(c0.handle, c2.handle);
-    EXPECT_THROW((void)m.lookup("a", 3u << 20), std::out_of_range);
-    EXPECT_THROW((void)m.lookup("nope", 0), std::invalid_argument);
+    EXPECT_THROW((void)m.lookup(a, 3u << 20), std::out_of_range);
+    EXPECT_THROW((void)m.lookup(a + 1, 0), std::invalid_argument);
 }
 
 TEST(Master, DuplicateAndEmptyFilesRejected) {
     Master m(1, 1, 1 << 20);
-    m.create_file("a", 100);
+    const FileId a = m.create_file("a", 100);
     EXPECT_THROW(m.create_file("a", 100), std::invalid_argument);
     EXPECT_THROW(m.create_file("b", 0), std::invalid_argument);
-    EXPECT_TRUE(m.has_file("a"));
-    EXPECT_FALSE(m.has_file("b"));
-    EXPECT_EQ(m.file_size("a"), 100u);
+    EXPECT_EQ(m.find("a"), a);
+    EXPECT_FALSE(m.find("b"));
+    EXPECT_EQ(m.file_size(a), 100u);
+}
+
+TEST(Master, RepairsPlannedInNameOrder) {
+    // Files are numbered in creation order, but repairs are planned in
+    // (name, chunk index) order: each planned task advances the repair
+    // cursor, so the walk order decides every destination.
+    Master m(3, 2, 1 << 20);
+    const FileId b = m.create_file("b", 2u << 20);  // handles 0, 1
+    const FileId a = m.create_file("a", 2u << 20);  // handles 2, 3
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(a, 1u);
+    m.mark_server_down(0);
+    const auto tasks = m.plan_repairs();
+    ASSERT_EQ(tasks.size(), 3u);
+    const ChunkHandle handles[] = {2, 3, 0};
+    const std::uint32_t dests[] = {1, 2, 2};
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        EXPECT_EQ(tasks[i].handle, handles[i]) << i;
+        EXPECT_EQ(tasks[i].dest, dests[i]) << i;
+        EXPECT_EQ(tasks[i].dead, 0u) << i;
+    }
 }
 
 GfsConfig small_config() {
@@ -69,8 +90,8 @@ GfsConfig small_config() {
 
 TEST(Cluster, ReadProducesExpectedRecords) {
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 65536,
+    const FileId f = cluster.create_file("f", 64ull << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 65536,
                     .type = IoType::kRead});
     cluster.run();
     const auto ts = cluster.traces();
@@ -89,8 +110,8 @@ TEST(Cluster, ReadProducesExpectedRecords) {
 
 TEST(Cluster, WriteProducesExpectedRecords) {
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4u << 20,
+    const FileId f = cluster.create_file("f", 64ull << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4u << 20,
                     .type = IoType::kWrite});
     cluster.run();
     const auto fs = kooza::trace::extract_features(cluster.traces());
@@ -106,10 +127,10 @@ TEST(Cluster, WriteSlowerThanReadOfSameSize) {
     // The write pays the inbound payload transfer; a read of equal size
     // pays it outbound — but the write also acks, so compare against read.
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 1u << 20,
+    const FileId f = cluster.create_file("f", 64ull << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 1u << 20,
                     .type = IoType::kRead});
-    cluster.submit({.time = 1.0, .file = "f", .offset = 0, .size = 1u << 20,
+    cluster.submit({.time = 1.0, .file = f, .offset = 0, .size = 1u << 20,
                     .type = IoType::kWrite});
     cluster.run();
     ASSERT_EQ(cluster.latencies().size(), 2u);
@@ -118,8 +139,8 @@ TEST(Cluster, WriteSlowerThanReadOfSameSize) {
 
 TEST(Cluster, SpanTreeMatchesFigure1Path) {
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
-    const auto id = cluster.submit({.time = 0.0, .file = "f", .offset = 0,
+    const FileId f = cluster.create_file("f", 64ull << 20);
+    const auto id = cluster.submit({.time = 0.0, .file = f, .offset = 0,
                                     .size = 65536, .type = IoType::kRead});
     cluster.run();
     const auto ts = cluster.traces();
@@ -134,10 +155,10 @@ TEST(Cluster, SpanTreeMatchesFigure1Path) {
 
 TEST(Cluster, LocationCachingSkipsSecondLookup) {
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    const FileId f = cluster.create_file("f", 64ull << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
-    const auto second = cluster.submit({.time = 1.0, .file = "f", .offset = 0,
+    const auto second = cluster.submit({.time = 1.0, .file = f, .offset = 0,
                                         .size = 4096, .type = IoType::kRead});
     cluster.run();
     SpanTree tree(cluster.traces().spans, second);
@@ -150,8 +171,8 @@ TEST(Cluster, ReplicationWritesAllReplicas) {
     cfg.n_chunkservers = 3;
     cfg.replication = 3;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 1u << 20,
+    const FileId f = cluster.create_file("f", 64ull << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 1u << 20,
                     .type = IoType::kWrite});
     cluster.run();
     const auto ts = cluster.traces();
@@ -172,8 +193,8 @@ TEST(Cluster, ReplicatedWriteSlowerThanUnreplicated) {
         cfg.n_chunkservers = 3;
         cfg.replication = replication;
         Cluster cluster(cfg);
-        cluster.create_file("f", 64ull << 20);
-        cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4u << 20,
+        const FileId f = cluster.create_file("f", 64ull << 20);
+        cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4u << 20,
                         .type = IoType::kWrite});
         cluster.run();
         return cluster.latencies().at(0);
@@ -186,8 +207,8 @@ TEST(Cluster, MultiChunkRequestFansOut) {
     cfg.n_chunkservers = 4;
     cfg.chunk_size = 1ull << 20;  // 1 MB chunks
     Cluster cluster(cfg);
-    cluster.create_file("f", 16ull << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4u << 20,
+    const FileId f = cluster.create_file("f", 16ull << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4u << 20,
                     .type = IoType::kRead});
     cluster.run();
     const auto ts = cluster.traces();
@@ -202,9 +223,9 @@ TEST(Cluster, SamplingReducesSpans) {
         auto cfg = small_config();
         cfg.span_sample_every = every;
         Cluster cluster(cfg);
-        cluster.create_file("f", 64ull << 20);
+        const FileId f = cluster.create_file("f", 64ull << 20);
         for (int i = 0; i < 20; ++i)
-            cluster.submit({.time = double(i), .file = "f", .offset = 0, .size = 4096,
+            cluster.submit({.time = double(i), .file = f, .offset = 0, .size = 4096,
                             .type = IoType::kRead});
         cluster.run();
         return cluster.traces().spans.size();
@@ -214,17 +235,17 @@ TEST(Cluster, SamplingReducesSpans) {
 
 TEST(Cluster, RequestBeyondFileRejected) {
     Cluster cluster(small_config());
-    cluster.create_file("f", 1u << 20);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 2u << 20,
+    const FileId f = cluster.create_file("f", 1u << 20);
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 2u << 20,
                     .type = IoType::kRead});
     EXPECT_THROW(cluster.run(), std::invalid_argument);
 }
 
 TEST(Cluster, CompletedCountsRequests) {
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     for (int i = 0; i < 5; ++i)
-        cluster.submit({.time = double(i) * 0.1, .file = "f", .offset = 0,
+        cluster.submit({.time = double(i) * 0.1, .file = f, .offset = 0,
                         .size = 4096, .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 5u);
@@ -232,20 +253,25 @@ TEST(Cluster, CompletedCountsRequests) {
 }
 
 TEST(Cluster, RefusedSubmitKeepsNoCallback) {
-    // A time the engine refuses throws from submit() and drops the
-    // callback there, and it takes no request id (end_input() counts
+    // A time the engine refuses, or an unknown file, throws from submit()
+    // and drops the callback there, and it takes no request id (end_input() counts
     // settled requests against the ids handed out); the cluster still
     // runs what it accepts.
     Cluster cluster(small_config());
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     const auto held = std::make_shared<int>(0);
     for (const double t : {-1.0, std::numeric_limits<double>::quiet_NaN()})
-        EXPECT_THROW(cluster.submit({.time = t, .file = "f", .offset = 0, .size = 4096,
+        EXPECT_THROW(cluster.submit({.time = t, .file = f, .offset = 0, .size = 4096,
                                      .type = IoType::kRead},
                                     [held] { ++*held; }),
                      std::invalid_argument);
+    // So does a file id the cluster never handed out.
+    EXPECT_THROW(cluster.submit({.time = 0.0, .file = f + 1, .offset = 0, .size = 4096,
+                                 .type = IoType::kRead},
+                                [held] { ++*held; }),
+                 std::invalid_argument);
     EXPECT_EQ(held.use_count(), 1);
-    const auto id = cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    const auto id = cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                                     .type = IoType::kRead},
                                    [held] { ++*held; });
     EXPECT_EQ(id, 0u);
@@ -254,15 +280,41 @@ TEST(Cluster, RefusedSubmitKeepsNoCallback) {
     EXPECT_EQ(*held, 1);
 }
 
+TEST(Cluster, DiskSmallerThanAChunkRejected) {
+    // Chunks sit on whole chunk-sized block ranges (gfs::chunk_base_lbn):
+    // a disk below one chunk's blocks is refused by name at construction.
+    GfsConfig cfg;
+    cfg.n_chunkservers = 3;
+    cfg.replication = 2;
+    cfg.chunk_size = 1ull << 20;  // 2048 blocks of 512 bytes
+    cfg.disk.lbn_count = 1000;
+    try {
+        Cluster cluster(cfg);
+        ADD_FAILURE() << "a 1000-block disk was accepted for 2048-block chunks";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("disk.lbn_count"), std::string::npos) << what;
+        EXPECT_NE(what.find("1000"), std::string::npos) << what;
+        EXPECT_NE(what.find("2048"), std::string::npos) << what;
+    }
+    // A disk that holds exactly one chunk runs a repair.
+    cfg.disk.lbn_count = 2048;
+    Cluster cluster(cfg);
+    cluster.create_file("f", 1ull << 20);
+    cluster.inject_faults({{0.1, 0, true}});
+    cluster.run();
+    EXPECT_EQ(cluster.master().re_replications(), 1u);
+}
+
 TEST(FailureInjection, ReadFailsOverToReplica) {
     GfsConfig cfg;
     cfg.n_chunkservers = 3;
     cfg.replication = 3;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     // Fail the primary for chunk 0 (round-robin placement: server 0).
     cluster.server(0).set_failed(true);
-    const auto id = cluster.submit({.time = 0.0, .file = "f", .offset = 0,
+    const auto id = cluster.submit({.time = 0.0, .file = f, .offset = 0,
                                     .size = 65536, .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 1u);
@@ -281,10 +333,10 @@ TEST(FailureInjection, AllReplicasDownFailsRequest) {
     cfg.n_chunkservers = 2;
     cfg.replication = 2;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
     cluster.server(1).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 0u);
@@ -297,9 +349,9 @@ TEST(FailureInjection, WritePromotesNewPrimary) {
     cfg.n_chunkservers = 3;
     cfg.replication = 3;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 1u << 20,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 1u << 20,
                     .type = IoType::kWrite});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 1u);
@@ -311,14 +363,14 @@ TEST(FailureInjection, WritePromotesNewPrimary) {
 TEST(FailureInjection, RecoveryRestoresService) {
     GfsConfig cfg;
     Cluster cluster(cfg);  // single server, replication 1
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.failed_requests(), 1u);
     cluster.server(0).set_failed(false);
-    cluster.submit({.time = 10.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 10.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 1u);
@@ -326,41 +378,42 @@ TEST(FailureInjection, RecoveryRestoresService) {
 
 TEST(Append, OffsetsAllocatedSequentially) {
     Master m(2, 1, 1 << 20);
-    m.create_file("log", 1000);
-    EXPECT_EQ(m.allocate_append("log", 500), 1000u);
-    EXPECT_EQ(m.allocate_append("log", 500), 1500u);
-    EXPECT_EQ(m.file_size("log"), 2000u);
+    const FileId log_file = m.create_file("log", 1000);
+    EXPECT_EQ(m.allocate_append(log_file, 500), 1000u);
+    EXPECT_EQ(m.allocate_append(log_file, 500), 1500u);
+    EXPECT_EQ(m.file_size(log_file), 2000u);
 }
 
 TEST(Append, PadsAtChunkBoundary) {
     Master m(2, 1, 1 << 20);
-    m.create_file("log", (1 << 20) - 100);  // 100 bytes left in chunk 0
+    // 100 bytes left in chunk 0.
+    const FileId log_file = m.create_file("log", (1 << 20) - 100);
     // A 500-byte record can't straddle: it pads to chunk 1.
-    EXPECT_EQ(m.allocate_append("log", 500), std::uint64_t(1 << 20));
-    EXPECT_EQ(m.chunks("log").size(), 2u);
+    EXPECT_EQ(m.allocate_append(log_file, 500), std::uint64_t(1 << 20));
+    EXPECT_EQ(m.chunks(log_file).size(), 2u);
 }
 
 TEST(Append, GrowsChunkList) {
     Master m(4, 2, 1 << 20);
-    m.create_file("log", 100);
-    for (int i = 0; i < 5; ++i) (void)m.allocate_append("log", 512 << 10);
-    EXPECT_GE(m.chunks("log").size(), 3u);
-    for (const auto& loc : m.chunks("log")) EXPECT_EQ(loc.servers.size(), 2u);
+    const FileId log_file = m.create_file("log", 100);
+    for (int i = 0; i < 5; ++i) (void)m.allocate_append(log_file, 512 << 10);
+    EXPECT_GE(m.chunks(log_file).size(), 3u);
+    for (const auto& loc : m.chunks(log_file)) EXPECT_EQ(loc.servers.size(), 2u);
 }
 
 TEST(Append, Validation) {
     Master m(1, 1, 1 << 20);
-    m.create_file("log", 100);
-    EXPECT_THROW((void)m.allocate_append("log", 0), std::invalid_argument);
-    EXPECT_THROW((void)m.allocate_append("log", 2 << 20), std::invalid_argument);
-    EXPECT_THROW((void)m.allocate_append("nope", 100), std::invalid_argument);
+    const FileId log_file = m.create_file("log", 100);
+    EXPECT_THROW((void)m.allocate_append(log_file, 0), std::invalid_argument);
+    EXPECT_THROW((void)m.allocate_append(log_file, 2 << 20), std::invalid_argument);
+    EXPECT_THROW((void)m.allocate_append(log_file + 1, 100), std::invalid_argument);
 }
 
 TEST(Append, ClusterAppendsAreWrites) {
     Cluster cluster(small_config());
-    cluster.create_file("log", 4096);
+    const FileId log_file = cluster.create_file("log", 4096);
     for (int i = 0; i < 5; ++i)
-        cluster.submit({.time = double(i) * 0.1, .file = "log", .offset = 0,
+        cluster.submit({.time = double(i) * 0.1, .file = log_file, .offset = 0,
                         .size = 64u << 10, .type = IoType::kRead, .client = 0,
                         .append = true});
     cluster.run();
@@ -381,12 +434,12 @@ TEST(Append, SequentialityBeatsRandomWrites) {
     // writes of the same size pay seeks.
     auto mean_latency = [](bool append) {
         Cluster cluster(small_config());
-        cluster.create_file("f", 64ull << 20);
+        const FileId f = cluster.create_file("f", 64ull << 20);
         kooza::sim::Rng rng(7);
         for (int i = 0; i < 30; ++i) {
             RequestSpec r;
             r.time = double(i) * 0.5;
-            r.file = "f";
+            r.file = f;
             r.size = 256u << 10;
             r.type = IoType::kWrite;
             if (append) {
@@ -409,9 +462,9 @@ TEST(Append, SequentialityBeatsRandomWrites) {
 TEST(Cluster, DeterministicForSeed) {
     auto run = [] {
         Cluster cluster(small_config());
-        cluster.create_file("f", 64ull << 20);
+        const FileId f = cluster.create_file("f", 64ull << 20);
         for (int i = 0; i < 10; ++i)
-            cluster.submit({.time = double(i) * 0.05, .file = "f",
+            cluster.submit({.time = double(i) * 0.05, .file = f,
                             .offset = std::uint64_t(i) * 8192, .size = 4096,
                             .type = IoType::kRead});
         cluster.run();

@@ -90,11 +90,12 @@ TEST(FailoverRegression, CachedDeadPrimaryTimeoutPaidOnce) {
     cfg.n_chunkservers = 3;
     cfg.replication = 2;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);  // one chunk on servers {0, 1}
+    // One chunk, on servers {0, 1}.
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
-    cluster.submit({.time = 5.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 5.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     ASSERT_EQ(cluster.completed(), 2u);
@@ -114,9 +115,9 @@ TEST(FailoverRegression, CachedDeadPrimaryTimeoutPaidOnce) {
 TEST(FailoverRegression, BackoffGrowsAndCaps) {
     GfsConfig cfg;  // one server, replication 1, retry round re-lookup
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.failed_requests(), 1u);
@@ -148,9 +149,9 @@ TEST(FailoverRegression, ShrinkingBackoffFactorNeverShrinksTheWait) {
     cfg.failover_backoff = 0.5;   // pathological: would shrink waits
     cfg.client_retry_rounds = 4;  // several rounds -> several backoff steps
     Cluster cluster(cfg);         // one server, replication 1
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.failed_requests(), 1u);
@@ -173,9 +174,9 @@ TEST(FailoverRegression, LargeBackoffManyRoundsStaysCapped) {
     cfg.failover_backoff = 10.0;
     cfg.client_retry_rounds = 50;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.server(0).set_failed(true);
-    cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.failed_requests(), 1u);
@@ -201,7 +202,8 @@ TEST(Repair, CrashTriggersReReplication) {
     cfg.replication = 2;
     cfg.chunk_size = 1u << 20;
     Cluster cluster(cfg);
-    cluster.create_file("f", 2u << 20);  // chunk0 -> {0,1}, chunk1 -> {1,2}
+    // chunk0 -> {0,1}, chunk1 -> {1,2}
+    const FileId f = cluster.create_file("f", 2u << 20);
     cluster.inject_faults({FaultEvent{0.5, 0, true}});
     cluster.run();
     EXPECT_TRUE(cluster.master().server_down(0));
@@ -210,11 +212,11 @@ TEST(Repair, CrashTriggersReReplication) {
     // Chunk 0 lost its replica on server 0 and was re-replicated.
     EXPECT_EQ(cluster.fault_injector()->repairs(), 1u);
     EXPECT_EQ(cluster.master().re_replications(), 1u);
-    const auto& loc = cluster.master().chunks("f").at(0);
+    const auto& loc = cluster.master().lookup(f, 0);
     EXPECT_EQ(std::count(loc.servers.begin(), loc.servers.end(), 0u), 0);
     EXPECT_EQ(loc.servers.size(), 2u);
     // Post-repair reads of the chunk never touch the dead server.
-    cluster.submit({.time = 20.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 20.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 1u);
@@ -235,9 +237,9 @@ TEST(Repair, CrashTriggersReReplication) {
 TEST(Repair, RecoveryRestoresServerViaInjector) {
     GfsConfig cfg;  // one server, replication 1: no repair possible
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.inject_faults({FaultEvent{1.0, 0, true}, FaultEvent{3.0, 0, false}});
-    cluster.submit({.time = 5.0, .file = "f", .offset = 0, .size = 4096,
+    cluster.submit({.time = 5.0, .file = f, .offset = 0, .size = 4096,
                     .type = IoType::kRead});
     cluster.run();
     EXPECT_EQ(cluster.completed(), 1u);
@@ -256,9 +258,10 @@ TEST(Lbn, DistinctChunksGetDisjointBlockRanges) {
     GfsConfig cfg;
     cfg.chunk_size = 1u << 20;  // 2048 blocks of 512 B per chunk
     Cluster cluster(cfg);
-    cluster.create_file("f", 4u << 20);  // 4 chunks, all on the one server
+    // 4 chunks, all on the one server.
+    const FileId f = cluster.create_file("f", 4u << 20);
     for (int c = 0; c < 4; ++c)
-        cluster.submit({.time = double(c) * 0.1, .file = "f",
+        cluster.submit({.time = double(c) * 0.1, .file = f,
                         .offset = std::uint64_t(c) << 20, .size = 4096,
                         .type = IoType::kRead});
     cluster.run();
@@ -387,10 +390,10 @@ TEST(Characterize, ReportsDegradedModeActivity) {
     cfg.n_chunkservers = 3;
     cfg.replication = 2;
     Cluster cluster(cfg);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     cluster.inject_faults({FaultEvent{0.05, 0, true}, FaultEvent{4.0, 0, false}});
     for (int i = 0; i < 8; ++i)
-        cluster.submit({.time = 0.1 + double(i) * 0.2, .file = "f", .offset = 0,
+        cluster.submit({.time = 0.1 + double(i) * 0.2, .file = f, .offset = 0,
                         .size = 4096, .type = IoType::kRead});
     cluster.run();
     const auto report = core::characterize(cluster.traces());
@@ -402,9 +405,9 @@ TEST(Characterize, ReportsDegradedModeActivity) {
     EXPECT_NE(report.to_string().find("faults:"), std::string::npos);
     // A healthy capture keeps the section out of the report.
     Cluster healthy(GfsConfig{});
-    healthy.create_file("f", 64ull << 20);
+    const FileId healthy_f = healthy.create_file("f", 64ull << 20);
     for (int i = 0; i < 8; ++i)
-        healthy.submit({.time = double(i) * 0.2, .file = "f", .offset = 0,
+        healthy.submit({.time = double(i) * 0.2, .file = healthy_f, .offset = 0,
                         .size = 4096, .type = IoType::kRead});
     healthy.run();
     const auto clean = core::characterize(healthy.traces());
@@ -427,15 +430,15 @@ TEST(FaultDrain, LazyFaultsFollowSlowTailPastOldHorizon) {
     cfg.faults.mttr = 0.5;
     cfg.faults.horizon = 0.0;  // drain-following lazy mode
     Cluster cluster(cfg);
-    cluster.create_file("f", 512ull << 20);
+    const FileId f = cluster.create_file("f", 512ull << 20);
     // A few quick reads, then one 256 MB multi-chunk write whose transfer
     // alone keeps the cluster draining for a couple of simulated seconds
     // after the final arrival.
     for (int i = 0; i < 4; ++i)
-        cluster.submit({.time = 0.1 * double(i + 1), .file = "f", .offset = 0,
+        cluster.submit({.time = 0.1 * double(i + 1), .file = f, .offset = 0,
                         .size = 4096, .type = IoType::kRead});
     const double last_arrival = 0.5;
-    cluster.submit({.time = last_arrival, .file = "f", .offset = 64ull << 20,
+    cluster.submit({.time = last_arrival, .file = f, .offset = 64ull << 20,
                     .size = 256ull << 20, .type = IoType::kWrite});
     cluster.run();
 

@@ -19,9 +19,9 @@ GfsConfig one_server() {
 
 TEST(MultiClient, RequestsFromAllClientsComplete) {
     Cluster cluster(one_server(), /*n_clients=*/3);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     for (int i = 0; i < 30; ++i)
-        cluster.submit({.time = double(i) * 0.05, .file = "f",
+        cluster.submit({.time = double(i) * 0.05, .file = f,
                         .offset = std::uint64_t(i) * 65536, .size = 4096,
                         .type = IoType::kRead,
                         .client = std::uint32_t(i % 3)});
@@ -32,8 +32,8 @@ TEST(MultiClient, RequestsFromAllClientsComplete) {
 
 TEST(MultiClient, UnknownClientRejected) {
     Cluster cluster(one_server(), 2);
-    cluster.create_file("f", 1u << 20);
-    EXPECT_THROW(cluster.submit({.time = 0.0, .file = "f", .offset = 0, .size = 4096,
+    const FileId f = cluster.create_file("f", 1u << 20);
+    EXPECT_THROW(cluster.submit({.time = 0.0, .file = f, .offset = 0, .size = 4096,
                                  .type = IoType::kRead, .client = 5}),
                  std::invalid_argument);
 }
@@ -42,11 +42,11 @@ TEST(MultiClient, EachClientCachesLocationsIndependently) {
     // Both clients' FIRST requests pay the master lookup; their second
     // requests do not — caches are per client.
     Cluster cluster(one_server(), 2);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     std::vector<std::uint64_t> ids;
     for (std::uint32_t c = 0; c < 2; ++c)
         for (int i = 0; i < 2; ++i)
-            ids.push_back(cluster.submit({.time = double(ids.size()), .file = "f",
+            ids.push_back(cluster.submit({.time = double(ids.size()), .file = f,
                                           .offset = 0, .size = 4096,
                                           .type = IoType::kRead, .client = c}));
     cluster.run();
@@ -68,9 +68,9 @@ TEST(MultiClient, ContentionRaisesLatency) {
     // the single chunkserver; concurrent bursts are slower than serial.
     auto run = [](double gap) {
         Cluster cluster(one_server(), 4);
-        cluster.create_file("f", 64ull << 20);
+        const FileId f = cluster.create_file("f", 64ull << 20);
         for (int i = 0; i < 16; ++i)
-            cluster.submit({.time = double(i) * gap, .file = "f",
+            cluster.submit({.time = double(i) * gap, .file = f,
                             .offset = std::uint64_t(i) * (1u << 20),
                             .size = 1u << 20, .type = IoType::kRead,
                             .client = std::uint32_t(i % 4)});
@@ -85,9 +85,9 @@ TEST(MultiClient, ResponsesLandOnIssuersPort) {
     // completions: per-request records exist for every id and each
     // client's failed count is zero.
     Cluster cluster(one_server(), 2);
-    cluster.create_file("f", 64ull << 20);
+    const FileId f = cluster.create_file("f", 64ull << 20);
     for (int i = 0; i < 10; ++i)
-        cluster.submit({.time = 0.0, .file = "f",
+        cluster.submit({.time = 0.0, .file = f,
                         .offset = std::uint64_t(i) * (1u << 20), .size = 1u << 20,
                         .type = IoType::kRead, .client = std::uint32_t(i % 2)});
     cluster.run();

@@ -51,9 +51,9 @@ TEST(Integration, Table2ScenarioFeaturesNearExact) {
     workloads::Workload train_w;
     train_w.files.emplace_back("validate.dat", 64ull << 20);
     for (int i = 0; i < 50; ++i) {
-        train_w.requests.push_back({double(i), "validate.dat", 0, 64ull << 10,
+        train_w.requests.push_back({double(i), 0, 0, 64ull << 10,
                                     IoType::kRead, 0});
-        train_w.requests.push_back({double(i) + 0.5, "validate.dat", 8ull << 20,
+        train_w.requests.push_back({double(i) + 0.5, 0, 8ull << 20,
                                     4ull << 20, IoType::kWrite, 0});
     }
     const auto cfg = default_cfg();
@@ -320,11 +320,11 @@ TEST(Integration, MultiServerIncastReproduced) {
     cfg.net.buffer_frames = 16;
     cfg.net.retry_timeout = 0.05;
     gfs::Cluster cluster(cfg);
-    cluster.create_file("wide", 32ull << 20);
+    const gfs::FileId wide = cluster.create_file("wide", 32ull << 20);
     // One big striped read: 8 MB over 32 chunks of 256 KB.
     auto& drops = obs::counter("hw.net.drops_total");
     const auto drops_before = drops.value();
-    cluster.submit({0.0, "wide", 0, 8ull << 20, IoType::kRead, 0});
+    cluster.submit({0.0, wide, 0, 8ull << 20, IoType::kRead, 0});
     cluster.run();
     EXPECT_GT(drops.value(), drops_before);
     const auto ts = cluster.traces();

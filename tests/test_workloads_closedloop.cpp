@@ -69,13 +69,14 @@ TEST(ClosedLoopPool, DrawContract) {
     while (auto spec = pool.next(drawn % p.clients, now)) {
         ++drawn;
         EXPECT_GE(spec->time, now);  // think time never goes backwards
-        EXPECT_TRUE(names.count(spec->file)) << spec->file;
+        EXPECT_LT(spec->file, pool.files().size());
         EXPECT_EQ(spec->client, (drawn - 1) % p.clients);
         EXPECT_GT(spec->size, 0u);
         EXPECT_EQ(spec->offset % 4096, 0u);  // 4 KB aligned like MixGenerator
         EXPECT_LE(spec->offset + spec->size, p.file_size);
         now = spec->time;
     }
+    EXPECT_EQ(names.size(), p.files);  // distinct names
     EXPECT_EQ(drawn, p.total);  // the global budget is exact
     EXPECT_TRUE(pool.exhausted());
     EXPECT_FALSE(pool.next(0, now).has_value());  // stays exhausted
@@ -392,12 +393,12 @@ TEST(ClosedLoopCapture, SubmitCallbackReportsFailureAsNegativeLatency) {
     cfg.admission.probe_interval = 0.0;
     cfg.admission.queue = false;  // reject: the 2nd concurrent piece bounces
     gfs::Cluster cluster(cfg, 2);
-    cluster.create_file("cb.dat", 1ull << 20);
+    const gfs::FileId cb = cluster.create_file("cb.dat", 1ull << 20);
     std::vector<double> latencies;
     auto submit = [&](double t, std::uint32_t client) {
         gfs::RequestSpec s;
         s.time = t;
-        s.file = "cb.dat";
+        s.file = cb;
         s.size = 64ull << 10;
         s.client = client;
         cluster.submit(s, [&] { latencies.push_back(cluster.last_latency()); });
