@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "trace/binary.hpp"
@@ -62,14 +63,22 @@ Observations segment(const std::vector<trace::RequestFeatures>& features,
     return obs;
 }
 
+/// Reject a config before any trace is read.
+void check_config(const HmmConfig& cfg) {
+    if (cfg.n_states == 0)
+        throw std::invalid_argument("HmmModel: n_states must be >= 1");
+    if (cfg.n_states > HmmModel::kMaxStates)
+        throw std::invalid_argument("HmmModel: n_states must be <= " +
+                                    std::to_string(HmmModel::kMaxStates) + ", got " +
+                                    std::to_string(cfg.n_states));
+    if (cfg.segment_length < 2)
+        throw std::invalid_argument("HmmModel: segment_length must be >= 2");
+}
+
 }  // namespace
 
 HmmModel HmmModel::fit_from_features(
     const std::vector<trace::RequestFeatures>& features, HmmConfig cfg) {
-    if (cfg.n_states == 0)
-        throw std::invalid_argument("HmmModel: n_states must be >= 1");
-    if (cfg.segment_length < 2)
-        throw std::invalid_argument("HmmModel: segment_length must be >= 2");
     // Each segment loses one inter-arrival observation, so demand enough
     // rows that *both* pooled streams satisfy Echmm::fit's 2*n_states.
     if (features.size() < 2 * cfg.n_states + 2)
@@ -158,12 +167,14 @@ HmmModel HmmModel::fit_from_features(
 }
 
 HmmModel HmmModel::train(const trace::TraceSet& ts, HmmConfig cfg) {
+    check_config(cfg);
     // extract_features is the FeatureAccumulator fold over one chunk.
     return fit_from_features(trace::extract_features(ts), cfg);
 }
 
 HmmModel HmmModel::train_streaming(const std::filesystem::path& dir, HmmConfig cfg,
                                    std::size_t chunk_rows) {
+    check_config(cfg);
     trace::ChunkedReader reader(dir);
     trace::FeatureAccumulator facc;
     reader.for_each_chunk(chunk_rows,

@@ -41,7 +41,7 @@ namespace kooza::baselines {
 
 struct HmmConfig {
     /// Hidden states per ECHMM (the --hmm-states knob; Harrison uses a
-    /// handful of regimes).
+    /// handful of regimes), at most HmmModel::kMaxStates.
     std::size_t n_states = 4;
     std::size_t max_iter = 40;
     double tol = 1e-4;
@@ -57,6 +57,12 @@ struct HmmConfig {
 
 class HmmModel {
 public:
+    /// Largest HmmConfig::n_states train() accepts. Each Baum-Welch
+    /// iteration costs n^2 per observation (900 states on a 2,000-request
+    /// capture ran for more than 20 s); Harrison's regimes and every bench
+    /// use at most 16.
+    static constexpr std::size_t kMaxStates = 64;
+
     /// Per-type scalar means for the features the HMMs do not model.
     struct FeatureMeans {
         double network_bytes = 0.0;
@@ -69,7 +75,8 @@ public:
     };
 
     /// Train from a materialized trace set. Throws std::invalid_argument
-    /// when the trace has too few completed requests for `n_states`.
+    /// when `n_states` is outside 1..kMaxStates or the trace has too few
+    /// completed requests for it.
     static HmmModel train(const trace::TraceSet& ts, HmmConfig cfg = {});
 
     /// Train from a kooza.trace/1 capture directory without materializing

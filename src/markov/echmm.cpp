@@ -7,13 +7,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "markov/echmm_lanes.hpp"
 #include "obs/metrics.hpp"
 #include "stats/hypothesis.hpp"
 
 namespace kooza::markov {
 
 namespace {
-constexpr double kLog2Pi = 1.8378770664093453;
 constexpr double kSigmaFloor = 1e-6;
 
 struct EchmmMetrics {
@@ -26,20 +26,57 @@ EchmmMetrics& echmm_metrics() {
     return m;
 }
 
-/// Gaussian log-density, with log(sigma) hoisted out by the caller.
-double log_density(double x, double mu, double sigma, double log_sigma) {
-    const double d = (x - mu) / sigma;
-    return -0.5 * (kLog2Pi + d * d) - log_sigma;
+using detail::log_density;
+
+#if defined(__x86_64__)
+/// The 4-lane kernel compiled for AVX2 (never FMA: a contracted
+/// multiply-add rounds once where the scalar E-step rounded twice).
+template <std::size_t N>
+__attribute__((target("avx2"))) void estep_avx2(const detail::EstepModel& m,
+                                                detail::Estep& s) {
+    detail::estep<N, 4>(m, s);
 }
+
+bool has_avx2() noexcept {
+    static const bool yes = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return yes;
+}
+#endif
+
+/// The widest kernel the CPU runs for `n_states`.
+detail::EstepKernel native_kernel(std::size_t n_states) {
+#if defined(__x86_64__)
+    if (has_avx2()) {
+        switch (n_states) {
+        case 2: return {&estep_avx2<2>, 4};
+        case 4: return {&estep_avx2<4>, 4};
+        case 8: return {&estep_avx2<8>, 4};
+        default: return {&estep_avx2<0>, 4};
+        }
+    }
+#endif
+    return detail::lanes_kernel<2>(n_states);
+}
+
 }  // namespace
 
-void Echmm::log_sigmas(std::vector<double>& out) const {
-    out.resize(n_);
+void detail::use_kernel(Echmm::Fitter& fitter, EstepKernel kernel) {
+    fitter.kernel_ = kernel;
+    fitter.estep_.count = 0;
+}
+
+void Echmm::log_sigmas(double* out) const {
     for (std::size_t i = 0; i < n_; ++i) out[i] = std::log(sigma_[i]);
 }
 
 Echmm::Fitter::Fitter(std::size_t n_states, double tol)
-    : m_(n_states), tol_(tol), prev_ll_(-std::numeric_limits<double>::infinity()) {
+    : m_(n_states),
+      tol_(tol),
+      prev_ll_(-std::numeric_limits<double>::infinity()),
+      kernel_(native_kernel(n_states)) {
     if (n_states == 0) throw std::invalid_argument("Echmm::Fitter: n_states 0");
 }
 
@@ -89,11 +126,10 @@ void Echmm::Fitter::initialize(std::span<const double> pooled, std::uint64_t see
     }
 
     m_.pi_.assign(n_states, 1.0 / double(n_states));
-    m_.a_.assign(n_states, std::vector<double>(n_states,
-                                               n_states > 1 ? 0.2 / double(n_states - 1)
-                                                            : 1.0));
+    m_.a_.assign(n_states * n_states,
+                 n_states > 1 ? 0.2 / double(n_states - 1) : 1.0);
     if (n_states > 1)
-        for (std::size_t i = 0; i < n_states; ++i) m_.a_[i][i] = 0.8;
+        for (std::size_t i = 0; i < n_states; ++i) m_.a_[i * n_states + i] = 0.8;
 
     prev_ll_ = -std::numeric_limits<double>::infinity();
     m_.train_ll_ = 0.0;
@@ -101,18 +137,22 @@ void Echmm::Fitter::initialize(std::span<const double> pooled, std::uint64_t see
     iters_ = 0;
     initialized_ = true;
     in_iteration_ = false;
+    estep_.count = 0;
 }
 
 void Echmm::Fitter::begin_iteration() {
     if (!initialized_)
         throw std::logic_error("Echmm::Fitter: begin_iteration before initialize");
     const std::size_t n = m_.n_;
-    pi_acc_.assign(n, 1e-10);
-    a_acc_.assign(n, std::vector<double>(n, 1e-10));
-    gamma_all_.assign(n, 1e-10);
-    x_acc_.assign(n, 0.0);
-    x2_acc_.assign(n, 0.0);
-    total_ll_ = 0.0;
+    estep_.pi_acc.assign(n, 1e-10);
+    estep_.a_acc.assign(n * n, 1e-10);
+    estep_.gamma_all.assign(n, 1e-10);
+    estep_.x_acc.assign(n, 0.0);
+    estep_.x2_acc.assign(n, 0.0);
+    estep_.total_ll = 0.0;
+    estep_.count = 0;
+    log_sigma_.resize(n);
+    m_.log_sigmas(log_sigma_.data());
     in_iteration_ = true;
 }
 
@@ -121,114 +161,53 @@ void Echmm::Fitter::accumulate(std::span<const double> seq) {
         throw std::logic_error("Echmm::Fitter: accumulate outside an iteration");
     const std::size_t T = seq.size();
     if (T == 0) return;
-    const std::size_t n = m_.n_;
-    const auto& a = m_.a_;
-    // One emission density per (t, state); every pass below reads it.
-    m_.log_sigmas(log_sigma_);
-    emit_.resize(T * n);
-    for (std::size_t t = 0; t < T; ++t)
-        for (std::size_t j = 0; j < n; ++j)
-            emit_[t * n + j] = std::exp(
-                log_density(seq[t], m_.mu_[j], m_.sigma_[j], log_sigma_[j]));
-    alpha_.resize(T * n);
-    beta_.resize(T * n);
-    scale_.assign(T, 0.0);
-    const double* emit = emit_.data();
-    double* alpha = alpha_.data();
-    double* beta = beta_.data();
-    double* scale = scale_.data();
-    // Scaled forward.
-    for (std::size_t i = 0; i < n; ++i) alpha[i] = m_.pi_[i] * emit[i];
-    for (std::size_t i = 0; i < n; ++i) scale[0] += alpha[i];
-    scale[0] = std::max(scale[0], 1e-300);
-    for (std::size_t i = 0; i < n; ++i) alpha[i] /= scale[0];
-    for (std::size_t t = 1; t < T; ++t) {
-        const double* prev = alpha + (t - 1) * n;
-        double* cur = alpha + t * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            double s = 0.0;
-            for (std::size_t i = 0; i < n; ++i) s += prev[i] * a[i][j];
-            cur[j] = s * emit[t * n + j];
-        }
-        for (std::size_t j = 0; j < n; ++j) scale[t] += cur[j];
-        scale[t] = std::max(scale[t], 1e-300);
-        for (std::size_t j = 0; j < n; ++j) cur[j] /= scale[t];
-    }
-    for (std::size_t t = 0; t < T; ++t) total_ll_ += std::log(scale[t]);
-    // Scaled backward.
-    for (std::size_t i = 0; i < n; ++i) beta[(T - 1) * n + i] = 1.0;
-    for (std::size_t t = T - 1; t-- > 0;) {
-        const double* e1 = emit + (t + 1) * n;
-        const double* b1 = beta + (t + 1) * n;
-        for (std::size_t i = 0; i < n; ++i) {
-            double s = 0.0;
-            for (std::size_t j = 0; j < n; ++j) s += a[i][j] * e1[j] * b1[j];
-            beta[t * n + i] = s / scale[t + 1];
-        }
-    }
-    // Gamma accumulation: first/second moments per state, so the M-step
-    // can form the variance against the updated mean.
-    for (std::size_t t = 0; t < T; ++t) {
-        const double* at = alpha + t * n;
-        const double* bt = beta + t * n;
-        double norm = 0.0;
-        for (std::size_t i = 0; i < n; ++i) norm += at[i] * bt[i];
-        norm = std::max(norm, 1e-300);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double g = at[i] * bt[i] / norm;
-            gamma_all_[i] += g;
-            x_acc_[i] += g * seq[t];
-            x2_acc_[i] += g * seq[t] * seq[t];
-            if (t == 0) pi_acc_[i] += g;
-        }
-    }
-    // Xi accumulation.
-    xi_.resize(n * n);
-    for (std::size_t t = 0; t + 1 < T; ++t) {
-        const double* at = alpha + t * n;
-        const double* e1 = emit + (t + 1) * n;
-        const double* b1 = beta + (t + 1) * n;
-        double norm = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j) {
-                xi_[i * n + j] = at[i] * a[i][j] * e1[j] * b1[j];
-                norm += xi_[i * n + j];
-            }
-        norm = std::max(norm, 1e-300);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j) a_acc_[i][j] += xi_[i * n + j] / norm;
-    }
+    if (estep_.count > 0 && estep_.T != T) run_batch();
+    estep_.T = T;
+    if (estep_.obs.size() < kernel_.lanes * T) estep_.obs.resize(kernel_.lanes * T);
+    std::copy(seq.begin(), seq.end(), estep_.obs.begin() + estep_.count * T);
+    if (++estep_.count == kernel_.lanes) run_batch();
+}
+
+void Echmm::Fitter::run_batch() {
+    if (estep_.count == 0) return;
+    const detail::EstepModel view{m_.n_,         m_.pi_.data(),    m_.a_.data(),
+                                  m_.mu_.data(), m_.sigma_.data(), log_sigma_.data()};
+    kernel_.run(view, estep_);
+    estep_.count = 0;
 }
 
 bool Echmm::Fitter::end_iteration() {
     if (!in_iteration_)
         throw std::logic_error("Echmm::Fitter: end_iteration outside an iteration");
+    run_batch();
     in_iteration_ = false;
     const std::size_t n = m_.n_;
+    const auto& acc = estep_;
     double pi_norm = 0.0;
-    for (double p : pi_acc_) pi_norm += p;
-    for (std::size_t i = 0; i < n; ++i) m_.pi_[i] = pi_acc_[i] / pi_norm;
+    for (double p : acc.pi_acc) pi_norm += p;
+    for (std::size_t i = 0; i < n; ++i) m_.pi_[i] = acc.pi_acc[i] / pi_norm;
     for (std::size_t i = 0; i < n; ++i) {
+        const double* row_acc = acc.a_acc.data() + i * n;
         double row = 0.0;
-        for (std::size_t j = 0; j < n; ++j) row += a_acc_[i][j];
-        for (std::size_t j = 0; j < n; ++j) m_.a_[i][j] = a_acc_[i][j] / row;
+        for (std::size_t j = 0; j < n; ++j) row += row_acc[j];
+        for (std::size_t j = 0; j < n; ++j) m_.a_[i * n + j] = row_acc[j] / row;
     }
     for (std::size_t i = 0; i < n; ++i) {
-        const double mu = x_acc_[i] / gamma_all_[i];
+        const double mu = acc.x_acc[i] / acc.gamma_all[i];
         // E[x^2] - mu^2 against the *updated* mean; clamp the (possible)
         // tiny negative from catastrophic cancellation.
-        const double var = std::max(x2_acc_[i] / gamma_all_[i] - mu * mu, 0.0);
+        const double var = std::max(acc.x2_acc[i] / acc.gamma_all[i] - mu * mu, 0.0);
         m_.mu_[i] = mu;
         m_.sigma_[i] = std::max(std::sqrt(var), kSigmaFloor);
     }
-    m_.train_ll_ = total_ll_;
+    m_.train_ll_ = acc.total_ll;
     m_.iters_ = ++iters_;
-    if (total_ll_ < prev_ll_) echmm_metrics().ll_decreased.add();
+    if (acc.total_ll < prev_ll_) echmm_metrics().ll_decreased.add();
     // |delta| guard: a decrease is numerical noise from the floored
     // accumulators, never evidence of convergence. prev_ll_ starts at
     // -inf, so the first iteration can never satisfy this.
-    const bool converged = std::abs(total_ll_ - prev_ll_) < tol_;
-    prev_ll_ = total_ll_;
+    const bool converged = std::abs(acc.total_ll - prev_ll_) < tol_;
+    prev_ll_ = acc.total_ll;
     return converged;
 }
 
@@ -261,7 +240,7 @@ Echmm Echmm::fit(std::span<const std::vector<double>> sequences,
 
 double Echmm::transition(std::size_t i, std::size_t j) const {
     if (i >= n_ || j >= n_) throw std::out_of_range("Echmm::transition");
-    return a_[i][j];
+    return a_[i * n_ + j];
 }
 
 double Echmm::emission_mean(std::size_t i) const {
@@ -276,30 +255,33 @@ double Echmm::emission_stddev(std::size_t i) const {
 
 double Echmm::log_likelihood(std::span<const double> xs) const {
     if (xs.empty()) return 0.0;
-    std::vector<double> log_sigma;
+    const std::size_t n = n_;
+    // One buffer: log sigma, the forward row and the next one.
+    std::vector<double> buf(3 * n);
+    double* const log_sigma = buf.data();
+    double* const alpha = log_sigma + n;
+    double* const next = alpha + n;
     log_sigmas(log_sigma);
     const auto emission = [&](std::size_t j, double x) {
         return std::exp(log_density(x, mu_[j], sigma_[j], log_sigma[j]));
     };
-    std::vector<double> alpha(n_);
     double ll = 0.0;
-    for (std::size_t i = 0; i < n_; ++i) alpha[i] = pi_[i] * emission(i, xs[0]);
+    for (std::size_t i = 0; i < n; ++i) alpha[i] = pi_[i] * emission(i, xs[0]);
     double scale = 0.0;
-    for (double a : alpha) scale += a;
+    for (std::size_t i = 0; i < n; ++i) scale += alpha[i];
     scale = std::max(scale, 1e-300);
-    for (auto& a : alpha) a /= scale;
+    for (std::size_t i = 0; i < n; ++i) alpha[i] /= scale;
     ll += std::log(scale);
-    std::vector<double> next(n_);
     for (std::size_t t = 1; t < xs.size(); ++t) {
-        for (std::size_t j = 0; j < n_; ++j) {
+        for (std::size_t j = 0; j < n; ++j) {
             double s = 0.0;
-            for (std::size_t i = 0; i < n_; ++i) s += alpha[i] * a_[i][j];
+            for (std::size_t i = 0; i < n; ++i) s += alpha[i] * a_[i * n + j];
             next[j] = s * emission(j, xs[t]);
         }
         scale = 0.0;
-        for (double a : next) scale += a;
+        for (std::size_t j = 0; j < n; ++j) scale += next[j];
         scale = std::max(scale, 1e-300);
-        for (std::size_t j = 0; j < n_; ++j) alpha[j] = next[j] / scale;
+        for (std::size_t j = 0; j < n; ++j) alpha[j] = next[j] / scale;
         ll += std::log(scale);
     }
     return ll;
@@ -308,35 +290,42 @@ double Echmm::log_likelihood(std::span<const double> xs) const {
 std::vector<std::size_t> Echmm::viterbi(std::span<const double> xs) const {
     if (xs.empty()) return {};
     const std::size_t T = xs.size();
-    std::vector<double> log_sigma;
+    const std::size_t n = n_;
+    // One buffer: log sigma, the log transitions (taken once per call, not
+    // once per step) and the previous and current delta rows.
+    std::vector<double> buf(n + n * n + 2 * n);
+    double* const log_sigma = buf.data();
+    double* const log_a = log_sigma + n;
+    double* prev = log_a + n * n;
+    double* cur = prev + n;
     log_sigmas(log_sigma);
+    for (std::size_t k = 0; k < n * n; ++k) log_a[k] = std::log(std::max(a_[k], 1e-300));
     const auto log_emission = [&](std::size_t j, double x) {
         return log_density(x, mu_[j], sigma_[j], log_sigma[j]);
     };
-    std::vector<std::vector<double>> delta(T, std::vector<double>(n_));
-    std::vector<std::vector<std::size_t>> psi(T, std::vector<std::size_t>(n_, 0));
-    for (std::size_t i = 0; i < n_; ++i)
-        delta[0][i] = std::log(std::max(pi_[i], 1e-300)) + log_emission(i, xs[0]);
-    for (std::size_t t = 1; t < T; ++t)
-        for (std::size_t j = 0; j < n_; ++j) {
+    // psi[(t - 1) * n + j]: the best predecessor of state j at step t >= 1.
+    std::vector<std::size_t> psi((T - 1) * n);
+    for (std::size_t i = 0; i < n; ++i)
+        prev[i] = std::log(std::max(pi_[i], 1e-300)) + log_emission(i, xs[0]);
+    for (std::size_t t = 1; t < T; ++t) {
+        for (std::size_t j = 0; j < n; ++j) {
             double best = -std::numeric_limits<double>::infinity();
             std::size_t arg = 0;
-            for (std::size_t i = 0; i < n_; ++i) {
-                const double v =
-                    delta[t - 1][i] + std::log(std::max(a_[i][j], 1e-300));
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v = prev[i] + log_a[i * n + j];
                 if (v > best) {
                     best = v;
                     arg = i;
                 }
             }
-            delta[t][j] = best + log_emission(j, xs[t]);
-            psi[t][j] = arg;
+            cur[j] = best + log_emission(j, xs[t]);
+            psi[(t - 1) * n + j] = arg;
         }
+        std::swap(prev, cur);
+    }
     std::vector<std::size_t> path(T);
-    path[T - 1] = std::size_t(
-        std::max_element(delta[T - 1].begin(), delta[T - 1].end()) -
-        delta[T - 1].begin());
-    for (std::size_t t = T - 1; t-- > 0;) path[t] = psi[t + 1][path[t + 1]];
+    path[T - 1] = std::size_t(std::max_element(prev, prev + n) - prev);
+    for (std::size_t t = T - 1; t-- > 0;) path[t] = psi[t * n + path[t + 1]];
     return path;
 }
 
@@ -347,7 +336,7 @@ std::vector<double> Echmm::generate(std::size_t length, sim::Rng& rng) const {
     std::size_t state = rng.weighted_index(pi_);
     out.push_back(rng.normal(mu_[state], sigma_[state]));
     for (std::size_t t = 1; t < length; ++t) {
-        state = rng.weighted_index(a_[state]);
+        state = rng.weighted_index(std::span<const double>(a_).subspan(state * n_, n_));
         out.push_back(rng.normal(mu_[state], sigma_[state]));
     }
     return out;

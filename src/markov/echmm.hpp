@@ -75,16 +75,49 @@ private:
     explicit Echmm(std::size_t n) : n_(n) {}
 
     /// out[i] = log(sigma_i), hoisted out of every density evaluation.
-    void log_sigmas(std::vector<double>& out) const;
+    void log_sigmas(double* out) const;
 
     std::size_t n_;
     std::vector<double> pi_;                  ///< initial distribution
-    std::vector<std::vector<double>> a_;      ///< transitions
+    std::vector<double> a_;                   ///< transitions, n x n row-major
     std::vector<double> mu_;                  ///< emission means
     std::vector<double> sigma_;               ///< emission stddevs
     double train_ll_ = 0.0;
     std::size_t iters_ = 0;
 };
+
+namespace detail {
+
+struct EstepModel;
+
+/// The E-step's pending batch and the iteration's expectation sums. The
+/// Fitter holds one; the kernels that run it are in echmm_lanes.hpp.
+struct Estep {
+    std::size_t T = 0;        ///< length of every pending sequence
+    std::size_t count = 0;    ///< pending sequences
+    std::vector<double> obs;  ///< pending sequences, sequence-major (count x T)
+    std::vector<double> work; ///< the kernel's tables, grown to the longest batch
+    // Expectation sums, each added to in sequence order.
+    double total_ll = 0.0;
+    std::vector<double> pi_acc;
+    std::vector<double> a_acc;      ///< n x n, row-major
+    std::vector<double> gamma_all;  ///< sum of gamma over all t
+    std::vector<double> x_acc;      ///< sum of gamma * x
+    std::vector<double> x2_acc;     ///< sum of gamma * x^2
+};
+
+/// An E-step kernel compiled for one state count and lane width: `run`
+/// takes up to `lanes` pending sequences at once.
+struct EstepKernel {
+    void (*run)(const EstepModel&, Estep&);
+    std::size_t lanes;
+};
+
+/// Make `fitter` run its E-step through `kernel` (the lane-width tests run
+/// one fit at every width). Drops a pending batch.
+void use_kernel(Echmm::Fitter& fitter, EstepKernel kernel);
+
+}  // namespace detail
 
 /// Incremental Baum-Welch driver: owns the model and the per-iteration
 /// expectation accumulators, but never the observations. Each EM
@@ -99,14 +132,22 @@ private:
 /// against the *updated* mean (a single stale-mean pass overestimates it
 /// by (mu_new - mu_old)^2 every iteration).
 ///
-/// Each accumulate() call evaluates every emission density once, into one
-/// T x n table that the forward, backward, gamma and xi passes all read
-/// (log sigma is taken once per state, not per density). The table and
-/// the forward, backward, scale and xi buffers are flat vectors the Fitter
-/// keeps, so repeated calls allocate only when a longer sequence arrives.
-/// Reading a density from the table changes no expression and no
-/// summation order, so the fit is bit-identical to evaluating each density
-/// where it is used.
+/// The E-step runs on batches (echmm_lanes.hpp): accumulate() copies each
+/// sequence into a pending batch of at most W sequences of one length, so
+/// the caller may reuse or free its buffer as soon as the call returns and
+/// the Fitter holds at most W sequences. The batch runs when it is full,
+/// when a sequence of another length arrives, and at end_iteration(). Its
+/// forward and backward passes run the W sequences in the lanes of one
+/// vector (W = 4 under AVX2 on CPUs that have it, 2 otherwise), each lane
+/// performing the scalar recurrence's operations in the scalar order; gamma
+/// and xi then run sequence by sequence in input order, so every sum adds
+/// its terms in the order of a one-sequence-at-a-time E-step and the fit is
+/// bit-identical at every width. No multiply-add may be contracted into an
+/// FMA (the libraries build with -ffp-contract=off). Each emission density
+/// is evaluated once per step, and a step whose observation equals the
+/// previous one in its sequence reuses that row. The kernel's tables are
+/// one vector the Fitter keeps, so repeated batches allocate only when a
+/// longer sequence arrives.
 class Echmm::Fitter {
 public:
     explicit Fitter(std::size_t n_states, double tol = 1e-4);
@@ -119,7 +160,8 @@ public:
 
     void begin_iteration();
     /// E-step sufficient statistics of one observation sequence under the
-    /// current model (empty sequences are ignored).
+    /// current model (empty sequences are ignored). The sequence is copied;
+    /// its sums may be added at a later accumulate() or at end_iteration().
     void accumulate(std::span<const double> seq);
     /// M-step from everything accumulated this iteration. Returns true
     /// when |total_ll - previous total_ll| < tol (never on the first
@@ -131,26 +173,20 @@ public:
     [[nodiscard]] const Echmm& model() const noexcept { return m_; }
 
 private:
+    friend void detail::use_kernel(Fitter&, detail::EstepKernel);
+
+    /// Run the pending batch, if any.
+    void run_batch();
+
     Echmm m_;
     double tol_;
     double prev_ll_;
-    double total_ll_ = 0.0;
     std::size_t iters_ = 0;
     bool initialized_ = false;
     bool in_iteration_ = false;
-    // Per-iteration expectation accumulators.
-    std::vector<double> pi_acc_;
-    std::vector<std::vector<double>> a_acc_;
-    std::vector<double> gamma_all_;  ///< sum of gamma over all t
-    std::vector<double> x_acc_;      ///< sum of gamma * x
-    std::vector<double> x2_acc_;     ///< sum of gamma * x^2
-    // accumulate() work buffers, reused across calls (row-major, T x n).
     std::vector<double> log_sigma_;  ///< log(sigma_i) of the current model
-    std::vector<double> emit_;       ///< emission density of state j at t
-    std::vector<double> alpha_;      ///< scaled forward
-    std::vector<double> beta_;       ///< scaled backward
-    std::vector<double> scale_;      ///< per-step forward scale
-    std::vector<double> xi_;         ///< n x n, one step's transition posteriors
+    detail::EstepKernel kernel_;
+    detail::Estep estep_;
 };
 
 }  // namespace kooza::markov

@@ -29,18 +29,24 @@ EngineMetrics& metrics() {
 Engine::~Engine() {
     // Unfired events (daemon chains, post-stop leftovers) still own arena
     // blocks; destroy them before the arena goes away.
-    for (const Event& e : heap_) {
+    const auto destroy = [this](const Event& e) {
         e.fn->~EventFn();
         arena_.deallocate(e.fn);
-    }
+    };
+    if (has_front_) destroy(front_);
+    for (const Event& e : heap_) destroy(e);
     flush_metrics();
 }
 
 bool Engine::step() {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Event e = heap_.back();
-    heap_.pop_back();
+    if (!has_front_) {
+        if (heap_.empty()) return false;
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        front_ = heap_.back();
+        heap_.pop_back();
+    }
+    has_front_ = false;
+    const Event e = front_;
     now_ = e.at;
     if (!e.daemon()) --live_;
     ++executed_;
@@ -73,7 +79,7 @@ std::uint64_t Engine::run_until(Time deadline) {
     stopped_ = false;
     std::uint64_t n = 0;
     while (!stopped_) {
-        if (heap_.empty() || heap_.front().at > deadline) break;
+        if (empty() || earliest().at > deadline) break;
         step();
         ++n;
     }

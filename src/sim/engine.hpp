@@ -9,9 +9,12 @@
 // Hot-path layout (see DESIGN.md "Event core"): callbacks are sim::EventFn
 // (48-byte inline callables, no per-event heap allocation) held in blocks
 // of a slab/free-list EventArena and recycled on dispatch, and the queue
-// is one binary heap of (at, seq) entries. The pipeline's sources
-// (capture's and replay's schedule pumps) keep O(in-flight) events
-// pending, so the heap stays a few levels deep.
+// is one binary heap of (at, seq) entries plus a front slot that holds the
+// earliest pending event outside the heap. An event scheduled earlier than
+// everything pending — the next step of a chain that just ran, most often
+// — takes the slot and is dispatched without a heap push or pop. The
+// pipeline's sources (capture's and replay's schedule pumps) keep
+// O(in-flight) events pending, so the heap stays a few levels deep.
 #pragma once
 
 #include <algorithm>
@@ -94,10 +97,12 @@ public:
     void stop() noexcept { stopped_ = true; }
 
     /// True if no events are pending.
-    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+    [[nodiscard]] bool empty() const noexcept { return !has_front_ && heap_.empty(); }
 
     /// Number of pending events.
-    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+    [[nodiscard]] std::size_t pending() const noexcept {
+        return heap_.size() + (has_front_ ? 1 : 0);
+    }
 
     /// Total events executed since construction.
     [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
@@ -151,11 +156,31 @@ private:
         if (at < now_)
             throw std::invalid_argument("Engine::schedule_at: time in the past");
         auto* fn = ::new (arena_.allocate()) EventFn(std::forward<F>(action));
-        heap_.push_back(Event{at, next_seq_++ << 1 | std::uint64_t(daemon), fn});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        const Event e{at, next_seq_++ << 1 | std::uint64_t(daemon), fn};
+        // The slot holds the earliest pending event: a new event takes it
+        // when it is earlier than the slot's event, or than the heap's top
+        // when the slot is empty; a displaced event joins the heap.
+        if (has_front_ ? Later{}(front_, e)
+                       : heap_.empty() || Later{}(heap_.front(), e)) {
+            if (has_front_) heap_push(front_);
+            front_ = e;
+            has_front_ = true;
+        } else {
+            heap_push(e);
+        }
         if (!daemon) ++live_;
         ++tally_scheduled_;
-        if (heap_.size() > depth_peak_) depth_peak_ = heap_.size();
+        if (pending() > depth_peak_) depth_peak_ = pending();
+    }
+
+    void heap_push(const Event& e) {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+    /// The earliest pending event; the queue must not be empty.
+    [[nodiscard]] const Event& earliest() const noexcept {
+        return has_front_ ? front_ : heap_.front();
     }
 
     /// Fold the engine-local tallies into the process-wide obs registry.
@@ -176,6 +201,9 @@ private:
 
     EventArena arena_;  ///< declared before heap_: callbacks live in it
     std::vector<Event> heap_;
+    /// The earliest pending event, when has_front_; never also in heap_.
+    Event front_{};
+    bool has_front_ = false;
 };
 
 }  // namespace kooza::sim

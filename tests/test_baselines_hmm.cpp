@@ -202,6 +202,17 @@ TEST(HmmBaseline, Validation) {
     const auto ts = simulate(200, 10);
     HmmConfig bad_states{.n_states = 0};
     EXPECT_THROW(HmmModel::train(ts, bad_states), std::invalid_argument);
+    // Baum-Welch costs n^2 per observation: a state count past the limit is
+    // refused before any work, with the limit in the message.
+    HmmConfig too_many{.n_states = HmmModel::kMaxStates + 1};
+    try {
+        (void)HmmModel::train(ts, too_many);
+        ADD_FAILURE() << "no throw for n_states " << too_many.n_states;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("<= 64"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(HmmModel::train_streaming("/nonexistent-kooza-capture", too_many),
+                 std::invalid_argument);
     HmmConfig bad_segment;
     bad_segment.segment_length = 1;
     EXPECT_THROW(HmmModel::train(ts, bad_segment), std::invalid_argument);

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -243,6 +244,32 @@ TEST(EngineControl, PendingSeesJustScheduledEvents) {
     EXPECT_FALSE(eng.step());
     EXPECT_TRUE(eng.empty());
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EngineControl, FrontSlotEventIsPending) {
+    // The earliest pending event waits outside the heap; pending(),
+    // empty(), run_until's deadline and the destructor all see it.
+    Engine eng;
+    std::vector<int> order;
+    eng.schedule_at(5.0, [&] { order.push_back(5); });
+    eng.schedule_at(1.0, [&] {
+        order.push_back(1);
+        eng.schedule_at(2.0, [&] { order.push_back(2); });  // earlier than 5.0
+    });
+    EXPECT_EQ(eng.pending(), 2u);
+    EXPECT_EQ(eng.run_until(1.5), 1u);
+    EXPECT_EQ(eng.pending(), 2u);
+    EXPECT_FALSE(eng.empty());
+    EXPECT_EQ(eng.run(), 2u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 5}));
+
+    const auto token = std::make_shared<int>(0);
+    {
+        Engine unrun;
+        unrun.schedule_at(1.0, [token] {});
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);  // the slot's callback was destroyed
 }
 
 // ---------------------------------------------------------------------------

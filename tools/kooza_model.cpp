@@ -12,7 +12,7 @@
 //
 // --baseline hmm swaps the KOOZA trainer for the Harrison-style HMM
 // storage baseline (baselines::HmmModel); --hmm-states sets its hidden
-// state count and is only valid there, just as --lbn-ranges /
+// state count (1..64) and is only valid there, just as --lbn-ranges /
 // --util-levels / --save are only valid for the KOOZA model. HMM
 // workloads replay in independent mode (the model carries no phase
 // structure).
@@ -83,6 +83,16 @@ int main(int argc, char** argv) {
                 }
             }
         }
+        // Checked before the trace is read: Baum-Welch costs n^2 per
+        // observation, so the count is bounded (HmmModel::kMaxStates).
+        const auto hmm_states = args.get_u64("hmm-states", 4);
+        if (hmm_states < 1 || hmm_states > baselines::HmmModel::kMaxStates) {
+            std::cerr << "kooza_model: --hmm-states must be in 1.."
+                      << baselines::HmmModel::kMaxStates << ", got " << hmm_states
+                      << "\n"
+                      << kUsage;
+            return 2;
+        }
         // 0 = auto (KOOZA_THREADS env, else hardware concurrency).
         par::set_threads(std::size_t(args.get_u64("threads", 0)));
         const auto ts = trace::read_traces(args.positional()[0]);
@@ -99,7 +109,7 @@ int main(int argc, char** argv) {
 
         if (baseline == "hmm") {
             baselines::HmmConfig hc;
-            hc.n_states = std::size_t(args.get_u64("hmm-states", 4));
+            hc.n_states = std::size_t(hmm_states);
             const auto model = baselines::HmmModel::train(ts, hc);
             std::cout << model.describe() << "\n"
                       << "run: seed=" << args.get_u64("seed", 42)
