@@ -18,6 +18,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 #include "baselines/hmm.hpp"
 #include "baselines/inbreadth.hpp"
@@ -49,14 +50,25 @@ struct Scores {
     double train_ms = 0.0;       // default-config fit wall time
 };
 
+/// Timed fits per model after one warm-up fit.
+constexpr int kTimedFits = 7;
+
 /// Wall-clock the default-configuration training call — the cost half of
-/// every accuracy-vs-training-cost row.
+/// every accuracy-vs-training-cost row. One warm-up fit, then `out_ms` is
+/// the median of kTimedFits more: a single fit moved severalfold between
+/// runs. Every fit of the trace is the same model; the warm-up one is
+/// returned.
 template <typename Fn>
 auto timed_train(Fn&& fn, double& out_ms) {
-    const auto t0 = std::chrono::steady_clock::now();
     auto model = fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    out_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    std::vector<double> ms;
+    for (int i = 0; i < kTimedFits; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        [[maybe_unused]] const auto fit = fn();
+        const auto t1 = std::chrono::steady_clock::now();
+        ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    out_ms = stats::median(ms);
     return model;
 }
 

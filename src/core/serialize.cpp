@@ -1,15 +1,19 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "markov/discretizer.hpp"
+#include "obs/format.hpp"
 #include "stats/empirical.hpp"
 
 namespace kooza::core {
@@ -18,6 +22,64 @@ namespace {
 
 constexpr const char* kMagic = "kooza-model";
 constexpr const char* kVersion = "v1";
+
+/// A model's text, formatted into a buffer that goes to the stream a
+/// block at a time: doubles as %.17g (obs::format_g17), integers as
+/// to_chars writes them.
+class TextOut {
+public:
+    explicit TextOut(std::ostream& os) : os_(os) {}
+    TextOut(const TextOut&) = delete;
+    TextOut& operator=(const TextOut&) = delete;
+
+    TextOut& operator<<(double v) {
+        room(obs::kG17BufferBytes);
+        pos_ = obs::format_g17(pos_, end(), v).ptr;
+        return *this;
+    }
+    template <std::integral T>
+    TextOut& operator<<(T v) {
+        room(obs::kG17BufferBytes);
+        pos_ = std::to_chars(pos_, end(), v).ptr;
+        return *this;
+    }
+    TextOut& operator<<(char c) {
+        room(1);
+        *pos_++ = c;
+        return *this;
+    }
+    TextOut& operator<<(std::string_view text) {
+        if (text.size() > std::size_t(end() - pos_)) {
+            flush();
+            if (text.size() > buf_.size()) {
+                os_.write(text.data(), std::streamsize(text.size()));
+                return *this;
+            }
+        }
+        pos_ = std::copy(text.begin(), text.end(), pos_);
+        return *this;
+    }
+
+    /// Hand the buffered text to the stream.
+    void flush() {
+        os_.write(buf_.data(), pos_ - buf_.data());
+        pos_ = buf_.data();
+    }
+
+private:
+    char* end() { return buf_.data() + buf_.size(); }
+    /// Flush unless `n` bytes are free; a number needs obs::kG17BufferBytes.
+    void room(std::size_t n) {
+        if (std::size_t(end() - pos_) < n) flush();
+    }
+
+    std::ostream& os_;
+    std::array<char, 1 << 14> buf_;
+    char* pos_ = buf_.data();
+};
+
+/// Defined with load_distribution, below.
+void save_distribution(const stats::Distribution& d, TextOut& os);
 
 [[noreturn]] void bad(const std::string& what) {
     throw std::runtime_error("load_model: " + what);
@@ -55,7 +117,7 @@ void expect(std::istream& is, const char* keyword) {
 
 // ---- Markov chain ---------------------------------------------------------
 
-void save_chain(const markov::MarkovChain& c, std::ostream& os) {
+void save_chain(const markov::MarkovChain& c, TextOut& os) {
     os << "chain " << c.n_states() << "\ninit";
     for (double p : c.initial()) os << ' ' << p;
     os << "\n";
@@ -87,7 +149,7 @@ markov::MarkovChain load_chain(std::istream& is) {
 
 // ---- Annotated chain ------------------------------------------------------
 
-void save_annotated(const markov::AnnotatedMarkovChain& m, std::ostream& os) {
+void save_annotated(const markov::AnnotatedMarkovChain& m, TextOut& os) {
     save_chain(m.chain(), os);
     const auto names = m.feature_names();
     os << "features " << names.size() << "\n";
@@ -118,7 +180,7 @@ markov::AnnotatedMarkovChain load_annotated(std::istream& is) {
 
 // ---- Structure queue ------------------------------------------------------
 
-void save_structure(const StructureQueue& q, std::ostream& os) {
+void save_structure(const StructureQueue& q, TextOut& os) {
     const auto names = q.phase_names();
     os << "structure " << q.training_traces() << ' ' << q.variants().size() << ' '
        << names.size() << "\n";
@@ -160,7 +222,7 @@ StructureQueue load_structure(std::istream& is) {
 
 // ---- Discretizers ---------------------------------------------------------
 
-void save_discretizer(const markov::Discretizer& d, std::ostream& os) {
+void save_discretizer(const markov::Discretizer& d, TextOut& os) {
     if (auto* lbn = dynamic_cast<const markov::LbnRangeDiscretizer*>(&d)) {
         os << "states lbn " << lbn->lbn_count() << ' ' << lbn->n_states() << "\n";
     } else if (auto* util = dynamic_cast<const markov::UtilizationDiscretizer*>(&d)) {
@@ -200,7 +262,7 @@ std::unique_ptr<markov::Discretizer> load_discretizer(std::istream& is) {
 
 // ---- Arrival processes ----------------------------------------------------
 
-void save_arrivals(const queueing::ArrivalProcess& a, std::ostream& os) {
+void save_arrivals(const queueing::ArrivalProcess& a, TextOut& os) {
     if (auto* p = dynamic_cast<const queueing::PoissonArrivals*>(&a)) {
         os << "arrivals poisson " << p->mean_rate() << "\n";
     } else if (auto* d = dynamic_cast<const queueing::DeterministicArrivals*>(&a)) {
@@ -245,7 +307,7 @@ std::unique_ptr<queueing::ArrivalProcess> load_arrivals(std::istream& is) {
 
 // ---- Type model -----------------------------------------------------------
 
-void save_type_model(const TypeModel& tm, std::ostream& os) {
+void save_type_model(const TypeModel& tm, TextOut& os) {
     save_annotated(tm.storage, os);
     save_annotated(tm.memory, os);
     save_annotated(tm.cpu, os);
@@ -265,7 +327,9 @@ TypeModel load_type_model(std::istream& is) {
 
 // ---- Distributions ----------------------------------------------------
 
-void save_distribution(const stats::Distribution& d, std::ostream& os) {
+namespace {
+
+void save_distribution(const stats::Distribution& d, TextOut& os) {
     os << "dist ";
     if (auto* det = dynamic_cast<const stats::Deterministic*>(&d)) {
         os << "deterministic " << det->value();
@@ -292,6 +356,14 @@ void save_distribution(const stats::Distribution& d, std::ostream& os) {
                                     d.describe());
     }
     os << "\n";
+}
+
+}  // namespace
+
+void save_distribution(const stats::Distribution& d, std::ostream& os) {
+    TextOut out(os);
+    save_distribution(d, out);
+    out.flush();
 }
 
 std::unique_ptr<stats::Distribution> load_distribution(std::istream& is) {
@@ -343,8 +415,8 @@ std::unique_ptr<stats::Distribution> load_distribution(std::istream& is) {
 
 // ---- Model ------------------------------------------------------------
 
-void save_model(const ServerModel& model, std::ostream& os) {
-    os << std::setprecision(17);
+void save_model(const ServerModel& model, std::ostream& stream) {
+    TextOut os(stream);
     os << kMagic << ' ' << kVersion << "\n";
     os << "name " << model.workload_name() << "\n";
     os << "read_fraction " << model.read_fraction() << "\n";
@@ -357,7 +429,8 @@ void save_model(const ServerModel& model, std::ostream& os) {
        << (model.has_writes() ? 1 : 0) << "\n";
     if (model.has_reads()) save_type_model(model.reads(), os);
     if (model.has_writes()) save_type_model(model.writes(), os);
-    if (!os) throw std::runtime_error("save_model: stream write failed");
+    os.flush();
+    if (!stream) throw std::runtime_error("save_model: stream write failed");
 }
 
 void save_model(const ServerModel& model, const std::filesystem::path& file) {

@@ -144,10 +144,10 @@ void use_kernel(Echmm::Fitter& fitter, EstepKernel kernel);
 /// its terms in the order of a one-sequence-at-a-time E-step and the fit is
 /// bit-identical at every width. No multiply-add may be contracted into an
 /// FMA (the libraries build with -ffp-contract=off). Each emission density
-/// is evaluated once per step, and a step whose observation equals the
-/// previous one in its sequence reuses that row. The kernel's tables are
-/// one vector the Fitter keeps, so repeated batches allocate only when a
-/// longer sequence arrives.
+/// is evaluated once per step, and a step whose observation equals one of
+/// the last few values evaluated in the batch reuses that value's row. The
+/// kernel's tables are one vector the Fitter keeps, so repeated batches
+/// allocate only when a longer sequence arrives.
 class Echmm::Fitter {
 public:
     explicit Fitter(std::size_t n_states, double tol = 1e-4);

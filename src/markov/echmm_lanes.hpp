@@ -4,8 +4,8 @@
 // (detail::Estep, filled by Fitter::accumulate) and adds their expectation
 // sums to the iteration's totals:
 //   1. Emission densities, one row per (step, sequence); a step whose
-//      observation equals the previous one in its sequence copies that row
-//      instead of calling exp again.
+//      observation equals one of the last few values computed in the batch
+//      copies that value's row instead of calling exp again.
 //   2. Scaled forward and backward passes on the W sequences at once, one
 //      sequence per lane of a GCC/Clang vector of W doubles. Each lane
 //      performs the scalar recurrence's operations in the scalar order, so
@@ -151,8 +151,16 @@ template <std::size_t N, std::size_t W>
     for (std::size_t k = 0; k < nn; ++k) A[k] = zero + m.a[k];
 
     // Emission rows, lane by lane: lane l of emit[k] is ed[k * W + l], and
-    // sequence l's own rows get a copy. An idle lane (a batch of fewer than
-    // W sequences) runs on densities of 1; its results are never read.
+    // sequence l's own rows get a copy. A step whose observation equals one
+    // of the last kRecent values computed in the batch copies that value's
+    // row: the same x gives the same densities, and the bounded lookup costs
+    // a stream of distinct values a few compares a step. An idle lane (a
+    // batch of fewer than W sequences) runs on densities of 1; its results
+    // are never read.
+    constexpr std::size_t kRecent = 4;
+    double recent_x[kRecent];
+    const double* recent_row[kRecent];
+    std::size_t computed = 0;  // rows computed so far; the newest kRecent are kept
     double* const ed = as_doubles(emit);
     for (std::size_t l = 0; l < W; ++l) {
         if (l >= s.count) {
@@ -163,8 +171,14 @@ template <std::size_t N, std::size_t W>
         double* er = as_doubles(rows + 3 * l * table);
         for (std::size_t t = 0; t < T; ++t, er += P) {
             double* e = ed + t * n * W + l;
-            if (t > 0 && x[t] == x[t - 1]) {
-                std::copy_n(er - P, P, er);
+            const double* same = nullptr;
+            for (std::size_t r = 0; r < std::min(computed, kRecent); ++r)
+                if (recent_x[r] == x[t]) {
+                    same = recent_row[r];
+                    break;
+                }
+            if (same) {
+                std::copy_n(same, P, er);
                 for (std::size_t j = 0; j < n; ++j) e[j * W] = er[j];
                 continue;
             }
@@ -172,6 +186,9 @@ template <std::size_t N, std::size_t W>
                 e[j * W] = er[j] = std::exp(
                     log_density(x[t], m.mu[j], m.sigma[j], m.log_sigma[j]));
             std::fill(er + n, er + P, 0.0);
+            recent_x[computed % kRecent] = x[t];
+            recent_row[computed % kRecent] = er;
+            ++computed;
         }
     }
 

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/format.hpp"
+
 namespace kooza::obs {
 
 namespace {
@@ -22,12 +24,10 @@ const char* kind_name(MetricSnapshot::Kind k) {
     return "counter";
 }
 
-// %.17g round-trips doubles exactly and is locale-independent for the
-// plain numbers we emit, keeping exports byte-stable.
+// %.17g round-trips doubles exactly, keeping exports byte-stable.
 std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    char buf[kG17BufferBytes];
+    return std::string(buf, format_g17(buf, buf + sizeof buf, v).ptr);
 }
 
 std::string fmt_u64(std::uint64_t v) {

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/format.hpp"
 #include "obs/metrics.hpp"
 #include "trace/schema.hpp"
 
@@ -26,9 +27,9 @@ constexpr std::size_t kWriteBufferBytes = std::size_t(1) << 20;
 /// read_csv streams each file through a window of this size; it grows
 /// only for a line longer than the window.
 constexpr std::size_t kReadWindowBytes = std::size_t(1) << 20;
-/// Longest number a field can format to: "-2.2250738585072014e-308"
-/// at 17 significant digits is 24 characters, a u64 is 20.
-constexpr std::size_t kMaxNumberChars = 32;
+/// Room left before a number is formatted: what obs::format_g17 needs for
+/// its exact path, more than any double's or u64's text.
+constexpr std::size_t kMaxNumberChars = obs::kG17BufferBytes;
 
 struct CsvMetrics {
     obs::Counter& rows = obs::counter("trace.csv.rows_total");
@@ -42,9 +43,8 @@ CsvMetrics& metrics() {
 }
 
 /// Formats rows into the caller's buffer and writes it out with fwrite.
-/// Doubles go through to_chars at 17 significant digits, which is
-/// printf's "%.17g" and so the same text `ostream << double` writes at
-/// precision(17). Every fwrite and the fclose are checked.
+/// Doubles go through obs::format_g17, printf's "%.17g" text. Every fwrite
+/// and the fclose are checked.
 class FileWriter {
 public:
     FileWriter(const fs::path& p, std::vector<char>& buf)
@@ -97,7 +97,7 @@ private:
         if constexpr (std::is_arithmetic_v<T>) {
             if (std::size_t(end_ - pos_) < kMaxNumberChars) flush();
             if constexpr (std::is_floating_point_v<T>)
-                pos_ = std::to_chars(pos_, end_, v, std::chars_format::general, 17).ptr;
+                pos_ = obs::format_g17(pos_, end_, v).ptr;
             else
                 pos_ = std::to_chars(pos_, end_, v).ptr;
         } else if constexpr (std::is_enum_v<T>) {

@@ -9,7 +9,12 @@
 // line breaks). Enums are written as their to_string text.
 // Doubles are written at 17 significant digits (printf's "%.17g"), so
 // every value but a NaN's payload, subnormals included, reads back bit
-// for bit.
+// for bit. obs::format_g17 writes them: a finite |v| in [1e-22, 1e17) —
+// the range of a capture's times, durations and sizes — by exact
+// 128-bit integer arithmetic;
+// zero, subnormals, values outside that range, infinities, NaN and exact
+// rounding ties through std::to_chars(general, 17), whose text the exact
+// path matches byte for byte.
 #pragma once
 
 #include <filesystem>
